@@ -9,24 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import enhanced as enh
-from . import hybrid as hyb
-from . import nmr
-from . import reference as ref
-from .datasets import TABLE1, Dataset, dataset
-from .direct import SuperpositionSpec, run_direct
+from . import kernel, nmr
+from .datasets import TABLE1, Dataset
+from .direct import run_direct
 from .errors import ArgumentError
-from .linalg import (
-    DensityMatrix,
-    QubitParams,
-    StateVector,
-    fidelity,
-    pure_density,
-)
+from .linalg import DensityMatrix, QubitParams, StateVector, fidelity, pure_density
 
 TIE_TOL = 1e-12
 
@@ -186,6 +177,10 @@ def table1_csv(rows: Iterable[Table1Row]) -> str:
 # --- Randomized formula verification --------------------------------------
 
 FORMULA_TOL = 1e-9
+# Drawn states keep |<chi|psi>| at least this far from the zero-overlap case.
+OVERLAP_FLOOR = 0.05
+# Trials per kernel batch: the working set stays fixed however many trials run.
+VERIFY_CHUNK = 1024
 
 _HYBRID_SHAPES = ((2, 2), (3, 2), (2, 3), (3, 3))
 
@@ -203,12 +198,16 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, name: str, deviation: float, context: dict) -> None:
-        self.max_deviation[name] = max(self.max_deviation.get(name, 0.0), deviation)
-        if deviation > FORMULA_TOL:
-            self.failures.append(
-                {"check": name, "deviation": deviation, "spec": context}
-            )
+    def record(self, name: str, trials, deviation, spec: Callable[[int], dict]):
+        """Fold one check into the report; ``spec(i)`` runs for failed rows only."""
+        if len(trials):
+            deviation = np.abs(deviation)
+            worst = float(np.max(deviation))
+            self.max_deviation[name] = max(self.max_deviation.get(name, 0.0), worst)
+            for i in np.flatnonzero(~(deviation <= FORMULA_TOL)):
+                failure = {"check": name, "trial": int(trials[i])}
+                failure.update(deviation=float(deviation[i]), spec=spec(i))
+                self.failures.append(failure)
 
     def to_json(self) -> dict:
         return {
@@ -220,155 +219,131 @@ class VerifyReport:
         }
 
 
-def _random_qubit(rng: np.random.Generator) -> QubitParams:
-    return QubitParams(
-        theta=float(rng.uniform(0.0, math.pi)),
-        phi=float(rng.uniform(0.0, 2.0 * math.pi)),
-        gamma=float(rng.uniform(0.0, 2.0 * math.pi)),
-    )
+def _unit(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
+    """Random unit vectors (rows, d); also the weights."""
+    amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def _random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return w / np.linalg.norm(w)
+def _overlapping(rng: np.random.Generator, chi: np.ndarray, n: int) -> np.ndarray:
+    """(T, n, d) random states with |<chi|psi>| >= OVERLAP_FLOOR, redrawing failures."""
+    t, d = chi.shape
+    states = _unit(rng, t * n, d).reshape(t, n, d)
+    while (bad := np.abs(kernel.overlaps(states, chi)) < OVERLAP_FLOOR).any():
+        states[bad] = _unit(rng, int(bad.sum()), d)
+    return states
 
 
-def _random_state(rng: np.random.Generator, d: int) -> StateVector:
-    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return StateVector((d,), amps / np.linalg.norm(amps), normalized=True)
+def _bloch(theta: np.ndarray, phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>), elementwise."""
+    amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1)
+    return np.exp(1j * gamma)[..., None] * amps
 
 
-def _random_overlapping_state(
-    rng: np.random.Generator, chi: StateVector, floor: float = 0.05
-) -> StateVector:
-    while True:
-        s = _random_state(rng, chi.dims[0])
-        if abs(np.vdot(chi.amps, s.amps)) >= floor:
-            return s
+def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
+    """(psi1, psi2) pairs in a fixed geometry relative to a random chi.
+
+    Antipodal pairs share the polar angle and sit pi apart in azimuth;
+    longitudinal pairs share the azimuth.
+    """
+    chi = _unit(rng, rows, 2)
+    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
+    coords = _bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
+    return coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1), chi
 
 
-def _bloch_pair_on_axis(
-    rng: np.random.Generator, antipodal: bool
-) -> tuple[StateVector, StateVector, StateVector]:
-    """A (psi1, psi2, chi) triple in a fixed geometry relative to chi."""
-    chi = _random_state(rng, 2)
-    chip = enh.chi_perp(chi)
-    if antipodal:
-        t = rng.uniform(0.2, math.pi / 2 - 0.2)
-        t1 = t2 = t
-        az1 = rng.uniform(0.0, 2.0 * math.pi)
-        az2 = az1 + math.pi
-    else:
-        t1, t2 = rng.uniform(0.2, math.pi / 2 - 0.2, size=2)
-        az1 = az2 = rng.uniform(0.0, 2.0 * math.pi)
-
-    def mk(t, az):
-        amps = math.cos(t) * chi.amps + math.sin(t) * np.exp(1j * az) * chip.amps
-        return StateVector((2,), amps, normalized=True)
-
-    return mk(t1, az1), mk(t2, az2), chi
-
-
-def _qubit_context(a, b, psi1, psi2, chi) -> dict:
-    return {
-        "a": [a.real, a.imag],
-        "b": [b.real, b.imag],
-        "psi1": psi1.to_json(),
-        "psi2": psi2.to_json(),
-        "chi": chi.to_json(),
+def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
+    """Replay context of row i: the arguments of the scalar pipelines."""
+    return lambda i: {
+        "weights": [[float(z.real), float(z.imag)] for z in weights[i]],
+        "states": [StateVector(s.shape, s).to_json() for s in states[i]],
+        "chi": StateVector(chi[i].shape, chi[i]).to_json(),
+        **{key: value[i].tolist() for key, value in extra.items()},
     }
 
 
+def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
+    """Draw one batch of trials and run every check once over all of it."""
+    t = len(trials)
+    w = _unit(rng, t, 2)
+
+    # Direct protocol: operational probability vs the weighted-sum norm.
+    angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
+    theta, phi, gamma = np.moveaxis(angles, -1, 0)
+    states = _bloch(theta, phi, gamma)
+    chi = np.tile([1.0 + 0j, 0.0], (t, 1))
+    kernel.validate(w, states, chi)
+    sim = kernel.norm_sq(kernel.direct(w, states, gamma)[:, 0])
+    closed = kernel.norm_sq(kernel.weighted_sum(w, _bloch(theta, phi, 0 * gamma))) / 2
+    spec = _spec(w, states, chi, angles=angles)
+    report.record("direct_success", trials, sim - closed, spec)
+
+    # Reference protocols on random states with comfortable overlaps.
+    chi = _unit(rng, t, 2)
+    pair = _overlapping(rng, chi, 2)
+    kernel.validate(w, pair, chi)
+    sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(w, pair, chi))[:, 0])
+    closed = kernel.closed_form_fourier(w, pair, chi)
+    report.record("p2_reduced", trials, sim - closed, _spec(w, pair, chi))
+    sim = kernel.norm_sq(kernel.three_qubit(w, pair, chi))
+    closed = kernel.closed_form_mu(w, pair, chi)
+    report.record("p3_three_qubit", trials, sim - closed, _spec(w, pair, chi))
+
+    # Hybrid protocol, trial t on shape t mod 4, one batch per shape.
+    for k, (n, d) in enumerate(_HYBRID_SHAPES):
+        rows = trials % len(_HYBRID_SHAPES) == k
+        chi_d = _unit(rng, int(rows.sum()), d)
+        states = _overlapping(rng, chi_d, n)
+        w_d = _unit(rng, len(chi_d), n)
+        kernel.validate(w_d, states, chi_d)
+        block = kernel.reduced(w_d, states, chi_d)
+        sim = kernel.norm_sq(kernel.fourier_rows(block)[:, 0])
+        closed = kernel.closed_form_fourier(w_d, states, chi_d)
+        spec = _spec(w_d, states, chi_d)
+        report.record("hybrid_eq8", trials[rows], sim - closed, spec)
+
+    # Enhanced protocol: both sector probabilities, on the trials whose
+    # states also overlap chi^perp comfortably.
+    pair = _overlapping(rng, chi, 2)
+    chip = kernel.chi_perp(chi)
+    ok = np.all(np.abs(kernel.overlaps(pair, chip)) >= OVERLAP_FLOOR, axis=1)
+    w_e, pair, chi, chip, ran = w[ok], pair[ok], chi[ok], chip[ok], trials[ok]
+    kernel.validate(w_e, pair, chi)
+    res = kernel.enhanced(w_e, pair, chi)
+    closed = kernel.closed_form_mu(w_e, pair, chi)
+    report.record("enhanced_p1", ran, res.p1 - closed, _spec(w_e, pair, chi))
+    g = res.geometry != kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
+    closed = kernel.closed_form_mu(w_e[g], pair[g], chip[g])
+    spec = _spec(w_e[g], pair[g], chi[g])
+    report.record("enhanced_p2", ran[g], res.p2[g] - closed, spec)
+
+    # Geometry-specific totals on constructed pairs.
+    for geometry in ("longitudinal", "antipodal"):
+        pair, chi = _bloch_pairs(rng, t, antipodal=geometry == "antipodal")
+        w = _unit(rng, t, 2)
+        kernel.validate(w, pair, chi)
+        if geometry == "antipodal":
+            closed = kernel.norm_sq(kernel.target(w, pair, chi)) / 2.0
+        else:
+            chip = kernel.chi_perp(chi)
+            closed = kernel.closed_form_mu(w, pair, chi)
+            closed = closed + kernel.closed_form_mu(w, pair, chip)
+        deviation = kernel.enhanced(w, pair, chi).p_total - closed
+        spec = _spec(w, pair, chi)
+        report.record(f"enhanced_ptotal_{geometry}", trials, deviation, spec)
+
+
 def verify_probability_formulas(trials: int, seed: int) -> VerifyReport:
-    """Check every simulated probability against its closed form."""
+    """Check every simulated probability against its closed form.
+
+    The trials run in batches of VERIFY_CHUNK through the kernel that the
+    scalar pipelines view; a failure names its trial and the replay context.
+    """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     report = VerifyReport(trials=trials, seed=seed)
-
-    for t in range(trials):
-        # Direct protocol: operational probability vs the weighted-sum norm.
-        p1q = _random_qubit(rng)
-        p2q = _random_qubit(rng)
-        a, b = (complex(v) for v in _random_weights(rng, 2))
-        spec = SuperpositionSpec(a, b, p1q, p2q)
-        direct = run_direct(spec)
-        report.record(
-            "direct_success",
-            abs(direct.success_prob - direct.norm_sq / 2.0),
-            {"psi1": [p1q.theta, p1q.phi, p1q.gamma], "psi2": [p2q.theta, p2q.phi, p2q.gamma]},
-        )
-
-        # Reference protocols on random states with comfortable overlaps.
-        chi = _random_state(rng, 2)
-        psi1 = _random_overlapping_state(rng, chi)
-        psi2 = _random_overlapping_state(rng, chi)
-        ctx = _qubit_context(a, b, psi1, psi2, chi)
-        two = ref.run_two_qubit_reduced(a, b, psi1, psi2, chi)
-        report.record(
-            "p2_reduced",
-            abs(two.success_prob - ref.closed_form_p2(a, b, psi1, psi2, chi)),
-            ctx,
-        )
-        three = ref.run_three_qubit(a, b, psi1, psi2, chi)
-        report.record(
-            "p3_three_qubit",
-            abs(three.success_prob - ref.closed_form_p3(a, b, psi1, psi2, chi)),
-            ctx,
-        )
-
-        # Hybrid protocol, cycling over the (n, d) shapes.
-        n, d = _HYBRID_SHAPES[t % len(_HYBRID_SHAPES)]
-        chi_d = _random_state(rng, d)
-        states = tuple(_random_overlapping_state(rng, chi_d) for _ in range(n))
-        weights = tuple(complex(v) for v in _random_weights(rng, n))
-        rspec = ref.ReferenceSpec(n=n, d=d, weights=weights, states=states, chi=chi_d)
-        hybrid = hyb.run_hybrid(rspec)
-        report.record(
-            "hybrid_eq8",
-            abs(hybrid.success_prob - hyb.closed_form_hybrid(rspec)),
-            {"n": n, "d": d, "chi": chi_d.to_json()},
-        )
-
-        # Enhanced protocol: both sector probabilities, generic geometry.
-        chip = enh.chi_perp(chi)
-        psi1e = _random_overlapping_state(rng, chi)
-        psi2e = _random_overlapping_state(rng, chi)
-        if (
-            abs(np.vdot(chip.amps, psi1e.amps)) >= 0.05
-            and abs(np.vdot(chip.amps, psi2e.amps)) >= 0.05
-        ):
-            ctx = _qubit_context(a, b, psi1e, psi2e, chi)
-            res = enh.run_enhanced(a, b, psi1e, psi2e, chi)
-            report.record(
-                "enhanced_p1",
-                abs(res.p1 - enh.closed_form_p1(a, b, psi1e, psi2e, chi)),
-                ctx,
-            )
-            eq38 = enh.closed_form_p2(a, b, psi1e, psi2e, chi)
-            if res.geometry != enh.GEOMETRY_TRANSVERSE_ANTIPODAL:
-                report.record("enhanced_p2", abs(res.p2 - eq38), ctx)
-
-        # Geometry-specific totals on constructed pairs.
-        psi1l, psi2l, chil = _bloch_pair_on_axis(rng, antipodal=False)
-        al, bl = (complex(v) for v in _random_weights(rng, 2))
-        resl = enh.run_enhanced(al, bl, psi1l, psi2l, chil)
-        closed_total = enh.closed_form_p1(al, bl, psi1l, psi2l, chil) + enh.closed_form_p2(
-            al, bl, psi1l, psi2l, chil
-        )
-        report.record(
-            "enhanced_ptotal_longitudinal",
-            abs(resl.p_total - closed_total),
-            _qubit_context(al, bl, psi1l, psi2l, chil),
-        )
-
-        psi1t, psi2t, chit = _bloch_pair_on_axis(rng, antipodal=True)
-        at, bt = (complex(v) for v in _random_weights(rng, 2))
-        rest = enh.run_enhanced(at, bt, psi1t, psi2t, chit)
-        seq12 = ref.kappa_weighted_sum(at, bt, psi1t, psi2t, chit).norm_sq / 2.0
-        report.record(
-            "enhanced_ptotal_antipodal",
-            abs(rest.p_total - seq12),
-            _qubit_context(at, bt, psi1t, psi2t, chit),
-        )
+    for start in range(0, trials, VERIFY_CHUNK):
+        _verify_chunk(rng, np.arange(start, min(trials, start + VERIFY_CHUNK)), report)
     return report

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -319,12 +320,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _CliArgumentError as exc:
         _emit_error("argument", str(exc))
         return 2
     except ToolkitError as exc:
         _emit_error(exc.kind, str(exc))
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout: say nothing more, and keep the interpreter's
+        # final flush from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:
         _emit_error("argument", str(exc))

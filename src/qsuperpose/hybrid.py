@@ -10,24 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import kernel
 from .errors import ArgumentError, DegenerateInputError
+from .kernel import BRANCH_NORM_FLOOR, fourier
 from .linalg import StateVector
-from .reference import (
-    ReferenceSpec,
-    build_initial,
-    controlled_swap_cascade,
-    project_onto_reference,
-)
-
-
-def fourier(n: int) -> np.ndarray:
-    """F[j][k] = f^{jk} / sqrt(n) with f = e^{2 pi i / n}."""
-    if n < 1:
-        raise ArgumentError(f"Fourier dimension must be positive, got {n}")
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * math.pi * jk / n) / math.sqrt(n)
+from .reference import ReferenceSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,48 +39,30 @@ class HybridResult:
 
 def hybrid_target(spec: ReferenceSpec) -> StateVector:
     """sum_k a_k (prod_{j != k} kappa_j) |Psi_k>, unnormalized."""
-    kappas = [o.kappa for o in spec.overlaps()]
-    amps = np.zeros(spec.d, dtype=complex)
-    for k, (w, s) in enumerate(zip(spec.weights, spec.states)):
-        phase = complex(1.0)
-        for j, kap in enumerate(kappas):
-            if j != k:
-                phase *= kap
-        amps += w * phase * s.amps
-    return StateVector((spec.d,), amps)
+    return StateVector((spec.d,), kernel.target(*spec.batch)[0])
 
 
 def closed_form_hybrid(spec: ReferenceSpec) -> float:
     """Success probability prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n."""
-    cs = [o.c for o in spec.overlaps()]
-    weight_term = sum(abs(w) ** 2 * c for w, c in zip(spec.weights, cs))
-    return math.prod(cs) / weight_term * hybrid_target(spec).norm_sq / spec.n
+    return float(kernel.closed_form_fourier(*spec.batch)[0])
 
 
 def run_hybrid(spec: ReferenceSpec) -> HybridResult:
     """Encode, Fourier the qunit, post-select outcome |0>_n."""
     if spec.n < 2:
         raise ArgumentError("the hybrid protocol needs at least two states")
-    state = build_initial(spec)
-    state = controlled_swap_cascade(state, spec.n, spec.d)
-    state, ref_prob = project_onto_reference(state, spec.chi, spec.n, spec.d)
-    # Contract the chi-projected auxiliaries away; what is left is the
-    # sub-normalized encoded qunit-qudit state whose norm^2 is ref_prob.
-    aux = np.ones(1, dtype=complex)
-    for _ in range(spec.n - 1):
-        aux = np.kron(aux, spec.chi.amps)
-    encoded_unnorm = state.amps.reshape(spec.n, spec.d, -1) @ aux.conj()
-    encoded = StateVector((spec.n, spec.d), encoded_unnorm).normalize()
-
-    rows = fourier(spec.n) @ encoded.amps.reshape(spec.n, spec.d)
+    # The chi-projected block is the sub-normalized encoded qunit-qudit
+    # state; its norm^2 is the reference-projection probability.
+    block = kernel.reduced(*spec.batch)[0]
+    encoded = StateVector((spec.n, spec.d), block.reshape(-1))
+    rows = kernel.fourier_rows(block[None])[0] / math.sqrt(encoded.norm_sq)
     branches = tuple(StateVector((spec.d,), row) for row in rows)
-    success = ref_prob * branches[0].norm_sq
-    if math.sqrt(branches[0].norm_sq) < 1e-12:
+    if math.sqrt(branches[0].norm_sq) < BRANCH_NORM_FLOOR:
         raise DegenerateInputError("the outcome-0 Fourier branch vanished")
     return HybridResult(
-        encoded_state=encoded,
+        encoded_state=encoded.normalize(),
         branches=branches,
-        success_prob=success,
+        success_prob=encoded.norm_sq * branches[0].norm_sq,
         final_state=branches[0].normalize(),
         target_state=hybrid_target(spec).normalize(),
     )

@@ -19,26 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .direct import HADAMARD, BRANCH_NORM_FLOOR, ProtocolResult
+from . import kernel
+from .direct import ProtocolResult
 from .errors import ArgumentError, ZeroOverlapError
 from .linalg import (
-    ATOL,
     EPS_OVERLAP,
     OverlapInfo,
     StateVector,
-    fidelity,
-    overlap_decompose,
-    pure_density,
-    tensor,
+    overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
 )
-
-# Dense pipelines build n * d^n amplitudes; cap keeps them desk-sized.
-MAX_PIPELINE_DIM = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,59 +45,43 @@ class ReferenceSpec:
     chi: StateVector
     primed_weights: tuple[complex, ...] = field(init=False)
     norm_N: float = field(init=False)
+    # The spec as a T = 1 kernel batch: weights, states, chi.
+    batch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
         object.__setattr__(self, "states", tuple(self.states))
         if self.n < 1 or self.d < 1:
             raise ArgumentError("n and d must be positive")
-        if self.n * self.d**self.n > MAX_PIPELINE_DIM:
-            raise ArgumentError(
-                f"n*d^n = {self.n * self.d ** self.n} exceeds the dense-pipeline cap "
-                f"{MAX_PIPELINE_DIM}"
-            )
         if len(self.weights) != self.n or len(self.states) != self.n:
             raise ArgumentError("need exactly n weights and n states")
         if any(s.dims != (self.d,) for s in self.states) or self.chi.dims != (self.d,):
             raise ArgumentError(f"all states must be single {self.d}-level systems")
-        for s in (*self.states, self.chi):
-            if abs(s.norm_sq - 1.0) > ATOL:
-                raise ArgumentError("input and reference states must be normalized")
-        total = sum(abs(w) ** 2 for w in self.weights)
-        if abs(total - 1.0) > ATOL:
-            raise ArgumentError(f"weights must satisfy sum |a_k|^2 = 1, got {total}")
-        overlaps = [overlap_decompose(s, self.chi) for s in self.states]
-        primed, norm_n = primed_weights(self.weights, overlaps)
-        object.__setattr__(self, "primed_weights", tuple(primed))
-        object.__setattr__(self, "norm_N", norm_n)
-
-    def overlaps(self) -> list[OverlapInfo]:
-        return [overlap_decompose(s, self.chi) for s in self.states]
+        batch = kernel.one(self.weights, self.states, self.chi)
+        primed = kernel.primed(batch[0], kernel.overlap_c(*batch[1:]))[0]
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "primed_weights", tuple(complex(p) for p in primed))
+        object.__setattr__(self, "norm_N", math.sqrt(kernel.norm_sq(primed)))
 
 
 def primed_weights(
     weights: Sequence[complex], overlaps: Sequence[OverlapInfo]
 ) -> tuple[list[complex], float]:
     """a_k' = a_k / sqrt(prod_{j != k} c_j) and N = sqrt(sum |a_k'|^2)."""
-    cs = [o.c for o in overlaps]
-    if any(c < EPS_OVERLAP for c in cs):
+    cs = np.array([[o.c for o in overlaps]])
+    if np.any(cs < EPS_OVERLAP):
         raise ZeroOverlapError("an overlap magnitude is below the zero threshold")
-    if len(weights) != len(cs):
+    if len(weights) != cs.shape[1]:
         raise ArgumentError("need one overlap per weight")
-    primed = []
-    for k, a in enumerate(weights):
-        others = math.prod(c for j, c in enumerate(cs) if j != k)
-        primed.append(complex(a) / math.sqrt(others))
-    norm_n = math.sqrt(sum(abs(p) ** 2 for p in primed))
-    return primed, norm_n
+    primed = kernel.primed(np.array([weights], dtype=complex), cs)[0]
+    return [complex(p) for p in primed], math.sqrt(kernel.norm_sq(primed))
 
 
 def build_initial(spec: ReferenceSpec) -> StateVector:
     """(1/N) sum_k a_k' |k>_n  tensored with Psi_1 ... Psi_n."""
-    anc = StateVector(
-        (spec.n,), np.array(spec.primed_weights) / spec.norm_N, normalized=True
-    )
-    return reduce(tensor, spec.states, anc)
+    anc = np.array([spec.primed_weights]) / spec.norm_N
+    amps = kernel.encode(anc, spec.batch[1])[0]
+    return StateVector((spec.n,) + (spec.d,) * spec.n, amps, normalized=True)
 
 
 def _require_cascade_dims(state: StateVector, n: int, d: int) -> None:
@@ -117,11 +94,8 @@ def _require_cascade_dims(state: StateVector, n: int, d: int) -> None:
 def controlled_swap_cascade(state: StateVector, n: int, d: int) -> StateVector:
     """Swap qudit 1 with qudit k+1 on the ancilla-|k> branch (k >= 1)."""
     _require_cascade_dims(state, n, d)
-    a = state.amps.reshape((n,) + (d,) * n)
-    out = np.empty_like(a)
-    for k in range(n):
-        out[k] = a[k] if k == 0 else np.swapaxes(a[k], 0, k)
-    return StateVector(state.dims, out.reshape(-1), normalized=state.normalized)
+    amps = kernel.cascade(state.amps[None], n, d)[0]
+    return StateVector(state.dims, amps, normalized=state.normalized)
 
 
 def project_onto_reference(
@@ -131,12 +105,8 @@ def project_onto_reference(
     _require_cascade_dims(state, n, d)
     if chi.dims != (d,):
         raise ArgumentError(f"reference state must have dimension {d}")
-    if n == 1:
-        return state, state.norm_sq
-    aux = reduce(np.kron, [chi.amps] * (n - 1))
-    a = state.amps.reshape(n, d, -1)
-    coef = a @ aux.conj()
-    out = coef[:, :, None] * aux[None, None, :]
+    block, aux = kernel.project(state.amps[None], chi.amps[None], n, d)
+    out = block[0, :, :, None] * aux[0]
     projected = StateVector(state.dims, out.reshape(-1), normalized=False)
     return projected, projected.norm_sq
 
@@ -145,91 +115,36 @@ def kappa_weighted_sum(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> StateVector:
     """a kappa_2 |psi1> + b kappa_1 |psi2>, the (unnormalized) protocol target."""
-    o1 = overlap_decompose(psi1, chi)
-    o2 = overlap_decompose(psi2, chi)
-    return StateVector(psi1.dims, a * o2.kappa * psi1.amps + b * o1.kappa * psi2.amps)
+    target = kernel.target(*kernel.one((a, b), (psi1, psi2), chi))
+    return StateVector(psi1.dims, target[0])
 
 
 def closed_form_p3(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> float:
     """P3 = c1 c2 ||a kappa2 psi1 + b kappa1 psi2||^2 / (c1 + c2)."""
-    c1 = overlap_decompose(psi1, chi).c
-    c2 = overlap_decompose(psi2, chi).c
-    return c1 * c2 / (c1 + c2) * kappa_weighted_sum(a, b, psi1, psi2, chi).norm_sq
+    return float(kernel.closed_form_mu(*kernel.one((a, b), (psi1, psi2), chi))[0])
 
 
 def closed_form_p2(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> float:
     """P2 = c1 c2 ||a kappa2 psi1 + b kappa1 psi2||^2 / (2 (c1 |a|^2 + c2 |b|^2))."""
-    c1 = overlap_decompose(psi1, chi).c
-    c2 = overlap_decompose(psi2, chi).c
-    nsq = kappa_weighted_sum(a, b, psi1, psi2, chi).norm_sq
-    return c1 * c2 * nsq / (2.0 * (c1 * abs(a) ** 2 + c2 * abs(b) ** 2))
-
-
-def _pair_result(
-    final_unnorm: np.ndarray,
-    d: int,
-    a: complex,
-    b: complex,
-    psi1: StateVector,
-    psi2: StateVector,
-    chi: StateVector,
-    difference: Optional[StateVector],
-) -> ProtocolResult:
-    branch = StateVector((d,), final_unnorm, normalized=False)
-    target_unnorm = kappa_weighted_sum(a, b, psi1, psi2, chi)
-    final = branch.normalize()
-    target = target_unnorm.normalize()
-    return ProtocolResult(
-        final_state=final,
-        branch_unnormalized=branch,
-        success_prob=branch.norm_sq,
-        norm_sq=target_unnorm.norm_sq,
-        target_state=target,
-        fidelity_to_target=fidelity(pure_density(final), pure_density(target)),
-        difference_branch=difference,
-    )
+    return float(kernel.closed_form_fourier(*kernel.one((a, b), (psi1, psi2), chi))[0])
 
 
 def run_three_qubit(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> ProtocolResult:
     """The prior three-qubit protocol: plain weights plus the mu-projection."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > ATOL:
-        raise ArgumentError("weights must satisfy |a|^2 + |b|^2 = 1")
-    for s in (psi1, psi2, chi):
-        if abs(s.norm_sq - 1.0) > ATOL:
-            raise ArgumentError("input and reference states must be normalized")
-    d = psi1.dims[0]
-    c1 = overlap_decompose(psi1, chi).c
-    c2 = overlap_decompose(psi2, chi).c
-    anc = StateVector((2,), [a, b], normalized=True)
-    state = tensor(tensor(anc, psi1), psi2)
-    state = controlled_swap_cascade(state, 2, d)
-    state, _ = project_onto_reference(state, chi, 2, d)
-    # Contract the auxiliary against chi, then the ancilla against mu.
-    coef = state.amps.reshape(2, d, d) @ chi.amps.conj()
-    mu = np.array([math.sqrt(c1), math.sqrt(c2)]) / math.sqrt(c1 + c2)
-    final_unnorm = mu.conj() @ coef
-    return _pair_result(final_unnorm, d, a, b, psi1, psi2, chi, difference=None)
+    batch = kernel.one((a, b), (psi1, psi2), chi)
+    return ProtocolResult.of(kernel.three_qubit(*batch)[0], kernel.target(*batch)[0])
 
 
 def run_two_qubit_reduced(
     a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
 ) -> ProtocolResult:
     """The reduced protocol: primed weights, one chi-projection, Hadamard."""
-    d = psi1.dims[0]
-    spec = ReferenceSpec(n=2, d=d, weights=(a, b), states=(psi1, psi2), chi=chi)
-    state = build_initial(spec)
-    state = controlled_swap_cascade(state, 2, d)
-    state, _ = project_onto_reference(state, chi, 2, d)
-    coef = state.amps.reshape(2, d, d) @ chi.amps.conj()
-    branches = HADAMARD @ coef.reshape(2, d)
-    diff = StateVector((d,), branches[1], normalized=False)
-    difference = (
-        diff.normalize() if math.sqrt(diff.norm_sq) >= BRANCH_NORM_FLOOR else None
-    )
-    return _pair_result(branches[0], d, a, b, psi1, psi2, chi, difference=difference)
+    batch = kernel.one((a, b), (psi1, psi2), chi)
+    rows = kernel.fourier_rows(kernel.reduced(*batch))[0]
+    return ProtocolResult.of(rows[0], kernel.target(*batch)[0], difference=rows[1])

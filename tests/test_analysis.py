@@ -1,9 +1,11 @@
 """Sweeps, the experiment-table driver, and the verification harness."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qsuperpose import analysis, kernel
 from qsuperpose.analysis import (
     REGIME_THREE_QUBIT,
     REGIME_TIE,
@@ -22,12 +24,13 @@ from qsuperpose.direct import run_direct
 from qsuperpose.errors import ArgumentError
 from qsuperpose.linalg import (
     QubitParams,
+    StateVector,
     basis_state,
     make_qubit,
     overlap_decompose,
     phase_equivalent,
 )
-from qsuperpose.reference import kappa_weighted_sum, run_three_qubit
+from qsuperpose.reference import closed_form_p3, kappa_weighted_sum, run_three_qubit
 
 # Gate-level success probabilities for all 11 datasets, frozen from the
 # ||a psi1 + b psi2||^2 / 2 oracle.
@@ -143,6 +146,18 @@ class TestReproduceTable1:
             reproduce_table1("experimental")
 
 
+ALL_CHECKS = {
+    "direct_success",
+    "p2_reduced",
+    "p3_three_qubit",
+    "hybrid_eq8",
+    "enhanced_p1",
+    "enhanced_p2",
+    "enhanced_ptotal_longitudinal",
+    "enhanced_ptotal_antipodal",
+}
+
+
 class TestVerifyHarness:
     def test_small_run_passes(self):
         report = verify_probability_formulas(trials=50, seed=0)
@@ -169,6 +184,48 @@ class TestVerifyHarness:
     def test_zero_trials_rejected(self):
         with pytest.raises(ArgumentError):
             verify_probability_formulas(trials=0, seed=0)
+
+    def test_run_spanning_chunks_records_every_check(self):
+        trials = analysis.VERIFY_CHUNK + 5
+        first = verify_probability_formulas(trials=trials, seed=4).to_json()
+        assert first == verify_probability_formulas(trials=trials, seed=4).to_json()
+        assert first["ok"] and set(first["max_deviation"]) == ALL_CHECKS
+        assert first != verify_probability_formulas(trials=trials, seed=5).to_json()
+
+    def test_injected_fault_names_its_trial_and_replays(self, monkeypatch):
+        true_mu = kernel.closed_form_mu
+        marked = []
+
+        def off_on_one_trial(weights, states, chi):
+            # The first call is the P3 check over the whole chunk: mark its
+            # trial 3, then skew the closed form wherever those inputs recur.
+            if not marked:
+                marked.extend((weights[3].copy(), states[3].copy(), chi[3].copy()))
+            w, s, c = marked
+            hit = (weights == w).all(1) & (states == s).all((1, 2)) & (chi == c).all(1)
+            return true_mu(weights, states, chi) + 1e-6 * hit
+
+        monkeypatch.setattr(kernel, "closed_form_mu", off_on_one_trial)
+        report = verify_probability_formulas(trials=20, seed=3)
+        assert [(f["check"], f["trial"]) for f in report.failures] == [
+            ("p3_three_qubit", 3)
+        ]
+        failure = json.loads(json.dumps(report.failures[0]))
+        assert set(failure) == {"check", "trial", "deviation", "spec"}
+        assert failure["deviation"] == pytest.approx(1e-6, abs=1e-12)
+
+        spec = failure["spec"]
+        a, b = (complex(re, im) for re, im in spec["weights"])
+        psi1, psi2 = (StateVector.from_json(obj) for obj in spec["states"])
+        chi = StateVector.from_json(spec["chi"])
+
+        def replay():
+            sim = run_three_qubit(a, b, psi1, psi2, chi).success_prob
+            return abs(sim - closed_form_p3(a, b, psi1, psi2, chi))
+
+        assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
+        monkeypatch.undo()
+        assert replay() <= 1e-12
 
     def test_sensitivity_to_tampered_overlap(self):
         # Perturbing c1 by 1e-3 in the closed form must break the match.

@@ -1,6 +1,7 @@
 """Command-line interface: flags, outputs, exit codes, error envelopes."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -367,6 +368,23 @@ class TestParsing:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "argument"
+
+    def test_broken_stdout_pipe_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "qsuperpose.cli", "verify", "--trials", "2",
+                 "--seed", "1"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
 
     def test_console_script_installed(self):
         result = subprocess.run(

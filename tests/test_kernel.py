@@ -1,0 +1,197 @@
+"""Batched kernel: every row of a batch is the scalar pipeline on that instance.
+
+The scalar pipelines are T = 1 views of the kernel, so these properties check
+the batched arithmetic row by row, and the physics invariants on whole batches.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qsuperpose import kernel
+from qsuperpose.analysis import success_ratio
+from qsuperpose.direct import SuperpositionSpec, run_direct
+from qsuperpose.enhanced import run_enhanced
+from qsuperpose.errors import ArgumentError, ZeroOverlapError
+from qsuperpose.hybrid import run_hybrid
+from qsuperpose.linalg import QubitParams, StateVector, make_qubit
+from qsuperpose.reference import ReferenceSpec, run_three_qubit, run_two_qubit_reduced
+
+TOL = 1e-12
+SEEDS = st.integers(0, 2**32 - 1)
+ROWS = st.integers(1, 6)
+SHAPES = st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)])
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+def unit(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def draw(seed, t, n, d, floor=0.05):
+    """t rows of (weights, states, chi) with every |<chi|psi>| >= floor."""
+    rng = np.random.default_rng(seed)
+    chi = unit(rng, (t, d))
+    states = unit(rng, (t, n, d))
+    while (bad := np.abs(kernel.overlaps(states, chi)) < floor).any():
+        states[bad] = unit(rng, (int(bad.sum()), d))
+    weights = unit(rng, (t, n))
+    kernel.validate(weights, states, chi)
+    return weights, states, chi
+
+
+def scalar(weights, states, chi):
+    """One batch row as the scalar API's arguments."""
+    d = chi.size
+    return (
+        [complex(w) for w in weights],
+        [StateVector((d,), s, normalized=True) for s in states],
+        StateVector((d,), chi, normalized=True),
+    )
+
+
+def fourier_p(weights, states, chi):
+    block = kernel.reduced(weights, states, chi)
+    return kernel.norm_sq(kernel.fourier_rows(block)[:, 0])
+
+
+def probabilities(weights, states, chi):
+    """Every gate-level success probability of a qubit-pair batch, by name."""
+    harvest = kernel.enhanced(weights, states, chi)
+    return {
+        "p2": fourier_p(weights, states, chi),
+        "p3": kernel.norm_sq(kernel.three_qubit(weights, states, chi)),
+        "p1": harvest.p1,
+        "p_perp": harvest.p2,
+        "p_total": harvest.p_total,
+    }
+
+
+def has_perp_overlaps(states, chi, floor=1e-3):
+    return bool(np.all(np.abs(kernel.overlaps(states, kernel.chi_perp(chi))) >= floor))
+
+
+@PROPERTY
+@given(SEEDS, ROWS)
+def test_direct_rows_equal_the_scalar_pipeline(seed, t):
+    rng = np.random.default_rng(seed)
+    high = [math.pi - 0.01, 2 * math.pi, 2 * math.pi]
+    angles = rng.uniform(0.0, high, size=(t, 2, 3))
+    weights = unit(rng, (t, 2))
+    specs = [
+        SuperpositionSpec(*w, *map(QubitParams, *a.T)) for w, a in zip(weights, angles)
+    ]
+    states = np.array([[make_qubit(p).amps for p in (s.psi1, s.psi2)] for s in specs])
+    rows = kernel.direct(weights, states, angles[..., 2])
+    for i, spec in enumerate(specs):
+        result = run_direct(spec)
+        assert abs(kernel.norm_sq(rows[i, 0]) - result.success_prob) <= TOL
+        branch = result.branch_unnormalized.amps
+        np.testing.assert_allclose(rows[i, 0], branch, atol=TOL)
+    # Hadamard branches of the unit-norm encoded register sum to one.
+    np.testing.assert_allclose(kernel.norm_sq(rows).sum(axis=1), 1.0, atol=TOL)
+
+
+@PROPERTY
+@given(SEEDS, ROWS)
+def test_pair_rows_equal_the_scalar_pipelines(seed, t):
+    batch = draw(seed, t, 2, 2)
+    assume(has_perp_overlaps(*batch[1:]))
+    probs = probabilities(*batch)
+    for i in range(t):
+        (a, b), (psi1, psi2), chi = scalar(*(x[i] for x in batch))
+        reduced = run_two_qubit_reduced(a, b, psi1, psi2, chi)
+        three = run_three_qubit(a, b, psi1, psi2, chi)
+        enhanced = run_enhanced(a, b, psi1, psi2, chi)
+        assert abs(probs["p2"][i] - reduced.success_prob) <= TOL
+        assert abs(probs["p3"][i] - three.success_prob) <= TOL
+        assert abs(probs["p1"][i] - enhanced.p1) <= TOL
+        assert abs(probs["p_perp"][i] - enhanced.p2) <= TOL
+        assert abs(probs["p_total"][i] - enhanced.p_total) <= TOL
+
+
+@PROPERTY
+@given(SEEDS, ROWS, SHAPES)
+def test_hybrid_rows_equal_the_scalar_pipeline(seed, t, shape):
+    n, d = shape
+    batch = draw(seed, t, n, d)
+    probs = fourier_p(*batch)
+    for i in range(t):
+        weights, states, chi = scalar(*(x[i] for x in batch))
+        spec = ReferenceSpec(n=n, d=d, weights=weights, states=states, chi=chi)
+        assert abs(probs[i] - run_hybrid(spec).success_prob) <= TOL
+
+
+@PROPERTY
+@given(SEEDS, ROWS, SHAPES)
+def test_fourier_branches_sum_to_the_projection_probability(seed, t, shape):
+    block = kernel.reduced(*draw(seed, t, *shape))
+    branches = kernel.norm_sq(kernel.fourier_rows(block)).sum(axis=1)
+    np.testing.assert_allclose(branches, kernel.norm_sq(block.reshape(t, -1)), atol=TOL)
+
+
+@PROPERTY
+@given(SEEDS, ROWS, SHAPES)
+def test_probabilities_lie_in_the_unit_interval(seed, t, shape):
+    batch = draw(seed, t, *shape)
+    values = [fourier_p(*batch), kernel.norm_sq(kernel.three_qubit(*batch))]
+    pair = draw(seed, t, 2, 2)
+    if has_perp_overlaps(*pair[1:]):
+        values += probabilities(*pair).values()
+    for p in values:
+        assert np.all((p >= 0.0) & (p <= 1.0 + TOL))
+
+
+@PROPERTY
+@given(SEEDS, ROWS, st.integers(0, 2), st.floats(0.0, 2 * math.pi))
+def test_global_phase_on_any_input_leaves_every_probability(seed, t, which, phase):
+    weights, states, chi = batch = draw(seed, t, 2, 2)
+    assume(has_perp_overlaps(states, chi))
+    states, chi = states.copy(), chi.copy()
+    if which < 2:
+        states[:, which] *= np.exp(1j * phase)
+    else:
+        chi *= np.exp(1j * phase)
+    base, shifted = probabilities(*batch), probabilities(weights, states, chi)
+    for name in base:
+        np.testing.assert_allclose(shifted[name], base[name], atol=TOL, err_msg=name)
+
+
+@PROPERTY
+@given(SEEDS, ROWS)
+def test_p2_over_p3_is_the_success_ratio(seed, t):
+    weights, states, chi = draw(seed, t, 2, 2, floor=0.2)
+    p2 = fourier_p(weights, states, chi)
+    p3 = kernel.norm_sq(kernel.three_qubit(weights, states, chi))
+    c = kernel.overlap_c(states, chi)
+    for i in range(t):
+        ratio = success_ratio(c[i, 1] / c[i, 0], abs(weights[i, 1]) ** 2)
+        assert p2[i] / p3[i] == pytest.approx(ratio, rel=1e-9)
+
+
+def test_closed_forms_match_the_kernel_on_a_batch(rng):
+    weights, states, chi = draw(int(rng.integers(2**32)), 64, 2, 2, floor=0.2)
+    closed = kernel.closed_form_fourier(weights, states, chi)
+    np.testing.assert_allclose(fourier_p(weights, states, chi), closed, atol=1e-12)
+    closed = kernel.closed_form_mu(weights, states, chi)
+    p3 = kernel.norm_sq(kernel.three_qubit(weights, states, chi))
+    np.testing.assert_allclose(p3, closed, atol=1e-12)
+
+
+def test_validation_rejects_a_bad_row_anywhere_in_the_batch():
+    weights, states, chi = draw(5, 8, 2, 2)
+    bad = weights.copy()
+    bad[6] *= 1.5
+    with pytest.raises(ArgumentError, match="sum"):
+        kernel.validate(bad, states, chi)
+    bad = states.copy()
+    bad[3, 1] = kernel.chi_perp(chi)[3]
+    with pytest.raises(ZeroOverlapError):
+        kernel.validate(weights, bad, chi)
+    bad = chi.copy()
+    bad[7, 0] = np.nan
+    with pytest.raises(ArgumentError, match="finite"):
+        kernel.validate(weights, states, bad)
