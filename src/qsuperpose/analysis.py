@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import kernel, nmr
-from .datasets import TABLE1, Dataset
-from .direct import run_direct
+from .datasets import TABLE1
+from .direct import SuperpositionSpec, run_direct
 from .errors import ArgumentError
 from .linalg import DensityMatrix, QubitParams, StateVector, fidelity, pure_density
 
@@ -105,11 +105,11 @@ class Table1Row:
 
 
 def run_dataset_pulse(
-    ds: Dataset, sys: Optional[nmr.SpinSystem] = None, epsilon: float = 1.0
+    spec: SuperpositionSpec, sys: Optional[nmr.SpinSystem] = None, epsilon: float = 1.0
 ) -> tuple[DensityMatrix, float, dict[str, DensityMatrix]]:
-    """Compile and run one dataset; returns (readout state, normalization, checkpoints)."""
+    """Compile and run one spec; returns (readout state, normalization, checkpoints)."""
     sys = sys or nmr.SpinSystem()
-    seq = nmr.compile_sequence(ds.spec(), sys)
+    seq = nmr.compile_sequence(spec, sys)
     checkpoints = nmr.run_sequence(seq, sys, epsilon=epsilon)
     qubit_state, norm = nmr.partial_tomography(checkpoints["iv"])
     return qubit_state, norm, checkpoints
@@ -121,12 +121,13 @@ def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
         raise ArgumentError(f"mode must be gate, pulse or both, got {mode!r}")
     rows = []
     for ds in TABLE1:
-        result = run_direct(ds.spec())
+        spec = ds.spec()
+        result = run_direct(spec)
         gate_fid = result.fidelity_to_target if mode in ("gate", "both") else None
         success = result.success_prob if mode in ("gate", "both") else None
         pulse_fid = None
         if mode in ("pulse", "both"):
-            qubit_state, norm, _ = run_dataset_pulse(ds)
+            qubit_state, norm, _ = run_dataset_pulse(spec)
             pulse_fid = fidelity(qubit_state, pure_density(result.target_state))
             if success is None:
                 success = norm

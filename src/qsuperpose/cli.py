@@ -205,6 +205,8 @@ def _cmd_pulse(args) -> int:
         "rho": rho.to_json(),
         "sequence": seq.to_json(),
     }
+    if args.dataset is None:
+        del payload["dataset"]  # a --sequence run names no dataset
     if args.checkpoint == "iv":
         qubit_state, norm = nmr.partial_tomography(rho)
         payload["qubit_state"] = qubit_state.to_json()

@@ -27,6 +27,9 @@ GEOMETRY_TRANSVERSE_ANTIPODAL = "transverse_antipodal"
 GEOMETRY_GENERIC = "generic"
 GEOMETRY_TOL = 1e-9
 
+# e^{2 pi i q / 4} for q = 0..3, exact.
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
 
 def norm_sq(amps: np.ndarray) -> np.ndarray:
     """Squared norm over the last axis."""
@@ -125,11 +128,17 @@ def cascade_block(anc: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.nd
 
 
 def fourier(n: int) -> np.ndarray:
-    """F[j][k] = f^{jk} / sqrt(n) with f = e^{2 pi i / n}."""
+    """F[j][k] = f^{jk} / sqrt(n) with f = e^{2 pi i / n}.
+
+    Powers of f at quarter turns are exactly 1, i, -1, -i, so fourier(2)
+    is the Hadamard bit for bit."""
     if n < 1:
         raise ArgumentError(f"Fourier dimension must be positive, got {n}")
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * math.pi * jk / n) / math.sqrt(n)
+    roots = np.exp(2j * math.pi * np.arange(n) / n)
+    for q in range(4):
+        if q * n % 4 == 0:
+            roots[q * n // 4] = _QUARTER_TURNS[q]
+    return roots[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
 
 
 def fourier_rows(block: np.ndarray) -> np.ndarray:

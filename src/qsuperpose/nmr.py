@@ -17,13 +17,17 @@ half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
 phase. On-resonance operation (Omega_A = Omega_X = 0) is assumed by the
 compiler, matching the experiment.
+
+``run_sequence`` compiles each event once (rf pulse: a 4x4 unitary; delay:
+the phases of the diagonal exp(-i H t); gradient: the coherence-order mask),
+multiplies the unitaries between cuts and validates only checkpoint states.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -41,8 +45,20 @@ CHECKPOINT_LABELS = ("i", "ii", "iii", "iv", "v")
 # Rotation angles below this compile to no pulse at all.
 _ANGLE_TOL = 1e-12
 
-# Total magnetic quantum number (units of 1/2) per basis state |00>..|11>.
-_COHERENCE_M = np.array([1, 0, 0, -1])
+# A_z and X_z eigenvalues per basis state |00>..|11>.
+_AZ = np.array([0.5, 0.5, -0.5, -0.5])
+_XZ = np.array([0.5, -0.5, 0.5, -0.5])
+# The gradient keeps the elements of zero total coherence order.
+_COHERENCE_MASK = np.equal.outer(_AZ + _XZ, _AZ + _XZ)
+
+# The SpinSystem fields and the terms of H they set.
+_SPIN_FIELDS = {
+    "omega_a": "offset Omega_A",
+    "omega_x": "offset Omega_X",
+    "j_coupling": "scalar coupling J",
+}
+# The fields each event kind carries, in Python and in JSON.
+_EVENT_FIELDS = {"rf": ("spin", "flip_angle", "axis_phase"), "delay": ("duration",)}
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,10 @@ class SpinSystem:
     j_coupling: float = 2.0 * math.pi * 215.0
 
     def __post_init__(self):
+        for name, what in _SPIN_FIELDS.items():
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ArgumentError(f"the {what} ({name}) must be finite, got {value}")
         if self.j_coupling == 0.0:
             raise ArgumentError("the scalar coupling J must be nonzero")
 
@@ -78,36 +98,23 @@ class PulseEvent:
                 raise ArgumentError(f"rf spin must be A, X or both, got {self.spin}")
             if self.flip_angle is None or not 0.0 < self.flip_angle <= 2.0 * math.pi:
                 raise ArgumentError("rf flip angle must lie in (0, 2pi]")
-            if self.axis_phase is None:
-                raise ArgumentError("rf pulses need an axis phase")
+            if self.axis_phase is None or not math.isfinite(self.axis_phase):
+                raise ArgumentError("rf pulses need a finite axis phase")
         elif self.kind == "delay":
-            if self.duration is None or self.duration < 0.0:
-                raise ArgumentError("delay duration must be nonnegative")
-        elif self.kind == "gradient":
-            pass
-        else:
+            if self.duration is None or not 0.0 <= self.duration < math.inf:
+                raise ArgumentError("delay duration must be finite and nonnegative")
+        elif self.kind != "gradient":
             raise ArgumentError(f"unknown event kind {self.kind!r}")
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "rf":
-            out.update(
-                spin=self.spin, flip_angle=self.flip_angle, axis_phase=self.axis_phase
-            )
-        elif self.kind == "delay":
-            out.update(duration=self.duration)
-        return out
+        fields = _EVENT_FIELDS.get(self.kind, ())
+        return {"kind": self.kind, **{key: getattr(self, key) for key in fields}}
 
     @staticmethod
     def from_json(obj: dict) -> "PulseEvent":
         try:
-            return PulseEvent(
-                kind=obj["kind"],
-                spin=obj.get("spin"),
-                flip_angle=obj.get("flip_angle"),
-                axis_phase=obj.get("axis_phase"),
-                duration=obj.get("duration"),
-            )
+            fields = _EVENT_FIELDS.get(obj["kind"], ())
+            return PulseEvent(obj["kind"], **{key: obj.get(key) for key in fields})
         except (KeyError, TypeError) as exc:
             raise ArgumentError(f"malformed pulse event JSON: {exc}") from exc
 
@@ -122,25 +129,18 @@ class PulseSequence:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         object.__setattr__(self, "checkpoints", dict(self.checkpoints))
-        last = 0
-        for label in CHECKPOINT_LABELS:
-            if label not in self.checkpoints:
-                continue
-            cut = self.checkpoints[label]
-            if not 0 <= cut <= len(self.events):
-                raise ArgumentError(f"checkpoint {label} cut {cut} out of range")
-            if cut < last:
-                raise ArgumentError("checkpoint cuts must be non-decreasing")
-            last = cut
         unknown = set(self.checkpoints) - set(CHECKPOINT_LABELS)
         if unknown:
             raise ArgumentError(f"unknown checkpoint labels {sorted(unknown)}")
+        cuts = [self.checkpoints[k] for k in CHECKPOINT_LABELS if k in self.checkpoints]
+        if not all(0 <= cut <= len(self.events) for cut in cuts):
+            raise ArgumentError(f"checkpoint cuts {cuts} out of range")
+        if cuts != sorted(cuts):
+            raise ArgumentError("checkpoint cuts must be non-decreasing")
 
     def to_json(self) -> dict:
-        return {
-            "events": [e.to_json() for e in self.events],
-            "checkpoints": dict(self.checkpoints),
-        }
+        events = [e.to_json() for e in self.events]
+        return {"events": events, "checkpoints": dict(self.checkpoints)}
 
     @staticmethod
     def from_json(obj: dict) -> "PulseSequence":
@@ -152,15 +152,19 @@ class PulseSequence:
         return PulseSequence(events, checkpoints)
 
 
+def _energies(sys: SpinSystem) -> np.ndarray:
+    """Diagonal of H over |00>, |01>, |10>, |11> (A_z, X_z = +-1/2)."""
+    return -sys.omega_a * _AZ - sys.omega_x * _XZ + sys.j_coupling * (_AZ * _XZ)
+
+
 def hamiltonian(sys: SpinSystem) -> np.ndarray:
     """Diagonal two-spin Hamiltonian in the computational basis."""
-    az = np.diag([0.5, -0.5])
-    h = (
-        -sys.omega_a * np.kron(az, np.eye(2))
-        - sys.omega_x * np.kron(np.eye(2), az)
-        + sys.j_coupling * np.kron(az, az)
-    )
-    return h.astype(complex)
+    return np.diag(_energies(sys)).astype(complex)
+
+
+def _delay_phases(sys: SpinSystem, t: float) -> np.ndarray:
+    """Diagonal of exp(-i H t), the compiled form of a delay."""
+    return np.exp(-1j * _energies(sys) * t)
 
 
 def _require_two_spin(rho: DensityMatrix) -> None:
@@ -168,30 +172,34 @@ def _require_two_spin(rho: DensityMatrix) -> None:
         raise ArgumentError(f"expected a two-spin density matrix, got dims {rho.dims}")
 
 
+def _conjugate(u: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    return u @ mat @ u.conj().T
+
+
 def evolve_free(rho: DensityMatrix, sys: SpinSystem, t: float) -> DensityMatrix:
     """Conjugation by exp(-i H t); H is diagonal so this is a phase mask."""
     _require_two_spin(rho)
     if t < 0.0:
         raise ArgumentError("evolution time must be nonnegative")
-    phases = np.exp(-1j * np.diag(hamiltonian(sys)).real * t)
+    phases = _delay_phases(sys, t)
     return DensityMatrix((2, 2), phases[:, None] * rho.mat * phases.conj()[None, :])
 
 
 def rotation_matrix(flip_angle: float, axis_phase: float) -> np.ndarray:
     """exp(-i flip_angle (cos(axis) sigma_x + sin(axis) sigma_y) / 2)."""
-    n = math.cos(axis_phase) * SIGMA_X + math.sin(axis_phase) * SIGMA_Y
-    return math.cos(flip_angle / 2.0) * EYE2 - 1j * math.sin(flip_angle / 2.0) * n
+    c, s = math.cos(flip_angle / 2.0), -1j * math.sin(flip_angle / 2.0)
+    tilt = complex(math.cos(axis_phase), math.sin(axis_phase))
+    return np.array([[c, s * tilt.conjugate()], [s * tilt, c]])
 
 
 def pulse_unitary(spin: str, flip_angle: float, axis_phase: float) -> np.ndarray:
+    """Kronecker product of the per-spin rotations, as a broadcast outer product."""
     r = rotation_matrix(flip_angle, axis_phase)
-    if spin == "A":
-        return np.kron(r, EYE2)
-    if spin == "X":
-        return np.kron(EYE2, r)
-    if spin == "both":
-        return np.kron(r, r)
-    raise ArgumentError(f"rf spin must be A, X or both, got {spin}")
+    factors = {"A": (r, EYE2), "X": (EYE2, r), "both": (r, r)}.get(spin)
+    if factors is None:
+        raise ArgumentError(f"rf spin must be A, X or both, got {spin}")
+    left, right = factors
+    return (left[:, None, :, None] * right[None, :, None, :]).reshape(4, 4)
 
 
 def rf_pulse(
@@ -200,14 +208,13 @@ def rf_pulse(
     """Instantaneous rotation of the addressed spin(s)."""
     _require_two_spin(rho)
     u = pulse_unitary(spin, flip_angle, axis_phase)
-    return DensityMatrix((2, 2), u @ rho.mat @ u.conj().T)
+    return DensityMatrix((2, 2), _conjugate(u, rho.mat))
 
 
 def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
     """Zero every element whose total coherence order is nonzero."""
     _require_two_spin(rho)
-    mask = _COHERENCE_M[:, None] == _COHERENCE_M[None, :]
-    return DensityMatrix((2, 2), np.where(mask, rho.mat, 0.0))
+    return DensityMatrix((2, 2), np.where(_COHERENCE_MASK, rho.mat, 0.0))
 
 
 def _composite_z(events: list[PulseEvent], spin: str, angle: float) -> None:
@@ -237,18 +244,17 @@ def _controlled_rotation(
     if abs(theta) < _ANGLE_TOL:
         return
     conj_axis = axis + (math.pi / 2 if control == 0 else -math.pi / 2)
-    events.append(
-        PulseEvent("rf", spin="X", flip_angle=theta / 2, axis_phase=_norm_axis(axis))
-    )
-    events.append(PulseEvent("delay", duration=tau))
-    events.append(
-        PulseEvent(
-            "rf", spin="X", flip_angle=theta / 2, axis_phase=_norm_axis(conj_axis)
-        )
-    )
-    events.append(PulseEvent("rf", spin="A", flip_angle=math.pi, axis_phase=0.0))
-    events.append(PulseEvent("delay", duration=tau))
-    events.append(PulseEvent("rf", spin="A", flip_angle=math.pi, axis_phase=0.0))
+    half = {"spin": "X", "flip_angle": theta / 2}
+    echo = PulseEvent("rf", spin="A", flip_angle=math.pi, axis_phase=0.0)
+    delay = PulseEvent("delay", duration=tau)
+    events += [
+        PulseEvent("rf", **half, axis_phase=_norm_axis(axis)),
+        delay,
+        PulseEvent("rf", **half, axis_phase=_norm_axis(conj_axis)),
+        echo,
+        delay,
+        echo,
+    ]
 
 
 def compile_sequence(spec: SuperpositionSpec, sys: SpinSystem) -> PulseSequence:
@@ -271,23 +277,13 @@ def compile_sequence(spec: SuperpositionSpec, sys: SpinSystem) -> PulseSequence:
 
     # Initial block: 2 delta rotation, axis offset by the relative phase.
     if abs(delta) >= _ANGLE_TOL:
-        events.append(
-            PulseEvent(
-                "rf",
-                spin="A",
-                flip_angle=2.0 * delta,
-                axis_phase=_norm_axis(math.pi / 2 + rel),
-            )
-        )
+        axis = _norm_axis(math.pi / 2 + rel)
+        events.append(PulseEvent("rf", spin="A", flip_angle=2 * delta, axis_phase=axis))
     checkpoints["i"] = len(events)
 
     # Encoding block: one controlled rotation per input state.
-    _controlled_rotation(
-        events, spec.psi1.theta, spec.psi1.phi + math.pi / 2, control=0, tau=tau
-    )
-    _controlled_rotation(
-        events, spec.psi2.theta, spec.psi2.phi + math.pi / 2, control=1, tau=tau
-    )
+    for control, psi in enumerate((spec.psi1, spec.psi2)):
+        _controlled_rotation(events, psi.theta, psi.phi + math.pi / 2, control, tau)
     checkpoints["ii"] = len(events)
 
     # Superposition block: phase correction, pseudo-Hadamard, compensation.
@@ -306,14 +302,6 @@ def compile_sequence(spec: SuperpositionSpec, sys: SpinSystem) -> PulseSequence:
     return PulseSequence(tuple(events), checkpoints)
 
 
-def apply_event(rho: DensityMatrix, event: PulseEvent, sys: SpinSystem) -> DensityMatrix:
-    if event.kind == "rf":
-        return rf_pulse(rho, event.spin, event.flip_angle, event.axis_phase)
-    if event.kind == "delay":
-        return evolve_free(rho, sys, event.duration)
-    return gradient_crush(rho)
-
-
 def initial_state(epsilon: float = 1.0) -> DensityMatrix:
     """Pseudo-pure |00><00| blended with identity: (1-eps) I/4 + eps |00><00|."""
     if not 0.0 <= epsilon <= 1.0:
@@ -323,36 +311,48 @@ def initial_state(epsilon: float = 1.0) -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
+def _propagators(events: tuple, sys: SpinSystem) -> Iterator[Optional[np.ndarray]]:
+    """Yield the net unitary of each gradient-free run, and None at each gradient."""
+    u = np.eye(4, dtype=complex)
+    for event in events:
+        if event.kind == "rf":
+            u = pulse_unitary(event.spin, event.flip_angle, event.axis_phase) @ u
+        elif event.kind == "delay":
+            u = _delay_phases(sys, event.duration)[:, None] * u
+        else:
+            yield u
+            yield None
+            u = np.eye(4, dtype=complex)
+    yield u
+
+
 def run_sequence(
     seq: PulseSequence, sys: SpinSystem, epsilon: float = 1.0
 ) -> dict[str, DensityMatrix]:
-    """Apply the sequence to the pseudo-pure start, recording checkpoint states."""
+    """Apply the sequence to the pseudo-pure start, recording checkpoint states:
+    one U rho U^dagger per gradient-free run, one validation per cut."""
     rho = initial_state(epsilon)
     recorded: dict[str, DensityMatrix] = {}
-    cuts: dict[int, list[str]] = {}
-    for label, cut in seq.checkpoints.items():
-        cuts.setdefault(cut, []).append(label)
-    for label in cuts.get(0, []):
+    done = 0
+    for label, cut in sorted(seq.checkpoints.items(), key=lambda item: item[1]):
+        if cut > done:
+            mat = rho.mat
+            for u in _propagators(seq.events[done:cut], sys):
+                if u is None:
+                    mat = np.where(_COHERENCE_MASK, mat, 0.0)
+                else:
+                    mat = _conjugate(u, mat)
+            rho = DensityMatrix((2, 2), mat)
+            done = cut
         recorded[label] = rho
-    for idx, event in enumerate(seq.events):
-        rho = apply_event(rho, event, sys)
-        for label in cuts.get(idx + 1, []):
-            recorded[label] = rho
     return recorded
 
 
 def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Net unitary of a gradient-free sequence (for equivalence checks)."""
-    u = np.eye(4, dtype=complex)
-    for event in seq.events:
-        if event.kind == "rf":
-            u = pulse_unitary(event.spin, event.flip_angle, event.axis_phase) @ u
-        elif event.kind == "delay":
-            u = np.diag(
-                np.exp(-1j * np.diag(hamiltonian(sys)).real * event.duration)
-            ) @ u
-        else:
-            raise ArgumentError("gradients have no unitary representation")
+    u, *rest = _propagators(seq.events, sys)
+    if rest:
+        raise ArgumentError("gradients have no unitary representation")
     return u
 
 
@@ -402,7 +402,7 @@ def tomography_observables(rho: DensityMatrix) -> dict[str, tuple[complex, ...]]
     out = {}
     for name, pulses in TOMOGRAPHY_EXPERIMENTS.items():
         u = _experiment_unitary(pulses)
-        r = u @ rho.mat @ u.conj().T
+        r = _conjugate(u, rho.mat)
         out[name] = tuple(complex(r[i, j]) for i, j in _SQ_ELEMENTS)
     return out
 
@@ -412,7 +412,7 @@ def _tomography_design() -> np.ndarray:
     for pulses in TOMOGRAPHY_EXPERIMENTS.values():
         u = _experiment_unitary(pulses)
         for i, j in _SQ_ELEMENTS:
-            rows.append([(u @ basis @ u.conj().T)[i, j] for basis in _PAULI_BASIS])
+            rows.append([_conjugate(u, basis)[i, j] for basis in _PAULI_BASIS])
     m = np.array(rows)
     trace_row = np.array([np.trace(b) for b in _PAULI_BASIS])
     return np.vstack([m.real, m.imag, trace_row.real[None, :]])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,10 +282,22 @@ class TestPulse:
         code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path))
         assert code == 0
         replayed = json.loads(out)
+        # No dataset was given, so the payload names none.
+        assert first["dataset"] == 5 and "dataset" not in replayed
         assert replayed["normalization"] == pytest.approx(
             first["normalization"], abs=1e-12
         )
         assert replayed["rho"] == first["rho"]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_coupling(self, capsys, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "pulse", "--dataset", "1", "--j", value)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert "coupling J" in error["message"] and value in error["message"]
 
     def test_missing_checkpoint_in_custom_sequence(self, capsys, tmp_path):
         seq_path = tmp_path / "seq.json"

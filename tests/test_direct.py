@@ -193,6 +193,8 @@ class TestRunDirect:
         assert phase_equivalent(
             result.difference_branch, StateVector((2,), diff).normalize(), 1e-12
         )
+        # The Hadamard is exact, so real inputs give a real difference branch.
+        assert np.all(result.difference_branch.amps.imag == 0.0)
         # Identical inputs leave no difference branch.
         psi = QubitParams(0.7, 0.2)
         same = run_direct(SuperpositionSpec(INV_SQRT2, INV_SQRT2, psi, psi))

@@ -35,9 +35,14 @@ class TestFourier:
         np.testing.assert_array_equal(fourier(1), [[1.0]])
 
     def test_two_is_hadamard(self):
-        np.testing.assert_allclose(
-            fourier(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2), atol=1e-15
+        # Bit for bit: the quarter-turn powers of f are exact.
+        np.testing.assert_array_equal(
+            fourier(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         )
+
+    def test_four_is_exact(self):
+        powers = np.array([1, 1j, -1, -1j])[np.outer(range(4), range(4)) % 4]
+        np.testing.assert_array_equal(fourier(4), powers / 2)
 
     def test_three_entry_and_unitarity(self):
         f = fourier(3)

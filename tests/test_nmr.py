@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsuperpose.datasets import TABLE1, dataset
 from qsuperpose.direct import (
@@ -15,6 +17,7 @@ from qsuperpose.direct import (
 from qsuperpose.errors import ArgumentError, DegenerateInputError
 from qsuperpose.linalg import DensityMatrix, QubitParams, fidelity, pure_density
 from qsuperpose.nmr import (
+    CHECKPOINT_LABELS,
     PulseEvent,
     PulseSequence,
     SpinSystem,
@@ -50,6 +53,54 @@ def random_density(rng) -> DensityMatrix:
     return DensityMatrix((2, 2), mat / np.trace(mat).real)
 
 
+def apply_event(rho, event, sys):
+    if event.kind == "rf":
+        return rf_pulse(rho, event.spin, event.flip_angle, event.axis_phase)
+    if event.kind == "delay":
+        return evolve_free(rho, sys, event.duration)
+    return gradient_crush(rho)
+
+
+def fold(seq, sys, epsilon):
+    """The event-by-event reference: one validated state after every event."""
+    rho = initial_state(epsilon)
+    states = {label: rho for label, cut in seq.checkpoints.items() if cut == 0}
+    for idx, event in enumerate(seq.events, start=1):
+        rho = apply_event(rho, event, sys)
+        states.update({k: rho for k, cut in seq.checkpoints.items() if cut == idx})
+    return states
+
+
+def delay_unitary(sys, t):
+    return np.diag(np.exp(-1j * np.diag(hamiltonian(sys)).real * t))
+
+
+RF_EVENTS = st.builds(
+    PulseEvent,
+    kind=st.just("rf"),
+    spin=st.sampled_from(["A", "X", "both"]),
+    flip_angle=st.floats(1e-3, 2 * math.pi),
+    axis_phase=st.floats(0.0, 2 * math.pi),
+)
+DELAYS = st.builds(PulseEvent, kind=st.just("delay"), duration=st.floats(0.0, 1e-2))
+GRADIENTS = st.just(PulseEvent("gradient"))
+SPIN_SYSTEMS = st.builds(
+    SpinSystem,
+    omega_a=st.floats(-2e3, 2e3),
+    omega_x=st.floats(-2e3, 2e3),
+    j_coupling=st.floats(10.0, 2e3),
+)
+
+
+@st.composite
+def sequences(draw, events=st.one_of(RF_EVENTS, DELAYS, GRADIENTS)):
+    """Any events, with sorted (possibly repeated, possibly 0) cuts."""
+    evs = draw(st.lists(events, max_size=12))
+    labels = [k for k in CHECKPOINT_LABELS if draw(st.booleans())]
+    cuts = sorted(draw(st.integers(0, len(evs))) for _ in labels)
+    return PulseSequence(tuple(evs), dict(zip(labels, cuts)))
+
+
 def assert_equal_up_to_phase(u, v, atol=1e-12):
     k = np.unravel_index(np.argmax(np.abs(v)), v.shape)
     phase = v[k] / u[k]
@@ -73,6 +124,22 @@ class TestHamiltonian:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ArgumentError):
             SpinSystem(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field", ["omega_a", "omega_x", "j_coupling"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ArgumentError, match=f"{field}.*must be finite"):
+            SpinSystem(**{field: value})
+
+    def test_matches_kronecker_form(self):
+        sys = SpinSystem(11.0, -3.0, 5.0)
+        az = np.diag([0.5, -0.5])
+        kron = (
+            -sys.omega_a * np.kron(az, np.eye(2))
+            - sys.omega_x * np.kron(np.eye(2), az)
+            + sys.j_coupling * np.kron(az, az)
+        )
+        np.testing.assert_array_equal(hamiltonian(sys), kron)
 
 
 class TestEvolveFree:
@@ -242,6 +309,53 @@ class TestRunSequence:
         with pytest.raises(ArgumentError):
             initial_state(1.5)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 0.3])
+    @pytest.mark.parametrize("ds", TABLE1, ids=lambda d: f"dataset{d.dataset_id}")
+    def test_datasets_match_event_fold(self, ds, epsilon):
+        seq = compile_sequence(ds.spec(), SYS)
+        states, reference = run_sequence(seq, SYS, epsilon), fold(seq, SYS, epsilon)
+        assert list(states) == list(reference)
+        for label, rho in states.items():
+            assert np.max(np.abs(rho.mat - reference[label].mat)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
+    def test_propagators_match_event_fold(self, seq, sys, epsilon):
+        states, reference = run_sequence(seq, sys, epsilon), fold(seq, sys, epsilon)
+        assert sorted(states) == sorted(reference) == sorted(seq.checkpoints)
+        for label, rho in states.items():
+            assert isinstance(rho, DensityMatrix) and rho.dims == (2, 2)
+            assert np.max(np.abs(rho.mat - reference[label].mat)) <= 1e-12
+
+    def test_repeated_cuts_share_one_state(self):
+        seq = compile_sequence(dataset(4).spec(), SYS)
+        cut = seq.checkpoints["ii"]
+        states = run_sequence(PulseSequence(seq.events, {"i": cut, "ii": cut}), SYS)
+        assert states["i"] is states["ii"]
+
+
+class TestSequenceUnitary:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(RF_EVENTS, DELAYS), max_size=12), SPIN_SYSTEMS)
+    def test_ordered_product_of_events(self, events, sys):
+        expected = np.eye(4, dtype=complex)
+        for event in events:
+            if event.kind == "rf":
+                step = pulse_unitary(event.spin, event.flip_angle, event.axis_phase)
+            else:
+                step = delay_unitary(sys, event.duration)
+            expected = step @ expected
+        net = sequence_unitary(PulseSequence(tuple(events), {}), sys)
+        np.testing.assert_allclose(net, expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.one_of(RF_EVENTS, DELAYS), max_size=6), st.data())
+    def test_gradient_rejected(self, events, data):
+        at = data.draw(st.integers(0, len(events)))
+        events.insert(at, PulseEvent("gradient"))
+        with pytest.raises(ArgumentError):
+            sequence_unitary(PulseSequence(tuple(events), {}), SYS)
+
 
 class TestPartialTomography:
     def test_ground_state(self):
@@ -356,6 +470,13 @@ class TestEventValidation:
     def test_negative_delay(self):
         with pytest.raises(ArgumentError):
             PulseEvent("delay", duration=-1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_delay_and_axis(self, value):
+        with pytest.raises(ArgumentError):
+            PulseEvent("delay", duration=value)
+        with pytest.raises(ArgumentError):
+            PulseEvent("rf", spin="A", flip_angle=1.0, axis_phase=value)
 
     def test_unknown_kind(self):
         with pytest.raises(ArgumentError):
