@@ -22,7 +22,6 @@ from .enhanced import (
     geometry_classify,
     run_enhanced,
     u_chi,
-    u_chi_perp,
 )
 from .errors import ArgumentError, DegenerateInputError, ToolkitError, ZeroOverlapError
 from .hybrid import HybridResult, fourier, run_hybrid
@@ -58,7 +57,6 @@ from .reference import (
     ReferenceSpec,
     build_initial,
     controlled_swap_cascade,
-    primed_weights,
     project_onto_reference,
     run_three_qubit,
     run_two_qubit_reduced,

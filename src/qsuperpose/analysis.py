@@ -255,7 +255,7 @@ def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
 
 
 def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
-    """Replay context of row i: the arguments of the scalar pipelines."""
+    """Replay context of row i: the fields of a ReferenceSpec (plus extras)."""
     return lambda i: {
         "weights": [[float(z.real), float(z.imag)] for z in weights[i]],
         "states": [StateVector(s.shape, s).to_json() for s in states[i]],

@@ -73,12 +73,13 @@ def _load_json(path: str) -> object:
 
 
 def _spec_from_args(args) -> SuperpositionSpec:
-    return SuperpositionSpec(
-        weight_a=args.a,
-        weight_b=args.b,
-        psi1=args.psi1,
-        psi2=args.psi2,
-        chi=args.chi if args.chi is not None else QubitParams(0.0, 0.0, 0.0),
+    return SuperpositionSpec(args.a, args.b, args.psi1, args.psi2, args.chi)
+
+
+def _reference_spec_from_args(args) -> reference.ReferenceSpec:
+    states = (make_qubit(args.psi1), make_qubit(args.psi2))
+    return reference.ReferenceSpec(
+        n=2, d=2, weights=(args.a, args.b), states=states, chi=make_qubit(args.chi)
     )
 
 
@@ -106,7 +107,7 @@ def _add_state_flags(parser: _Parser) -> None:
     parser.add_argument(
         "--chi",
         type=lambda s: _parse_angles(s, "--chi"),
-        default=None,
+        default=QubitParams(0.0, 0.0, 0.0),
         help="referential state as theta,phi (default |0>)",
     )
 
@@ -139,13 +140,11 @@ def _cmd_run_direct(args) -> int:
 
 
 def _cmd_run_reference(args) -> int:
-    chi = make_qubit(args.chi if args.chi is not None else QubitParams(0.0, 0.0, 0.0))
-    psi1 = make_qubit(args.psi1)
-    psi2 = make_qubit(args.psi2)
+    spec = _reference_spec_from_args(args)
     if args.mode == "three-qubit":
-        result = reference.run_three_qubit(args.a, args.b, psi1, psi2, chi)
+        result = reference.run_three_qubit(spec)
     else:
-        result = reference.run_two_qubit_reduced(args.a, args.b, psi1, psi2, chi)
+        result = reference.run_two_qubit_reduced(spec)
     _emit_result(result, args)
     return 0
 
@@ -170,17 +169,15 @@ def _cmd_qudit(args) -> int:
 
 
 def _cmd_enhanced(args) -> int:
-    chi = make_qubit(args.chi if args.chi is not None else QubitParams(0.0, 0.0, 0.0))
-    psi1 = make_qubit(args.psi1)
-    psi2 = make_qubit(args.psi2)
-    result = enhanced.run_enhanced(args.a, args.b, psi1, psi2, chi)
+    spec = _reference_spec_from_args(args)
+    result = enhanced.run_enhanced(spec)
     payload = result.to_json()
     if args.geometry_report:
         payload["geometry_report"] = {
             "geometry": result.geometry,
             "harvest_purity": result.harvest_purity,
-            "p1_closed_form": enhanced.closed_form_p1(args.a, args.b, psi1, psi2, chi),
-            "p2_closed_form": enhanced.closed_form_p2(args.a, args.b, psi1, psi2, chi),
+            "p1_closed_form": reference.closed_form_p3(spec),
+            "p2_closed_form": enhanced.closed_form_p2(spec),
         }
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
@@ -188,7 +185,13 @@ def _cmd_enhanced(args) -> int:
 
 
 def _cmd_pulse(args) -> int:
-    sys_params = nmr.SpinSystem(j_coupling=2.0 * math.pi * args.j)
+    try:
+        sys_params = nmr.SpinSystem(j_coupling=2.0 * math.pi * args.j)
+    except ArgumentError as exc:
+        # Name the Hz value typed: 2 pi J can overflow where J does not.
+        raise ArgumentError(
+            f"the scalar coupling J (--j) must be finite and nonzero, got {args.j!r} Hz"
+        ) from exc
     if args.sequence is not None:
         seq = nmr.PulseSequence.from_json(_load_json(args.sequence))
     else:

@@ -17,7 +17,7 @@ add; two Bloch-sphere geometries guarantee that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .linalg import (
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     partial_trace,
 )
-from .reference import closed_form_p3
+from .reference import ReferenceSpec, closed_form_p3, pair_batch
 
 
 def chi_perp(chi: StateVector) -> StateVector:
@@ -50,10 +50,6 @@ def chi_perp(chi: StateVector) -> StateVector:
 def u_chi(c1: float, c2: float) -> np.ndarray:
     """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]]."""
     return kernel.u_chi(np.array([c1]), np.array([c2]))[0].astype(complex)
-
-
-# The chi^perp sector's rotation is the same construction with its overlaps.
-u_chi_perp = u_chi
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,23 +96,15 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
     return str(kernel.geometry(np.array([[psi1.amps, psi2.amps]]), chi.amps[None])[0])
 
 
-# P(1) is the three-qubit scheme's P3: the same formula.
-closed_form_p1 = closed_form_p3
+def closed_form_p2(spec: ReferenceSpec) -> float:
+    """P(2): P3's expression in the chi^perp sector. P(1) is ``closed_form_p3``."""
+    return closed_form_p3(replace(spec, chi=chi_perp(spec.chi)))
 
 
-def closed_form_p2(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> float:
-    """P(2): the same expression in the chi^perp sector."""
-    return closed_form_p3(a, b, psi1, psi2, chi_perp(chi))
-
-
-def run_enhanced(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> EnhancedResult:
+def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     """Controlled-SWAP, sector-controlled U, ancilla-|0> projection, harvest."""
-    chip = chi_perp(chi)
-    h = kernel.enhanced(*kernel.one((a, b), (psi1, psi2), chi))
+    chip = chi_perp(spec.chi)
+    h = kernel.enhanced(*pair_batch(spec))
     w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
     branch_chi = StateVector((2,), w_chi).normalize()
     branch_chi_perp = None
@@ -125,7 +113,7 @@ def run_enhanced(
 
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.
-    joint = np.outer(w_chi, chi.amps) + np.outer(w_perp, chip.amps)
+    joint = np.outer(w_chi, spec.chi.amps) + np.outer(w_perp, chip.amps)
     joint = StateVector((2, 2), joint.reshape(-1)).normalize()
     harvest = partial_trace(
         DensityMatrix((2, 2), np.outer(joint.amps, joint.amps.conj())), [0]

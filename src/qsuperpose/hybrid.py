@@ -14,7 +14,7 @@ from . import kernel
 from .errors import ArgumentError, DegenerateInputError
 from .kernel import BRANCH_NORM_FLOOR, fourier
 from .linalg import StateVector
-from .reference import ReferenceSpec
+from .reference import ReferenceSpec, kappa_weighted_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +35,6 @@ class HybridResult:
             "final_state": self.final_state.to_json(),
             "target_state": self.target_state.to_json(),
         }
-
-
-def hybrid_target(spec: ReferenceSpec) -> StateVector:
-    """sum_k a_k (prod_{j != k} kappa_j) |Psi_k>, unnormalized."""
-    return StateVector((spec.d,), kernel.target(*spec.batch)[0])
 
 
 def closed_form_hybrid(spec: ReferenceSpec) -> float:
@@ -64,5 +59,5 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
         branches=branches,
         success_prob=encoded.norm_sq * branches[0].norm_sq,
         final_state=branches[0].normalize(),
-        target_state=hybrid_target(spec).normalize(),
+        target_state=kappa_weighted_sum(spec).normalize(),
     )

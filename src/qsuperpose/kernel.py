@@ -4,8 +4,9 @@ Arrays carry a leading trial axis T: weights or ancilla amplitudes (T, n),
 input states (T, n, d), the reference chi (T, d). The scalar pipelines in
 ``direct``, ``reference``, ``hybrid`` and ``enhanced`` are T = 1 views of
 these functions; ``analysis.verify_probability_formulas`` runs them over all
-its trials at once. The steps trust their inputs: ``validate`` (``one`` for
-a single instance) checks each batch once before it enters them.
+its trials at once. The steps trust their inputs: ``validate`` checks each
+batch once before it enters them (``reference.ReferenceSpec`` for a single
+instance).
 """
 from __future__ import annotations
 
@@ -69,16 +70,6 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> None:
             "overlap with the referential state is zero; the protocol requires "
             f"known nonzero overlaps (|<chi|psi>| = {mag:.3e})"
         )
-
-
-def one(weights, states, chi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A validated T = 1 batch from scalar weights and StateVectors."""
-    if len({s.dims for s in (*states, chi)}) != 1 or len(chi.dims) != 1:
-        raise ArgumentError("all states must be single systems of one dimension")
-    amps = np.array([[s.amps for s in states]])
-    batch = (np.array([weights], dtype=complex), amps, chi.amps[None])
-    validate(*batch)
-    return batch
 
 
 def _leave_one_out(x: np.ndarray) -> np.ndarray:

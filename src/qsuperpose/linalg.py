@@ -75,9 +75,6 @@ class StateVector:
             raise DegenerateInputError("cannot normalize a (numerically) zero state")
         return StateVector(self.dims, self.amps / n, normalized=True)
 
-    def scaled(self, factor: complex) -> "StateVector":
-        return StateVector(self.dims, self.amps * factor, normalized=False)
-
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,9 +36,6 @@ from .direct import SuperpositionSpec
 from .errors import ArgumentError, DegenerateInputError
 from .linalg import DensityMatrix
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 EYE2 = np.eye(2, dtype=complex)
 
 CHECKPOINT_LABELS = ("i", "ii", "iii", "iv", "v")
@@ -132,6 +130,11 @@ class PulseSequence:
         unknown = set(self.checkpoints) - set(CHECKPOINT_LABELS)
         if unknown:
             raise ArgumentError(f"unknown checkpoint labels {sorted(unknown)}")
+        for label, cut in self.checkpoints.items():
+            if isinstance(cut, bool) or not isinstance(cut, numbers.Integral):
+                raise ArgumentError(
+                    f"checkpoint {label!r} must be an integer cut, got {cut!r}"
+                )
         cuts = [self.checkpoints[k] for k in CHECKPOINT_LABELS if k in self.checkpoints]
         if not all(0 <= cut <= len(self.events) for cut in cuts):
             raise ArgumentError(f"checkpoint cuts {cuts} out of range")
@@ -146,8 +149,8 @@ class PulseSequence:
     def from_json(obj: dict) -> "PulseSequence":
         try:
             events = tuple(PulseEvent.from_json(e) for e in obj["events"])
-            checkpoints = {str(k): int(v) for k, v in obj["checkpoints"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+            checkpoints = {str(k): v for k, v in obj["checkpoints"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ArgumentError(f"malformed pulse sequence JSON: {exc}") from exc
         return PulseSequence(events, checkpoints)
 
@@ -364,99 +367,3 @@ def partial_tomography(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     if norm < 1e-12:
         raise DegenerateInputError("the ancilla-|0> block has vanishing population")
     return DensityMatrix((2,), block / norm), norm
-
-
-# --- Tomography modelling -------------------------------------------------
-#
-# The full two-spin state is reconstructed from four experiments
-# {II, IX, IY, XX} (spin-selective pi/2 pulses), observing the four
-# single-quantum coherences after each. The identity component is not
-# observable; the unit-trace constraint completes the linear system.
-
-TOMOGRAPHY_EXPERIMENTS: dict[str, tuple[tuple[str, float], ...]] = {
-    "II": (),
-    "IX": (("X", 0.0),),
-    "IY": (("X", math.pi / 2),),
-    "XX": (("A", 0.0), ("X", 0.0)),
-}
-
-_SQ_ELEMENTS = ((0, 1), (2, 3), (0, 2), (1, 3))
-
-_PAULI_BASIS = [
-    np.kron(p, q)
-    for p in (EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-    for q in (EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-]
-
-
-def _experiment_unitary(pulses: tuple[tuple[str, float], ...]) -> np.ndarray:
-    u = np.eye(4, dtype=complex)
-    for spin, axis in pulses:
-        u = pulse_unitary(spin, math.pi / 2, axis) @ u
-    return u
-
-
-def tomography_observables(rho: DensityMatrix) -> dict[str, tuple[complex, ...]]:
-    """Single-quantum coherences observed after each tomography experiment."""
-    _require_two_spin(rho)
-    out = {}
-    for name, pulses in TOMOGRAPHY_EXPERIMENTS.items():
-        u = _experiment_unitary(pulses)
-        r = _conjugate(u, rho.mat)
-        out[name] = tuple(complex(r[i, j]) for i, j in _SQ_ELEMENTS)
-    return out
-
-
-def _tomography_design() -> np.ndarray:
-    rows = []
-    for pulses in TOMOGRAPHY_EXPERIMENTS.values():
-        u = _experiment_unitary(pulses)
-        for i, j in _SQ_ELEMENTS:
-            rows.append([_conjugate(u, basis)[i, j] for basis in _PAULI_BASIS])
-    m = np.array(rows)
-    trace_row = np.array([np.trace(b) for b in _PAULI_BASIS])
-    return np.vstack([m.real, m.imag, trace_row.real[None, :]])
-
-
-_TOMOGRAPHY_DESIGN = _tomography_design()
-
-
-def reconstruct_two_spin(
-    observables: dict[str, tuple[complex, ...]], trace: float = 1.0
-) -> DensityMatrix:
-    """Least-squares inversion of the tomography observables."""
-    try:
-        obs = np.array(
-            [v for name in TOMOGRAPHY_EXPERIMENTS for v in observables[name]]
-        )
-    except KeyError as exc:
-        raise ArgumentError(f"missing tomography experiment {exc}") from exc
-    rhs = np.concatenate([obs.real, obs.imag, [trace]])
-    coef, *_ = np.linalg.lstsq(_TOMOGRAPHY_DESIGN, rhs, rcond=None)
-    mat = sum(c * basis for c, basis in zip(coef, _PAULI_BASIS))
-    return DensityMatrix((2, 2), mat)
-
-
-def subspace_readout(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """The experimental partial readout: {I, G_z Y} plus the normalization scan.
-
-    Direct readout supplies the |00>-|01> coherence; a gradient followed
-    by a system-selective pi/2 y-pulse supplies the population
-    difference; a gradient followed by an ancilla-selective pi/2 y-pulse
-    supplies the subspace normalization. Equals ``partial_tomography``
-    exactly for ideal simulated data.
-    """
-    _require_two_spin(rho)
-    coherence = complex(rho.mat[0, 1])
-    crushed = gradient_crush(rho)
-    pop_x = rf_pulse(crushed, "X", math.pi / 2, math.pi / 2)
-    pop_diff = 2.0 * float(pop_x.mat[0, 1].real)
-    pop_a = rf_pulse(crushed, "A", math.pi / 2, math.pi / 2)
-    anc_diff = 2.0 * float((pop_a.mat[0, 2] + pop_a.mat[1, 3]).real)
-    normalization = 0.5 * (rho.trace + anc_diff)
-    if normalization < 1e-12:
-        raise DegenerateInputError("the ancilla-|0> block has vanishing population")
-    p00 = (normalization + pop_diff) / 2.0
-    p01 = (normalization - pop_diff) / 2.0
-    block = np.array([[p00, coherence], [coherence.conjugate(), p01]])
-    return DensityMatrix((2,), block / normalization), normalization

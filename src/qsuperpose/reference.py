@@ -1,7 +1,8 @@
 """Reference-state protocols built on the controlled-SWAP cascade.
 
-Two pipelines produce the same superposed state but with different
-success probabilities:
+Every pipeline here takes one ``ReferenceSpec``: weights a_k, n states of
+a d-level system and the reference |chi>. Two pair pipelines produce the
+same superposed state but with different success probabilities:
 
 * ``run_three_qubit``: the prior three-qubit scheme — plain weights on
   the ancilla, controlled-SWAP, projection of the auxiliary onto the
@@ -17,18 +18,14 @@ accumulate multiplicatively without renormalization error.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import kernel
 from .direct import ProtocolResult
-from .errors import ArgumentError, ZeroOverlapError
+from .errors import ArgumentError
 from .linalg import (
-    EPS_OVERLAP,
-    OverlapInfo,
     StateVector,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
 )
@@ -43,9 +40,7 @@ class ReferenceSpec:
     weights: tuple[complex, ...]
     states: tuple[StateVector, ...]
     chi: StateVector
-    primed_weights: tuple[complex, ...] = field(init=False)
-    norm_N: float = field(init=False)
-    # The spec as a T = 1 kernel batch: weights, states, chi.
+    # The spec as a validated T = 1 kernel batch: weights, states, chi.
     batch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -57,30 +52,24 @@ class ReferenceSpec:
             raise ArgumentError("need exactly n weights and n states")
         if any(s.dims != (self.d,) for s in self.states) or self.chi.dims != (self.d,):
             raise ArgumentError(f"all states must be single {self.d}-level systems")
-        batch = kernel.one(self.weights, self.states, self.chi)
-        primed = kernel.primed(batch[0], kernel.overlap_c(*batch[1:]))[0]
+        amps = np.array([[s.amps for s in self.states]])
+        batch = (np.array([self.weights]), amps, self.chi.amps[None])
+        kernel.validate(*batch)
         object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "primed_weights", tuple(complex(p) for p in primed))
-        object.__setattr__(self, "norm_N", math.sqrt(kernel.norm_sq(primed)))
 
 
-def primed_weights(
-    weights: Sequence[complex], overlaps: Sequence[OverlapInfo]
-) -> tuple[list[complex], float]:
-    """a_k' = a_k / sqrt(prod_{j != k} c_j) and N = sqrt(sum |a_k'|^2)."""
-    cs = np.array([[o.c for o in overlaps]])
-    if np.any(cs < EPS_OVERLAP):
-        raise ZeroOverlapError("an overlap magnitude is below the zero threshold")
-    if len(weights) != cs.shape[1]:
-        raise ArgumentError("need one overlap per weight")
-    primed = kernel.primed(np.array([weights], dtype=complex), cs)[0]
-    return [complex(p) for p in primed], math.sqrt(kernel.norm_sq(primed))
+def pair_batch(spec: ReferenceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch of a two-state spec; the pair pipelines take no other."""
+    if spec.n != 2:
+        raise ArgumentError(f"this protocol superposes two states, got n = {spec.n}")
+    return spec.batch
 
 
 def build_initial(spec: ReferenceSpec) -> StateVector:
     """(1/N) sum_k a_k' |k>_n  tensored with Psi_1 ... Psi_n."""
-    anc = np.array([spec.primed_weights]) / spec.norm_N
-    amps = kernel.encode(anc, spec.batch[1])[0]
+    weights, states, chi = spec.batch
+    anc = kernel.primed(weights, kernel.overlap_c(states, chi))
+    amps = kernel.encode(anc / np.sqrt(kernel.norm_sq(anc))[:, None], states)[0]
     return StateVector((spec.n,) + (spec.d,) * spec.n, amps, normalized=True)
 
 
@@ -111,40 +100,25 @@ def project_onto_reference(
     return projected, projected.norm_sq
 
 
-def kappa_weighted_sum(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> StateVector:
-    """a kappa_2 |psi1> + b kappa_1 |psi2>, the (unnormalized) protocol target."""
-    target = kernel.target(*kernel.one((a, b), (psi1, psi2), chi))
-    return StateVector(psi1.dims, target[0])
+def kappa_weighted_sum(spec: ReferenceSpec) -> StateVector:
+    """sum_k a_k (prod_{j != k} kappa_j) |Psi_k>, the (unnormalized) protocol
+    target; a kappa_2 |psi1> + b kappa_1 |psi2> for a pair."""
+    return StateVector((spec.d,), kernel.target(*spec.batch)[0])
 
 
-def closed_form_p3(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> float:
+def closed_form_p3(spec: ReferenceSpec) -> float:
     """P3 = c1 c2 ||a kappa2 psi1 + b kappa1 psi2||^2 / (c1 + c2)."""
-    return float(kernel.closed_form_mu(*kernel.one((a, b), (psi1, psi2), chi))[0])
+    return float(kernel.closed_form_mu(*pair_batch(spec))[0])
 
 
-def closed_form_p2(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> float:
-    """P2 = c1 c2 ||a kappa2 psi1 + b kappa1 psi2||^2 / (2 (c1 |a|^2 + c2 |b|^2))."""
-    return float(kernel.closed_form_fourier(*kernel.one((a, b), (psi1, psi2), chi))[0])
-
-
-def run_three_qubit(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> ProtocolResult:
+def run_three_qubit(spec: ReferenceSpec) -> ProtocolResult:
     """The prior three-qubit protocol: plain weights plus the mu-projection."""
-    batch = kernel.one((a, b), (psi1, psi2), chi)
+    batch = pair_batch(spec)
     return ProtocolResult.of(kernel.three_qubit(*batch)[0], kernel.target(*batch)[0])
 
 
-def run_two_qubit_reduced(
-    a: complex, b: complex, psi1: StateVector, psi2: StateVector, chi: StateVector
-) -> ProtocolResult:
+def run_two_qubit_reduced(spec: ReferenceSpec) -> ProtocolResult:
     """The reduced protocol: primed weights, one chi-projection, Hadamard."""
-    batch = kernel.one((a, b), (psi1, psi2), chi)
+    batch = pair_batch(spec)
     rows = kernel.fourier_rows(kernel.reduced(*batch))[0]
     return ProtocolResult.of(rows[0], kernel.target(*batch)[0], difference=rows[1])

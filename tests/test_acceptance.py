@@ -23,7 +23,7 @@ from qsuperpose.analysis import (
 from qsuperpose.cli import main
 from qsuperpose.datasets import TABLE1, dataset
 from qsuperpose.direct import run_direct
-from qsuperpose.enhanced import run_enhanced, u_chi, u_chi_perp
+from qsuperpose.enhanced import run_enhanced, u_chi
 from qsuperpose.hybrid import fourier
 from qsuperpose.linalg import (
     DensityMatrix,
@@ -37,7 +37,7 @@ from qsuperpose.linalg import (
     tensor,
 )
 from qsuperpose.nmr import SpinSystem, compile_sequence, partial_tomography, run_sequence
-from qsuperpose.reference import closed_form_p3
+from qsuperpose.reference import ReferenceSpec, closed_form_p3
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SYS = SpinSystem()
@@ -108,13 +108,20 @@ def test_criterion_5_enhanced_claims():
     psi1 = make_qubit(QubitParams(2 * math.pi / 3, 0.0))
     psi2 = make_qubit(QubitParams(math.pi / 3, 0.0))
     chi = basis_state(2, 0)
-    result = run_enhanced(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
-    p3 = closed_form_p3(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
+    spec = ReferenceSpec(
+        n=2, d=2, weights=(INV_SQRT2, INV_SQRT2), states=(psi1, psi2), chi=chi
+    )
+    result = run_enhanced(spec)
+    p3 = closed_form_p3(spec)
     assert abs(result.p_total - 2.0 * p3) <= 1e-9
     # (b) equatorial antipodal pair reaches 1/2.
     plus = make_qubit(QubitParams(math.pi / 2, 0.0))
     minus = make_qubit(QubitParams(math.pi / 2, math.pi))
-    eq = run_enhanced(INV_SQRT2, INV_SQRT2, plus, minus, chi)
+    eq = run_enhanced(
+        ReferenceSpec(
+            n=2, d=2, weights=(INV_SQRT2, INV_SQRT2), states=(plus, minus), chi=chi
+        )
+    )
     assert abs(eq.p_total - 0.5) <= 1e-9
     # (c) longitudinal coherent harvest is pure.
     assert result.harvest_purity >= 1.0 - 1e-9
@@ -177,11 +184,10 @@ def test_criterion_9_structural_suite(rng):
         assert np.max(np.abs(f.conj().T @ f - np.eye(n))) <= 1e-12
     for _ in range(100):
         c1, c2 = (float(v) for v in rng.uniform(0.01, 1.0, size=2))
-        for u in (u_chi(c1, c2), u_chi_perp(1.0 - c1 + 1e-3, 1.0 - c2 + 1e-3)):
+        for u in (u_chi(c1, c2), u_chi(1.0 - c1 + 1e-3, 1.0 - c2 + 1e-3)):
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
     # Probability conservation over the Fourier branches.
     from qsuperpose.hybrid import run_hybrid
-    from qsuperpose.reference import ReferenceSpec
 
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     chi3 = StateVector((3,), amps / np.linalg.norm(amps), normalized=True)

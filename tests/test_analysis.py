@@ -30,7 +30,12 @@ from qsuperpose.linalg import (
     overlap_decompose,
     phase_equivalent,
 )
-from qsuperpose.reference import closed_form_p3, kappa_weighted_sum, run_three_qubit
+from qsuperpose.reference import (
+    ReferenceSpec,
+    closed_form_p3,
+    kappa_weighted_sum,
+    run_three_qubit,
+)
 
 # Gate-level success probabilities for all 11 datasets, frozen from the
 # ||a psi1 + b psi2||^2 / 2 oracle.
@@ -215,13 +220,14 @@ class TestVerifyHarness:
         assert failure["deviation"] == pytest.approx(1e-6, abs=1e-12)
 
         spec = failure["spec"]
-        a, b = (complex(re, im) for re, im in spec["weights"])
-        psi1, psi2 = (StateVector.from_json(obj) for obj in spec["states"])
+        weights = tuple(complex(re, im) for re, im in spec["weights"])
+        states = tuple(StateVector.from_json(obj) for obj in spec["states"])
         chi = StateVector.from_json(spec["chi"])
 
         def replay():
-            sim = run_three_qubit(a, b, psi1, psi2, chi).success_prob
-            return abs(sim - closed_form_p3(a, b, psi1, psi2, chi))
+            pair = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
+            sim = run_three_qubit(pair).success_prob
+            return abs(sim - closed_form_p3(pair))
 
         assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
         monkeypatch.undo()
@@ -233,10 +239,11 @@ class TestVerifyHarness:
         psi2 = make_qubit(QubitParams(math.pi / 3, 0.0))
         chi = basis_state(2, 0)
         a = b = 1.0 / math.sqrt(2.0)
-        sim = run_three_qubit(a, b, psi1, psi2, chi).success_prob
+        spec = ReferenceSpec(n=2, d=2, weights=(a, b), states=(psi1, psi2), chi=chi)
+        sim = run_three_qubit(spec).success_prob
         c1 = overlap_decompose(psi1, chi).c + 1e-3
         c2 = overlap_decompose(psi2, chi).c
-        tampered = c1 * c2 / (c1 + c2) * kappa_weighted_sum(a, b, psi1, psi2, chi).norm_sq
+        tampered = c1 * c2 / (c1 + c2) * kappa_weighted_sum(spec).norm_sq
         assert abs(sim - tampered) > 1e-9
 
 

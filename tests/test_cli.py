@@ -5,12 +5,16 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsuperpose.cli import main
 
+# Exact stdout of reference, enhanced and qudit runs, recorded before these
+# pipelines took a ReferenceSpec.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 HALF = f"{INV_SQRT2:.17g}"
 
@@ -299,6 +303,27 @@ class TestPulse:
         assert error["type"] == "argument"
         assert "coupling J" in error["message"] and value in error["message"]
 
+    def test_overflowing_coupling_names_the_typed_value(self, capsys):
+        # 2 pi J overflows to inf, but the message reports the Hz value typed.
+        code, out, err = run_cli(capsys, "pulse", "--dataset", "1", "--j", "1e308")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert "coupling J" in error["message"] and "1e+308" in error["message"]
+        assert "inf" not in error["message"]
+
+    def test_fractional_checkpoint_cut(self, capsys, tmp_path):
+        pulse = {"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": 0.0}
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(
+            json.dumps({"events": [pulse, pulse], "checkpoints": {"iv": 1.9}})
+        )
+        code, out, err = run_cli(capsys, "pulse", "--sequence", str(seq_path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert "'iv'" in error["message"] and "1.9" in error["message"]
+
     def test_missing_checkpoint_in_custom_sequence(self, capsys, tmp_path):
         seq_path = tmp_path / "seq.json"
         seq_path.write_text(json.dumps({"events": [], "checkpoints": {"i": 0}}))
@@ -374,6 +399,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trials", "0", "--seed", "0")
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_pinned_stdout(capsys, tmp_path, name):
+    case = GOLDEN[name]
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps(case.get("states")))
+    argv = [str(states) if a == "{states}" else a for a in case["argv"]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == case["stdout"]
 
 
 class TestParsing:

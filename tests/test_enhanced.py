@@ -9,12 +9,10 @@ from qsuperpose.enhanced import (
     GEOMETRY_LONGITUDINAL,
     GEOMETRY_TRANSVERSE_ANTIPODAL,
     chi_perp,
-    closed_form_p1,
     closed_form_p2,
     geometry_classify,
     run_enhanced,
     u_chi,
-    u_chi_perp,
 )
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.linalg import (
@@ -26,7 +24,7 @@ from qsuperpose.linalg import (
     phase_equivalent,
     pure_density,
 )
-from qsuperpose.reference import closed_form_p3, kappa_weighted_sum
+from qsuperpose.reference import ReferenceSpec, closed_form_p3, kappa_weighted_sum
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -38,6 +36,10 @@ PSI2_D6 = make_qubit(QubitParams(math.pi / 3, 2 * math.pi / 3))
 CHI0 = basis_state(2, 0)
 PLUS = make_qubit(QubitParams(math.pi / 2, 0.0))
 MINUS = make_qubit(QubitParams(math.pi / 2, math.pi))
+
+
+def pair(a, b, psi1, psi2, chi):
+    return ReferenceSpec(n=2, d=2, weights=(a, b), states=(psi1, psi2), chi=chi)
 
 
 def bloch_state(chi, polar, azimuth):
@@ -72,8 +74,8 @@ class TestUChi:
 
     def test_perp_mirror(self):
         expected = np.array([[0.5, 0.8660254037844387], [0.8660254037844387, -0.5]])
-        np.testing.assert_allclose(u_chi_perp(0.75, 0.25), expected, atol=1e-12)
-        np.testing.assert_allclose(u_chi_perp(0.4, 0.4), HADAMARD, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.75, 0.25), expected, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.4, 0.4), HADAMARD, atol=1e-12)
 
     def test_unitarity_random(self, rng):
         for _ in range(100):
@@ -123,16 +125,17 @@ class TestGeometryClassify:
 
 class TestRunEnhanced:
     def test_equatorial_antipodal_reaches_half(self):
-        result = run_enhanced(INV_SQRT2, INV_SQRT2, PLUS, MINUS, CHI0)
+        result = run_enhanced(pair(INV_SQRT2, INV_SQRT2, PLUS, MINUS, CHI0))
         assert result.p1 == pytest.approx(0.25, abs=1e-9)
         assert result.p2 == pytest.approx(0.25, abs=1e-9)
         assert result.p_total == pytest.approx(0.5, abs=1e-9)
         assert result.coherent
 
     def test_dataset5_longitudinal_total(self):
-        result = run_enhanced(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
-        p3 = closed_form_p3(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
-        nsq = kappa_weighted_sum(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0).norm_sq
+        spec = pair(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
+        result = run_enhanced(spec)
+        p3 = closed_form_p3(spec)
+        nsq = kappa_weighted_sum(spec).norm_sq
         # c1perp = 3/4, c2perp = 1/4
         expected = p3 + nsq * (0.75 * 0.25) / (0.75 + 0.25)
         assert result.coherent
@@ -140,8 +143,8 @@ class TestRunEnhanced:
 
     def test_c1_equals_c2perp_doubles(self):
         # Dataset-5 pair has c1 = 1/4 = 1 - c2, the doubling special case.
-        result = run_enhanced(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
-        p3 = closed_form_p3(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
+        result = run_enhanced(pair(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0))
+        p3 = closed_form_p3(pair(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0))
         assert result.p_total == pytest.approx(2.0 * p3, abs=1e-9)
         assert result.p_total == pytest.approx(2.0 * result.p1, abs=1e-9)
 
@@ -153,21 +156,22 @@ class TestRunEnhanced:
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             w /= np.linalg.norm(w)
             a, b = complex(w[0]), complex(w[1])
-            result = run_enhanced(a, b, psi1, psi2, chi)
-            assert abs(result.p1 - closed_form_p1(a, b, psi1, psi2, chi)) <= 1e-9
+            spec = pair(a, b, psi1, psi2, chi)
+            result = run_enhanced(spec)
+            assert abs(result.p1 - closed_form_p3(spec)) <= 1e-9
             if result.geometry != GEOMETRY_TRANSVERSE_ANTIPODAL:
-                assert abs(result.p2 - closed_form_p2(a, b, psi1, psi2, chi)) <= 1e-9
+                assert abs(result.p2 - closed_form_p2(spec)) <= 1e-9
             # Each branch is the kappa-weighted superposition of its sector.
-            target1 = kappa_weighted_sum(a, b, psi1, psi2, chi).normalize()
+            target1 = kappa_weighted_sum(spec).normalize()
             assert phase_equivalent(result.branch_chi, target1, 1e-9)
             if result.branch_chi_perp is not None:
                 target2 = kappa_weighted_sum(
-                    a, b, psi1, psi2, chi_perp(chi)
+                    pair(a, b, psi1, psi2, chi_perp(chi))
                 ).normalize()
                 assert phase_equivalent(result.branch_chi_perp, target2, 1e-9)
 
     def test_generic_reports_p1_only(self):
-        result = run_enhanced(INV_SQRT2, INV_SQRT2, PSI1_D6, PSI2_D6, CHI0)
+        result = run_enhanced(pair(INV_SQRT2, INV_SQRT2, PSI1_D6, PSI2_D6, CHI0))
         assert result.geometry == GEOMETRY_GENERIC
         assert not result.coherent
         assert result.p_total == pytest.approx(result.p1, abs=1e-15)
@@ -177,11 +181,11 @@ class TestRunEnhanced:
             chi = random_state(rng)
             psi1 = bloch_state(chi, float(rng.uniform(0.2, 1.3)), 0.8)
             psi2 = bloch_state(chi, float(rng.uniform(0.2, 1.3)), 0.8)
-            result = run_enhanced(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
+            result = run_enhanced(pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi))
             assert result.geometry == GEOMETRY_LONGITUDINAL
             assert result.harvest_purity >= 1.0 - 1e-9
             target = kappa_weighted_sum(
-                INV_SQRT2, INV_SQRT2, psi1, psi2, chi
+                pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
             ).normalize()
             assert fidelity(result.harvest_state, pure_density(target)) >= 1.0 - 1e-9
             assert result.p_total == pytest.approx(result.p1 + result.p2, abs=1e-12)
@@ -196,17 +200,41 @@ class TestRunEnhanced:
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             w /= np.linalg.norm(w)
             a, b = complex(w[0]), complex(w[1])
-            result = run_enhanced(a, b, psi1, psi2, chi)
+            result = run_enhanced(pair(a, b, psi1, psi2, chi))
             assert result.geometry == GEOMETRY_TRANSVERSE_ANTIPODAL
-            nsq = kappa_weighted_sum(a, b, psi1, psi2, chi).norm_sq
+            nsq = kappa_weighted_sum(pair(a, b, psi1, psi2, chi)).norm_sq
             assert result.p_total == pytest.approx(nsq / 2.0, abs=1e-9)
 
     def test_zero_overlap_either_basis(self):
         with pytest.raises(ZeroOverlapError):
-            run_enhanced(INV_SQRT2, INV_SQRT2, CHI0, PLUS, CHI0)
+            run_enhanced(pair(INV_SQRT2, INV_SQRT2, CHI0, PLUS, CHI0))
         with pytest.raises(ZeroOverlapError):
-            run_enhanced(INV_SQRT2, INV_SQRT2, basis_state(2, 1), PLUS, CHI0)
+            run_enhanced(pair(INV_SQRT2, INV_SQRT2, basis_state(2, 1), PLUS, CHI0))
 
     def test_weight_validation(self):
         with pytest.raises(ArgumentError):
-            run_enhanced(1.0, 1.0, PSI1_D5, PSI2_D5, CHI0)
+            run_enhanced(pair(1.0, 1.0, PSI1_D5, PSI2_D5, CHI0))
+
+
+class TestSpecShape:
+    @pytest.mark.parametrize("pipeline", [run_enhanced, closed_form_p2])
+    def test_rejects_three_states(self, pipeline):
+        spec = ReferenceSpec(
+            n=3,
+            d=2,
+            weights=tuple([1 / math.sqrt(3)] * 3),
+            states=(PSI1_D5, PSI2_D5, PSI1_D6),
+            chi=CHI0,
+        )
+        with pytest.raises(ArgumentError):
+            pipeline(spec)
+
+    @pytest.mark.parametrize("pipeline", [run_enhanced, closed_form_p2])
+    def test_rejects_qutrits(self, pipeline):
+        qutrit = StateVector((3,), np.ones(3) / math.sqrt(3), normalized=True)
+        spec = ReferenceSpec(
+            n=2, d=3, weights=(INV_SQRT2, INV_SQRT2), states=(qutrit, qutrit),
+            chi=basis_state(3, 0),
+        )
+        with pytest.raises(ArgumentError):
+            pipeline(spec)

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from qsuperpose import kernel
 from qsuperpose.errors import ArgumentError
-from qsuperpose.hybrid import closed_form_hybrid, fourier, hybrid_target, run_hybrid
+from qsuperpose.hybrid import closed_form_hybrid, fourier, run_hybrid
 from qsuperpose.linalg import StateVector, basis_state, phase_equivalent
-from qsuperpose.reference import ReferenceSpec, run_two_qubit_reduced
+from qsuperpose.reference import ReferenceSpec, kappa_weighted_sum, run_two_qubit_reduced
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
@@ -64,9 +65,7 @@ class TestRunHybrid:
         for _ in range(20):
             spec = random_spec(rng, 2, 2)
             hybrid = run_hybrid(spec)
-            reduced = run_two_qubit_reduced(
-                spec.weights[0], spec.weights[1], *spec.states, spec.chi
-            )
+            reduced = run_two_qubit_reduced(spec)
             assert hybrid.success_prob == pytest.approx(
                 reduced.success_prob, abs=1e-12
             )
@@ -214,7 +213,9 @@ class TestInvariants:
         for n, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
             spec = random_spec(rng, n, d)
             result = run_hybrid(spec)
-            lhs = result.success_prob * n * spec.norm_N**2
-            rhs = hybrid_target(spec).norm_sq
+            weights, states, chi = spec.batch
+            primed = kernel.primed(weights, kernel.overlap_c(states, chi))
+            lhs = result.success_prob * n * kernel.norm_sq(primed)[0]
+            rhs = kappa_weighted_sum(spec).norm_sq
             assert lhs == pytest.approx(rhs, abs=1e-9)
             assert abs(result.success_prob - closed_form_hybrid(spec)) <= 1e-9

@@ -102,10 +102,11 @@ def test_pair_rows_equal_the_scalar_pipelines(seed, t):
     assume(has_perp_overlaps(*batch[1:]))
     probs = probabilities(*batch)
     for i in range(t):
-        (a, b), (psi1, psi2), chi = scalar(*(x[i] for x in batch))
-        reduced = run_two_qubit_reduced(a, b, psi1, psi2, chi)
-        three = run_three_qubit(a, b, psi1, psi2, chi)
-        enhanced = run_enhanced(a, b, psi1, psi2, chi)
+        weights, states, chi = scalar(*(x[i] for x in batch))
+        spec = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
+        reduced = run_two_qubit_reduced(spec)
+        three = run_three_qubit(spec)
+        enhanced = run_enhanced(spec)
         assert abs(probs["p2"][i] - reduced.success_prob) <= TOL
         assert abs(probs["p3"][i] - three.success_prob) <= TOL
         assert abs(probs["p1"][i] - enhanced.p1) <= TOL

@@ -1,4 +1,4 @@
-"""Pulse-level simulation: Hamiltonian, pulses, compiler, tomography."""
+"""Pulse-level simulation: Hamiltonian, pulses, compiler, readout."""
 import math
 
 import numpy as np
@@ -28,13 +28,10 @@ from qsuperpose.nmr import (
     initial_state,
     partial_tomography,
     pulse_unitary,
-    reconstruct_two_spin,
     rf_pulse,
     rotation_matrix,
     run_sequence,
     sequence_unitary,
-    subspace_readout,
-    tomography_observables,
 )
 
 SYS = SpinSystem()
@@ -427,33 +424,6 @@ class TestPulseIdentities:
             assert out.purity() == pytest.approx(rho.purity(), abs=1e-12)
 
 
-class TestTomographyReconstruction:
-    def test_round_trip_random(self, rng):
-        for _ in range(10):
-            rho = random_density(rng)
-            rebuilt = reconstruct_two_spin(tomography_observables(rho), rho.trace)
-            np.testing.assert_allclose(rebuilt.mat, rho.mat, atol=1e-9)
-
-    def test_round_trip_checkpoints(self):
-        states = run_sequence(compile_sequence(dataset(3).spec(), SYS), SYS)
-        for label in ("ii", "iv"):
-            rho = states[label]
-            rebuilt = reconstruct_two_spin(tomography_observables(rho), rho.trace)
-            np.testing.assert_allclose(rebuilt.mat, rho.mat, atol=1e-9)
-
-    def test_subspace_readout_matches_block(self, rng):
-        for _ in range(10):
-            rho = random_density(rng)
-            expected_state, expected_norm = partial_tomography(rho)
-            state, norm = subspace_readout(rho)
-            assert norm == pytest.approx(expected_norm, abs=1e-12)
-            np.testing.assert_allclose(state.mat, expected_state.mat, atol=1e-12)
-
-    def test_missing_experiment(self):
-        with pytest.raises(ArgumentError):
-            reconstruct_two_spin({"II": (0j, 0j, 0j, 0j)})
-
-
 class TestEventValidation:
     def test_zero_flip_angle(self):
         with pytest.raises(ArgumentError):
@@ -494,6 +464,14 @@ class TestEventValidation:
     def test_unknown_label(self):
         with pytest.raises(ArgumentError):
             PulseSequence((), {"vi": 0})
+
+    @pytest.mark.parametrize("cut", [1.9, 1.0, True, "1"])
+    def test_non_integer_cut_rejected(self, cut):
+        # A cut counts whole events; "iv": 1.9 must not run as cut 1.
+        events = [PulseEvent("gradient").to_json()] * 2
+        with pytest.raises(ArgumentError) as exc:
+            PulseSequence.from_json({"events": events, "checkpoints": {"iv": cut}})
+        assert "'iv'" in str(exc.value) and repr(cut) in str(exc.value)
 
     def test_json_round_trip(self):
         seq = compile_sequence(dataset(9).spec(), SYS)

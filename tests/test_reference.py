@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from qsuperpose import kernel
 from qsuperpose.direct import run_direct
 from qsuperpose.datasets import dataset
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
+from qsuperpose.hybrid import closed_form_hybrid, run_hybrid
 from qsuperpose.linalg import (
-    OverlapInfo,
     QubitParams,
     StateVector,
     basis_state,
@@ -20,11 +21,9 @@ from qsuperpose.linalg import (
 from qsuperpose.reference import (
     ReferenceSpec,
     build_initial,
-    closed_form_p2,
     closed_form_p3,
     controlled_swap_cascade,
     kappa_weighted_sum,
-    primed_weights,
     project_onto_reference,
     run_three_qubit,
     run_two_qubit_reduced,
@@ -46,6 +45,16 @@ def random_state(rng, d=2, chi=None, floor=0.05):
             return StateVector((d,), amps, normalized=True)
 
 
+def pair(a, b, psi1, psi2, chi):
+    return ReferenceSpec(n=2, d=2, weights=(a, b), states=(psi1, psi2), chi=chi)
+
+
+def primed_weights(weights, cs):
+    """Primed weights and N from kernel.primed, on the overlaps c_k."""
+    primed = kernel.primed(np.array([weights], dtype=complex), np.array([cs]))[0]
+    return primed, math.sqrt(kernel.norm_sq(primed))
+
+
 def random_weights(rng, n=2):
     w = rng.normal(size=n) + 1j * rng.normal(size=n)
     w /= np.linalg.norm(w)
@@ -54,27 +63,26 @@ def random_weights(rng, n=2):
 
 class TestPrimedWeights:
     def test_unit_overlaps(self):
-        overlaps = [OverlapInfo(1.0, 1.0), OverlapInfo(1.0, 1.0)]
-        primed, norm_n = primed_weights([0.6, 0.8], overlaps)
+        primed, norm_n = primed_weights([0.6, 0.8], [1.0, 1.0])
         np.testing.assert_allclose(primed, [0.6, 0.8])
         assert norm_n == pytest.approx(1.0, abs=1e-12)
 
     def test_dataset5_overlaps(self):
-        overlaps = [OverlapInfo(0.25, 1.0), OverlapInfo(0.75, 1.0)]
-        primed, norm_n = primed_weights([INV_SQRT2, INV_SQRT2], overlaps)
+        primed, norm_n = primed_weights([INV_SQRT2, INV_SQRT2], [0.25, 0.75])
         np.testing.assert_allclose(
             primed, [0.8164965809277259, 1.4142135623730947], atol=1e-12
         )
         assert norm_n == pytest.approx(1.6329931618554518, abs=1e-12)
 
     def test_three_equal(self):
-        overlaps = [OverlapInfo(0.5, 1.0)] * 3
-        primed, _ = primed_weights([1 / math.sqrt(3)] * 3, overlaps)
+        primed, _ = primed_weights([1 / math.sqrt(3)] * 3, [0.5] * 3)
         np.testing.assert_allclose(primed, [1.1547005383792515] * 3, atol=1e-12)
 
     def test_zero_overlap(self):
+        # The spec rejects the vanishing overlap before any weight is primed.
+        psi = StateVector((2,), [1e-10, math.sqrt(1.0 - 1e-20)], normalized=True)
         with pytest.raises(ZeroOverlapError):
-            primed_weights([1.0], [OverlapInfo(1e-10, 1.0)])
+            ReferenceSpec(n=1, d=2, weights=(1.0,), states=(psi,), chi=CHI0)
 
 
 class TestBuildInitial:
@@ -208,19 +216,19 @@ class TestProjectOntoReference:
 
 class TestRunThreeQubit:
     def test_all_trivial(self):
-        result = run_three_qubit(INV_SQRT2, INV_SQRT2, CHI0, CHI0, CHI0)
+        result = run_three_qubit(pair(INV_SQRT2, INV_SQRT2, CHI0, CHI0, CHI0))
         assert result.success_prob == pytest.approx(1.0, abs=1e-12)
         assert result.norm_sq == pytest.approx(2.0, abs=1e-12)
 
     def test_dataset5(self):
-        result = run_three_qubit(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0)
+        result = run_three_qubit(pair(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0))
         assert result.success_prob == pytest.approx(0.34987976320958236, abs=1e-9)
         assert result.fidelity_to_target >= 1.0 - 1e-12
 
     def test_orthogonal_equatorial(self):
         psi1 = make_qubit(QubitParams(math.pi / 2, 0.0))
         psi2 = make_qubit(QubitParams(math.pi / 2, math.pi))
-        result = run_three_qubit(INV_SQRT2, INV_SQRT2, psi1, psi2, CHI0)
+        result = run_three_qubit(pair(INV_SQRT2, INV_SQRT2, psi1, psi2, CHI0))
         assert result.success_prob == pytest.approx(0.25, abs=1e-9)
 
 
@@ -240,19 +248,19 @@ class TestRunTwoQubitReduced:
             (2,), a1 * chi.amps + b1 * np.exp(1.3j) * chip.amps, normalized=True
         )
         assert overlap_decompose(psi2, chi).c == pytest.approx(o1.c, abs=1e-12)
-        p2 = run_two_qubit_reduced(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
-        p3 = run_three_qubit(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
+        p2 = run_two_qubit_reduced(pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi))
+        p3 = run_three_qubit(pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi))
         assert p2.success_prob == pytest.approx(p3.success_prob, abs=1e-12)
 
     def test_dataset7_p2(self):
         a, b = 2 / math.sqrt(5), 1 / math.sqrt(5)
-        result = run_two_qubit_reduced(a, b, PSI1_D5, PSI2_D5, CHI0)
+        result = run_two_qubit_reduced(pair(a, b, PSI1_D5, PSI2_D5, CHI0))
         assert result.success_prob == pytest.approx(0.45343401509666564, abs=1e-9)
 
     def test_dataset7_ratio(self):
         a, b = 2 / math.sqrt(5), 1 / math.sqrt(5)
-        p2 = run_two_qubit_reduced(a, b, PSI1_D5, PSI2_D5, CHI0).success_prob
-        p3 = run_three_qubit(a, b, PSI1_D5, PSI2_D5, CHI0).success_prob
+        p2 = run_two_qubit_reduced(pair(a, b, PSI1_D5, PSI2_D5, CHI0)).success_prob
+        p3 = run_three_qubit(pair(a, b, PSI1_D5, PSI2_D5, CHI0)).success_prob
         assert p2 / p3 == pytest.approx(10.0 / 7.0, abs=1e-9)
 
 
@@ -263,10 +271,11 @@ class TestInvariants:
             psi1 = random_state(rng, 2, chi)
             psi2 = random_state(rng, 2, chi)
             a, b = random_weights(rng)
-            two = run_two_qubit_reduced(a, b, psi1, psi2, chi)
-            three = run_three_qubit(a, b, psi1, psi2, chi)
-            assert abs(two.success_prob - closed_form_p2(a, b, psi1, psi2, chi)) <= 1e-9
-            assert abs(three.success_prob - closed_form_p3(a, b, psi1, psi2, chi)) <= 1e-9
+            two = run_two_qubit_reduced(pair(a, b, psi1, psi2, chi))
+            three = run_three_qubit(pair(a, b, psi1, psi2, chi))
+            spec = pair(a, b, psi1, psi2, chi)
+            assert abs(two.success_prob - closed_form_hybrid(spec)) <= 1e-9
+            assert abs(three.success_prob - closed_form_p3(spec)) <= 1e-9
             assert phase_equivalent(two.final_state, three.final_state, 1e-9)
             assert two.fidelity_to_target >= 1.0 - 1e-9
             assert three.fidelity_to_target >= 1.0 - 1e-9
@@ -277,13 +286,15 @@ class TestInvariants:
             psi1 = random_state(rng, 2, chi)
             psi2 = random_state(rng, 2, chi)
             a, b = random_weights(rng)
-            base = run_two_qubit_reduced(a, b, psi1, psi2, chi)
+            base = run_two_qubit_reduced(pair(a, b, psi1, psi2, chi))
             shifted = run_two_qubit_reduced(
-                a,
-                b,
-                StateVector((2,), np.exp(0.9j) * psi1.amps, normalized=True),
-                StateVector((2,), np.exp(-2.1j) * psi2.amps, normalized=True),
-                chi,
+                pair(
+                    a,
+                    b,
+                    StateVector((2,), np.exp(0.9j) * psi1.amps, normalized=True),
+                    StateVector((2,), np.exp(-2.1j) * psi2.amps, normalized=True),
+                    chi,
+                )
             )
             assert phase_equivalent(base.final_state, shifted.final_state, 1e-12)
             assert shifted.success_prob == pytest.approx(
@@ -304,7 +315,7 @@ class TestInvariants:
             p2 = QubitParams(float(theta2), float(phi2), float(g2))
             direct = run_direct(SuperpositionSpec(a, b, p1, p2))
             reduced = run_two_qubit_reduced(
-                a, b, make_qubit(p1), make_qubit(p2), CHI0
+                pair(a, b, make_qubit(p1), make_qubit(p2), CHI0)
             )
             assert phase_equivalent(
                 direct.final_state, reduced.final_state, 1e-9
@@ -315,9 +326,9 @@ class TestInvariants:
         psi1 = random_state(rng, 2, chi)
         psi2 = random_state(rng, 2, chi)
         a, b = random_weights(rng)
-        expected = kappa_weighted_sum(a, b, psi1, psi2, chi).normalize()
+        expected = kappa_weighted_sum(pair(a, b, psi1, psi2, chi)).normalize()
         assert phase_equivalent(
-            run_three_qubit(a, b, psi1, psi2, chi).final_state, expected, 1e-12
+            run_three_qubit(pair(a, b, psi1, psi2, chi)).final_state, expected, 1e-12
         )
 
 
@@ -346,3 +357,31 @@ class TestSpecValidation:
                 states=tuple([uniform] * 5),
                 chi=uniform,
             )
+
+
+class TestPairPipelines:
+    @pytest.mark.parametrize(
+        "pipeline", [run_three_qubit, run_two_qubit_reduced, closed_form_p3]
+    )
+    def test_reject_other_than_two_states(self, pipeline):
+        third = ReferenceSpec(
+            n=3,
+            d=2,
+            weights=tuple([1 / math.sqrt(3)] * 3),
+            states=(PSI1_D5, PSI2_D5, CHI0),
+            chi=CHI0,
+        )
+        single = ReferenceSpec(n=1, d=2, weights=(1.0,), states=(PSI1_D5,), chi=CHI0)
+        for spec in (third, single):
+            with pytest.raises(ArgumentError):
+                pipeline(spec)
+
+    def test_kappa_weighted_sum_takes_any_n(self, rng):
+        chi = random_state(rng, 3)
+        states = tuple(random_state(rng, 3, chi) for _ in range(3))
+        spec = ReferenceSpec(
+            n=3, d=3, weights=random_weights(rng, 3), states=states, chi=chi
+        )
+        assert phase_equivalent(
+            run_hybrid(spec).target_state, kappa_weighted_sum(spec).normalize(), 1e-12
+        )
