@@ -17,7 +17,7 @@ from . import kernel, nmr
 from .datasets import TABLE1
 from .direct import SuperpositionSpec, run_direct
 from .errors import ArgumentError
-from .linalg import DensityMatrix, QubitParams, StateVector, fidelity, pure_density
+from .linalg import DensityMatrix, QubitParams, StateVector, bloch, fidelity, pure_density
 
 TIE_TOL = 1e-12
 
@@ -235,12 +235,6 @@ def _overlapping(rng: np.random.Generator, chi: np.ndarray, n: int) -> np.ndarra
     return states
 
 
-def _bloch(theta: np.ndarray, phi: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>), elementwise."""
-    amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1)
-    return np.exp(1j * gamma)[..., None] * amps
-
-
 def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
     """(psi1, psi2) pairs in a fixed geometry relative to a random chi.
 
@@ -250,7 +244,7 @@ def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
     chi = _unit(rng, rows, 2)
     polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
     azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
-    coords = _bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
+    coords = bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
     return coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1), chi
 
 
@@ -272,11 +266,11 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     # Direct protocol: operational probability vs the weighted-sum norm.
     angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
     theta, phi, gamma = np.moveaxis(angles, -1, 0)
-    states = _bloch(theta, phi, gamma)
+    states = bloch(theta, phi, gamma)
     chi = np.tile([1.0 + 0j, 0.0], (t, 1))
     kernel.validate(w, states, chi)
     sim = kernel.norm_sq(kernel.direct(w, states, gamma)[:, 0])
-    closed = kernel.norm_sq(kernel.weighted_sum(w, _bloch(theta, phi, 0 * gamma))) / 2
+    closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
     spec = _spec(w, states, chi, angles=angles)
     report.record("direct_success", trials, sim - closed, spec)
 

@@ -155,6 +155,9 @@ def _cmd_qudit(args) -> int:
         raise ArgumentError(f"{args.states} must hold a JSON array of states")
     states = tuple(StateVector.from_json(obj) for obj in raw)
     weights = tuple(_parse_weight_list(args.weights))
+    # chi = |index> allocates d amplitudes: hold --d to the loaded states first.
+    if not states or any(s.dims != (args.d,) for s in states):
+        raise ArgumentError(f"every state in {args.states} needs dims [{args.d}]")
     if args.chi is not None:
         chi = StateVector.from_json(_load_json(args.chi))
     else:

@@ -7,21 +7,19 @@ proportional to a|psi1> + b|psi2>; outcome |1> carries the difference.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import kernel
 from .errors import ArgumentError
-from .kernel import BRANCH_NORM_FLOOR
 from .linalg import (
     ATOL,
     QubitParams,
     StateVector,
+    bloch,
     fidelity,
-    make_qubit,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     pure_density,
 )
@@ -36,11 +34,17 @@ class SuperpositionSpec:
     psi1: QubitParams
     psi2: QubitParams
     chi: QubitParams = QubitParams(0.0, 0.0, 0.0)
+    # The spec as a validated T = 1 kernel batch: weights, states, declared phases.
+    batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        angles = np.array([[p.theta, p.phi, p.gamma] for p in (self.psi1, self.psi2)])
+        weights = np.array([[self.weight_a, self.weight_b]], dtype=complex)
+        batch = (weights, bloch(*angles.T)[None], angles[None, :, 2])
+        chi = bloch(self.chi.theta, self.chi.phi, self.chi.gamma)
         # Raises ZeroOverlapError when a prior overlap with chi vanishes.
-        weights, states, _ = _batch(self)
-        kernel.validate(weights, states, make_qubit(self.chi).amps[None])
+        kernel.validate(*batch[:2], chi[None])
+        object.__setattr__(self, "batch", batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +75,8 @@ class ProtocolResult:
         branch_sv, target_sv = StateVector((d,), branch), StateVector((d,), target)
         final, goal = branch_sv.normalize(), target_sv.normalize()
         diff = None
-        if difference is not None:
-            if math.sqrt(kernel.norm_sq(difference)) >= BRANCH_NORM_FLOOR:
-                diff = StateVector((d,), difference).normalize()
+        if difference is not None and kernel.branch_survives(difference):
+            diff = StateVector((d,), difference).normalize()
         return ProtocolResult(
             final_state=final,
             branch_unnormalized=branch_sv,
@@ -98,18 +101,9 @@ def _require_two_qubit(state: StateVector) -> None:
         raise ArgumentError(f"expected a two-qubit state, got dims {state.dims}")
 
 
-def _batch(spec: SuperpositionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The spec as a T = 1 batch: weights, phased input states, declared phases."""
-    return (
-        np.array([[spec.weight_a, spec.weight_b]], dtype=complex),
-        np.array([[make_qubit(spec.psi1).amps, make_qubit(spec.psi2).amps]]),
-        np.array([[spec.psi1.gamma, spec.psi2.gamma]]),
-    )
-
-
 def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:
     """a |0>(e^{i gamma1} psi1) + b |1>(e^{i gamma2} psi2)."""
-    weights, states, _ = _batch(spec)
+    weights, states, _ = spec.batch
     amps = kernel.encode_branches(weights, states)
     return StateVector((2, 2), amps.reshape(-1), normalized=True)
 
@@ -144,8 +138,8 @@ def measure_ancilla(state: StateVector, outcome: int) -> tuple[StateVector, floa
 
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:
     """Encode, phase-correct, Hadamard, post-select ancilla |0>."""
-    weights, states, gammas = _batch(spec)
+    weights, states, gammas = spec.batch
     rows = kernel.direct(weights, states, gammas)[0]
-    stripped = [make_qubit(spec.psi1.stripped()), make_qubit(spec.psi2.stripped())]
-    weighted = kernel.weighted_sum(weights, np.array([[s.amps for s in stripped]]))
+    theta, phi = np.array([[q.theta, q.phi] for q in (spec.psi1, spec.psi2)]).T
+    weighted = kernel.weighted_sum(weights, bloch(theta, phi, 0.0)[None])
     return ProtocolResult.of(rows[0], weighted[0], difference=rows[1])

@@ -16,7 +16,6 @@ add; two Bloch-sphere geometries guarantee that:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,7 +24,6 @@ import numpy as np
 from . import kernel
 from .errors import ArgumentError
 from .kernel import (
-    BRANCH_NORM_FLOOR,
     GEOMETRY_GENERIC,
     GEOMETRY_LONGITUDINAL,
     GEOMETRY_TRANSVERSE_ANTIPODAL,
@@ -36,6 +34,7 @@ from .linalg import (
     StateVector,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     partial_trace,
+    require_overlaps,
 )
 from .reference import ReferenceSpec, closed_form_p3, pair_batch
 
@@ -48,8 +47,12 @@ def chi_perp(chi: StateVector) -> StateVector:
 
 
 def u_chi(c1: float, c2: float) -> np.ndarray:
-    """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]]."""
-    return kernel.u_chi(np.array([c1]), np.array([c2]))[0].astype(complex)
+    """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]], c_k in (0, 1]."""
+    c = np.array([c1, c2], dtype=float)
+    require_overlaps(np.sqrt(np.maximum(c, 0.0)))
+    if np.any(c > 1.0 + ATOL):
+        raise ArgumentError(f"c1 and c2 must lie in (0, 1], got {c1} and {c2}")
+    return kernel.u_chi(c[:1], c[1:])[0].astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +110,8 @@ def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     h = kernel.enhanced(*pair_batch(spec))
     w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
     branch_chi = StateVector((2,), w_chi).normalize()
-    branch_chi_perp = None
-    if math.sqrt(kernel.norm_sq(w_perp)) >= BRANCH_NORM_FLOOR:
-        branch_chi_perp = StateVector((2,), w_perp).normalize()
+    perp = StateVector((2,), w_perp)
+    branch_chi_perp = perp.normalize() if kernel.branch_survives(w_perp) else None
 
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .errors import ArgumentError, DegenerateInputError
-from .kernel import BRANCH_NORM_FLOOR, fourier
+from .kernel import fourier
 from .linalg import StateVector
 from .reference import ReferenceSpec, kappa_weighted_sum
 
@@ -52,7 +52,7 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
     encoded = StateVector((spec.n, spec.d), block.reshape(-1))
     rows = kernel.fourier_rows(block[None])[0] / math.sqrt(encoded.norm_sq)
     branches = tuple(StateVector((spec.d,), row) for row in rows)
-    if math.sqrt(branches[0].norm_sq) < BRANCH_NORM_FLOOR:
+    if not kernel.branch_survives(rows[0]):
         raise DegenerateInputError("the outcome-0 Fourier branch vanished")
     return HybridResult(
         encoded_state=encoded.normalize(),

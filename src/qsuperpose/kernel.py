@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArgumentError, ZeroOverlapError
-from .linalg import ATOL, EPS_OVERLAP
+from .errors import ArgumentError
+from .linalg import ATOL, require_overlaps, zero_overlap
 
 # Dense pipelines build n * d^n amplitudes; cap keeps them desk-sized.
 MAX_PIPELINE_DIM = 4096
@@ -47,6 +47,11 @@ def overlap_c(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.abs(overlaps(states, chi)) ** 2
 
 
+def branch_survives(amps: np.ndarray) -> np.ndarray:
+    """False where a branch (last axis) has vanished: norm below BRANCH_NORM_FLOOR."""
+    return np.sqrt(norm_sq(amps)) >= BRANCH_NORM_FLOOR
+
+
 def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> None:
     """Check a whole batch at once, with the bounds of the scalar API.
 
@@ -64,12 +69,7 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> None:
     bad = ~(np.abs(total - 1.0) <= ATOL)
     if bad.any():
         raise ArgumentError(f"weights must have sum |a_k|^2 = 1, got {total[bad][0]}")
-    mag = float(np.min(np.abs(overlaps(states, chi)), initial=np.inf))
-    if mag < EPS_OVERLAP:
-        raise ZeroOverlapError(
-            "overlap with the referential state is zero; the protocol requires "
-            f"known nonzero overlaps (|<chi|psi>| = {mag:.3e})"
-        )
+    require_overlaps(np.abs(overlaps(states, chi)))
 
 
 def _leave_one_out(x: np.ndarray) -> np.ndarray:
@@ -177,13 +177,6 @@ def chi_perp(chi: np.ndarray) -> np.ndarray:
 
 def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]]: (T, 2, 2)."""
-    for c, name in ((c1, "c1"), (c2, "c2")):
-        if np.any(c < EPS_OVERLAP):
-            raise ZeroOverlapError(
-                f"{name} = {np.min(c):.3e} is below the zero-overlap threshold"
-            )
-        if np.any(c > 1.0 + ATOL):
-            raise ArgumentError(f"{name} must lie in (0, 1], got {np.max(c)}")
     s1, s2 = 1.0 / np.sqrt(c1), 1.0 / np.sqrt(c2)
     u = np.stack([np.stack([s1, s2], -1), np.stack([s2, -s1], -1)], -2)
     return u / np.sqrt((c1 + c2) / (c1 * c2))[:, None, None]
@@ -192,7 +185,7 @@ def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def geometry(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """Each qubit pair's GEOMETRY_* relative to the chi axis: (T,)."""
     ip, ipp = overlaps(states, chi), overlaps(states, chi_perp(chi))
-    zero = np.any((np.abs(ip) < EPS_OVERLAP) | (np.abs(ipp) < EPS_OVERLAP), axis=1)
+    zero = np.any(zero_overlap(np.abs(ip)) | zero_overlap(np.abs(ipp)), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # e^{i phi_j}: azimuth of Psi_j around the chi axis.
         az = ipp / np.abs(ipp) * (ip / np.abs(ip)).conj()
@@ -230,16 +223,17 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> Harves
     pairs, in the ancilla-|1> row for transverse antipodal pairs.
     """
     chip = chi_perp(chi)
-    c, cp = overlap_c(states, chi), overlap_c(states, chip)
+    magp = np.abs(overlaps(states, chip))
+    require_overlaps(magp, "chi_perp")
+    c, cp = overlap_c(states, chi), magp**2
     rows = u_chi(c[:, 1], c[:, 0]) @ cascade_block(weights, states, chi)
     rows_perp = u_chi(cp[:, 1], cp[:, 0]) @ cascade_block(weights, states, chip)
     w, p1 = rows[:, 0], norm_sq(rows[:, 0])
 
     def agrees(v: np.ndarray) -> np.ndarray:
-        pv = norm_sq(v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * pv)
-        return (np.sqrt(pv) >= BRANCH_NORM_FLOOR) & (fid >= 1.0 - GEOMETRY_TOL)
+            fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * norm_sq(v))
+        return branch_survives(v) & (fid >= 1.0 - GEOMETRY_TOL)
 
     geom = geometry(states, chi)
     antipodal = (geom == GEOMETRY_TRANSVERSE_ANTIPODAL) & agrees(rows_perp[:, 1])

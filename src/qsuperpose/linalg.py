@@ -18,13 +18,37 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, ZeroOverlapError
 
-# Normalization / Hermiticity checks; dimensions stay tiny (<= ~81) so
-# double precision leaves ample headroom.
+# Normalization / Hermiticity checks; the dense pipelines hold at most 4096
+# amplitudes, so double precision leaves ample headroom.
 ATOL = 1e-12
 # Eigenvalue floor tolerating roundoff from channel compositions.
 PSD_FLOOR = -1e-10
 # |<chi|psi>| below this counts as a zero overlap.
 EPS_OVERLAP = 1e-9
+
+
+def zero_overlap(mag: np.ndarray) -> np.ndarray:
+    """The zero-overlap rule: True where a magnitude |<ref|psi>| < EPS_OVERLAP."""
+    return mag < EPS_OVERLAP
+
+
+def require_overlaps(mag: np.ndarray, ref: str = "chi") -> None:
+    """Raise ZeroOverlapError at the first zero |<ref|psi_k>|, k on the last axis."""
+    mag = np.asarray(mag)
+    zero = np.argwhere(zero_overlap(mag))
+    if len(zero):
+        k = zero[0][-1] + 1 if mag.shape[-1] > 1 else ""
+        raise ZeroOverlapError(
+            f"psi{k} has a zero overlap with the reference {ref}: "
+            f"|<{ref}|psi{k}>| = {mag[tuple(zero[0])]:.3e} is below {EPS_OVERLAP:g}; "
+            "the protocols require known nonzero overlaps"
+        )
+
+
+def _json_dims(dims: object) -> tuple[int, ...]:
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ArgumentError(f"dims must be a list of integers, got {dims!r}")
+    return tuple(dims)
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -62,10 +86,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @property
-    def dim(self) -> int:
-        return self.amps.size
-
-    @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
@@ -84,12 +104,12 @@ class StateVector:
     @staticmethod
     def from_json(obj: dict) -> "StateVector":
         try:
-            dims = obj["dims"]
+            dims = _json_dims(obj["dims"])
             amps = np.array([complex(re, im) for re, im in obj["amps"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed state JSON: {exc}") from exc
         normed = abs(float(np.vdot(amps, amps).real) - 1.0) <= ATOL
-        return StateVector(tuple(dims), amps, normalized=normed)
+        return StateVector(dims, amps, normalized=normed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +141,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "trace", tr)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
 
@@ -139,13 +155,13 @@ class DensityMatrix:
     @staticmethod
     def from_json(obj: dict) -> "DensityMatrix":
         try:
-            dims = obj["dims"]
+            dims = _json_dims(obj["dims"])
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in obj["rows"]]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed density-matrix JSON: {exc}") from exc
-        return DensityMatrix(tuple(dims), mat)
+        return DensityMatrix(dims, mat)
 
 
 @dataclass(frozen=True)
@@ -164,10 +180,6 @@ class QubitParams:
         if not 0.0 <= self.gamma < 2.0 * math.pi:
             raise ArgumentError(f"gamma must lie in [0, 2pi), got {self.gamma}")
 
-    def stripped(self) -> "QubitParams":
-        """Same physical ray with the overall phase removed."""
-        return QubitParams(self.theta, self.phi, 0.0)
-
 
 @dataclass(frozen=True)
 class OverlapInfo:
@@ -183,11 +195,14 @@ class OverlapInfo:
             raise ArgumentError("kappa must have unit modulus")
 
 
+def bloch(theta, phi, gamma) -> np.ndarray:
+    """e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>), elementwise: (..., 2)."""
+    amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1)
+    return np.exp(1j * gamma)[..., None] * amps
+
+
 def make_qubit(p: QubitParams) -> StateVector:
-    amps = np.exp(1j * p.gamma) * np.array(
-        [math.cos(p.theta / 2.0), np.exp(1j * p.phi) * math.sin(p.theta / 2.0)]
-    )
-    return StateVector((2,), amps, normalized=True)
+    return StateVector((2,), bloch(p.theta, p.phi, p.gamma), normalized=True)
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -245,11 +260,7 @@ def overlap_decompose(psi: StateVector, chi: StateVector) -> OverlapInfo:
         raise ArgumentError(f"dimension mismatch: {psi.dims} vs {chi.dims}")
     ip = complex(np.vdot(chi.amps, psi.amps))
     mag = abs(ip)
-    if mag < EPS_OVERLAP:
-        raise ZeroOverlapError(
-            "overlap with the referential state is zero; the protocol requires "
-            f"known nonzero overlaps (|<chi|psi>| = {mag:.3e})"
-        )
+    require_overlaps([mag])
     return OverlapInfo(c=mag * mag, kappa=ip / mag)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsuperpose import cli
 from qsuperpose.cli import main
 
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
@@ -207,6 +208,36 @@ class TestQudit:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
 
+    @pytest.mark.parametrize("dims", [2, ["x"], [2.7]])
+    def test_malformed_dims(self, capsys, tmp_path, dims):
+        states = [{"dims": dims, "amps": [[1.0, 0.0], [0.0, 0.0]]}, self.qubit_json([1, 0])]
+        code, _, err = run_cli(
+            capsys,
+            "qudit", "--n", "2", "--d", "2",
+            "--states", self.write_states(tmp_path, states),
+            "--weights", f"{INV_SQRT2},{INV_SQRT2}",
+            "--chi-index", "0",
+        )
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument" and repr(dims) in error["message"]
+
+    def test_dimension_checked_before_chi_is_built(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("chi built before --d was checked")
+
+        monkeypatch.setattr(cli, "basis_state", refuse)
+        states = [self.qubit_json([1, 0]), self.qubit_json([INV_SQRT2, INV_SQRT2])]
+        code, _, err = run_cli(
+            capsys,
+            "qudit", "--n", "2", "--d", "100000",
+            "--states", self.write_states(tmp_path, states),
+            "--weights", f"{INV_SQRT2},{INV_SQRT2}",
+            "--chi-index", "0",
+        )
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "argument"
+
     def test_vanished_outcome_branch(self, capsys, tmp_path):
         # Equal states with opposite weights cancel the outcome-0 branch.
         states = [self.qubit_json([1, 0]), self.qubit_json([1, 0])]
@@ -249,6 +280,18 @@ class TestEnhanced:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "zero-overlap"
+
+    def test_zero_chi_perp_overlap_names_state_and_reference(self, capsys):
+        code, _, err = run_cli(
+            capsys, "enhanced", "--psi1", "0,0", "--psi2", "1.0,0", "--a", "0.6", "--b", "0.8"
+        )
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "zero-overlap"
+        assert error["message"].startswith(
+            "psi1 has a zero overlap with the reference chi_perp: "
+            "|<chi_perp|psi1>| = 0.000e+00"
+        )
 
 
 class TestPulse:

@@ -1,5 +1,6 @@
 """Gate-level two-qubit protocol: encoding, phase gate, Hadamard, post-selection."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,9 +83,9 @@ class TestPhaseGate:
             )
             bare = (
                 spec.weight_a
-                * np.kron([1, 0], make_qubit(spec.psi1.stripped()).amps)
+                * np.kron([1, 0], make_qubit(replace(spec.psi1, gamma=0.0)).amps)
                 + spec.weight_b
-                * np.kron([0, 1], make_qubit(spec.psi2.stripped()).amps)
+                * np.kron([0, 1], make_qubit(replace(spec.psi2, gamma=0.0)).amps)
             )
             ratios = corrected.amps[np.abs(bare) > 1e-9] / bare[np.abs(bare) > 1e-9]
             np.testing.assert_allclose(ratios, ratios[0], atol=1e-12)
@@ -208,8 +209,8 @@ class TestInvariants:
             stripped = SuperpositionSpec(
                 spec.weight_a,
                 spec.weight_b,
-                spec.psi1.stripped(),
-                spec.psi2.stripped(),
+                replace(spec.psi1, gamma=0.0),
+                replace(spec.psi2, gamma=0.0),
             )
             assert phase_equivalent(
                 run_direct(spec).final_state,
@@ -232,8 +233,8 @@ class TestInvariants:
         # success = (|a|^2 + |b|^2 + 2 Re(a* b <psi1|psi2>)) / 2, phase-stripped
         for _ in range(1000):
             spec = random_spec(rng)
-            p1 = make_qubit(spec.psi1.stripped()).amps
-            p2 = make_qubit(spec.psi2.stripped()).amps
+            p1 = make_qubit(replace(spec.psi1, gamma=0.0)).amps
+            p2 = make_qubit(replace(spec.psi2, gamma=0.0)).amps
             a, b = spec.weight_a, spec.weight_b
             closed = (
                 abs(a) ** 2

@@ -85,8 +85,11 @@ class TestUChi:
             np.testing.assert_allclose(np.abs(np.linalg.norm(u, axis=0)), 1.0, atol=1e-12)
 
     def test_zero_overlap(self):
-        with pytest.raises(ZeroOverlapError):
-            u_chi(1e-10, 0.5)
+        # The rule reads the magnitude sqrt(c) = |<chi|psi>|: 1e-10 here.
+        with pytest.raises(ZeroOverlapError, match="psi1 .* = 1.000e-10"):
+            u_chi(1e-20, 0.5)
+        u = u_chi(1e-10, 0.5)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ArgumentError):

@@ -16,7 +16,14 @@ from qsuperpose.direct import SuperpositionSpec, run_direct
 from qsuperpose.enhanced import run_enhanced
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.hybrid import run_hybrid
-from qsuperpose.linalg import QubitParams, StateVector, make_qubit
+from qsuperpose.linalg import (
+    EPS_OVERLAP,
+    QubitParams,
+    StateVector,
+    basis_state,
+    make_qubit,
+    overlap_decompose,
+)
 from qsuperpose.reference import ReferenceSpec, run_three_qubit, run_two_qubit_reduced
 
 TOL = 1e-12
@@ -196,3 +203,60 @@ def test_validation_rejects_a_bad_row_anywhere_in_the_batch():
     bad[7, 0] = np.nan
     with pytest.raises(ArgumentError, match="finite"):
         kernel.validate(weights, states, bad)
+
+
+# --- The zero-overlap rule: |<ref|psi_k>| < EPS_OVERLAP, decided in one place --
+
+KET0, KET1 = basis_state(2, 0), basis_state(2, 1)
+PLUS = make_qubit(QubitParams(math.pi / 2, 0.0))
+
+
+def rejection(call):
+    """The ZeroOverlapError message of call(), or None when it returns."""
+    try:
+        call()
+    except ZeroOverlapError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(st.floats(-11.0, -7.0), st.integers(0, 1), st.sampled_from(["chi", "chi_perp"]))
+def test_one_zero_overlap_rule(exponent, k, ref):
+    """State k overlaps ref (chi = |0>, so chi_perp = |1>) with magnitude m,
+    log-uniform in [1e-11, 1e-7]: the spec, overlap_decompose and run_enhanced
+    all reject it exactly when m < 1e-9, naming state k and the reference."""
+    m = 10.0**exponent
+    near, far = (KET0, KET1) if ref == "chi" else (KET1, KET0)
+    small = StateVector((2,), m * near.amps + math.sqrt(1.0 - m * m) * far.amps)
+    states = (small, PLUS) if k == 0 else (PLUS, small)
+
+    def spec():
+        return ReferenceSpec(n=2, d=2, weights=(0.6, 0.8), states=states, chi=KET0)
+
+    found = {
+        "overlap_decompose": rejection(lambda: overlap_decompose(small, near)),
+        "run_enhanced": rejection(lambda: run_enhanced(spec())),
+    }
+    if ref == "chi":
+        found["ReferenceSpec"] = rejection(spec)
+    for name, message in found.items():
+        assert (message is not None) == (m < EPS_OVERLAP), name
+        if message is not None:
+            assert f"= {m:.3e} is below 1e-09" in message, name
+    if found["run_enhanced"] is not None:
+        assert found["run_enhanced"].startswith(
+            f"psi{k + 1} has a zero overlap with the reference {ref}:"
+        )
+    elif ref == "chi":
+        p3 = run_three_qubit(spec()).success_prob
+        assert abs(run_enhanced(spec()).p1 - p3) <= TOL
+
+
+def test_enhanced_accepts_what_the_spec_accepts():
+    """|<chi|psi1>| = 1e-5 passes the rule (c1 = 1e-10 does not fail it)."""
+    psi1 = StateVector((2,), [1e-5, math.sqrt(1.0 - 1e-10)], normalized=True)
+    spec = ReferenceSpec(n=2, d=2, weights=(0.6, 0.8), states=(psi1, PLUS), chi=KET0)
+    p3 = run_three_qubit(spec).success_prob
+    assert p3 == pytest.approx(1.6788e-10, rel=1e-4)
+    assert abs(run_enhanced(spec).p1 - p3) <= 1e-12

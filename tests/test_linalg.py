@@ -1,5 +1,6 @@
 """Core linear-algebra layer: states, operators, traces, overlaps."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ class TestJsonRoundTrip:
     def test_malformed(self):
         with pytest.raises(ArgumentError):
             StateVector.from_json({"dims": [2]})
+
+    @pytest.mark.parametrize(
+        "dims",
+        [2, "2", ["x"], [2.7], [2.0], [True, 2]],
+        ids=["int", "str", "text", "fraction", "float", "bool"],
+    )
+    def test_dims_must_be_a_list_of_integers(self, dims):
+        state = {"dims": dims, "amps": [[1.0, 0.0], [0.0, 0.0]]}
+        rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        for load, obj in (
+            (StateVector.from_json, state),
+            (DensityMatrix.from_json, {"dims": dims, "rows": rows}),
+        ):
+            with pytest.raises(ArgumentError, match=re.escape(repr(dims))):
+                load(obj)
 
 
 class TestNormalize:
