@@ -29,29 +29,44 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
-def _parse_angles(text: str, what: str) -> QubitParams:
+def _flag_type(parse):
+    """An argparse type whose error names the rule broken: argparse keeps the
+    message of an ArgumentTypeError, not of a ValueError (a ToolkitError)."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ArgumentError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+@_flag_type
+def _parse_angles(text: str) -> QubitParams:
     parts = text.split(",")
     if len(parts) not in (2, 3):
-        raise ArgumentError(f"{what} expects 'theta,phi[,gamma]', got {text!r}")
+        raise ArgumentError(f"expects 'theta,phi[,gamma]', got {text!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise ArgumentError(f"{what}: {exc}") from exc
+        raise ArgumentError(str(exc)) from exc
     gamma = values[2] if len(values) == 3 else 0.0
     return QubitParams(
         values[0], values[1] % (2.0 * math.pi), gamma % (2.0 * math.pi)
     )
 
 
-def _parse_weight(text: str, what: str) -> complex:
+@_flag_type
+def _parse_weight(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
-        raise ArgumentError(f"{what} expects 'RE[,IM]', got {text!r}")
+        raise ArgumentError(f"expects 'RE[,IM]', got {text!r}")
     try:
         re = float(parts[0])
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError as exc:
-        raise ArgumentError(f"{what}: {exc}") from exc
+        raise ArgumentError(str(exc)) from exc
     return complex(re, im)
 
 
@@ -84,29 +99,15 @@ def _reference_spec_from_args(args) -> reference.ReferenceSpec:
 
 
 def _add_state_flags(parser: _Parser) -> None:
-    parser.add_argument(
-        "--psi1",
-        required=True,
-        type=lambda s: _parse_angles(s, "--psi1"),
-        help="first input state as theta,phi[,gamma]",
-    )
-    parser.add_argument(
-        "--psi2",
-        required=True,
-        type=lambda s: _parse_angles(s, "--psi2"),
-        help="second input state as theta,phi[,gamma]",
-    )
-    parser.add_argument(
-        "--a", required=True, type=lambda s: _parse_weight(s, "--a"),
-        help="weight a as RE[,IM]",
-    )
-    parser.add_argument(
-        "--b", required=True, type=lambda s: _parse_weight(s, "--b"),
-        help="weight b as RE[,IM]",
-    )
+    for flag, what in (("--psi1", "first"), ("--psi2", "second")):
+        parser.add_argument(flag, required=True, type=_parse_angles,
+                            help=f"{what} input state as theta,phi[,gamma]")
+    for flag in ("--a", "--b"):
+        parser.add_argument(flag, required=True, type=_parse_weight,
+                            help=f"weight {flag[2:]} as RE[,IM]")
     parser.add_argument(
         "--chi",
-        type=lambda s: _parse_angles(s, "--chi"),
+        type=_parse_angles,
         default=QubitParams(0.0, 0.0, 0.0),
         help="referential state as theta,phi (default |0>)",
     )

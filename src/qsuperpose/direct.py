@@ -8,7 +8,7 @@ proportional to a|psi1> + b|psi2>; outcome |1> carries the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from .linalg import (
     QubitParams,
     StateVector,
     bloch,
-    fidelity,
+    fidelity_batch,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
-    pure_density,
+    pure_density_batch,
+    unit_rows,
 )
 
 
@@ -34,17 +35,32 @@ class SuperpositionSpec:
     psi1: QubitParams
     psi2: QubitParams
     chi: QubitParams = QubitParams(0.0, 0.0, 0.0)
-    # The spec as a validated T = 1 kernel batch: weights, states, declared phases.
+    # The spec as a validated T = 1 kernel batch: weights, states, declared
+    # phases, the states with those phases stripped, chi.
     batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        angles = np.array([[p.theta, p.phi, p.gamma] for p in (self.psi1, self.psi2)])
+        qubits = (self.psi1, self.psi2, self.chi)
+        angles = [(q.theta, q.phi, q.gamma) for q in qubits]
+        angles = np.array(angles + [(q.theta, q.phi, 0.0) for q in qubits[:2]])
         weights = np.array([[self.weight_a, self.weight_b]], dtype=complex)
-        batch = (weights, bloch(*angles.T)[None], angles[None, :, 2])
-        chi = bloch(self.chi.theta, self.chi.phi, self.chi.gamma)
+        # psi1, psi2, chi, then psi1 and psi2 with their phases stripped.
+        states = bloch(*angles.T)[None]
+        pair, chi = states[:, :2], states[:, 2]
         # Raises ZeroOverlapError when a prior overlap with chi vanishes.
-        kernel.validate(*batch[:2], chi[None])
+        kernel.validate(weights, pair, chi)
+        batch = (weights, pair, angles[None, :2, 2], states[:, 3:], chi)
         object.__setattr__(self, "batch", batch)
+
+
+def outcomes(branch: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Post-selected branches (T, d) and their targets, normalized, and the
+    fidelities between them. A vanished row, or a fidelity outside [0, 1], raises."""
+    final, goal = unit_rows(branch), unit_rows(target)
+    fid = fidelity_batch(pure_density_batch(final), pure_density_batch(goal))
+    if not np.all((-ATOL <= fid) & (fid <= 1.0 + ATOL)):
+        raise ArgumentError("fidelity out of range")
+    return final, goal, fid
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +89,17 @@ class ProtocolResult:
         the difference branch (dropped when its norm is below the floor)."""
         d = branch.size
         branch_sv, target_sv = StateVector((d,), branch), StateVector((d,), target)
-        final, goal = branch_sv.normalize(), target_sv.normalize()
+        final, goal, fid = outcomes(branch[None], target[None])
         diff = None
         if difference is not None and kernel.branch_survives(difference):
             diff = StateVector((d,), difference).normalize()
         return ProtocolResult(
-            final_state=final,
+            final_state=StateVector((d,), final[0], normalized=True),
             branch_unnormalized=branch_sv,
             success_prob=branch_sv.norm_sq,
             norm_sq=target_sv.norm_sq,
-            target_state=goal,
-            fidelity_to_target=fidelity(pure_density(final), pure_density(goal)),
+            target_state=StateVector((d,), goal[0], normalized=True),
+            fidelity_to_target=float(fid[0]),
             difference_branch=diff,
         )
 
@@ -103,7 +119,7 @@ def _require_two_qubit(state: StateVector) -> None:
 
 def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:
     """a |0>(e^{i gamma1} psi1) + b |1>(e^{i gamma2} psi2)."""
-    weights, states, _ = spec.batch
+    weights, states = spec.batch[:2]
     amps = kernel.encode_branches(weights, states)
     return StateVector((2, 2), amps.reshape(-1), normalized=True)
 
@@ -136,10 +152,16 @@ def measure_ancilla(state: StateVector, outcome: int) -> tuple[StateVector, floa
     return sv, sv.norm_sq
 
 
+def run_direct_batch(specs: Sequence[SuperpositionSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Many specs as one kernel batch: the outcome rows (T, 2, 2) of encode,
+    phase correction and Hadamard, and the targets a psi1 + b psi2 (T, 2)."""
+    parts = zip(*[spec.batch for spec in specs])
+    weights, states, gammas, stripped, chi = [np.concatenate(p) for p in parts]
+    kernel.validate(weights, states, chi)
+    return kernel.direct(weights, states, gammas), kernel.weighted_sum(weights, stripped)
+
+
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:
     """Encode, phase-correct, Hadamard, post-select ancilla |0>."""
-    weights, states, gammas = spec.batch
-    rows = kernel.direct(weights, states, gammas)[0]
-    theta, phi = np.array([[q.theta, q.phi] for q in (spec.psi1, spec.psi2)]).T
-    weighted = kernel.weighted_sum(weights, bloch(theta, phi, 0.0)[None])
-    return ProtocolResult.of(rows[0], weighted[0], difference=rows[1])
+    rows, targets = run_direct_batch([spec])
+    return ProtocolResult.of(rows[0, 0], targets[0], difference=rows[0, 1])

@@ -16,7 +16,7 @@ add; two Bloch-sphere geometries guarantee that:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .linalg import (
     partial_trace,
     require_overlaps,
 )
-from .reference import ReferenceSpec, closed_form_p3, pair_batch
+from .reference import ReferenceSpec, pair_batch
 
 
 def chi_perp(chi: StateVector) -> StateVector:
@@ -101,7 +101,10 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
 
 def closed_form_p2(spec: ReferenceSpec) -> float:
     """P(2): P3's expression in the chi^perp sector. P(1) is ``closed_form_p3``."""
-    return closed_form_p3(replace(spec, chi=chi_perp(spec.chi)))
+    weights, states, _ = pair_batch(spec)
+    chip = chi_perp(spec.chi).amps[None]
+    require_overlaps(np.abs(kernel.overlaps(states, chip)), "chi_perp")
+    return float(kernel.closed_form_mu(weights, states, chip)[0])
 
 
 def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:

@@ -90,10 +90,7 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps).real)
 
     def normalize(self) -> "StateVector":
-        n = math.sqrt(self.norm_sq)
-        if n < ATOL:
-            raise DegenerateInputError("cannot normalize a (numerically) zero state")
-        return StateVector(self.dims, self.amps / n, normalized=True)
+        return StateVector(self.dims, unit_rows(self.amps[None])[0], normalized=True)
 
     def to_json(self) -> dict:
         return {
@@ -112,6 +109,31 @@ class StateVector:
         return StateVector(dims, amps, normalized=normed)
 
 
+def unit_rows(amps: np.ndarray) -> np.ndarray:
+    """Rows (T, d) scaled to unit norm; a (numerically) zero row raises. The
+    norms are summed as np.vdot sums them."""
+    n = np.sqrt((amps.conj()[:, None, :] @ amps[:, :, None])[:, 0, 0].real)
+    if np.any(n < ATOL):
+        raise DegenerateInputError("cannot normalize a (numerically) zero state")
+    return amps / n[:, None]
+
+
+def check_densities(mats: np.ndarray) -> np.ndarray:
+    """Validate density matrices (T, d, d) at once, with one eigvalsh; return the
+    traces. A bad row raises the error a DensityMatrix built from it would."""
+    _check_finite(mats, "density matrix entries")
+    if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0) > ATOL:
+        raise ArgumentError("density matrix is not Hermitian within tolerance")
+    if np.min(np.linalg.eigvalsh(mats), initial=0.0) < PSD_FLOOR:
+        raise ArgumentError("density matrix has a negative eigenvalue")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    if np.any(tr <= ATOL):
+        raise DegenerateInputError("density matrix has (numerically) zero trace")
+    if np.any(tr > 1.0 + ATOL):
+        raise ArgumentError(f"density matrix trace {tr[tr > 1.0 + ATOL][0]} exceeds 1")
+    return tr
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD matrix, possibly sub-normalized (block after projection)."""
@@ -126,16 +148,7 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ArgumentError(f"matrix shape {mat.shape} does not match dims {dims}")
-        _check_finite(mat, "density matrix entries")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ArgumentError("density matrix is not Hermitian within tolerance")
-        if np.min(np.linalg.eigvalsh(mat)) < PSD_FLOOR:
-            raise ArgumentError("density matrix has a negative eigenvalue")
-        tr = float(np.trace(mat).real)
-        if tr <= ATOL:
-            raise DegenerateInputError("density matrix has (numerically) zero trace")
-        if tr > 1.0 + ATOL:
-            raise ArgumentError(f"density matrix trace {tr} exceeds 1")
+        tr = float(check_densities(mat[None])[0])
         mat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
@@ -221,9 +234,14 @@ def tensor(u: StateVector, v: StateVector) -> StateVector:
     )
 
 
+def pure_density_batch(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each unit row (T, d): (T, d, d)."""
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
 def pure_density(state: StateVector) -> DensityMatrix:
     psi = state.amps if state.normalized else state.normalize().amps
-    return DensityMatrix(state.dims, np.outer(psi, psi.conj()))
+    return DensityMatrix(state.dims, pure_density_batch(psi[None])[0])
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
@@ -243,15 +261,20 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(new_dims, reduced.reshape(d, d))
 
 
+def fidelity_batch(rho_e: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
+    """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2)) over (T, d, d) stacks."""
+    ee, tt, et = (np.trace(a @ b, axis1=1, axis2=2).real for a, b in
+                  ((rho_e, rho_e), (rho_t, rho_t), (rho_e, rho_t)))
+    return et / np.sqrt(ee * tt)
+
+
 def fidelity(rho_e: DensityMatrix, rho_t: DensityMatrix) -> float:
     """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2))."""
     if rho_e.dims != rho_t.dims:
         raise ArgumentError(f"dimension mismatch: {rho_e.dims} vs {rho_t.dims}")
     if rho_e.trace <= ATOL or rho_t.trace <= ATOL:
         raise DegenerateInputError("fidelity of a zero-trace state is undefined")
-    num = float(np.trace(rho_e.mat @ rho_t.mat).real)
-    den = math.sqrt(rho_e.purity() * rho_t.purity())
-    return num / den
+    return float(fidelity_batch(rho_e.mat[None], rho_t.mat[None])[0])
 
 
 def overlap_decompose(psi: StateVector, chi: StateVector) -> OverlapInfo:

@@ -18,9 +18,11 @@ controlled rotation nets the exact gate-level operation up to a global
 phase. On-resonance operation (Omega_A = Omega_X = 0) is assumed by the
 compiler, matching the experiment.
 
-``run_sequence`` compiles each event once (rf pulse: a 4x4 unitary; delay:
-the phases of the diagonal exp(-i H t); gradient: the coherence-order mask),
-multiplies the unitaries between cuts and validates only checkpoint states.
+``run_sequence_batch`` propagates sequences that share a skeleton (event
+kinds and spins, checkpoint cuts) as one group: each event compiles once over
+the group (rf: unitaries; delay: the phases of the diagonal exp(-i H t)), the
+unitaries between cuts and gradients multiply into one U rho U^dagger, and one
+check validates every checkpoint state. ``run_sequence`` is its T = 1 view.
 """
 from __future__ import annotations
 
@@ -28,13 +30,13 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .direct import SuperpositionSpec
 from .errors import ArgumentError, DegenerateInputError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_densities
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -165,9 +167,9 @@ def hamiltonian(sys: SpinSystem) -> np.ndarray:
     return np.diag(_energies(sys)).astype(complex)
 
 
-def _delay_phases(sys: SpinSystem, t: float) -> np.ndarray:
-    """Diagonal of exp(-i H t), the compiled form of a delay."""
-    return np.exp(-1j * _energies(sys) * t)
+def _delay_phases(sys: SpinSystem, t) -> np.ndarray:
+    """Diagonal of exp(-i H t), the compiled form of a delay, elementwise: (..., 4)."""
+    return np.exp(-1j * _energies(sys) * np.asarray(t)[..., None])
 
 
 def _require_two_spin(rho: DensityMatrix) -> None:
@@ -176,7 +178,7 @@ def _require_two_spin(rho: DensityMatrix) -> None:
 
 
 def _conjugate(u: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return u @ mat @ u.conj().T
+    return u @ mat @ u.conj().swapaxes(-1, -2)
 
 
 def evolve_free(rho: DensityMatrix, sys: SpinSystem, t: float) -> DensityMatrix:
@@ -188,21 +190,26 @@ def evolve_free(rho: DensityMatrix, sys: SpinSystem, t: float) -> DensityMatrix:
     return DensityMatrix((2, 2), phases[:, None] * rho.mat * phases.conj()[None, :])
 
 
-def rotation_matrix(flip_angle: float, axis_phase: float) -> np.ndarray:
-    """exp(-i flip_angle (cos(axis) sigma_x + sin(axis) sigma_y) / 2)."""
-    c, s = math.cos(flip_angle / 2.0), -1j * math.sin(flip_angle / 2.0)
-    tilt = complex(math.cos(axis_phase), math.sin(axis_phase))
-    return np.array([[c, s * tilt.conjugate()], [s * tilt, c]])
+def rotation_matrix(flip_angle, axis_phase) -> np.ndarray:
+    """exp(-i flip_angle (cos(axis) sigma_x + sin(axis) sigma_y) / 2), elementwise."""
+    c, s = np.cos(flip_angle / 2.0), -1j * np.sin(flip_angle / 2.0)
+    tilt = np.cos(axis_phase) + 1j * np.sin(axis_phase)
+    return np.stack([np.stack([c, s * tilt.conj()], -1), np.stack([s * tilt, c], -1)], -2)
 
 
-def pulse_unitary(spin: str, flip_angle: float, axis_phase: float) -> np.ndarray:
-    """Kronecker product of the per-spin rotations, as a broadcast outer product."""
-    r = rotation_matrix(flip_angle, axis_phase)
+def _on_spin(spin: str, r: np.ndarray) -> np.ndarray:
+    """Kronecker forms (..., 4, 4) of rotations r on a spin, as outer products."""
     factors = {"A": (r, EYE2), "X": (EYE2, r), "both": (r, r)}.get(spin)
     if factors is None:
         raise ArgumentError(f"rf spin must be A, X or both, got {spin}")
     left, right = factors
-    return (left[:, None, :, None] * right[None, :, None, :]).reshape(4, 4)
+    kron = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return kron.reshape(r.shape[:-2] + (4, 4))
+
+
+def pulse_unitary(spin: str, flip_angle, axis_phase) -> np.ndarray:
+    """Kronecker product of the per-spin rotations, elementwise over the angles."""
+    return _on_spin(spin, rotation_matrix(flip_angle, axis_phase))
 
 
 def rf_pulse(
@@ -314,56 +321,105 @@ def initial_state(epsilon: float = 1.0) -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
-def _propagators(events: tuple, sys: SpinSystem) -> Iterator[Optional[np.ndarray]]:
+def _operators(group: Sequence[tuple], sys: SpinSystem) -> list[tuple]:
+    """(kind, operator) of each event over event lists of one skeleton: (T, 4, 4)
+    rf unitaries, (T, 4, 1) delay phases, None for a gradient."""
+    columns = list(zip(*group))
+    rf = [[(e.flip_angle, e.axis_phase) for e in c] for c in columns if c[0].kind == "rf"]
+    angles = np.array(rf, dtype=float).reshape(-1, len(group), 2)
+    rotations = iter(rotation_matrix(angles[..., 0], angles[..., 1]))
+    ops = []
+    for col in columns:
+        kind, op = col[0].kind, None
+        if kind == "rf":
+            op = _on_spin(col[0].spin, next(rotations))
+        elif kind == "delay":
+            op = _delay_phases(sys, [e.duration for e in col])[..., None]
+        ops.append((kind, op))
+    return ops
+
+
+def _propagators(ops: Sequence[tuple]) -> Iterator[Optional[np.ndarray]]:
     """Yield the net unitary of each gradient-free run, and None at each gradient."""
     u = np.eye(4, dtype=complex)
-    for event in events:
-        if event.kind == "rf":
-            u = pulse_unitary(event.spin, event.flip_angle, event.axis_phase) @ u
-        elif event.kind == "delay":
-            u = _delay_phases(sys, event.duration)[:, None] * u
-        else:
+    for kind, op in ops:
+        if kind == "gradient":
             yield u
             yield None
             u = np.eye(4, dtype=complex)
+        else:
+            u = op @ u if kind == "rf" else op * u
     yield u
+
+
+def _propagate(group: Sequence[PulseSequence], sys: SpinSystem, start: np.ndarray):
+    """Unvalidated states (T, 4, 4) after each cut of sequences of one skeleton."""
+    ops = _operators([seq.events for seq in group], sys)
+    mat = np.broadcast_to(start, (len(group), 4, 4))
+    states, done = {}, 0
+    for cut in sorted(set(group[0].checkpoints.values())):
+        for u in _propagators(ops[done:cut]) if cut > done else ():
+            mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
+        states[cut], done = mat, cut
+    return states
+
+
+def run_sequence_batch(
+    seqs: Sequence[PulseSequence], sys: SpinSystem, epsilon: float = 1.0
+) -> dict[str, np.ndarray]:
+    """Checkpoint label -> states (T, 4, 4), row t from seqs[t]. Sequences that
+    share a skeleton (event kinds and spins, cuts) propagate as one group, and
+    one check validates every checkpoint state."""
+    if len({frozenset(seq.checkpoints) for seq in seqs}) > 1:
+        raise ArgumentError("sequences run together must record the same checkpoints")
+    groups: dict[tuple, list[int]] = {}
+    for t, seq in enumerate(seqs):
+        # tuple() of a list, not of a generator: CPython sizes a generator's
+        # tuple by guess and resizes it, and the resized tuples pile up in
+        # its free lists (about 1 MB more peak RSS over a long run).
+        skeleton = tuple([(e.kind, e.spin) for e in seq.events])
+        groups.setdefault((skeleton, *seq.checkpoints.items()), []).append(t)
+    start, labels = initial_state(epsilon).mat, seqs[0].checkpoints if seqs else ()
+    out = {label: np.empty((len(seqs), 4, 4), complex) for label in labels}
+    for rows in groups.values():
+        states = _propagate([seqs[t] for t in rows], sys, start)
+        for label, cut in seqs[rows[0]].checkpoints.items():
+            out[label][rows] = states[cut]
+    if out:
+        check_densities(np.concatenate(list(out.values())))
+    return out
 
 
 def run_sequence(
     seq: PulseSequence, sys: SpinSystem, epsilon: float = 1.0
 ) -> dict[str, DensityMatrix]:
-    """Apply the sequence to the pseudo-pure start, recording checkpoint states:
-    one U rho U^dagger per gradient-free run, one validation per cut."""
-    rho = initial_state(epsilon)
-    recorded: dict[str, DensityMatrix] = {}
-    done = 0
-    for label, cut in sorted(seq.checkpoints.items(), key=lambda item: item[1]):
-        if cut > done:
-            mat = rho.mat
-            for u in _propagators(seq.events[done:cut], sys):
-                if u is None:
-                    mat = np.where(_COHERENCE_MASK, mat, 0.0)
-                else:
-                    mat = _conjugate(u, mat)
-            rho = DensityMatrix((2, 2), mat)
-            done = cut
-        recorded[label] = rho
-    return recorded
+    """Checkpoint states of one sequence, the T = 1 view of the grouped engine:
+    one validated DensityMatrix per distinct cut."""
+    states = _propagate([seq], sys, initial_state(epsilon).mat)
+    rhos = {cut: DensityMatrix((2, 2), mats[0]) for cut, mats in states.items()}
+    cuts = sorted(seq.checkpoints.items(), key=lambda item: item[1])
+    return {label: rhos[cut] for label, cut in cuts}
 
 
 def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Net unitary of a gradient-free sequence (for equivalence checks)."""
-    u, *rest = _propagators(seq.events, sys)
+    u, *rest = _propagators(_operators([seq.events], sys))
     if rest:
         raise ArgumentError("gradients have no unitary representation")
-    return u
+    return u.reshape(4, 4)
+
+
+def partial_tomography_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized {|00>, |01>} blocks of states (T, 4, 4), and their traces."""
+    block = mats[:, :2, :2]
+    norm = np.trace(block, axis1=1, axis2=2).real
+    if np.any(norm < 1e-12):
+        raise DegenerateInputError("the ancilla-|0> block has vanishing population")
+    return block / norm[:, None, None], norm
 
 
 def partial_tomography(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     """Extract the {|00>, |01>} block; its trace is the success probability."""
     _require_two_spin(rho)
-    block = rho.mat[:2, :2]
-    norm = float(np.trace(block).real)
-    if norm < 1e-12:
-        raise DegenerateInputError("the ancilla-|0> block has vanishing population")
-    return DensityMatrix((2,), block / norm), norm
+    blocks, norms = partial_tomography_batch(rho.mat[None])
+    return DensityMatrix((2,), blocks[0]), float(norms[0])

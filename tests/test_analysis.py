@@ -1,6 +1,7 @@
 """Sweeps, the experiment-table driver, and the verification harness."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from qsuperpose.reference import (
     kappa_weighted_sum,
     run_three_qubit,
 )
+
+GOLDEN_TABLE1 = Path(__file__).resolve().parents[1] / "bench" / "golden_table1.csv"
 
 # Gate-level success probabilities for all 11 datasets, frozen from the
 # ||a psi1 + b psi2||^2 / 2 oracle.
@@ -149,6 +152,25 @@ class TestReproduceTable1:
     def test_bad_mode(self):
         with pytest.raises(ArgumentError):
             reproduce_table1("experimental")
+
+    @pytest.mark.parametrize("mode,blank", [("both", None), ("gate", 9), ("pulse", 8)])
+    def test_csv_matches_golden(self, mode, blank):
+        # The benchmark's golden CSV; a mode without one pipeline leaves that
+        # fidelity column empty.
+        lines = GOLDEN_TABLE1.read_text(encoding="utf-8").splitlines(keepends=True)
+        expected = lines[:1]
+        for line in lines[1:]:
+            fields = line.split(",")
+            if blank is not None:
+                fields[blank] = ""
+            expected.append(",".join(fields))
+        assert table1_csv(reproduce_table1(mode)) == "".join(expected)
+
+    def test_batched_gate_rows_match_run_direct(self):
+        for row, ds in zip(reproduce_table1("gate"), TABLE1):
+            result = run_direct(ds.spec())
+            assert abs(row.success_prob - result.success_prob) <= 1e-12
+            assert abs(row.sim_fidelity_gate - result.fidelity_to_target) <= 1e-12
 
 
 ALL_CHECKS = {

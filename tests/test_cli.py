@@ -81,6 +81,26 @@ class TestRunDirect:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "argument"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--psi1", "3.1415927,0", "--psi1: theta must lie in [0, pi], got 3.1415927"),
+            ("--psi1", "x,0", "--psi1: could not convert string to float: 'x'"),
+            ("--psi2", "1", "--psi2: expects 'theta,phi[,gamma]', got '1'"),
+            ("--chi", "4,0", "--chi: theta must lie in [0, pi], got 4.0"),
+            ("--a", "1,2,3", "--a: expects 'RE[,IM]', got '1,2,3'"),
+            ("--b", "0.8,y", "--b: could not convert string to float: 'y'"),
+        ],
+    )
+    def test_flag_errors_name_the_rule(self, capsys, flag, value, message):
+        flags = {"--psi1": "0,0", "--psi2": "1,0", "--a": "0.6", "--b": "0.8"}
+        flags[flag] = value
+        argv = [arg for item in flags.items() for arg in item]
+        code, out, err = run_cli(capsys, "run-direct", *argv)
+        error = json.loads(err)["error"]
+        assert code == 2 and out == "" and error["type"] == "argument"
+        assert error["message"] == f"argument {message}"
+
     def test_zero_overlap_error(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -4,17 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qsuperpose import kernel
 from qsuperpose.datasets import dataset
 from qsuperpose.direct import (
     SuperpositionSpec,
     ancilla_hadamard,
     encode_two_qubit,
     measure_ancilla,
+    outcomes,
     phase_gate,
     run_direct,
+    run_direct_batch,
 )
-from qsuperpose.errors import ArgumentError, ZeroOverlapError
+from qsuperpose.errors import ArgumentError, DegenerateInputError, ZeroOverlapError
 from qsuperpose.linalg import (
     QubitParams,
     StateVector,
@@ -40,6 +45,49 @@ def random_spec(rng):
         float(rng.uniform(0.0, 2 * math.pi)),
     )
     return SuperpositionSpec(complex(w[0]), complex(w[1]), angles(), angles())
+
+
+# Polar angles keep every state more than 0.06 rad from orthogonal to chi.
+QUBITS = st.builds(
+    QubitParams,
+    st.floats(0.0, 2.7),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+SPECS = st.builds(
+    lambda delta, beta, psi1, psi2, chi: SuperpositionSpec(
+        math.cos(delta), math.sin(delta) * complex(math.cos(beta), math.sin(beta)),
+        psi1, psi2, replace(chi, theta=chi.theta / 8),
+    ),
+    st.floats(0.05, 1.5), st.floats(0.0, 2 * math.pi), QUBITS, QUBITS, QUBITS,
+)
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(SPECS, min_size=1, max_size=5))
+    def test_rows_match_run_direct(self, specs):
+        """Row t of the batched gate pipeline is run_direct on specs[t]."""
+        rows, targets = run_direct_batch(specs)
+        assume(np.all(np.linalg.norm(rows[:, 0], axis=1) > 1e-6))
+        assume(np.all(np.linalg.norm(targets, axis=1) > 1e-6))
+        final, goal, fid = outcomes(rows[:, 0], targets)
+        success = kernel.norm_sq(rows[:, 0])
+        for t, spec in enumerate(specs):
+            result = run_direct(spec)
+            assert np.max(np.abs(rows[t, 0] - result.branch_unnormalized.amps)) <= 1e-12
+            assert np.max(np.abs(final[t] - result.final_state.amps)) <= 1e-12
+            assert np.max(np.abs(goal[t] - result.target_state.amps)) <= 1e-12
+            assert abs(success[t] - result.success_prob) <= 1e-12
+            assert abs(fid[t] - result.fidelity_to_target) <= 1e-12
+
+    def test_vanished_branch_raises(self):
+        # a psi1 + b psi2 = 0: the post-selected branch of row 1 vanishes.
+        zero = QubitParams(0.0, 0.0)
+        specs = [dataset(1).spec(), SuperpositionSpec(INV_SQRT2, -INV_SQRT2, zero, zero)]
+        rows, targets = run_direct_batch(specs)
+        with pytest.raises(DegenerateInputError):
+            outcomes(rows[:, 0], targets)
 
 
 class TestEncode:

@@ -219,6 +219,18 @@ class TestRunEnhanced:
             run_enhanced(pair(1.0, 1.0, PSI1_D5, PSI2_D5, CHI0))
 
 
+class TestClosedFormP2:
+    def test_zero_chi_perp_overlap_names_chi_perp(self):
+        # psi1 = chi = |0>: its overlap with chi is 1, with chi_perp 0.
+        spec = pair(0.6, 0.8, CHI0, make_qubit(QubitParams(1.0, 0.0)), CHI0)
+        with pytest.raises(ZeroOverlapError) as exc:
+            closed_form_p2(spec)
+        assert str(exc.value).startswith(
+            "psi1 has a zero overlap with the reference chi_perp: "
+            "|<chi_perp|psi1>| = 0.000e+00"
+        )
+
+
 class TestSpecShape:
     @pytest.mark.parametrize("pipeline", [run_enhanced, closed_form_p2])
     def test_rejects_three_states(self, pipeline):

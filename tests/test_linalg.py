@@ -4,14 +4,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsuperpose.errors import ArgumentError, DegenerateInputError, ZeroOverlapError
+from qsuperpose.errors import (
+    ArgumentError,
+    DegenerateInputError,
+    ToolkitError,
+    ZeroOverlapError,
+)
 from qsuperpose.linalg import (
     DensityMatrix,
     OverlapInfo,
     QubitParams,
     StateVector,
     basis_state,
+    check_densities,
     fidelity,
     make_qubit,
     overlap_decompose,
@@ -263,6 +271,48 @@ class TestValidation:
             OverlapInfo(c=0.5, kappa=0.5)
         with pytest.raises(ArgumentError):
             OverlapInfo(c=-0.1, kappa=1.0)
+
+
+def spoil(mat, fault):
+    """A copy of a density matrix that breaks one rule of DensityMatrix."""
+    if fault == "hermitian":
+        return mat + np.diag(np.ones(len(mat) - 1), 1) * 1e-6
+    if fault == "negative":
+        vals, vecs = np.linalg.eigh(mat)
+        vals[0] = -1e-3
+        return (vecs * vals) @ vecs.conj().T
+    if fault == "trace":
+        return mat * 1.5
+    if fault == "zero":
+        return mat * 0.0
+    return np.where(np.eye(len(mat)) == 1, np.nan, mat)
+
+
+class TestBatchCheck:
+    def test_traces_match_scalar(self, rng):
+        mats = [random_density(rng, (3,)) for _ in range(4)]
+        traces = check_densities(np.stack([m.mat for m in mats]))
+        assert traces.tolist() == [m.trace for m in mats]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.sampled_from(["hermitian", "negative", "trace", "zero", "nan"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_bad_row_fails_as_its_scalar_build(self, t, d, fault, seed):
+        rng = np.random.default_rng(seed)
+        good = np.stack([random_density(rng, (d,)).mat for _ in range(t)])
+        for bad in range(t):
+            mats = good.copy()
+            mats[bad] = spoil(mats[bad], fault)
+            with pytest.raises(ToolkitError) as scalar:
+                DensityMatrix((d,), mats[bad])
+            with pytest.raises(ToolkitError) as batch:
+                check_densities(mats)
+            assert type(batch.value) is type(scalar.value)
+            assert str(batch.value) == str(scalar.value)
 
 
 class TestJsonRoundTrip:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsuperpose import nmr
 from qsuperpose.datasets import TABLE1, dataset
 from qsuperpose.direct import (
     SuperpositionSpec,
@@ -27,10 +28,12 @@ from qsuperpose.nmr import (
     hamiltonian,
     initial_state,
     partial_tomography,
+    partial_tomography_batch,
     pulse_unitary,
     rf_pulse,
     rotation_matrix,
     run_sequence,
+    run_sequence_batch,
     sequence_unitary,
 )
 
@@ -96,6 +99,41 @@ def sequences(draw, events=st.one_of(RF_EVENTS, DELAYS, GRADIENTS)):
     labels = [k for k in CHECKPOINT_LABELS if draw(st.booleans())]
     cuts = sorted(draw(st.integers(0, len(evs))) for _ in labels)
     return PulseSequence(tuple(evs), dict(zip(labels, cuts)))
+
+
+SKELETON_EVENTS = st.sampled_from(
+    [("rf", "A"), ("rf", "X"), ("rf", "both"), ("delay", None), ("gradient", None)]
+)
+
+
+def event_of(kind, spin):
+    if kind == "rf":
+        return st.builds(
+            PulseEvent,
+            kind=st.just("rf"),
+            spin=st.just(spin),
+            flip_angle=st.floats(1e-3, 2 * math.pi),
+            axis_phase=st.floats(0.0, 2 * math.pi),
+        )
+    return DELAYS if kind == "delay" else GRADIENTS
+
+
+@st.composite
+def skeleton_batches(draw):
+    """One to three skeletons (event kinds and spins, cuts), one to three
+    sequences of each with their own angles and delays, in shuffled order;
+    every sequence records the same checkpoint labels, and skeletons may share
+    their events and differ only in their cuts."""
+    labels = [k for k in CHECKPOINT_LABELS if draw(st.booleans())]
+    kinds = draw(st.lists(st.lists(SKELETON_EVENTS, max_size=10), min_size=1, max_size=2))
+    seqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        skeleton = draw(st.sampled_from(kinds))
+        cuts = dict(zip(labels, sorted(draw(st.integers(0, len(skeleton))) for _ in labels)))
+        for _ in range(draw(st.integers(1, 3))):
+            events = tuple(draw(event_of(*kind)) for kind in skeleton)
+            seqs.append(PulseSequence(events, cuts))
+    return draw(st.permutations(seqs))
 
 
 def assert_equal_up_to_phase(u, v, atol=1e-12):
@@ -324,6 +362,39 @@ class TestRunSequence:
             assert isinstance(rho, DensityMatrix) and rho.dims == (2, 2)
             assert np.max(np.abs(rho.mat - reference[label].mat)) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(skeleton_batches(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
+    def test_batch_rows_match_run_sequence(self, seqs, sys, epsilon):
+        batch = run_sequence_batch(seqs, sys, epsilon)
+        assert list(batch) == list(seqs[0].checkpoints)
+        for t, seq in enumerate(seqs):
+            for label, rho in run_sequence(seq, sys, epsilon).items():
+                assert np.max(np.abs(batch[label][t] - rho.mat)) <= 1e-12
+
+    @pytest.mark.parametrize("epsilon", [1.0, 0.3])
+    def test_table1_batch_matches_event_fold(self, epsilon):
+        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1]
+        skeletons = {tuple((e.kind, e.spin) for e in seq.events) for seq in seqs}
+        assert sorted(len(s) for s in skeletons) == [12, 18, 21]
+        batch = run_sequence_batch(seqs, SYS, epsilon)
+        for t, seq in enumerate(seqs):
+            for label, rho in fold(seq, SYS, epsilon).items():
+                assert np.max(np.abs(batch[label][t] - rho.mat)) <= 1e-12
+
+    def test_batch_needs_one_set_of_labels(self):
+        events = (PulseEvent("gradient"),)
+        seqs = [PulseSequence(events, {"i": 0}), PulseSequence(events, {"ii": 0})]
+        with pytest.raises(ArgumentError):
+            run_sequence_batch(seqs, SYS)
+
+    def test_batch_validates_its_states(self, monkeypatch):
+        # A defect in the propagation is caught by the one batched check.
+        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1[:3]]
+        phases = nmr._delay_phases
+        monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
+        with pytest.raises(ArgumentError, match="trace .* exceeds 1"):
+            run_sequence_batch(seqs, SYS)
+
     def test_repeated_cuts_share_one_state(self):
         seq = compile_sequence(dataset(4).spec(), SYS)
         cut = seq.checkpoints["ii"]
@@ -374,6 +445,20 @@ class TestPartialTomography:
         qubit, _ = partial_tomography(rho)
         target = pure_density(run_direct(spec).target_state)
         assert fidelity(qubit, target) >= 1.0 - 1e-9
+
+    def test_batch_rows_match_scalar(self):
+        states = [run_sequence(compile_sequence(ds.spec(), SYS), SYS)["iv"] for ds in TABLE1]
+        blocks, norms = partial_tomography_batch(np.stack([rho.mat for rho in states]))
+        for t, rho in enumerate(states):
+            qubit, norm = partial_tomography(rho)
+            np.testing.assert_array_equal(blocks[t], qubit.mat)
+            assert norms[t] == norm
+
+    def test_batch_rejects_one_empty_block(self):
+        mats = np.stack([ground().mat] * 3)
+        mats[1] = np.diag([0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(DegenerateInputError):
+            partial_tomography_batch(mats)
 
     def test_empty_block_rejected(self):
         mat = np.zeros((4, 4))
