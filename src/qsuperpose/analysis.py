@@ -43,16 +43,16 @@ class SweepGrid:
         object.__setattr__(
             self, "b_sq_values", tuple(float(v) for v in self.b_sq_values)
         )
-        if any(v <= 0.0 for v in self.r_c_values):
-            raise ArgumentError("all r_c values must be positive")
+        if not all(0.0 < v < math.inf for v in self.r_c_values):
+            raise ArgumentError("all r_c values must be positive and finite")
         if any(not 0.0 < v < 1.0 for v in self.b_sq_values):
             raise ArgumentError("all b^2 values must lie in (0, 1)")
 
 
 def success_ratio(r_c: float, b_sq: float) -> float:
     """r_p = (r_c + 1) / (2 (1 + b_sq (r_c - 1)))."""
-    if r_c <= 0.0:
-        raise ArgumentError(f"r_c must be positive, got {r_c}")
+    if not 0.0 < r_c < math.inf:
+        raise ArgumentError(f"r_c must be positive and finite, got {r_c}")
     if not 0.0 < b_sq < 1.0:
         raise ArgumentError(f"b_sq must lie in (0, 1), got {b_sq}")
     return (r_c + 1.0) / (2.0 * (1.0 + b_sq * (r_c - 1.0)))

@@ -51,6 +51,9 @@ def _parse_angles(text: str) -> QubitParams:
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ArgumentError(str(exc)) from exc
+    # Reduced mod 2 pi, inf would reach QubitParams as nan: reject it as typed.
+    if not all(map(math.isfinite, values)):
+        raise ArgumentError(f"angles must be finite, got {text!r}")
     gamma = values[2] if len(values) == 3 else 0.0
     return QubitParams(
         values[0], values[1] % (2.0 * math.pi), gamma % (2.0 * math.pi)
@@ -128,7 +131,7 @@ def _result_csv(result) -> str:
 
 
 def _emit_result(result, args) -> None:
-    if getattr(args, "csv", False):
+    if args.csv:
         sys.stdout.write(_result_csv(result))
     else:
         json.dump(result.to_json(), sys.stdout)
@@ -226,6 +229,9 @@ def _cmd_pulse(args) -> int:
 def _cmd_sweep_rp(args) -> int:
     if args.rc_steps < 1:
         raise ArgumentError("--rc-steps must be at least 1")
+    for flag, value in (("--rc-min", args.rc_min), ("--rc-max", args.rc_max)):
+        if not math.isfinite(value):
+            raise ArgumentError(f"{flag} must be finite, got {value!r}")
     if args.rc_steps == 1:
         r_c_values = [args.rc_min]
     else:
@@ -263,17 +269,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run-direct", help="gate-level two-qubit protocol")
     _add_state_flags(p)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_run_direct)
 
     p = sub.add_parser("run-reference", help="reference-projection protocols")
     p.add_argument("--mode", required=True, choices=("three-qubit", "reduced"))
     _add_state_flags(p)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_run_reference)
 
     p = sub.add_parser("qudit", help="hybrid qunit-qudit protocol")

@@ -45,12 +45,6 @@ def require_overlaps(mag: np.ndarray, ref: str = "chi") -> None:
         )
 
 
-def _json_dims(dims: object) -> tuple[int, ...]:
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ArgumentError(f"dims must be a list of integers, got {dims!r}")
-    return tuple(dims)
-
-
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if any(d < 1 for d in out):
@@ -101,7 +95,9 @@ class StateVector:
     @staticmethod
     def from_json(obj: dict) -> "StateVector":
         try:
-            dims = _json_dims(obj["dims"])
+            dims = obj["dims"]
+            if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+                raise ArgumentError(f"dims must be a list of integers, got {dims!r}")
             amps = np.array([complex(re, im) for re, im in obj["amps"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed state JSON: {exc}") from exc
@@ -164,17 +160,6 @@ class DensityMatrix:
                 [[float(v.real), float(v.imag)] for v in row] for row in self.mat
             ],
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "DensityMatrix":
-        try:
-            dims = _json_dims(obj["dims"])
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in obj["rows"]]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArgumentError(f"malformed density-matrix JSON: {exc}") from exc
-        return DensityMatrix(dims, mat)
 
 
 @dataclass(frozen=True)

@@ -162,11 +162,6 @@ def _energies(sys: SpinSystem) -> np.ndarray:
     return -sys.omega_a * _AZ - sys.omega_x * _XZ + sys.j_coupling * (_AZ * _XZ)
 
 
-def hamiltonian(sys: SpinSystem) -> np.ndarray:
-    """Diagonal two-spin Hamiltonian in the computational basis."""
-    return np.diag(_energies(sys)).astype(complex)
-
-
 def _delay_phases(sys: SpinSystem, t) -> np.ndarray:
     """Diagonal of exp(-i H t), the compiled form of a delay, elementwise: (..., 4)."""
     return np.exp(-1j * _energies(sys) * np.asarray(t)[..., None])

@@ -40,7 +40,7 @@ class ReferenceSpec:
     weights: tuple[complex, ...]
     states: tuple[StateVector, ...]
     chi: StateVector
-    # The spec as a validated T = 1 kernel batch: weights, states, chi.
+    # The spec as a validated, read-only T = 1 kernel batch: weights, states, chi.
     batch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,6 +55,8 @@ class ReferenceSpec:
         amps = np.array([[s.amps for s in self.states]])
         batch = (np.array([self.weights]), amps, self.chi.amps[None])
         kernel.validate(*batch)
+        for arr in batch:
+            arr.flags.writeable = False
         object.__setattr__(self, "batch", batch)
 
 

@@ -78,7 +78,10 @@ class TestSuccessRatio:
                 success_ratio(1.0 / r_c, 1.0 - b_sq), rel=1e-12
             )
 
-    @pytest.mark.parametrize("r_c,b_sq", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "r_c,b_sq",
+        [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0), (math.inf, 0.5), (math.nan, 0.5)],
+    )
     def test_domain(self, r_c, b_sq):
         with pytest.raises(ArgumentError):
             success_ratio(r_c, b_sq)
@@ -113,6 +116,9 @@ class TestSweep:
             SweepGrid((0.0,), (0.5,))
         with pytest.raises(ArgumentError):
             SweepGrid((1.0,), (1.0,))
+        for r_c in (math.inf, math.nan):
+            with pytest.raises(ArgumentError, match="finite"):
+                SweepGrid((1.0, r_c), (0.5,))
 
     def test_csv_deterministic(self):
         grid = SweepGrid(tuple(np.linspace(0.1, 4.0, 7)), (0.1, 0.2, 0.8))

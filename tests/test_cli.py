@@ -90,6 +90,13 @@ class TestRunDirect:
             ("--chi", "4,0", "--chi: theta must lie in [0, pi], got 4.0"),
             ("--a", "1,2,3", "--a: expects 'RE[,IM]', got '1,2,3'"),
             ("--b", "0.8,y", "--b: could not convert string to float: 'y'"),
+            # phi and gamma are reduced mod 2 pi, which would turn inf into nan.
+            ("--psi1", "inf,0", "--psi1: angles must be finite, got 'inf,0'"),
+            ("--psi2", "0,inf", "--psi2: angles must be finite, got '0,inf'"),
+            ("--chi", "0,0,inf", "--chi: angles must be finite, got '0,0,inf'"),
+            ("--psi1", "nan,0", "--psi1: angles must be finite, got 'nan,0'"),
+            ("--psi2", "0,nan", "--psi2: angles must be finite, got '0,nan'"),
+            ("--chi", "0,0,nan", "--chi: angles must be finite, got '0,0,nan'"),
         ],
     )
     def test_flag_errors_name_the_rule(self, capsys, flag, value, message):
@@ -437,6 +444,23 @@ class TestSweepRp:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
+
+    @pytest.mark.parametrize(
+        "rc_min,rc_max,flag,typed",
+        [("nan", "10", "--rc-min", "nan"), ("1", "inf", "--rc-max", "inf")],
+    )
+    def test_non_finite_bound(self, capsys, tmp_path, rc_min, rc_max, flag, typed):
+        # The grid starts at rc_min + 0 * step: an infinite bound would make it nan.
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep-rp", "--rc-min", rc_min, "--rc-max", rc_max,
+            "--rc-steps", "3", "--bsq", "0.5", "--out", str(out_path),
+        )
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert error["message"] == f"{flag} must be finite, got {typed}"
+        assert not out_path.exists()
 
 
 class TestTable1:

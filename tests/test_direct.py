@@ -1,4 +1,8 @@
-"""Gate-level two-qubit protocol: encoding, phase gate, Hadamard, post-selection."""
+"""Gate-level two-qubit protocol: encoding, phase gate, Hadamard, post-selection.
+
+The stages after encoding are the kernel's (``kernel.phase_gate``,
+``kernel.fourier_rows``, ``kernel.norm_sq``), applied to the encoded register
+as a (1, 2, 2) block whose row j is the ancilla-|j> branch."""
 import math
 from dataclasses import replace
 
@@ -11,11 +15,8 @@ from qsuperpose import kernel
 from qsuperpose.datasets import dataset
 from qsuperpose.direct import (
     SuperpositionSpec,
-    ancilla_hadamard,
     encode_two_qubit,
-    measure_ancilla,
     outcomes,
-    phase_gate,
     run_direct,
     run_direct_batch,
 )
@@ -34,6 +35,15 @@ def success_oracle(a, b, psi1, psi2):
     """Brute-force ||a psi1 + b psi2||^2 / 2 from raw amplitudes."""
     v = a * psi1 + b * psi2
     return float(np.vdot(v, v).real) / 2.0
+
+
+def register(spec):
+    """The encoded register of a spec as a kernel block (1, 2, 2)."""
+    return encode_two_qubit(spec).amps.reshape(1, 2, 2)
+
+
+def phase_gate(block, gamma1, gamma2):
+    return kernel.phase_gate(block, np.array([[gamma1, gamma2]]))
 
 
 def random_spec(rng):
@@ -114,61 +124,60 @@ class TestEncode:
 
 class TestPhaseGate:
     def test_zero_angles_is_identity(self):
-        state = encode_two_qubit(dataset(1).spec())
+        state = register(dataset(1).spec())
         out = phase_gate(state, 0.0, 0.0)
-        np.testing.assert_array_equal(out.amps, state.amps)
+        np.testing.assert_array_equal(out, state)
 
     def test_dataset9_matches_dataset5(self):
-        nine = phase_gate(encode_two_qubit(dataset(9).spec()), 0.0, 2 * math.pi / 3)
+        nine = phase_gate(register(dataset(9).spec()), 0.0, 2 * math.pi / 3)
         five = encode_two_qubit(dataset(5).spec())
-        assert phase_equivalent(nine, five, 1e-12)
+        assert phase_equivalent(StateVector((2, 2), nine.reshape(-1)), five, 1e-12)
 
     def test_branches_share_one_offset(self, rng):
         for _ in range(25):
             spec = random_spec(rng)
             corrected = phase_gate(
-                encode_two_qubit(spec), spec.psi1.gamma, spec.psi2.gamma
-            )
+                register(spec), spec.psi1.gamma, spec.psi2.gamma
+            ).reshape(-1)
             bare = (
                 spec.weight_a
                 * np.kron([1, 0], make_qubit(replace(spec.psi1, gamma=0.0)).amps)
                 + spec.weight_b
                 * np.kron([0, 1], make_qubit(replace(spec.psi2, gamma=0.0)).amps)
             )
-            ratios = corrected.amps[np.abs(bare) > 1e-9] / bare[np.abs(bare) > 1e-9]
+            ratios = corrected[np.abs(bare) > 1e-9] / bare[np.abs(bare) > 1e-9]
             np.testing.assert_allclose(ratios, ratios[0], atol=1e-12)
             np.testing.assert_allclose(np.abs(ratios), 1.0, atol=1e-12)
 
 
 class TestAncillaHadamard:
     def test_on_ground_state(self):
-        state = StateVector((2, 2), [1, 0, 0, 0], normalized=True)
+        state = np.array([[[1, 0], [0, 0]]], dtype=complex)
         np.testing.assert_allclose(
-            ancilla_hadamard(state).amps, [INV_SQRT2, 0, INV_SQRT2, 0], atol=1e-15
+            kernel.fourier_rows(state).reshape(-1), [INV_SQRT2, 0, INV_SQRT2, 0],
+            atol=1e-15,
         )
 
     def test_involution(self, rng):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = StateVector((2, 2), amps / np.linalg.norm(amps), normalized=True)
-        twice = ancilla_hadamard(ancilla_hadamard(state))
-        np.testing.assert_allclose(twice.amps, state.amps, atol=1e-15)
+        state = (amps / np.linalg.norm(amps)).reshape(1, 2, 2)
+        twice = kernel.fourier_rows(kernel.fourier_rows(state))
+        np.testing.assert_allclose(twice, state, atol=1e-15)
 
     def test_dataset1_sum_block(self):
         spec = dataset(1).spec()
-        out = ancilla_hadamard(encode_two_qubit(spec))
+        out = kernel.fourier_rows(register(spec))[0]
         expected = (
             make_qubit(spec.psi1).amps + make_qubit(spec.psi2).amps
         ) / 2.0  # a = b = 1/sqrt(2) folded into the Hadamard's 1/sqrt(2)
-        np.testing.assert_allclose(out.amps[:2], expected, atol=1e-15)
+        np.testing.assert_allclose(out[0], expected, atol=1e-15)
 
 
 class TestMeasureAncilla:
     def test_identical_inputs(self):
         psi = QubitParams(1.1, 0.4)
         spec = SuperpositionSpec(INV_SQRT2, INV_SQRT2, psi, psi)
-        state = ancilla_hadamard(encode_two_qubit(spec))
-        _, p0 = measure_ancilla(state, 0)
-        _, p1 = measure_ancilla(state, 1)
+        p0, p1 = kernel.norm_sq(kernel.fourier_rows(register(spec))[0])
         assert p0 == pytest.approx(1.0, abs=1e-12)
         assert p1 == pytest.approx(0.0, abs=1e-12)
 
@@ -179,26 +188,21 @@ class TestMeasureAncilla:
             QubitParams(math.pi / 2, 0.0),
             QubitParams(math.pi / 2, math.pi),
         )
-        state = ancilla_hadamard(encode_two_qubit(spec))
-        assert measure_ancilla(state, 0)[1] == pytest.approx(0.5, abs=1e-12)
-        assert measure_ancilla(state, 1)[1] == pytest.approx(0.5, abs=1e-12)
+        p0, p1 = kernel.norm_sq(kernel.fourier_rows(register(spec))[0])
+        assert p0 == pytest.approx(0.5, abs=1e-12)
+        assert p1 == pytest.approx(0.5, abs=1e-12)
 
     def test_dataset3_success(self):
         # Oracle: ||(psi1 + psi2)/sqrt(2)||^2 / 2 = (1 + 1/sqrt(2))/2
         spec = dataset(3).spec()
-        state = ancilla_hadamard(encode_two_qubit(spec))
+        rows = kernel.fourier_rows(register(spec))[0]
         expected = success_oracle(
             *dataset(3).weights(),
             make_qubit(spec.psi1).amps,
             make_qubit(spec.psi2).amps,
         )
         assert expected == pytest.approx(0.8535533905932738, abs=1e-12)
-        assert measure_ancilla(state, 0)[1] == pytest.approx(expected, abs=1e-12)
-
-    def test_bad_outcome(self):
-        state = StateVector((2, 2), [1, 0, 0, 0], normalized=True)
-        with pytest.raises(ArgumentError):
-            measure_ancilla(state, 2)
+        assert kernel.norm_sq(rows[0]) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRunDirect:
@@ -269,12 +273,10 @@ class TestInvariants:
     def test_probability_conservation(self, rng):
         for _ in range(50):
             spec = random_spec(rng)
-            state = ancilla_hadamard(
-                phase_gate(
-                    encode_two_qubit(spec), spec.psi1.gamma, spec.psi2.gamma
-                )
+            rows = kernel.fourier_rows(
+                phase_gate(register(spec), spec.psi1.gamma, spec.psi2.gamma)
             )
-            total = measure_ancilla(state, 0)[1] + measure_ancilla(state, 1)[1]
+            total = np.sum(kernel.norm_sq(rows[0]))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_success_identity_brute_force(self, rng):
@@ -312,6 +314,13 @@ class TestSpecValidation:
             SuperpositionSpec(
                 INV_SQRT2, INV_SQRT2, QubitParams(math.pi, 0.0), QubitParams(0, 0)
             )
+
+    def test_batch_is_read_only(self):
+        # The batch was validated at construction; it must stay as validated.
+        spec = dataset(9).spec()
+        for arr in spec.batch:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestConcurrency:

@@ -322,11 +322,6 @@ class TestJsonRoundTrip:
         assert back.dims == sv.dims
         np.testing.assert_array_equal(back.amps, sv.amps)
 
-    def test_density(self, rng):
-        rho = random_density(rng, (2, 2))
-        back = DensityMatrix.from_json(rho.to_json())
-        np.testing.assert_array_equal(back.mat, rho.mat)
-
     def test_malformed(self):
         with pytest.raises(ArgumentError):
             StateVector.from_json({"dims": [2]})
@@ -338,13 +333,8 @@ class TestJsonRoundTrip:
     )
     def test_dims_must_be_a_list_of_integers(self, dims):
         state = {"dims": dims, "amps": [[1.0, 0.0], [0.0, 0.0]]}
-        rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-        for load, obj in (
-            (StateVector.from_json, state),
-            (DensityMatrix.from_json, {"dims": dims, "rows": rows}),
-        ):
-            with pytest.raises(ArgumentError, match=re.escape(repr(dims))):
-                load(obj)
+        with pytest.raises(ArgumentError, match=re.escape(repr(dims))):
+            StateVector.from_json(state)
 
 
 class TestNormalize:

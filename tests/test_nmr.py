@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsuperpose import nmr
+from qsuperpose import kernel, nmr
 from qsuperpose.datasets import TABLE1, dataset
-from qsuperpose.direct import (
-    SuperpositionSpec,
-    ancilla_hadamard,
-    encode_two_qubit,
-    phase_gate,
-    run_direct,
-)
+from qsuperpose.direct import SuperpositionSpec, encode_two_qubit, run_direct
 from qsuperpose.errors import ArgumentError, DegenerateInputError
-from qsuperpose.linalg import DensityMatrix, QubitParams, fidelity, pure_density
+from qsuperpose.linalg import DensityMatrix, QubitParams, StateVector, fidelity, pure_density
 from qsuperpose.nmr import (
     CHECKPOINT_LABELS,
     PulseEvent,
@@ -25,7 +19,6 @@ from qsuperpose.nmr import (
     compile_sequence,
     evolve_free,
     gradient_crush,
-    hamiltonian,
     initial_state,
     partial_tomography,
     partial_tomography_batch,
@@ -71,8 +64,13 @@ def fold(seq, sys, epsilon):
     return states
 
 
+def hamiltonian(sys):
+    """The diagonal two-spin Hamiltonian, from the engine's one energy formula."""
+    return np.diag(nmr._energies(sys))
+
+
 def delay_unitary(sys, t):
-    return np.diag(np.exp(-1j * np.diag(hamiltonian(sys)).real * t))
+    return np.diag(np.exp(-1j * nmr._energies(sys) * t))
 
 
 RF_EVENTS = st.builds(
@@ -309,9 +307,7 @@ class TestRunSequence:
     def test_checkpoint_iv_matches_preselection_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
         rho = run_sequence(compile_sequence(spec, SYS), SYS)["iv"]
-        gate = ancilla_hadamard(
-            phase_gate(encode_two_qubit(spec), spec.psi1.gamma, spec.psi2.gamma)
-        )
+        gate = StateVector((2, 2), kernel.direct(*spec.batch[:3]).reshape(-1))
         assert fidelity(rho, pure_density(gate)) >= 1.0 - 1e-9
 
     def test_no_pulses_keeps_ground_state(self):
@@ -488,7 +484,7 @@ class TestPulseIdentities:
     def test_delay_is_conditional_z(self):
         # 1/(2J) of free evolution = |0><0| R_z(pi/2) + |1><1| R_z(-pi/2).
         tau = 1.0 / (2.0 * SYS.j_hz)
-        u = np.diag(np.exp(-1j * np.diag(hamiltonian(SYS)).real * tau))
+        u = delay_unitary(SYS, tau)
         cond = np.zeros((4, 4), dtype=complex)
         cond[:2, :2] = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
         cond[2:, 2:] = np.diag([np.exp(1j * math.pi / 4), np.exp(-1j * math.pi / 4)])

@@ -347,6 +347,15 @@ class TestSpecValidation:
                 chi=CHI0,
             )
 
+    def test_batch_is_read_only(self):
+        # The batch was validated at construction; it must stay as validated.
+        spec = ReferenceSpec(
+            n=2, d=2, weights=(INV_SQRT2, INV_SQRT2), states=(PSI1_D5, PSI2_D5), chi=CHI0
+        )
+        for arr in spec.batch:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
     def test_dimension_cap(self):
         uniform = StateVector((4,), np.ones(4) / 2.0, normalized=True)
         with pytest.raises(ArgumentError):
