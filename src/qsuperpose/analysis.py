@@ -55,7 +55,8 @@ def success_ratio(r_c: float, b_sq: float) -> float:
         raise ArgumentError(f"r_c must be positive and finite, got {r_c}")
     if not 0.0 < b_sq < 1.0:
         raise ArgumentError(f"b_sq must lie in (0, 1), got {b_sq}")
-    return (r_c + 1.0) / (2.0 * (1.0 + b_sq * (r_c - 1.0)))
+    # Halve the numerator (exact) rather than double the denominator (may overflow).
+    return (r_c + 1.0) / 2.0 / (1.0 + b_sq * (r_c - 1.0))
 
 
 @dataclass(frozen=True)

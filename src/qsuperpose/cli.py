@@ -90,10 +90,6 @@ def _load_json(path: str) -> object:
         raise ArgumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _spec_from_args(args) -> SuperpositionSpec:
-    return SuperpositionSpec(args.a, args.b, args.psi1, args.psi2, args.chi)
-
-
 def _reference_spec_from_args(args) -> reference.ReferenceSpec:
     states = (make_qubit(args.psi1), make_qubit(args.psi2))
     return reference.ReferenceSpec(
@@ -101,22 +97,22 @@ def _reference_spec_from_args(args) -> reference.ReferenceSpec:
     )
 
 
-def _add_state_flags(parser: _Parser) -> None:
+def _add_state_flags(parser: _Parser, chi: bool = True) -> None:
     for flag, what in (("--psi1", "first"), ("--psi2", "second")):
         parser.add_argument(flag, required=True, type=_parse_angles,
                             help=f"{what} input state as theta,phi[,gamma]")
     for flag in ("--a", "--b"):
         parser.add_argument(flag, required=True, type=_parse_weight,
                             help=f"weight {flag[2:]} as RE[,IM]")
-    parser.add_argument(
-        "--chi",
-        type=_parse_angles,
-        default=QubitParams(0.0, 0.0, 0.0),
-        help="referential state as theta,phi (default |0>)",
-    )
+    if chi:
+        parser.add_argument("--chi", type=_parse_angles, default=QubitParams(0.0, 0.0),
+                            help="referential state as theta,phi (default |0>)")
 
 
-def _result_csv(result) -> str:
+def _result_output(result, args) -> str | dict:
+    """A protocol result as CSV text with --csv, else as its JSON object."""
+    if not args.csv:
+        return result.to_json()
     amps = result.final_state.amps
     header = ["success_prob", "norm_sq", "fidelity"]
     values = [
@@ -130,30 +126,22 @@ def _result_csv(result) -> str:
     return ",".join(header) + "\n" + ",".join(values) + "\n"
 
 
-def _emit_result(result, args) -> None:
-    if args.csv:
-        sys.stdout.write(_result_csv(result))
-    else:
-        json.dump(result.to_json(), sys.stdout)
-        sys.stdout.write("\n")
+# Each command returns (output, exit code); main writes the output.
+def _cmd_run_direct(args):
+    spec = SuperpositionSpec(args.a, args.b, args.psi1, args.psi2)
+    return _result_output(run_direct(spec), args), 0
 
 
-def _cmd_run_direct(args) -> int:
-    _emit_result(run_direct(_spec_from_args(args)), args)
-    return 0
-
-
-def _cmd_run_reference(args) -> int:
+def _cmd_run_reference(args):
     spec = _reference_spec_from_args(args)
     if args.mode == "three-qubit":
         result = reference.run_three_qubit(spec)
     else:
         result = reference.run_two_qubit_reduced(spec)
-    _emit_result(result, args)
-    return 0
+    return _result_output(result, args), 0
 
 
-def _cmd_qudit(args) -> int:
+def _cmd_qudit(args):
     raw = _load_json(args.states)
     if not isinstance(raw, list):
         raise ArgumentError(f"{args.states} must hold a JSON array of states")
@@ -169,13 +157,10 @@ def _cmd_qudit(args) -> int:
     spec = reference.ReferenceSpec(
         n=args.n, d=args.d, weights=weights, states=states, chi=chi
     )
-    result = hybrid.run_hybrid(spec)
-    json.dump(result.to_json(), sys.stdout)
-    sys.stdout.write("\n")
-    return 0
+    return hybrid.run_hybrid(spec).to_json(), 0
 
 
-def _cmd_enhanced(args) -> int:
+def _cmd_enhanced(args):
     spec = _reference_spec_from_args(args)
     result = enhanced.run_enhanced(spec)
     payload = result.to_json()
@@ -186,12 +171,10 @@ def _cmd_enhanced(args) -> int:
             "p1_closed_form": reference.closed_form_p3(spec),
             "p2_closed_form": enhanced.closed_form_p2(spec),
         }
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-    return 0
+    return payload, 0
 
 
-def _cmd_pulse(args) -> int:
+def _cmd_pulse(args):
     try:
         sys_params = nmr.SpinSystem(j_coupling=2.0 * math.pi * args.j)
     except ArgumentError as exc:
@@ -205,9 +188,7 @@ def _cmd_pulse(args) -> int:
         seq = nmr.compile_sequence(dataset(args.dataset).spec(), sys_params)
     checkpoints = nmr.run_sequence(seq, sys_params, epsilon=args.epsilon)
     if args.checkpoint not in checkpoints:
-        raise ArgumentError(
-            f"the sequence has no checkpoint {args.checkpoint!r}"
-        )
+        raise ArgumentError(f"the sequence has no checkpoint {args.checkpoint!r}")
     rho = checkpoints[args.checkpoint]
     payload = {
         "dataset": args.dataset,
@@ -221,12 +202,10 @@ def _cmd_pulse(args) -> int:
         qubit_state, norm = nmr.partial_tomography(rho)
         payload["qubit_state"] = qubit_state.to_json()
         payload["normalization"] = norm
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-    return 0
+    return payload, 0
 
 
-def _cmd_sweep_rp(args) -> int:
+def _cmd_sweep_rp(args):
     if args.rc_steps < 1:
         raise ArgumentError("--rc-steps must be at least 1")
     for flag, value in (("--rc-min", args.rc_min), ("--rc-max", args.rc_max)):
@@ -242,25 +221,16 @@ def _cmd_sweep_rp(args) -> int:
     except ValueError as exc:
         raise ArgumentError(f"--bsq: {exc}") from exc
     grid = analysis.SweepGrid(tuple(r_c_values), tuple(b_sq_values))
-    text = analysis.sweep_csv(analysis.sweep_rp(grid))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return 0
+    return analysis.sweep_csv(analysis.sweep_rp(grid)), 0
 
 
-def _cmd_table1(args) -> int:
-    rows = analysis.reproduce_table1(args.mode)
-    text = analysis.table1_csv(rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return 0
+def _cmd_table1(args):
+    return analysis.table1_csv(analysis.reproduce_table1(args.mode)), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     report = analysis.verify_probability_formulas(args.trials, args.seed)
-    json.dump(report.to_json(), sys.stdout)
-    sys.stdout.write("\n")
-    return 0 if report.ok else 1
+    return report.to_json(), 0 if report.ok else 1
 
 
 def build_parser() -> _Parser:
@@ -268,7 +238,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-direct", help="gate-level two-qubit protocol")
-    _add_state_flags(p)
+    _add_state_flags(p, chi=False)
     p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_run_direct)
 
@@ -331,7 +301,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        output, code = args.func(args)
+        if isinstance(output, dict):
+            output = json.dumps(output) + "\n"
+        if getattr(args, "out", None) is None:
+            sys.stdout.write(output)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
         sys.stdout.flush()
         return code
     except _CliArgumentError as exc:

@@ -26,30 +26,32 @@ from .linalg import (
 )
 
 
+# The basis the declared phases refer to: each input must overlap it.
+_KET0 = np.array([[1.0 + 0j, 0.0]])
+
+
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """A full problem instance: weights, inputs with assumed phases, reference."""
+    """One problem: weights, and inputs with phases declared relative to |0>."""
 
     weight_a: complex
     weight_b: complex
     psi1: QubitParams
     psi2: QubitParams
-    chi: QubitParams = QubitParams(0.0, 0.0, 0.0)
     # The spec as a validated, read-only T = 1 kernel batch: weights, states,
-    # declared phases, the states with those phases stripped, chi.
+    # declared phases, the states with those phases stripped.
     batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        qubits = (self.psi1, self.psi2, self.chi)
-        angles = [(q.theta, q.phi, q.gamma) for q in qubits]
-        angles = np.array(angles + [(q.theta, q.phi, 0.0) for q in qubits[:2]])
+        pair = (self.psi1, self.psi2)
+        angles = [(q.theta, q.phi, q.gamma) for q in pair]
+        angles = np.array(angles + [(q.theta, q.phi, 0.0) for q in pair])
         weights = np.array([[self.weight_a, self.weight_b]], dtype=complex)
-        # psi1, psi2, chi, then psi1 and psi2 with their phases stripped.
+        # psi1, psi2, then psi1 and psi2 with their phases stripped.
         states = bloch(*angles.T)[None]
-        pair, chi = states[:, :2], states[:, 2]
-        # Raises ZeroOverlapError when a prior overlap with chi vanishes.
-        kernel.validate(weights, pair, chi)
-        batch = (weights, pair, angles[None, :2, 2], states[:, 3:], chi)
+        # Raises ZeroOverlapError when an input is orthogonal to |0>.
+        kernel.validate(weights, states[:, :2], _KET0)
+        batch = (weights, states[:, :2], angles[None, :2, 2], states[:, 2:])
         for arr in batch:
             arr.flags.writeable = False
         object.__setattr__(self, "batch", batch)
@@ -119,7 +121,7 @@ def run_direct_batch(specs: Sequence[SuperpositionSpec]) -> tuple[np.ndarray, np
     """Many specs as one kernel batch: the outcome rows (T, 2, 2) of encode,
     phase correction and Hadamard, and the targets a psi1 + b psi2 (T, 2)."""
     # Each spec validated its (read-only) rows when it was built.
-    parts = zip(*[spec.batch[:4] for spec in specs])
+    parts = zip(*[spec.batch for spec in specs])
     weights, states, gammas, stripped = [np.concatenate(p) for p in parts]
     return kernel.direct(weights, states, gammas), kernel.weighted_sum(weights, stripped)
 

@@ -70,13 +70,9 @@ class EnhancedResult:
     harvest_purity: float
 
     def __post_init__(self):
-        if self.p1 < -ATOL or self.p2 < -ATOL:
-            raise ArgumentError("probabilities must be nonnegative")
+        # p1 and p2 are squared norms, and p_total is p1 + p2 or p1 by construction.
         if self.p_total > 1.0 + ATOL:
             raise ArgumentError("total probability exceeds 1")
-        expected = self.p1 + self.p2 if self.coherent else self.p1
-        if abs(self.p_total - expected) > ATOL:
-            raise ArgumentError("p_total inconsistent with the coherent flag")
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,6 +50,14 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     if any(d < 1 for d in out):
         raise ArgumentError(f"subsystem dimensions must be positive, got {out}")
     return out
+
+
+def require_number(value, what: str):
+    """value, if it is an int or a float; a bool (JSON true/false), a str or None
+    is an ArgumentError naming what and the value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ArgumentError(f"{what} must be a number, got {value!r}")
+    return value
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
@@ -98,7 +106,8 @@ class StateVector:
             dims = obj["dims"]
             if not isinstance(dims, list) or not all(type(d) is int for d in dims):
                 raise ArgumentError(f"dims must be a list of integers, got {dims!r}")
-            amps = np.array([complex(re, im) for re, im in obj["amps"]])
+            pairs = [[require_number(v, "an amps entry") for v in p] for p in obj["amps"]]
+            amps = np.array([complex(re, im) for re, im in pairs])
         except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed state JSON: {exc}") from exc
         normed = abs(float(np.vdot(amps, amps).real) - 1.0) <= ATOL
@@ -179,18 +188,11 @@ class QubitParams:
             raise ArgumentError(f"gamma must lie in [0, 2pi), got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class OverlapInfo:
+class OverlapInfo(NamedTuple):
     """Squared overlap magnitude and unit-modulus phase factor of <chi|psi>."""
 
     c: float
     kappa: complex
-
-    def __post_init__(self):
-        if self.c <= 0.0:
-            raise ArgumentError("overlap magnitude c must be positive")
-        if abs(abs(self.kappa) - 1.0) > ATOL:
-            raise ArgumentError("kappa must have unit modulus")
 
 
 def bloch(theta, phi, gamma) -> np.ndarray:

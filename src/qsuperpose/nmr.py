@@ -1,10 +1,11 @@
 """Pulse-level simulation of the two-spin superposition sequence.
 
-Two J-coupled spins (ancilla A, system X) evolve under
+Two J-coupled spins (ancilla A, system X) evolve on resonance, as in the
+experiment, under
 
-    H = -Omega_A A_z x I - Omega_X I x X_z + J A_z x X_z
+    H = J A_z x X_z
 
-with everything in angular units (hbar = 1). Pulses are hard
+with J in angular units (hbar = 1). Pulses are hard
 (instantaneous, J off while they run) rotations
 R_n(theta) = exp(-i theta n.sigma / 2) about an axis in the xy plane;
 ``axis_phase`` is measured from +x. z-rotations are compiled as x-y-x
@@ -15,8 +16,7 @@ superposition) followed by the readout gradient, with checkpoints
 The compiled encoding uses the half-angle / 1/(2J) delay / conjugate-axis
 half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
-phase. On-resonance operation (Omega_A = Omega_X = 0) is assumed by the
-compiler, matching the experiment.
+phase.
 
 ``run_sequence_batch`` propagates sequences that share a skeleton (event
 kinds and spins, checkpoint cuts) as one group: each event compiles once over
@@ -36,7 +36,7 @@ import numpy as np
 
 from .direct import SuperpositionSpec
 from .errors import ArgumentError, DegenerateInputError
-from .linalg import DensityMatrix, check_densities
+from .linalg import DensityMatrix, check_densities, require_number
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -51,29 +51,21 @@ _XZ = np.array([0.5, -0.5, 0.5, -0.5])
 # The gradient keeps the elements of zero total coherence order.
 _COHERENCE_MASK = np.equal.outer(_AZ + _XZ, _AZ + _XZ)
 
-# The SpinSystem fields and the terms of H they set.
-_SPIN_FIELDS = {
-    "omega_a": "offset Omega_A",
-    "omega_x": "offset Omega_X",
-    "j_coupling": "scalar coupling J",
-}
 # The fields each event kind carries, in Python and in JSON.
 _EVENT_FIELDS = {"rf": ("spin", "flip_angle", "axis_phase"), "delay": ("duration",)}
 
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Two-spin parameters, angular frequencies in rad/s."""
+    """The scalar coupling J of the two spins, in rad/s."""
 
-    omega_a: float = 0.0
-    omega_x: float = 0.0
     j_coupling: float = 2.0 * math.pi * 215.0
 
     def __post_init__(self):
-        for name, what in _SPIN_FIELDS.items():
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ArgumentError(f"the {what} ({name}) must be finite, got {value}")
+        if not math.isfinite(self.j_coupling):
+            raise ArgumentError(
+                f"the scalar coupling J (j_coupling) must be finite, got {self.j_coupling}"
+            )
         if self.j_coupling == 0.0:
             raise ArgumentError("the scalar coupling J must be nonzero")
 
@@ -114,6 +106,10 @@ class PulseEvent:
     def from_json(obj: dict) -> "PulseEvent":
         try:
             fields = _EVENT_FIELDS.get(obj["kind"], ())
+            # true/false would pass the range checks as 1/0, a str fail them obscurely.
+            for key in fields:
+                if key != "spin" and obj.get(key) is not None:
+                    require_number(obj[key], key)
             return PulseEvent(obj["kind"], **{key: obj.get(key) for key in fields})
         except (KeyError, TypeError) as exc:
             raise ArgumentError(f"malformed pulse event JSON: {exc}") from exc
@@ -159,7 +155,7 @@ class PulseSequence:
 
 def _energies(sys: SpinSystem) -> np.ndarray:
     """Diagonal of H over |00>, |01>, |10>, |11> (A_z, X_z = +-1/2)."""
-    return -sys.omega_a * _AZ - sys.omega_x * _XZ + sys.j_coupling * (_AZ * _XZ)
+    return sys.j_coupling * (_AZ * _XZ)
 
 
 def _delay_phases(sys: SpinSystem, t) -> np.ndarray:

@@ -78,6 +78,15 @@ class TestSuccessRatio:
                 success_ratio(1.0 / r_c, 1.0 - b_sq), rel=1e-12
             )
 
+    def test_no_overflow_near_float_maximum(self, rng):
+        # r_p tends to 1 / (2 b_sq) as r_c grows.
+        assert success_ratio(1.7e308, 0.9) == pytest.approx(5.0 / 9.0, rel=1e-12)
+        # Below the overflow the old form, which doubled the denominator, agrees
+        # bit for bit.
+        for r_c, b_sq in zip(rng.uniform(0.01, 1e3, 200), rng.uniform(0.01, 0.99, 200)):
+            old = (r_c + 1.0) / (2.0 * (1.0 + b_sq * (r_c - 1.0)))
+            assert success_ratio(float(r_c), float(b_sq)) == old
+
     @pytest.mark.parametrize(
         "r_c,b_sq",
         [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0), (math.inf, 0.5), (math.nan, 0.5)],

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsuperpose import cli
+from qsuperpose import analysis, cli
 from qsuperpose.cli import main
 
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
@@ -87,16 +87,13 @@ class TestRunDirect:
             ("--psi1", "3.1415927,0", "--psi1: theta must lie in [0, pi], got 3.1415927"),
             ("--psi1", "x,0", "--psi1: could not convert string to float: 'x'"),
             ("--psi2", "1", "--psi2: expects 'theta,phi[,gamma]', got '1'"),
-            ("--chi", "4,0", "--chi: theta must lie in [0, pi], got 4.0"),
             ("--a", "1,2,3", "--a: expects 'RE[,IM]', got '1,2,3'"),
             ("--b", "0.8,y", "--b: could not convert string to float: 'y'"),
             # phi and gamma are reduced mod 2 pi, which would turn inf into nan.
             ("--psi1", "inf,0", "--psi1: angles must be finite, got 'inf,0'"),
             ("--psi2", "0,inf", "--psi2: angles must be finite, got '0,inf'"),
-            ("--chi", "0,0,inf", "--chi: angles must be finite, got '0,0,inf'"),
             ("--psi1", "nan,0", "--psi1: angles must be finite, got 'nan,0'"),
             ("--psi2", "0,nan", "--psi2: angles must be finite, got '0,nan'"),
-            ("--chi", "0,0,nan", "--chi: angles must be finite, got '0,0,nan'"),
         ],
     )
     def test_flag_errors_name_the_rule(self, capsys, flag, value, message):
@@ -107,6 +104,15 @@ class TestRunDirect:
         error = json.loads(err)["error"]
         assert code == 2 and out == "" and error["type"] == "argument"
         assert error["message"] == f"argument {message}"
+
+    def test_no_chi_flag(self, capsys):
+        # The declared phases refer to |0>: run-direct reads no reference.
+        code, out, err = run_cli(
+            capsys, "run-direct", "--psi1", "0,0", "--psi2", "1,0",
+            "--a", "0.6", "--b", "0.8", "--chi", "0,0",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "argument"
 
     def test_zero_overlap_error(self, capsys):
         code, _, err = run_cli(
@@ -153,6 +159,24 @@ class TestRunReference:
         )
         assert code == 2
         assert json.loads(err)["error"]["type"] == "argument"
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("4,0", "theta must lie in [0, pi], got 4.0"),
+            ("0,0,inf", "angles must be finite, got '0,0,inf'"),
+            ("0,0,nan", "angles must be finite, got '0,0,nan'"),
+        ],
+        ids=["4,0", "0,0,inf", "0,0,nan"],
+    )
+    def test_chi_flag_errors_name_the_rule(self, capsys, value, message):
+        code, out, err = run_cli(
+            capsys, "run-reference", "--mode", "reduced", "--psi1", "0,0",
+            "--psi2", "1,0", "--a", "0.6", "--b", "0.8", "--chi", value,
+        )
+        error = json.loads(err)["error"]
+        assert code == 2 and out == "" and error["type"] == "argument"
+        assert error["message"] == f"argument --chi: {message}"
 
 
 class TestQudit:
@@ -248,6 +272,21 @@ class TestQudit:
         assert code == 1
         error = json.loads(err)["error"]
         assert error["type"] == "argument" and repr(dims) in error["message"]
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_non_number_amplitude_rejected(self, capsys, tmp_path, value):
+        # JSON true would otherwise load as the amplitude 1.
+        states = [{"dims": [2], "amps": [[value, 0.0], [0.0, 0.0]]}, self.qubit_json([1, 0])]
+        code, out, err = run_cli(
+            capsys,
+            "qudit", "--n", "2", "--d", "2",
+            "--states", self.write_states(tmp_path, states),
+            "--weights", f"{INV_SQRT2},{INV_SQRT2}",
+            "--chi-index", "0",
+        )
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert "amps" in error["message"] and repr(value) in error["message"]
 
     def test_dimension_checked_before_chi_is_built(self, capsys, tmp_path, monkeypatch):
         def refuse(*args):
@@ -394,6 +433,23 @@ class TestPulse:
         assert error["type"] == "argument"
         assert "'iv'" in error["message"] and "1.9" in error["message"]
 
+    @pytest.mark.parametrize(
+        "event,field",
+        [
+            ({"kind": "delay", "duration": True}, "duration"),
+            ({"kind": "delay", "duration": "0.001"}, "duration"),
+            ({"kind": "rf", "spin": "A", "flip_angle": True, "axis_phase": 0.0}, "flip_angle"),
+            ({"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": "0"}, "axis_phase"),
+        ],
+    )
+    def test_non_number_event_field_rejected(self, capsys, tmp_path, event, field):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"events": [event], "checkpoints": {"iv": 1}}))
+        code, out, err = run_cli(capsys, "pulse", "--sequence", str(seq_path))
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert field in error["message"] and repr(event[field]) in error["message"]
+
     def test_missing_checkpoint_in_custom_sequence(self, capsys, tmp_path):
         seq_path = tmp_path / "seq.json"
         seq_path.write_text(json.dumps({"events": [], "checkpoints": {"i": 0}}))
@@ -486,6 +542,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trials", "0", "--seed", "0")
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
+
+    def test_failed_report_exits_one(self, capsys, monkeypatch):
+        report = analysis.VerifyReport(trials=1, seed=0, failures=[{"check": "x"}])
+        monkeypatch.setattr(analysis, "verify_probability_formulas", lambda *a: report)
+        code, out, err = run_cli(capsys, "verify", "--trials", "1", "--seed", "0")
+        assert code == 1 and err == ""
+        assert json.loads(out) == report.to_json()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

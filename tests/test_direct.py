@@ -57,7 +57,7 @@ def random_spec(rng):
     return SuperpositionSpec(complex(w[0]), complex(w[1]), angles(), angles())
 
 
-# Polar angles keep every state more than 0.06 rad from orthogonal to chi.
+# Polar angles keep every state more than 0.44 rad from orthogonal to |0>.
 QUBITS = st.builds(
     QubitParams,
     st.floats(0.0, 2.7),
@@ -65,11 +65,11 @@ QUBITS = st.builds(
     st.floats(0.0, 2 * math.pi, exclude_max=True),
 )
 SPECS = st.builds(
-    lambda delta, beta, psi1, psi2, chi: SuperpositionSpec(
+    lambda delta, beta, psi1, psi2: SuperpositionSpec(
         math.cos(delta), math.sin(delta) * complex(math.cos(beta), math.sin(beta)),
-        psi1, psi2, replace(chi, theta=chi.theta / 8),
+        psi1, psi2,
     ),
-    st.floats(0.05, 1.5), st.floats(0.0, 2 * math.pi), QUBITS, QUBITS, QUBITS,
+    st.floats(0.05, 1.5), st.floats(0.0, 2 * math.pi), QUBITS, QUBITS,
 )
 
 

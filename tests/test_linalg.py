@@ -266,11 +266,13 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             DensityMatrix((2,), np.eye(2))
 
-    def test_overlap_info_invariants(self):
-        with pytest.raises(ArgumentError):
-            OverlapInfo(c=0.5, kappa=0.5)
-        with pytest.raises(ArgumentError):
-            OverlapInfo(c=-0.1, kappa=1.0)
+    def test_overlap_info_invariants(self, rng):
+        # c > 0 and |kappa| = 1 hold by construction in overlap_decompose.
+        for d in (2, 3, 5):
+            psi, chi = (StateVector((d,), random_pure_amps(rng, d)) for _ in range(2))
+            info = overlap_decompose(psi, chi)
+            assert isinstance(info, OverlapInfo) and info.c > 0.0
+            assert abs(abs(info.kappa) - 1.0) <= 1e-15
 
 
 def spoil(mat, fault):
