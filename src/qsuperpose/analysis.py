@@ -186,7 +186,10 @@ class VerifyReport:
         """Fold one check into the report; ``spec(i)`` runs for failed rows only."""
         if len(trials):
             deviation = np.abs(deviation)
+            # np.max returns NaN when any row is NaN: count it as +inf, so it
+            # cannot hide a finite deviation.
             worst = float(np.max(deviation))
+            worst = math.inf if math.isnan(worst) else worst
             self.max_deviation[name] = max(self.max_deviation.get(name, 0.0), worst)
             for i in np.flatnonzero(~(deviation <= FORMULA_TOL)):
                 failure = {"check": name, "trial": int(trials[i])}
@@ -219,7 +222,8 @@ def _overlapping(rng: np.random.Generator, chi: np.ndarray, n: int) -> np.ndarra
 
 
 def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
-    """(psi1, psi2) pairs in a fixed geometry relative to a random chi.
+    """(weights, (psi1, psi2) pairs, chi), the pairs in a fixed geometry
+    relative to a random chi and the weights drawn last.
 
     Antipodal pairs share the polar angle and sit pi apart in azimuth;
     longitudinal pairs share the azimuth.
@@ -228,7 +232,8 @@ def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
     polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
     azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
     coords = bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
-    return coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1), chi
+    pair = coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1)
+    return _unit(rng, rows, 2), pair, chi
 
 
 def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
@@ -241,75 +246,77 @@ def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
     }
 
 
+def _stack(*groups):
+    """Row-concatenate (weights, states, chi) groups; ``split`` cuts a per-row
+    result back into the groups. Kernel steps are row-independent, so a row's
+    bits do not depend on the rows stacked beside it."""
+    cuts = np.cumsum([len(g[0]) for g in groups])[:-1]
+    return [np.concatenate(x) for x in zip(*groups)], lambda a: np.split(a, cuts)
+
+
+def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
+    """Fourier post-selection probability minus its closed form, Eq. 8."""
+    sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(weights, states, chi))[:, 0])
+    return sim - kernel.closed_form_fourier(weights, states, chi)
+
+
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
-    """Draw one batch of trials and run every check once over all of it."""
+    """Draw every input of one batch of trials, run each kernel step once over
+    all the qubit-pair rows that need it, then record the checks in order."""
     t = len(trials)
     w = _unit(rng, t, 2)
-
     # Direct protocol: operational probability vs the weighted-sum norm.
     angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
     theta, phi, gamma = np.moveaxis(angles, -1, 0)
-    states = bloch(theta, phi, gamma)
-    chi = np.tile([1.0 + 0j, 0.0], (t, 1))
-    kernel.validate(w, states, chi)
-    sim = kernel.norm_sq(kernel.direct(w, states, gamma)[:, 0])
-    closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
-    spec = _spec(w, states, chi, angles=angles)
-    report.record("direct_success", trials, sim - closed, spec)
-
+    direct = (w, bloch(theta, phi, gamma), np.tile([1.0 + 0j, 0.0], (t, 1)))
     # Reference protocols on random states with comfortable overlaps.
     chi = _unit(rng, t, 2)
-    pair = _overlapping(rng, chi, 2)
-    kernel.validate(w, pair, chi)
-    sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(w, pair, chi))[:, 0])
-    closed = kernel.closed_form_fourier(w, pair, chi)
-    report.record("p2_reduced", trials, sim - closed, _spec(w, pair, chi))
-    sim = kernel.norm_sq(kernel.three_qubit(w, pair, chi))
-    closed = kernel.closed_form_mu(w, pair, chi)
-    report.record("p3_three_qubit", trials, sim - closed, _spec(w, pair, chi))
-
-    # Hybrid protocol, trial t on shape t mod 4, one batch per shape.
+    ref = (w, _overlapping(rng, chi, 2), chi)
+    # Hybrid protocol, trial t on shape t mod 4.
+    shape_of, hybrid = trials % len(_HYBRID_SHAPES), []
     for k, (n, d) in enumerate(_HYBRID_SHAPES):
-        rows = trials % len(_HYBRID_SHAPES) == k
-        chi_d = _unit(rng, int(rows.sum()), d)
+        chi_d = _unit(rng, int(np.sum(shape_of == k)), d)
         states = _overlapping(rng, chi_d, n)
-        w_d = _unit(rng, len(chi_d), n)
-        kernel.validate(w_d, states, chi_d)
-        block = kernel.reduced(w_d, states, chi_d)
-        sim = kernel.norm_sq(kernel.fourier_rows(block)[:, 0])
-        closed = kernel.closed_form_fourier(w_d, states, chi_d)
-        spec = _spec(w_d, states, chi_d)
-        report.record("hybrid_eq8", trials[rows], sim - closed, spec)
-
-    # Enhanced protocol: both sector probabilities, on the trials whose
-    # states also overlap chi^perp comfortably.
+        hybrid.append((_unit(rng, len(chi_d), n), states, chi_d))
+    # Enhanced protocol, on the trials whose states also overlap chi^perp
+    # comfortably; then geometry-specific totals on constructed pairs.
     pair = _overlapping(rng, chi, 2)
-    chip = kernel.chi_perp(chi)
-    ok = np.all(np.abs(kernel.overlaps(pair, chip)) >= OVERLAP_FLOOR, axis=1)
-    w_e, pair, chi, chip, ran = w[ok], pair[ok], chi[ok], chip[ok], trials[ok]
-    kernel.validate(w_e, pair, chi)
-    res = kernel.enhanced(w_e, pair, chi)
-    closed = kernel.closed_form_mu(w_e, pair, chi)
-    report.record("enhanced_p1", ran, res.p1 - closed, _spec(w_e, pair, chi))
-    g = res.geometry != kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
-    closed = kernel.closed_form_mu(w_e[g], pair[g], chip[g])
-    spec = _spec(w_e[g], pair[g], chi[g])
-    report.record("enhanced_p2", ran[g], res.p2[g] - closed, spec)
+    ok = np.all(np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR, 1)
+    enh, ran = (w[ok], pair[ok], chi[ok]), trials[ok]
+    lon, anti = [_bloch_pairs(rng, t, antipodal) for antipodal in (False, True)]
 
-    # Geometry-specific totals on constructed pairs.
-    for geometry in ("longitudinal", "antipodal"):
-        pair, chi = _bloch_pairs(rng, t, antipodal=geometry == "antipodal")
-        w = _unit(rng, t, 2)
-        kernel.validate(w, pair, chi)
-        if geometry == "antipodal":
-            closed = kernel.norm_sq(kernel.target(w, pair, chi)) / 2.0
-        else:
-            chip = kernel.chi_perp(chi)
-            closed = kernel.closed_form_mu(w, pair, chi)
-            closed = closed + kernel.closed_form_mu(w, pair, chip)
-        deviation = kernel.enhanced(w, pair, chi).p_total - closed
-        spec = _spec(w, pair, chi)
-        report.record(f"enhanced_ptotal_{geometry}", trials, deviation, spec)
+    # One kernel pass per step over the qubit-pair rows; the larger hybrid
+    # shapes keep their own.
+    kernel.validate(*_stack(direct, ref, hybrid[0], enh, lon, anti)[0])
+    for group in hybrid[1:]:
+        kernel.validate(*group)
+    rows, split = _stack(ref, hybrid[0])
+    p2_dev, *eq8_dev = split(_eq8_deviation(*rows))
+    eq8_dev += [_eq8_deviation(*group) for group in hybrid[1:]]
+    rows, split = _stack(enh, lon, anti)
+    res = kernel.enhanced(*rows)
+    p1, p2, geometry = (split(x)[0] for x in (res.p1, res.p2, res.geometry))
+    _, lon_total, anti_total = split(res.p_total)
+    g = geometry != kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
+    enh_perp = (enh[0][g], enh[1][g], kernel.chi_perp(enh[2])[g])
+    lon_perp = (*lon[:2], kernel.chi_perp(lon[2]))
+    rows, split = _stack(ref, enh, enh_perp, lon, lon_perp)
+    p3_mu, p1_mu, p2_mu, lon_mu, lon_perp_mu = split(kernel.closed_form_mu(*rows))
+
+    sim = kernel.norm_sq(kernel.direct(w, direct[1], gamma)[:, 0])
+    closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
+    report.record("direct_success", trials, sim - closed, _spec(*direct, angles=angles))
+    report.record("p2_reduced", trials, p2_dev, _spec(*ref))
+    sim = kernel.norm_sq(kernel.three_qubit(*ref))
+    report.record("p3_three_qubit", trials, sim - p3_mu, _spec(*ref))
+    for k, (deviation, group) in enumerate(zip(eq8_dev, hybrid)):
+        report.record("hybrid_eq8", trials[shape_of == k], deviation, _spec(*group))
+    report.record("enhanced_p1", ran, p1 - p1_mu, _spec(*enh))
+    report.record("enhanced_p2", ran[g], p2[g] - p2_mu, _spec(*(x[g] for x in enh)))
+    deviation = lon_total - (lon_mu + lon_perp_mu)
+    report.record("enhanced_ptotal_longitudinal", trials, deviation, _spec(*lon))
+    deviation = anti_total - kernel.norm_sq(kernel.target(*anti)) / 2.0
+    report.record("enhanced_ptotal_antipodal", trials, deviation, _spec(*anti))
 
 
 def verify_probability_formulas(trials: int, seed: int) -> VerifyReport:
@@ -320,6 +327,8 @@ def verify_probability_formulas(trials: int, seed: int) -> VerifyReport:
     """
     if trials < 1:
         raise ArgumentError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     report = VerifyReport(trials=trials, seed=seed)
     for start in range(0, trials, VERIFY_CHUNK):

@@ -3,10 +3,12 @@
 Arrays carry a leading trial axis T: weights or ancilla amplitudes (T, n),
 input states (T, n, d), the reference chi (T, d). The scalar pipelines in
 ``direct``, ``reference``, ``hybrid`` and ``enhanced`` are T = 1 views of
-these functions; ``analysis.verify_probability_formulas`` runs them over all
-its trials at once. The steps trust their inputs: ``validate`` checks each
-batch once before it enters them (``reference.ReferenceSpec`` for a single
-instance).
+these functions. ``analysis.verify_probability_formulas`` runs them over all
+its trials at once, and stacks the qubit-pair rows of every check that needs a
+step into one call of it. That is exact because every step is row-independent:
+a row's bits do not depend on the rows beside it. The steps trust their
+inputs: ``validate`` checks each batch once before it enters them
+(``reference.ReferenceSpec`` for a single instance).
 """
 from __future__ import annotations
 

@@ -227,6 +227,41 @@ class TestVerifyHarness:
         with pytest.raises(ArgumentError):
             verify_probability_formulas(trials=0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ArgumentError, match=message):
+            verify_probability_formulas(trials=3, seed=-1)
+
+    def test_one_kernel_pass_per_qubit_pair_step(self, monkeypatch):
+        # Per chunk: validate once over every qubit-pair row plus once per
+        # larger hybrid shape; Eq. 8 once over the qubit pairs plus once per
+        # larger shape; one closed_form_mu and one enhanced pass.
+        calls = dict.fromkeys(
+            ("validate", "closed_form_fourier", "closed_form_mu", "enhanced"), 0
+        )
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(kernel, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(kernel, name, counted)
+        assert verify_probability_formulas(trials=20, seed=0).ok
+        assert calls == {"validate": 4, "closed_form_fourier": 4, "closed_form_mu": 1,
+                         "enhanced": 1}
+
+    def test_nan_deviation_counts_as_the_worst(self):
+        report = analysis.VerifyReport(trials=4, seed=0)
+        report.record("x", np.arange(3), np.array([1e-3, np.nan, 2e-16]), lambda i: {})
+        assert report.max_deviation == {"x": math.inf}
+        assert [f["trial"] for f in report.failures] == [0, 1]
+        # Across chunks: a later finite chunk does not lower it, and a later
+        # NaN raises a finite maximum.
+        report.record("x", np.arange(3, 4), np.array([0.5]), lambda i: {})
+        assert report.max_deviation == {"x": math.inf}
+        report.record("y", np.arange(2), np.array([1e-3, 2e-16]), lambda i: {})
+        report.record("y", np.arange(2, 3), np.array([np.nan]), lambda i: {})
+        assert report.max_deviation["y"] == math.inf
+
     def test_run_spanning_chunks_records_every_check(self):
         trials = analysis.VERIFY_CHUNK + 5
         first = verify_probability_formulas(trials=trials, seed=4).to_json()

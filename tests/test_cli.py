@@ -543,6 +543,14 @@ class TestVerify:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
 
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--trials", "3", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "argument",
+            "message": "seed must be a non-negative integer, got -1",
+        }
+
     def test_failed_report_exits_one(self, capsys, monkeypatch):
         report = analysis.VerifyReport(trials=1, seed=0, failures=[{"check": "x"}])
         monkeypatch.setattr(analysis, "verify_probability_formulas", lambda *a: report)

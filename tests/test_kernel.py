@@ -180,6 +180,58 @@ def test_p2_over_p3_is_the_success_ratio(seed, t):
         assert p2[i] / p3[i] == pytest.approx(ratio, rel=1e-9)
 
 
+def pair_batch(seed, t, kind):
+    """t qubit-pair rows; a longitudinal or antipodal kind rebuilds each pair
+    in that geometry about its chi."""
+    weights, states, chi = draw(seed, t, 2, 2)
+    if kind != kernel.GEOMETRY_GENERIC:
+        rng = np.random.default_rng(seed + 1)
+        antipodal = kind == kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
+        polar = rng.uniform(0.2, 1.3, size=(t, 2))
+        if antipodal:
+            polar[:, 1] = polar[:, 0]
+        azimuth = rng.uniform(0.0, 2 * math.pi, size=(t, 1)) + [0.0, math.pi * antipodal]
+        perp = np.sin(polar) * np.exp(1j * azimuth)
+        states = (np.cos(polar)[..., None] * chi[:, None, :]
+                  + perp[..., None] * kernel.chi_perp(chi)[:, None, :])
+    return weights, states, chi
+
+
+ROW_STEPS = {
+    "reduced+fourier_rows": lambda w, s, c: kernel.fourier_rows(kernel.reduced(w, s, c)),
+    "three_qubit": kernel.three_qubit,
+    "closed_form_fourier": kernel.closed_form_fourier,
+    "closed_form_mu": kernel.closed_form_mu,
+    "closed_form_mu(chi_perp)": lambda w, s, c: kernel.closed_form_mu(
+        w, s, kernel.chi_perp(c)
+    ),
+    "target": kernel.target,
+    **{
+        f"enhanced.{field}": lambda w, s, c, f=field: getattr(kernel.enhanced(w, s, c), f)
+        for field in kernel.Harvest._fields
+    },
+}
+KINDS = st.sampled_from([
+    kernel.GEOMETRY_GENERIC,
+    kernel.GEOMETRY_LONGITUDINAL,
+    kernel.GEOMETRY_TRANSVERSE_ANTIPODAL,
+])
+
+
+@PROPERTY
+@given(SEEDS, SEEDS, ROWS, ROWS, KINDS, KINDS)
+def test_kernel_steps_are_row_independent(seed_a, seed_b, ta, tb, kind_a, kind_b):
+    """Each row of a step over concat(A, B) is bit for bit that row of the step
+    over A or over B alone, so stacking check families cannot move a result."""
+    a, b = pair_batch(seed_a, ta, kind_a), pair_batch(seed_b, tb, kind_b)
+    assume(has_perp_overlaps(*a[1:]) and has_perp_overlaps(*b[1:]))
+    both = [np.concatenate(x) for x in zip(a, b)]
+    for name, step in ROW_STEPS.items():
+        joint = step(*both)
+        assert np.array_equal(joint[:ta], step(*a)), name
+        assert np.array_equal(joint[ta:], step(*b)), name
+
+
 def test_closed_forms_match_the_kernel_on_a_batch(rng):
     weights, states, chi = draw(int(rng.integers(2**32)), 64, 2, 2, floor=0.2)
     closed = kernel.closed_form_fourier(weights, states, chi)
