@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,24 +31,6 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cartesian grid over the overlap ratio r_c and weight |b|^2."""
-
-    r_c_values: tuple[float, ...]
-    b_sq_values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_c_values", tuple(float(v) for v in self.r_c_values))
-        object.__setattr__(
-            self, "b_sq_values", tuple(float(v) for v in self.b_sq_values)
-        )
-        if not all(0.0 < v < math.inf for v in self.r_c_values):
-            raise ArgumentError("all r_c values must be positive and finite")
-        if any(not 0.0 < v < 1.0 for v in self.b_sq_values):
-            raise ArgumentError("all b^2 values must lie in (0, 1)")
-
-
 def success_ratio(r_c: float, b_sq: float) -> float:
     """r_p = (r_c + 1) / (2 (1 + b_sq (r_c - 1)))."""
     if not 0.0 < r_c < math.inf:
@@ -67,11 +49,11 @@ class SweepRow:
     regime: str
 
 
-def sweep_rp(grid: SweepGrid) -> list[SweepRow]:
+def sweep_rp(r_c_values: Sequence[float], b_sq_values: Sequence[float]) -> list[SweepRow]:
     """Evaluate r_p over the grid, row-major (r_c outer, b_sq inner)."""
     rows = []
-    for r_c in grid.r_c_values:
-        for b_sq in grid.b_sq_values:
+    for r_c in r_c_values:
+        for b_sq in b_sq_values:
             r_p = success_ratio(r_c, b_sq)
             if abs(r_p - 1.0) <= TIE_TOL:
                 regime = REGIME_TIE
@@ -118,8 +100,7 @@ def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
     if mode != "gate":
         sys = nmr.SpinSystem()
         seqs = [nmr.compile_sequence(spec, sys) for spec in specs]
-        readout = nmr.run_sequence_batch(seqs, sys)["iv"]
-        blocks, norms = nmr.partial_tomography_batch(readout)
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(seqs, sys, "iv"))
         pulse_fid = fidelity_batch(blocks, pure_density_batch(goal)).tolist()
         if mode == "pulse":
             gate_fid, success = [None] * len(specs), norms

@@ -13,11 +13,18 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import analysis, enhanced, hybrid, nmr, reference
+import numpy as np
+
+from . import analysis, enhanced, hybrid, kernel, nmr, reference
 from .datasets import dataset
 from .direct import SuperpositionSpec, run_direct
 from .errors import ArgumentError, ToolkitError
-from .linalg import QubitParams, StateVector, basis_state, make_qubit
+from .linalg import ATOL, DensityMatrix, QubitParams, StateVector, basis_state, make_qubit
+
+# Typed weights whose sum |a_k|^2 misses 1 by at most this much (8-digit
+# decimals such as 0.70710678) are rescaled to unit norm; the specs hold
+# every weight batch to the internal ATOL.
+INPUT_TOL = 1e-6
 
 
 class _CliArgumentError(Exception):
@@ -80,6 +87,15 @@ def _parse_weight_list(text: str) -> list[complex]:
         raise ArgumentError(f"--weights: {exc}") from exc
 
 
+def _unit_weights(weights: Sequence[complex]) -> tuple[complex, ...]:
+    """The weight flags, rescaled when sum |a_k|^2 lies in (ATOL, INPUT_TOL] of 1;
+    any other input reaches the spec's own check unchanged."""
+    total = float(kernel.norm_sq(np.asarray([weights], dtype=complex))[0])
+    if ATOL < abs(total - 1.0) <= INPUT_TOL:
+        return tuple(w / math.sqrt(total) for w in weights)
+    return tuple(weights)
+
+
 def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,8 +108,9 @@ def _load_json(path: str) -> object:
 
 def _reference_spec_from_args(args) -> reference.ReferenceSpec:
     states = (make_qubit(args.psi1), make_qubit(args.psi2))
+    weights = _unit_weights((args.a, args.b))
     return reference.ReferenceSpec(
-        n=2, d=2, weights=(args.a, args.b), states=states, chi=make_qubit(args.chi)
+        n=2, d=2, weights=weights, states=states, chi=make_qubit(args.chi)
     )
 
 
@@ -128,7 +145,7 @@ def _result_output(result, args) -> str | dict:
 
 # Each command returns (output, exit code); main writes the output.
 def _cmd_run_direct(args):
-    spec = SuperpositionSpec(args.a, args.b, args.psi1, args.psi2)
+    spec = SuperpositionSpec(*_unit_weights((args.a, args.b)), args.psi1, args.psi2)
     return _result_output(run_direct(spec), args), 0
 
 
@@ -146,7 +163,7 @@ def _cmd_qudit(args):
     if not isinstance(raw, list):
         raise ArgumentError(f"{args.states} must hold a JSON array of states")
     states = tuple(StateVector.from_json(obj) for obj in raw)
-    weights = tuple(_parse_weight_list(args.weights))
+    weights = _unit_weights(_parse_weight_list(args.weights))
     # chi = |index> allocates d amplitudes: hold --d to the loaded states first.
     if not states or any(s.dims != (args.d,) for s in states):
         raise ArgumentError(f"every state in {args.states} needs dims [{args.d}]")
@@ -186,22 +203,19 @@ def _cmd_pulse(args):
         seq = nmr.PulseSequence.from_json(_load_json(args.sequence))
     else:
         seq = nmr.compile_sequence(dataset(args.dataset).spec(), sys_params)
-    checkpoints = nmr.run_sequence(seq, sys_params, epsilon=args.epsilon)
-    if args.checkpoint not in checkpoints:
-        raise ArgumentError(f"the sequence has no checkpoint {args.checkpoint!r}")
-    rho = checkpoints[args.checkpoint]
+    rho = nmr.run_sequence([seq], sys_params, args.checkpoint, epsilon=args.epsilon)
     payload = {
         "dataset": args.dataset,
         "checkpoint": args.checkpoint,
-        "rho": rho.to_json(),
+        "rho": DensityMatrix((2, 2), rho[0]).to_json(),
         "sequence": seq.to_json(),
     }
     if args.dataset is None:
         del payload["dataset"]  # a --sequence run names no dataset
     if args.checkpoint == "iv":
-        qubit_state, norm = nmr.partial_tomography(rho)
-        payload["qubit_state"] = qubit_state.to_json()
-        payload["normalization"] = norm
+        blocks, norms = nmr.partial_tomography(rho)
+        payload["qubit_state"] = DensityMatrix((2,), blocks[0]).to_json()
+        payload["normalization"] = float(norms[0])
     return payload, 0
 
 
@@ -220,8 +234,7 @@ def _cmd_sweep_rp(args):
         b_sq_values = [float(p) for p in args.bsq.split(",")]
     except ValueError as exc:
         raise ArgumentError(f"--bsq: {exc}") from exc
-    grid = analysis.SweepGrid(tuple(r_c_values), tuple(b_sq_values))
-    return analysis.sweep_csv(analysis.sweep_rp(grid)), 0
+    return analysis.sweep_csv(analysis.sweep_rp(r_c_values, b_sq_values)), 0
 
 
 def _cmd_table1(args):

@@ -46,15 +46,6 @@ def chi_perp(chi: StateVector) -> StateVector:
     return StateVector((2,), kernel.chi_perp(chi.amps[None])[0], normalized=True)
 
 
-def u_chi(c1: float, c2: float) -> np.ndarray:
-    """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]], c_k in (0, 1]."""
-    c = np.array([c1, c2], dtype=float)
-    require_overlaps(np.sqrt(np.maximum(c, 0.0)))
-    if np.any(c > 1.0 + ATOL):
-        raise ArgumentError(f"c1 and c2 must lie in (0, 1], got {c1} and {c2}")
-    return kernel.u_chi(c[:1], c[1:])[0].astype(complex)
-
-
 @dataclass(frozen=True, eq=False)
 class EnhancedResult:
     """Both sector states, their probabilities, and the combined harvest."""

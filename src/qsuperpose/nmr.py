@@ -18,11 +18,11 @@ half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
 phase.
 
-``run_sequence_batch`` propagates sequences that share a skeleton (event
-kinds and spins, checkpoint cuts) as one group: each event compiles once over
-the group (rf: unitaries; delay: the phases of the diagonal exp(-i H t)), the
-unitaries between cuts and gradients multiply into one U rho U^dagger, and one
-check validates every checkpoint state. ``run_sequence`` is its T = 1 view.
+``run_sequence`` propagates a batch of sequences to one checkpoint. Sequences
+whose events up to it share a skeleton (event kinds and spins) run as one
+group: each event compiles once over the group (rf: unitaries; delay: the
+phases of the diagonal exp(-i H t)), the unitaries between gradients multiply
+into one U rho U^dagger, and one check validates every state.
 """
 from __future__ import annotations
 
@@ -343,53 +343,31 @@ def _propagators(ops: Sequence[tuple]) -> Iterator[Optional[np.ndarray]]:
     yield u
 
 
-def _propagate(group: Sequence[PulseSequence], sys: SpinSystem, start: np.ndarray):
-    """Unvalidated states (T, 4, 4) after each cut of sequences of one skeleton."""
-    ops = _operators([seq.events for seq in group], sys)
-    mat = np.broadcast_to(start, (len(group), 4, 4))
-    states, done = {}, 0
-    for cut in sorted(set(group[0].checkpoints.values())):
-        for u in _propagators(ops[done:cut]) if cut > done else ():
-            mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
-        states[cut], done = mat, cut
-    return states
-
-
-def run_sequence_batch(
-    seqs: Sequence[PulseSequence], sys: SpinSystem, epsilon: float = 1.0
-) -> dict[str, np.ndarray]:
-    """Checkpoint label -> states (T, 4, 4), row t from seqs[t]. Sequences that
-    share a skeleton (event kinds and spins, cuts) propagate as one group, and
-    one check validates every checkpoint state."""
-    if len({frozenset(seq.checkpoints) for seq in seqs}) > 1:
-        raise ArgumentError("sequences run together must record the same checkpoints")
-    groups: dict[tuple, list[int]] = {}
+def run_sequence(
+    seqs: Sequence[PulseSequence], sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
+) -> np.ndarray:
+    """States (T, 4, 4) at ``checkpoint``, row t from seqs[t]; the events after it
+    are not simulated."""
+    groups: dict[tuple, list] = {}
     for t, seq in enumerate(seqs):
+        if checkpoint not in seq.checkpoints:
+            raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
+        events = seq.events[: seq.checkpoints[checkpoint]]
         # tuple() of a list, not of a generator: CPython sizes a generator's
         # tuple by guess and resizes it, and the resized tuples pile up in
         # its free lists (about 1 MB more peak RSS over a long run).
-        skeleton = tuple([(e.kind, e.spin) for e in seq.events])
-        groups.setdefault((skeleton, *seq.checkpoints.items()), []).append(t)
-    start, labels = initial_state(epsilon).mat, seqs[0].checkpoints if seqs else ()
-    out = {label: np.empty((len(seqs), 4, 4), complex) for label in labels}
-    for rows in groups.values():
-        states = _propagate([seqs[t] for t in rows], sys, start)
-        for label, cut in seqs[rows[0]].checkpoints.items():
-            out[label][rows] = states[cut]
-    if out:
-        check_densities(np.concatenate(list(out.values())))
+        skeleton = tuple([(e.kind, e.spin) for e in events])
+        groups.setdefault(skeleton, []).append((t, events))
+    out = np.empty((len(seqs), 4, 4), complex)
+    out[:] = initial_state(epsilon).mat
+    for group in groups.values():
+        rows, events = (list(x) for x in zip(*group))
+        mat = out[rows]
+        for u in _propagators(_operators(events, sys)):
+            mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
+        out[rows] = mat
+    check_densities(out)
     return out
-
-
-def run_sequence(
-    seq: PulseSequence, sys: SpinSystem, epsilon: float = 1.0
-) -> dict[str, DensityMatrix]:
-    """Checkpoint states of one sequence, the T = 1 view of the grouped engine:
-    one validated DensityMatrix per distinct cut."""
-    states = _propagate([seq], sys, initial_state(epsilon).mat)
-    rhos = {cut: DensityMatrix((2, 2), mats[0]) for cut, mats in states.items()}
-    cuts = sorted(seq.checkpoints.items(), key=lambda item: item[1])
-    return {label: rhos[cut] for label, cut in cuts}
 
 
 def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
@@ -400,17 +378,11 @@ def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     return u.reshape(4, 4)
 
 
-def partial_tomography_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized {|00>, |01>} blocks of states (T, 4, 4), and their traces."""
+def partial_tomography(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized {|00>, |01>} blocks of states (T, 4, 4), and their traces: the
+    success probabilities."""
     block = mats[:, :2, :2]
     norm = np.trace(block, axis1=1, axis2=2).real
     if np.any(norm < 1e-12):
         raise DegenerateInputError("the ancilla-|0> block has vanishing population")
     return block / norm[:, None, None], norm
-
-
-def partial_tomography(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
-    """Extract the {|00>, |01>} block; its trace is the success probability."""
-    _require_two_spin(rho)
-    blocks, norms = partial_tomography_batch(rho.mat[None])
-    return DensityMatrix((2,), blocks[0]), float(norms[0])

@@ -11,7 +11,6 @@ from qsuperpose.analysis import (
     REGIME_THREE_QUBIT,
     REGIME_TIE,
     REGIME_TWO_QUBIT,
-    SweepGrid,
     fmt9,
     reproduce_table1,
     success_ratio,
@@ -98,17 +97,16 @@ class TestSuccessRatio:
 
 class TestSweep:
     def test_examples(self):
-        grid = SweepGrid((0.5, 2.0), (0.8,))
-        rows = sweep_rp(grid)
+        rows = sweep_rp((0.5, 2.0), (0.8,))
         assert rows[0].r_p == pytest.approx(1.25, abs=1e-12)
         assert rows[0].regime == REGIME_TWO_QUBIT
         assert rows[1].r_p == pytest.approx(3.0 / (2 * 1.8), abs=1e-12)
         assert rows[1].regime == REGIME_THREE_QUBIT
 
     def test_tie_lines(self):
-        rows = sweep_rp(SweepGrid((1.0,), (0.1, 0.3, 0.9)))
+        rows = sweep_rp((1.0,), (0.1, 0.3, 0.9))
         assert all(r.regime == REGIME_TIE for r in rows)
-        rows = sweep_rp(SweepGrid((0.2, 5.0), (0.5,)))
+        rows = sweep_rp((0.2, 5.0), (0.5,))
         assert all(r.regime == REGIME_TIE for r in rows)
 
     def test_advantage_regions(self, rng):
@@ -121,18 +119,19 @@ class TestSweep:
             assert success_ratio(r_c, b_sq) > 1.0
 
     def test_grid_validation(self):
+        # success_ratio holds the one domain rule of every grid point.
         with pytest.raises(ArgumentError):
-            SweepGrid((0.0,), (0.5,))
+            sweep_rp((0.0,), (0.5,))
         with pytest.raises(ArgumentError):
-            SweepGrid((1.0,), (1.0,))
+            sweep_rp((1.0,), (1.0,))
         for r_c in (math.inf, math.nan):
             with pytest.raises(ArgumentError, match="finite"):
-                SweepGrid((1.0, r_c), (0.5,))
+                sweep_rp((1.0, r_c), (0.5,))
 
     def test_csv_deterministic(self):
-        grid = SweepGrid(tuple(np.linspace(0.1, 4.0, 7)), (0.1, 0.2, 0.8))
-        assert sweep_csv(sweep_rp(grid)) == sweep_csv(sweep_rp(grid))
-        header = sweep_csv(sweep_rp(grid)).splitlines()[0]
+        grid = (np.linspace(0.1, 4.0, 7), (0.1, 0.2, 0.8))
+        assert sweep_csv(sweep_rp(*grid)) == sweep_csv(sweep_rp(*grid))
+        header = sweep_csv(sweep_rp(*grid)).splitlines()[0]
         assert header == "r_c,b_sq,r_p,regime"
 
 

@@ -135,6 +135,51 @@ class TestRunDirect:
         assert json.loads(err)["error"]["type"] == "argument"
 
 
+class TestInputTolerance:
+    """Weight flags that miss unit norm by at most cli.INPUT_TOL are rescaled."""
+
+    STATES = ("--psi1", "2.0943951,0", "--psi2", "1.0471976,0")
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [("run-direct", "success_prob"), ("run-reference", "success_prob"),
+         ("enhanced", "p_total")],
+    )
+    def test_eight_digit_weights_match_full_precision(self, capsys, command, key):
+        mode = ("--mode", "reduced") if command == "run-reference" else ()
+        results = []
+        for w in ("0.70710678", HALF):
+            argv = (command, *mode, *self.STATES, "--a", w, "--b", w)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            results.append(json.loads(out)[key])
+        assert abs(results[0] - results[1]) <= 1e-12
+
+    def test_beyond_the_tolerance_rejected(self, capsys):
+        weights = ("--a", "0.7071", "--b", "0.7071")
+        code, _, err = run_cli(capsys, "run-direct", *self.STATES, *weights)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert "weights must have sum |a_k|^2 = 1, got 0.99998" in error["message"]
+
+    @pytest.mark.parametrize("weight,code", [("0.57735027", 0), ("0.577", 1)])
+    def test_qudit_weights(self, capsys, tmp_path, weight, code):
+        states = [[1.0, 0.0], [0.6, 0.8], [0.8, 0.6]]
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps([{"dims": [2], "amps": [[x, 0.0] for x in amps]}
+                                    for amps in states]))
+        argv = ["qudit", "--n", "3", "--d", "2", "--states", str(path), "--chi-index", "0"]
+        assert run_cli(capsys, *argv, "--weights", ",".join([weight] * 3))[0] == code
+
+    def test_weights_within_atol_kept_as_typed(self):
+        weights = (INV_SQRT2, 1j * INV_SQRT2)
+        assert cli._unit_weights(weights) == weights
+        rescaled = cli._unit_weights((0.70710678, 0.70710678))
+        assert rescaled != (0.70710678, 0.70710678)
+        assert abs(sum(abs(w) ** 2 for w in rescaled) - 1.0) <= 1e-15
+
+
 class TestRunReference:
     # Equal weights make P2 = P3 (the "same value" special case).
     @pytest.mark.parametrize("mode,expected", [("three-qubit", 0.34987976320958236),

