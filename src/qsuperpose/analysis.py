@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, nmr
 from .datasets import TABLE1
-from .direct import outcomes, run_direct_batch
+from .direct import outcomes, run_direct_batch, spec_batch
 from .errors import ArgumentError
 from .linalg import QubitParams, StateVector, bloch, fidelity_batch, pure_density_batch
 
@@ -88,22 +88,22 @@ class Table1Row:
 
 
 def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
-    """Run the gate and/or pulse pipeline over all eleven datasets at once:
-    one kernel batch, and one propagation per pulse-sequence skeleton."""
+    """Run the gate and/or pulse pipeline over all eleven datasets at once: one
+    validated spec batch through the kernel, and one pulse program per skeleton."""
     if mode not in ("gate", "pulse", "both"):
         raise ArgumentError(f"mode must be gate, pulse or both, got {mode!r}")
-    specs = [ds.spec() for ds in TABLE1]
-    rows, targets = run_direct_batch(specs)
+    batch = spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
+    rows, targets = run_direct_batch(batch)
     _, goal, gate_fid = outcomes(rows[:, 0], targets)
     success, gate_fid = kernel.norm_sq(rows[:, 0]), gate_fid.tolist()
-    pulse_fid = [None] * len(specs)
+    pulse_fid = [None] * len(TABLE1)
     if mode != "gate":
         sys = nmr.SpinSystem()
-        seqs = [nmr.compile_sequence(spec, sys) for spec in specs]
-        blocks, norms = nmr.partial_tomography(nmr.run_sequence(seqs, sys, "iv"))
+        programs = nmr.compile_sequence(batch, sys)
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(programs, sys, "iv"))
         pulse_fid = fidelity_batch(blocks, pure_density_batch(goal)).tolist()
         if mode == "pulse":
-            gate_fid, success = [None] * len(specs), norms
+            gate_fid, success = [None] * len(TABLE1), norms
     return [
         Table1Row(ds.dataset_id, ds.psi1, ds.psi2, ds.weight_ratio, ds.gamma2,
                   ds.reported_fidelity, gate, pulse, float(p))

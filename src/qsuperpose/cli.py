@@ -22,8 +22,9 @@ from .errors import ArgumentError, ToolkitError
 from .linalg import ATOL, DensityMatrix, QubitParams, StateVector, basis_state, make_qubit
 
 # Typed weights whose sum |a_k|^2 misses 1 by at most this much (8-digit
-# decimals such as 0.70710678) are rescaled to unit norm; the specs hold
-# every weight batch to the internal ATOL.
+# decimals such as 0.70710678) are rescaled to unit norm, and a typed polar
+# angle that misses [0, pi] by at most this much is clamped into it; the specs
+# hold every weight batch to the internal ATOL.
 INPUT_TOL = 1e-6
 
 
@@ -61,10 +62,12 @@ def _parse_angles(text: str) -> QubitParams:
     # Reduced mod 2 pi, inf would reach QubitParams as nan: reject it as typed.
     if not all(map(math.isfinite, values)):
         raise ArgumentError(f"angles must be finite, got {text!r}")
-    gamma = values[2] if len(values) == 3 else 0.0
-    return QubitParams(
-        values[0], values[1] % (2.0 * math.pi), gamma % (2.0 * math.pi)
-    )
+    theta, gamma = values[0], values[2] if len(values) == 3 else 0.0
+    # A polar angle typed to a few digits, such as 3.1415927 for pi, may miss
+    # [0, pi] by at most INPUT_TOL: clamp it. QubitParams rejects any other miss.
+    if -INPUT_TOL <= theta <= math.pi + INPUT_TOL:
+        theta = min(max(theta, 0.0), math.pi)
+    return QubitParams(theta, values[1] % (2.0 * math.pi), gamma % (2.0 * math.pi))
 
 
 @_flag_type
@@ -201,9 +204,11 @@ def _cmd_pulse(args):
         ) from exc
     if args.sequence is not None:
         seq = nmr.PulseSequence.from_json(_load_json(args.sequence))
+        program = seq.program()
     else:
-        seq = nmr.compile_sequence(dataset(args.dataset).spec(), sys_params)
-    rho = nmr.run_sequence([seq], sys_params, args.checkpoint, epsilon=args.epsilon)
+        (program,) = nmr.compile_sequence(dataset(args.dataset).spec().batch, sys_params)
+        seq = nmr.PulseSequence.of(program, 0)
+    rho = nmr.run_sequence([program], sys_params, args.checkpoint, epsilon=args.epsilon)
     payload = {
         "dataset": args.dataset,
         "checkpoint": args.checkpoint,

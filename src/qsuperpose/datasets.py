@@ -29,10 +29,15 @@ class Dataset:
         norm = math.hypot(self.weight_ratio, 1.0)
         return self.weight_ratio / norm, 1.0 / norm
 
+    def angles(self) -> tuple[tuple[float, float, float], ...]:
+        """Bloch angles (theta, phi, gamma) of psi1 and psi2, gamma2 declared on psi2."""
+        return (
+            (self.psi1.theta, self.psi1.phi, self.psi1.gamma),
+            (self.psi2.theta, self.psi2.phi, self.gamma2),
+        )
+
     def spec(self) -> SuperpositionSpec:
-        a, b = self.weights()
-        psi2 = QubitParams(self.psi2.theta, self.psi2.phi, self.gamma2)
-        return SuperpositionSpec(a, b, self.psi1, psi2)
+        return SuperpositionSpec(*self.weights(), *(QubitParams(*q) for q in self.angles()))
 
 
 _PI = math.pi

@@ -8,7 +8,7 @@ proportional to a|psi1> + b|psi2>; outcome |1> carries the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .linalg import (
     QubitParams,
     StateVector,
     bloch,
+    check_angles,
     fidelity_batch,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     pure_density_batch,
@@ -30,6 +31,41 @@ from .linalg import (
 _KET0 = np.array([[1.0 + 0j, 0.0]])
 
 
+class SpecBatch(NamedTuple):
+    """T validated, read-only problems as kernel arrays: weights (T, 2), the
+    states psi1, psi2 (T, 2, 2), their declared phases (T, 2), the states with
+    those phases stripped (T, 2, 2), and the Bloch angles (theta, phi, gamma)
+    of both states (T, 2, 3)."""
+
+    weights: np.ndarray
+    states: np.ndarray
+    gammas: np.ndarray
+    stripped: np.ndarray
+    angles: np.ndarray
+
+
+def spec_batch(weights, angles) -> SpecBatch:
+    """Validate weights (T, 2) and Bloch angles (T, 2, 3) as T SuperpositionSpecs
+    would, in one pass: the QubitParams ranges, and ``kernel.validate`` against |0>
+    (ZeroOverlapError when an input is orthogonal to |0>)."""
+    weights = np.array(weights, dtype=complex)
+    angles = np.array(angles, dtype=float)
+    if angles.ndim != 3 or angles.shape[1:] != (2, 3) or weights.shape != angles.shape[:2]:
+        raise ArgumentError(
+            "expected weights (T, 2) and angles (T, 2, 3), "
+            f"got {weights.shape} and {angles.shape}"
+        )
+    check_angles(angles)
+    # psi1, psi2, then psi1 and psi2 with their phases stripped.
+    pairs = np.concatenate([angles, angles * [1.0, 1.0, 0.0]], axis=1)
+    states = bloch(*pairs.transpose(2, 0, 1))
+    kernel.validate(weights, states[:, :2], _KET0)
+    batch = SpecBatch(weights, states[:, :2], angles[:, :, 2], states[:, 2:], angles)
+    for arr in batch:
+        arr.flags.writeable = False
+    return batch
+
+
 @dataclass(frozen=True)
 class SuperpositionSpec:
     """One problem: weights, and inputs with phases declared relative to |0>."""
@@ -38,33 +74,24 @@ class SuperpositionSpec:
     weight_b: complex
     psi1: QubitParams
     psi2: QubitParams
-    # The spec as a validated, read-only T = 1 kernel batch: weights, states,
-    # declared phases, the states with those phases stripped.
-    batch: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # The spec as a T = 1 SpecBatch.
+    batch: SpecBatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pair = (self.psi1, self.psi2)
-        angles = [(q.theta, q.phi, q.gamma) for q in pair]
-        angles = np.array(angles + [(q.theta, q.phi, 0.0) for q in pair])
-        weights = np.array([[self.weight_a, self.weight_b]], dtype=complex)
-        # psi1, psi2, then psi1 and psi2 with their phases stripped.
-        states = bloch(*angles.T)[None]
-        # Raises ZeroOverlapError when an input is orthogonal to |0>.
-        kernel.validate(weights, states[:, :2], _KET0)
-        batch = (weights, states[:, :2], angles[None, :2, 2], states[:, 2:])
-        for arr in batch:
-            arr.flags.writeable = False
+        angles = [[(q.theta, q.phi, q.gamma) for q in (self.psi1, self.psi2)]]
+        batch = spec_batch([[self.weight_a, self.weight_b]], angles)
         object.__setattr__(self, "batch", batch)
 
 
 def outcomes(branch: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     """Post-selected branches (T, d) and their targets, normalized, and the
-    fidelities between them. A vanished row, or a fidelity outside [0, 1], raises."""
+    fidelities between them, clamped into [0, 1]. A vanished row, or a fidelity
+    more than ATOL outside [0, 1], raises."""
     final, goal = unit_rows(branch), unit_rows(target)
     fid = fidelity_batch(pure_density_batch(final), pure_density_batch(goal))
     if not np.all((-ATOL <= fid) & (fid <= 1.0 + ATOL)):
         raise ArgumentError("fidelity out of range")
-    return final, goal, fid
+    return final, goal, np.clip(fid, 0.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +144,14 @@ def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:
     return StateVector((2, 2), amps.reshape(-1), normalized=True)
 
 
-def run_direct_batch(specs: Sequence[SuperpositionSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """Many specs as one kernel batch: the outcome rows (T, 2, 2) of encode,
+def run_direct_batch(batch: SpecBatch) -> tuple[np.ndarray, np.ndarray]:
+    """A spec batch through the kernel: the outcome rows (T, 2, 2) of encode,
     phase correction and Hadamard, and the targets a psi1 + b psi2 (T, 2)."""
-    # Each spec validated its (read-only) rows when it was built.
-    parts = zip(*[spec.batch for spec in specs])
-    weights, states, gammas, stripped = [np.concatenate(p) for p in parts]
-    return kernel.direct(weights, states, gammas), kernel.weighted_sum(weights, stripped)
+    rows = kernel.direct(batch.weights, batch.states, batch.gammas)
+    return rows, kernel.weighted_sum(batch.weights, batch.stripped)
 
 
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:
     """Encode, phase-correct, Hadamard, post-select ancilla |0>."""
-    rows, targets = run_direct_batch([spec])
+    rows, targets = run_direct_batch(spec.batch)
     return ProtocolResult.of(rows[0, 0], targets[0], difference=rows[0, 1])

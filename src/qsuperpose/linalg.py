@@ -171,6 +171,20 @@ class DensityMatrix:
         }
 
 
+def check_angles(angles: np.ndarray) -> None:
+    """Raise at the first Bloch triple (..., 3) = (theta, phi, gamma) outside
+    theta in [0, pi], phi and gamma in [0, 2pi); NaN lies outside every range."""
+    theta, phi, gamma = (angles[..., k] for k in range(3))
+    for name, x, inside in (
+        ("theta", theta, (0.0 <= theta) & (theta <= math.pi)),
+        ("phi", phi, (0.0 <= phi) & (phi < 2.0 * math.pi)),
+        ("gamma", gamma, (0.0 <= gamma) & (gamma < 2.0 * math.pi)),
+    ):
+        if not inside.all():
+            shown = "[0, pi]" if name == "theta" else "[0, 2pi)"
+            raise ArgumentError(f"{name} must lie in {shown}, got {float(x[~inside][0])}")
+
+
 @dataclass(frozen=True)
 class QubitParams:
     """Bloch angles plus an overall phase: e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>)."""
@@ -180,12 +194,7 @@ class QubitParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ArgumentError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ArgumentError(f"phi must lie in [0, 2pi), got {self.phi}")
-        if not 0.0 <= self.gamma < 2.0 * math.pi:
-            raise ArgumentError(f"gamma must lie in [0, 2pi), got {self.gamma}")
+        check_angles(np.array([self.theta, self.phi, self.gamma], dtype=float))
 
 
 class OverlapInfo(NamedTuple):

@@ -18,32 +18,36 @@ half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
 phase.
 
-``run_sequence`` propagates a batch of sequences to one checkpoint. Sequences
-whose events up to it share a skeleton (event kinds and spins) run as one
-group: each event compiles once over the group (rf: unitaries; delay: the
-phases of the diagonal exp(-i H t)), the unitaries between gradients multiply
-into one U rho U^dagger, and one check validates every state.
+``compile_sequence`` compiles a spec batch to arrays: the rows whose programs
+share a skeleton (event kinds and spins, checkpoint cuts) form one
+``PulseProgram`` with (T, E) arrays of flip angles, axis phases and delays.
+``run_sequence`` propagates programs to one checkpoint: each spin's rotations
+between two delays multiply as 2 x 2 matrices, the unitaries between gradients
+into one U rho U^dagger, and one check validates every state. ``PulseEvent``
+and ``PulseSequence`` are the JSON form of one program row.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .direct import SuperpositionSpec
+from .direct import SpecBatch
 from .errors import ArgumentError, DegenerateInputError
 from .linalg import DensityMatrix, check_densities, require_number
 
 EYE2 = np.eye(2, dtype=complex)
+EYE4 = np.eye(4, dtype=complex)
 
 CHECKPOINT_LABELS = ("i", "ii", "iii", "iv", "v")
 
 # Rotation angles below this compile to no pulse at all.
 _ANGLE_TOL = 1e-12
+_TWO_PI = 2.0 * math.pi
 
 # A_z and X_z eigenvalues per basis state |00>..|11>.
 _AZ = np.array([0.5, 0.5, -0.5, -0.5])
@@ -53,6 +57,8 @@ _COHERENCE_MASK = np.equal.outer(_AZ + _XZ, _AZ + _XZ)
 
 # The fields each event kind carries, in Python and in JSON.
 _EVENT_FIELDS = {"rf": ("spin", "flip_angle", "axis_phase"), "delay": ("duration",)}
+# The numeric fields, each a (T, E) array of a PulseProgram.
+_VALUE_FIELDS = ("flip_angle", "axis_phase", "duration")
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,21 @@ class SpinSystem:
     @property
     def j_hz(self) -> float:
         return self.j_coupling / (2.0 * math.pi)
+
+
+class PulseProgram(NamedTuple):
+    """Compiled programs of one skeleton: row k is the program of spec ``rows[k]``.
+
+    ``events`` holds each event's (kind, spin) and ``cuts`` the number of events
+    applied at each checkpoint label. The (T, E) arrays hold each event's flip
+    angle, axis phase and duration, 0 where its kind has none."""
+
+    rows: np.ndarray
+    events: tuple[tuple[str, Optional[str]], ...]
+    cuts: dict[str, int]
+    flip_angle: np.ndarray
+    axis_phase: np.ndarray
+    duration: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,6 +173,28 @@ class PulseSequence:
             raise ArgumentError(f"malformed pulse sequence JSON: {exc}") from exc
         return PulseSequence(events, checkpoints)
 
+    @staticmethod
+    def of(program: PulseProgram, k: int) -> "PulseSequence":
+        """Row k of a program (spec ``program.rows[k]``), as events."""
+        values = zip(*(getattr(program, key)[k].tolist() for key in _VALUE_FIELDS))
+        events = []
+        for (kind, spin), row in zip(program.events, values):
+            fields = dict(zip(_VALUE_FIELDS, row), spin=spin)
+            keys = _EVENT_FIELDS.get(kind, ())
+            events.append(PulseEvent(kind, **{key: fields[key] for key in keys}))
+        return PulseSequence(tuple(events), program.cuts)
+
+    def program(self) -> PulseProgram:
+        """The sequence as a one-row program."""
+        arrays = []
+        for key in _VALUE_FIELDS:
+            row = [getattr(e, key) for e in self.events]
+            row = [0.0 if value is None else value for value in row]
+            arrays.append(np.array(row, dtype=float).reshape(1, len(row)))
+        skeleton = tuple([(e.kind, e.spin) for e in self.events])
+        cuts = dict(self.checkpoints)
+        return PulseProgram(np.zeros(1, dtype=int), skeleton, cuts, *arrays)
+
 
 def _energies(sys: SpinSystem) -> np.ndarray:
     """Diagonal of H over |00>, |01>, |10>, |11> (A_z, X_z = +-1/2)."""
@@ -185,17 +228,24 @@ def rotation_matrix(flip_angle, axis_phase) -> np.ndarray:
     """exp(-i flip_angle (cos(axis) sigma_x + sin(axis) sigma_y) / 2), elementwise."""
     c, s = np.cos(flip_angle / 2.0), -1j * np.sin(flip_angle / 2.0)
     tilt = np.cos(axis_phase) + 1j * np.sin(axis_phase)
-    return np.stack([np.stack([c, s * tilt.conj()], -1), np.stack([s * tilt, c], -1)], -2)
+    r = np.empty(np.broadcast_shapes(np.shape(s), np.shape(tilt)) + (2, 2), complex)
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1], r[..., 1, 0] = s * tilt.conj(), s * tilt
+    return r
+
+
+def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Kronecker products (..., 4, 4) of 2 x 2 factors, as outer products."""
+    kron = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return kron.reshape(kron.shape[:-4] + (4, 4))
 
 
 def _on_spin(spin: str, r: np.ndarray) -> np.ndarray:
-    """Kronecker forms (..., 4, 4) of rotations r on a spin, as outer products."""
+    """Kronecker forms (..., 4, 4) of rotations r on a spin."""
     factors = {"A": (r, EYE2), "X": (EYE2, r), "both": (r, r)}.get(spin)
     if factors is None:
         raise ArgumentError(f"rf spin must be A, X or both, got {spin}")
-    left, right = factors
-    kron = left[..., :, None, :, None] * right[..., None, :, None, :]
-    return kron.reshape(r.shape[:-2] + (4, 4))
+    return _kron(*factors)
 
 
 def pulse_unitary(spin: str, flip_angle, axis_phase) -> np.ndarray:
@@ -218,89 +268,98 @@ def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((2, 2), np.where(_COHERENCE_MASK, rho.mat, 0.0))
 
 
-def _composite_z(events: list[PulseEvent], spin: str, angle: float) -> None:
-    """R_z(angle) as the x-y-x composite R_x(pi/2) R_y(angle) R_x(-pi/2)."""
-    angle = math.remainder(angle, 2.0 * math.pi)
-    if abs(angle) < _ANGLE_TOL:
-        return
-    events.append(PulseEvent("rf", spin=spin, flip_angle=math.pi / 2, axis_phase=math.pi))
-    y_axis = math.pi / 2 if angle > 0 else 3 * math.pi / 2
-    events.append(PulseEvent("rf", spin=spin, flip_angle=abs(angle), axis_phase=y_axis))
-    events.append(PulseEvent("rf", spin=spin, flip_angle=math.pi / 2, axis_phase=0.0))
+# Every event a spec can compile to, block by block, as (kind, spin). Blocks 0-3
+# are emitted only where their test holds (2 delta, theta1, theta2 and the
+# gamma1 - gamma2 z-composite nonzero), blocks 4-6 always: at most 16 skeletons.
+_RF_A, _RF_X = ("rf", "A"), ("rf", "X")
+_DELAY, _GRADIENT = ("delay", None), ("gradient", None)
+_ECHOED = (_RF_X, _DELAY, _RF_X, _RF_A, _DELAY, _RF_A)
+_COMPOSITE = (_RF_A,) * 3
+_BLOCKS = ((_RF_A,), _ECHOED, _ECHOED, _COMPOSITE, (_RF_A,), _COMPOSITE, (_GRADIENT,))
+_BLOCK_OF = [b for b, block in enumerate(_BLOCKS) for _ in block]
+# Checkpoints (i)-(v) fall after blocks 0, 2, 3, 5 and 6.
+_LAST_BLOCK = dict(zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6)))
 
 
-def _norm_axis(axis: float) -> float:
-    return axis % (2.0 * math.pi)
+def _controlled_rotation(theta, axis, conj_axis, tau) -> list[tuple]:
+    """(flip angle, axis phase, duration) of each event that rotates the system
+    qubit by theta iff the ancilla is in the control state.
 
-
-def _controlled_rotation(
-    events: list[PulseEvent], theta: float, axis: float, control: int, tau: float
-) -> None:
-    """Rotate the system qubit by theta iff the ancilla is |control>.
-
-    Half-angle pulse, 1/(2J) delay, conjugate-axis half-angle (axes
-    pi/2 apart as in the sequence diagram), then a spin-echo refocusing
-    block that cancels the leftover conditional z-rotation.
+    Half-angle pulse, 1/(2J) delay, conjugate-axis half-angle (axes pi/2
+    apart as in the sequence diagram), then a spin-echo refocusing block that
+    cancels the leftover conditional z-rotation.
     """
-    if abs(theta) < _ANGLE_TOL:
-        return
-    conj_axis = axis + (math.pi / 2 if control == 0 else -math.pi / 2)
-    half = {"spin": "X", "flip_angle": theta / 2}
-    echo = PulseEvent("rf", spin="A", flip_angle=math.pi, axis_phase=0.0)
-    delay = PulseEvent("delay", duration=tau)
-    events += [
-        PulseEvent("rf", **half, axis_phase=_norm_axis(axis)),
-        delay,
-        PulseEvent("rf", **half, axis_phase=_norm_axis(conj_axis)),
-        echo,
-        delay,
-        echo,
-    ]
+    echo, delay, half = (math.pi, 0.0, 0.0), (0.0, 0.0, tau), theta / 2
+    pulses = [(half, axis % _TWO_PI, 0.0), (half, conj_axis % _TWO_PI, 0.0)]
+    return [pulses[0], delay, pulses[1], echo, delay, echo]
 
 
-def compile_sequence(spec: SuperpositionSpec, sys: SpinSystem) -> PulseSequence:
-    """Emit the initial / encoding / superposition blocks for one instance.
+def _composite_z(angle) -> list[tuple]:
+    """R_z(angle), angle in [-pi, pi], as the x-y-x composite
+    R_x(pi/2) R_y(angle) R_x(-pi/2)."""
+    y_axis = np.where(angle > 0, math.pi / 2, 3 * math.pi / 2)
+    quarter = math.pi / 2
+    return [(quarter, math.pi, 0.0), (np.abs(angle), y_axis, 0.0), (quarter, 0.0, 0.0)]
+
+
+def _table(column: Sequence, t: int) -> np.ndarray:
+    """(t, E) array of E per-event values, each a scalar or a (t,) array."""
+    per_row = [bool(getattr(value, "shape", ())) for value in column]
+    out = np.tile([0.0 if vary else value for vary, value in zip(per_row, column)], (t, 1))
+    varying = [k for k, vary in enumerate(per_row) if vary]
+    if varying:
+        out[:, varying] = np.stack([column[k] for k in varying], axis=1)
+    return out
+
+
+def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> list[PulseProgram]:
+    """Emit the initial / encoding / superposition blocks for every spec of a
+    batch, as one program per skeleton.
 
     Complex weight phases fold into the effective encoded phases, so the
     pulse program always prepares (cos d)|0> + e^{i(g2-g1)}(sin d)|1> on
     the ancilla and corrects the relative phase in the superposition
     block, exactly as the gate-level pipeline does.
     """
-    mag_a, mag_b = abs(spec.weight_a), abs(spec.weight_b)
-    delta = math.atan2(mag_b, mag_a)
-    g1 = spec.psi1.gamma + (cmath.phase(spec.weight_a) if mag_a > 0 else 0.0)
-    g2 = spec.psi2.gamma + (cmath.phase(spec.weight_b) if mag_b > 0 else 0.0)
-    rel = g2 - g1
+    theta, phi, gamma = batch.angles.transpose(2, 0, 1)
+    mag = np.abs(batch.weights)
+    delta = np.arctan2(mag[:, 1], mag[:, 0])
+    g = gamma + np.where(mag > 0, np.angle(batch.weights), 0.0)
+    rel = g[:, 1] - g[:, 0]
     tau = 1.0 / (2.0 * sys.j_hz)
-
-    events: list[PulseEvent] = []
-    checkpoints: dict[str, int] = {}
+    # Only the declared gammas are removed; weight phases stay in the target.
+    z = np.array([math.remainder(x, _TWO_PI) for x in (gamma[:, 0] - gamma[:, 1]).tolist()])
+    axis = phi + math.pi / 2
+    # psi1 is rotated on ancilla |0>, psi2 on ancilla |1>.
+    conj_axis = axis + [math.pi / 2, -math.pi / 2]
 
     # Initial block: 2 delta rotation, axis offset by the relative phase.
-    if abs(delta) >= _ANGLE_TOL:
-        axis = _norm_axis(math.pi / 2 + rel)
-        events.append(PulseEvent("rf", spin="A", flip_angle=2 * delta, axis_phase=axis))
-    checkpoints["i"] = len(events)
-
+    columns = [(2 * delta, (math.pi / 2 + rel) % _TWO_PI, 0.0)]
     # Encoding block: one controlled rotation per input state.
-    for control, psi in enumerate((spec.psi1, spec.psi2)):
-        _controlled_rotation(events, psi.theta, psi.phi + math.pi / 2, control, tau)
-    checkpoints["ii"] = len(events)
-
+    for k in range(2):
+        columns += _controlled_rotation(theta[:, k], axis[:, k], conj_axis[:, k], tau)
     # Superposition block: phase correction, pseudo-Hadamard, compensation.
-    # Only the declared gammas are removed; weight phases stay in the target.
-    _composite_z(events, "A", spec.psi1.gamma - spec.psi2.gamma)
-    checkpoints["iii"] = len(events)
-    events.append(
-        PulseEvent("rf", spin="A", flip_angle=math.pi / 2, axis_phase=3 * math.pi / 2)
-    )
-    _composite_z(events, "A", math.pi)
-    checkpoints["iv"] = len(events)
-
+    columns += _composite_z(z)
+    columns += [(math.pi / 2, 3 * math.pi / 2, 0.0)]
+    columns += _composite_z(math.remainder(math.pi, _TWO_PI))
     # Readout gradient for the normalization measurement.
-    events.append(PulseEvent("gradient"))
-    checkpoints["v"] = len(events)
-    return PulseSequence(tuple(events), checkpoints)
+    columns += [(0.0, 0.0, 0.0)]
+    values = [_table(column, len(delta)) for column in zip(*columns)]
+
+    tests = np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)
+    tests = np.abs(tests) >= _ANGLE_TOL
+    codes = tests @ (1 << np.arange(4))
+    programs = []
+    # np.bincount, not np.unique: np.unique imports numpy.ma (about 2 MB).
+    for code in np.flatnonzero(np.bincount(codes)):
+        rows = np.flatnonzero(codes == code)
+        emitted = [*tests[rows[0]].tolist(), True, True, True]
+        cols = [k for k, b in enumerate(_BLOCK_OF) if emitted[b]]
+        ends = list(accumulate(len(block) * on for block, on in zip(_BLOCKS, emitted)))
+        cuts = {label: ends[last] for label, last in _LAST_BLOCK.items()}
+        events = tuple([e for block, on in zip(_BLOCKS, emitted) if on for e in block])
+        programs.append(PulseProgram(rows, events, cuts, *(v[rows][:, cols] for v in values)))
+    return programs
 
 
 def initial_state(epsilon: float = 1.0) -> DensityMatrix:
@@ -312,67 +371,66 @@ def initial_state(epsilon: float = 1.0) -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
-def _operators(group: Sequence[tuple], sys: SpinSystem) -> list[tuple]:
-    """(kind, operator) of each event over event lists of one skeleton: (T, 4, 4)
-    rf unitaries, (T, 4, 1) delay phases, None for a gradient."""
-    columns = list(zip(*group))
-    rf = [[(e.flip_angle, e.axis_phase) for e in c] for c in columns if c[0].kind == "rf"]
-    angles = np.array(rf, dtype=float).reshape(-1, len(group), 2)
-    rotations = iter(rotation_matrix(angles[..., 0], angles[..., 1]))
-    ops = []
-    for col in columns:
-        kind, op = col[0].kind, None
+def _propagators(
+    program: PulseProgram, sys: SpinSystem, cut: int
+) -> Iterator[Optional[np.ndarray]]:
+    """Yield the net unitary (T, 4, 4) of each gradient-free run of the
+    program's first ``cut`` events, and None at each gradient.
+
+    Rotations of the two spins commute, so each spin's rotations multiply as
+    2 x 2 matrices until the next delay or gradient; their Kronecker product
+    then joins the run."""
+    events = program.events[:cut]
+    rf = [k for k, (kind, _) in enumerate(events) if kind == "rf"]
+    delays = [k for k, (kind, _) in enumerate(events) if kind == "delay"]
+    angles = program.flip_angle[:, rf], program.axis_phase[:, rf]
+    rotations = iter(rotation_matrix(*angles).swapaxes(0, 1))
+    phases = iter(_delay_phases(sys, program.duration[:, delays]).swapaxes(0, 1))
+    u, pending = EYE4, {}
+    # The closing None flushes the rotations after the last delay or gradient.
+    for kind, spin in events + ((None, None),):
         if kind == "rf":
-            op = _on_spin(col[0].spin, next(rotations))
-        elif kind == "delay":
-            op = _delay_phases(sys, [e.duration for e in col])[..., None]
-        ops.append((kind, op))
-    return ops
-
-
-def _propagators(ops: Sequence[tuple]) -> Iterator[Optional[np.ndarray]]:
-    """Yield the net unitary of each gradient-free run, and None at each gradient."""
-    u = np.eye(4, dtype=complex)
-    for kind, op in ops:
-        if kind == "gradient":
+            r = next(rotations)
+            for s in ("A", "X") if spin == "both" else (spin,):
+                pending[s] = r @ pending[s] if s in pending else r
+            continue
+        if pending:
+            step = _kron(pending.pop("A", EYE2), pending.pop("X", EYE2))
+            u = step if u is EYE4 else step @ u
+        if kind == "delay":
+            u = next(phases)[..., None] * u
+        elif kind == "gradient":
             yield u
             yield None
-            u = np.eye(4, dtype=complex)
-        else:
-            u = op @ u if kind == "rf" else op * u
+            u = EYE4
     yield u
 
 
 def run_sequence(
-    seqs: Sequence[PulseSequence], sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
+    programs: Sequence[PulseProgram], sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
 ) -> np.ndarray:
-    """States (T, 4, 4) at ``checkpoint``, row t from seqs[t]; the events after it
+    """States (T, 4, 4) at ``checkpoint``: row ``p.rows[k]`` from row k of program
+    p, whose rows must number 0..T-1 once each. The events after the checkpoint
     are not simulated."""
-    groups: dict[tuple, list] = {}
-    for t, seq in enumerate(seqs):
-        if checkpoint not in seq.checkpoints:
+    rows = np.concatenate([p.rows for p in programs] + [np.zeros(0, dtype=int)])
+    if not np.array_equal(np.sort(rows), np.arange(len(rows))):
+        raise ArgumentError("the programs' rows must number 0..T-1 once each")
+    start = initial_state(epsilon).mat
+    out = np.empty((len(rows), 4, 4), complex)
+    for program in programs:
+        if checkpoint not in program.cuts:
             raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
-        events = seq.events[: seq.checkpoints[checkpoint]]
-        # tuple() of a list, not of a generator: CPython sizes a generator's
-        # tuple by guess and resizes it, and the resized tuples pile up in
-        # its free lists (about 1 MB more peak RSS over a long run).
-        skeleton = tuple([(e.kind, e.spin) for e in events])
-        groups.setdefault(skeleton, []).append((t, events))
-    out = np.empty((len(seqs), 4, 4), complex)
-    out[:] = initial_state(epsilon).mat
-    for group in groups.values():
-        rows, events = (list(x) for x in zip(*group))
-        mat = out[rows]
-        for u in _propagators(_operators(events, sys)):
+        mat = start
+        for u in _propagators(program, sys, program.cuts[checkpoint]):
             mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
-        out[rows] = mat
+        out[program.rows] = mat
     check_densities(out)
     return out
 
 
 def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
     """Net unitary of a gradient-free sequence (for equivalence checks)."""
-    u, *rest = _propagators(_operators([seq.events], sys))
+    u, *rest = _propagators(seq.program(), sys, len(seq.events))
     if rest:
         raise ArgumentError("gradients have no unitary representation")
     return u.reshape(4, 4)

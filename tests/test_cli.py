@@ -84,7 +84,8 @@ class TestRunDirect:
     @pytest.mark.parametrize(
         "flag,value,message",
         [
-            ("--psi1", "3.1415927,0", "--psi1: theta must lie in [0, pi], got 3.1415927"),
+            # Beyond INPUT_TOL of [0, pi]; 3.1415927 is clamped to pi.
+            ("--psi1", "3.1416,0", "--psi1: theta must lie in [0, pi], got 3.1416"),
             ("--psi1", "x,0", "--psi1: could not convert string to float: 'x'"),
             ("--psi2", "1", "--psi2: expects 'theta,phi[,gamma]', got '1'"),
             ("--a", "1,2,3", "--a: expects 'RE[,IM]', got '1,2,3'"),
@@ -136,7 +137,8 @@ class TestRunDirect:
 
 
 class TestInputTolerance:
-    """Weight flags that miss unit norm by at most cli.INPUT_TOL are rescaled."""
+    """Weight flags that miss unit norm by at most cli.INPUT_TOL are rescaled,
+    and polar angles that miss [0, pi] by at most it are clamped."""
 
     STATES = ("--psi1", "2.0943951,0", "--psi2", "1.0471976,0")
 
@@ -171,6 +173,29 @@ class TestInputTolerance:
                                     for amps in states]))
         argv = ["qudit", "--n", "3", "--d", "2", "--states", str(path), "--chi-index", "0"]
         assert run_cli(capsys, *argv, "--weights", ",".join([weight] * 3))[0] == code
+
+    @pytest.mark.parametrize("typed,exact", [("3.1415927", repr(math.pi)), ("-0.0000001", "0")])
+    def test_polar_angle_within_the_tolerance_clamped(self, capsys, typed, exact):
+        # chi = |+> overlaps |0> and |1>: the clamped run is the exact run.
+        outs = []
+        for theta in (typed, exact):
+            # "--psi1=-1e-7,0": argparse reads a lone "-1e-7,0" as a flag.
+            argv = ("run-reference", "--mode", "reduced", f"--psi1={theta},0",
+                    "--psi2", "1.0471976,0", "--chi", "1.5707963267948966,0",
+                    "--a", HALF, "--b", HALF)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_eight_digit_pi_reaches_the_overlap_rule(self, capsys):
+        # theta = 3.1415927 runs as pi, the state |1>, which run-direct's
+        # reference |0> does not overlap: a zero-overlap error, not a range error.
+        argv = ("--psi2", "1.5707963,0", "--a", "0.70710678", "--b", "0.70710678")
+        code, out, err = run_cli(capsys, "run-direct", "--psi1", "3.1415927,0", *argv)
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "zero-overlap"
+        assert error["message"].startswith("psi1 has a zero overlap")
 
     def test_weights_within_atol_kept_as_typed(self):
         weights = (INV_SQRT2, 1j * INV_SQRT2)

@@ -12,13 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import kernel
-from qsuperpose.datasets import dataset
+from qsuperpose.datasets import TABLE1, dataset
 from qsuperpose.direct import (
     SuperpositionSpec,
     encode_two_qubit,
     outcomes,
     run_direct,
     run_direct_batch,
+    spec_batch,
 )
 from qsuperpose.errors import ArgumentError, DegenerateInputError, ZeroOverlapError
 from qsuperpose.linalg import (
@@ -40,6 +41,11 @@ def success_oracle(a, b, psi1, psi2):
 def register(spec):
     """The encoded register of a spec as a kernel block (1, 2, 2)."""
     return encode_two_qubit(spec).amps.reshape(1, 2, 2)
+
+
+def stacked(specs):
+    """The specs' T = 1 batches as one spec batch."""
+    return spec_batch(*(np.concatenate(x) for x in zip(*[(s.batch.weights, s.batch.angles) for s in specs])))
 
 
 def phase_gate(block, gamma1, gamma2):
@@ -78,7 +84,7 @@ class TestBatch:
     @given(st.lists(SPECS, min_size=1, max_size=5))
     def test_rows_match_run_direct(self, specs):
         """Row t of the batched gate pipeline is run_direct on specs[t]."""
-        rows, targets = run_direct_batch(specs)
+        rows, targets = run_direct_batch(stacked(specs))
         assume(np.all(np.linalg.norm(rows[:, 0], axis=1) > 1e-6))
         assume(np.all(np.linalg.norm(targets, axis=1) > 1e-6))
         final, goal, fid = outcomes(rows[:, 0], targets)
@@ -95,9 +101,50 @@ class TestBatch:
         # a psi1 + b psi2 = 0: the post-selected branch of row 1 vanishes.
         zero = QubitParams(0.0, 0.0)
         specs = [dataset(1).spec(), SuperpositionSpec(INV_SQRT2, -INV_SQRT2, zero, zero)]
-        rows, targets = run_direct_batch(specs)
+        rows, targets = run_direct_batch(stacked(specs))
         with pytest.raises(DegenerateInputError):
             outcomes(rows[:, 0], targets)
+
+
+class TestSpecBatch:
+    def test_rows_are_the_specs_batches(self):
+        # Row t of the Table 1 batch is, bit for bit, dataset t's T = 1 batch.
+        batch = spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
+        for t, ds in enumerate(TABLE1):
+            for whole, one in zip(batch, ds.spec().batch):
+                assert whole[t].tobytes() == one[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "k,value", [(0, 3.2), (0, -0.1), (0, math.nan), (1, 2 * math.pi), (2, -0.1)]
+    )
+    def test_angle_ranges_are_the_qubit_ranges(self, k, value):
+        angles = np.zeros((3, 2, 3))
+        angles[2, 1, k] = value
+        with pytest.raises(ArgumentError) as batch_error:
+            spec_batch(np.tile([1.0, 0.0], (3, 1)), angles)
+        with pytest.raises(ArgumentError) as qubit_error:
+            QubitParams(*angles[2, 1])
+        assert str(batch_error.value) == str(qubit_error.value)
+
+    def test_zero_overlap_row(self):
+        angles = np.zeros((2, 2, 3))
+        angles[1, 0, 0] = math.pi
+        with pytest.raises(ZeroOverlapError):
+            spec_batch([[1.0, 0.0]] * 2, angles)
+
+    @pytest.mark.parametrize("weights,angles", [((2, 2), (3, 2, 3)), ((2, 3), (2, 3, 3)), ((2,), (2, 3))])
+    def test_shapes_checked(self, weights, angles):
+        with pytest.raises(ArgumentError, match="expected weights"):
+            spec_batch(np.ones(weights), np.zeros(angles))
+
+    def test_batch_owns_read_only_copies(self):
+        weights = np.array([[1.0, 0.0]])
+        batch = spec_batch(weights, np.zeros((1, 2, 3)))
+        weights[0, 0] = 5.0
+        assert batch.weights[0, 0] == 1.0
+        for arr in batch:
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
 
 
 class TestEncode:

@@ -1,19 +1,37 @@
 """Pulse-level simulation: Hamiltonian, pulses, compiler, readout."""
+import cmath
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import kernel, nmr
 from qsuperpose.datasets import TABLE1, dataset
-from qsuperpose.direct import SuperpositionSpec, encode_two_qubit, run_direct
+from qsuperpose.direct import (
+    SuperpositionSpec,
+    encode_two_qubit,
+    outcomes,
+    run_direct,
+    run_direct_batch,
+    spec_batch,
+)
 from qsuperpose.errors import ArgumentError, DegenerateInputError
-from qsuperpose.linalg import DensityMatrix, QubitParams, StateVector, fidelity, pure_density
+from qsuperpose.linalg import (
+    DensityMatrix,
+    QubitParams,
+    StateVector,
+    fidelity,
+    fidelity_batch,
+    pure_density,
+    pure_density_batch,
+)
 from qsuperpose.nmr import (
     CHECKPOINT_LABELS,
     PulseEvent,
+    PulseProgram,
     PulseSequence,
     SpinSystem,
     compile_sequence,
@@ -44,14 +62,51 @@ def random_density(rng) -> DensityMatrix:
     return DensityMatrix((2, 2), mat / np.trace(mat).real)
 
 
+VALUE_FIELDS = ("flip_angle", "axis_phase", "duration")
+
+
+def table1_batch():
+    return spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
+
+
+def sequence(spec) -> PulseSequence:
+    """A spec's compiled program, as its JSON form."""
+    (program,) = compile_sequence(spec.batch, SYS)
+    return PulseSequence.of(program, 0)
+
+
+def row_sequences(programs) -> list[PulseSequence]:
+    """Row t of the programs as a PulseSequence, for every row t."""
+    seqs = {t: PulseSequence.of(p, k) for p in programs for k, t in enumerate(p.rows)}
+    return [seqs[t] for t in range(len(seqs))]
+
+
+def stack(seqs) -> list[PulseProgram]:
+    """The sequences as programs, one per skeleton and cuts; row t is seqs[t]."""
+    groups: dict = {}
+    for t, seq in enumerate(seqs):
+        program = seq.program()
+        key = (program.events, tuple(sorted(program.cuts.items())))
+        groups.setdefault(key, []).append((t, program))
+    return [
+        PulseProgram(
+            np.array([t for t, _ in group]),
+            group[0][1].events,
+            group[0][1].cuts,
+            *(np.concatenate([getattr(p, key) for _, p in group]) for key in VALUE_FIELDS),
+        )
+        for group in groups.values()
+    ]
+
+
 def state(seq, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
     """One sequence's state at one checkpoint, as a DensityMatrix."""
-    return DensityMatrix((2, 2), run_sequence([seq], sys, label, epsilon)[0])
+    return DensityMatrix((2, 2), run_sequence([seq.program()], sys, label, epsilon)[0])
 
 
 def readout(spec) -> tuple[DensityMatrix, float]:
-    """Partial tomography of a spec's compiled sequence at (iv)."""
-    mats = run_sequence([compile_sequence(spec, SYS)], SYS, "iv")
+    """Partial tomography of a spec's compiled program at (iv)."""
+    mats = run_sequence(compile_sequence(spec.batch, SYS), SYS, "iv")
     blocks, norms = partial_tomography(mats)
     return DensityMatrix((2,), blocks[0]), float(norms[0])
 
@@ -272,18 +327,18 @@ class TestCompileSequence:
     def test_encoding_block_matches_gate_level(self, dataset_id):
         ds = dataset(dataset_id)
         spec = ds.spec()
-        seq = compile_sequence(spec, SYS)
+        seq = sequence(spec)
         net = sequence_unitary(self.encoding_block(seq), SYS)
         assert_equal_up_to_phase(net, self.gate_level_encoding(spec))
 
     def test_single_weight_empty_initial_block(self):
         spec = SuperpositionSpec(1.0, 0.0, QubitParams(0, 0), QubitParams(1.0, 0.0))
-        seq = compile_sequence(spec, SYS)
+        seq = sequence(spec)
         assert seq.checkpoints["i"] == 0
         np.testing.assert_allclose(state(seq, "i").mat, ground().mat, atol=1e-14)
 
     def test_dataset9_carries_branch_phase(self):
-        seq = compile_sequence(dataset(9).spec(), SYS)
+        seq = sequence(dataset(9).spec())
         rho = state(seq, "ii")
         encoded = encode_two_qubit(dataset(9).spec())
         assert fidelity(rho, pure_density(encoded)) >= 1.0 - 1e-9
@@ -292,22 +347,177 @@ class TestCompileSequence:
         assert fidelity(rho, plain) < 1.0 - 1e-3
 
     def test_checkpoints_cover_all_labels(self):
-        seq = compile_sequence(dataset(2).spec(), SYS)
+        seq = sequence(dataset(2).spec())
         assert list(seq.checkpoints) == ["i", "ii", "iii", "iv", "v"]
         assert seq.checkpoints["v"] == len(seq.events)
+
+
+PHASES = st.floats(0.0, 2 * math.pi, exclude_max=True)
+# theta = 0 drops a controlled rotation; theta <= 2.7 keeps |<0|psi>| >= 0.2.
+THETAS = st.one_of(st.just(0.0), st.floats(1e-3, 2.7))
+
+
+@st.composite
+def spec_rows(draw):
+    """Weights (T, 2) and Bloch angles (T, 2, 3) whose programs mix skeletons:
+    b = 0, theta = 0 and gamma1 = gamma2 each drop a block."""
+    weights, angles = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        delta = draw(st.one_of(st.just(0.0), st.floats(0.05, math.pi / 2)))
+        a, b = math.cos(delta), math.sin(delta)
+        weights.append((a * cmath.exp(1j * draw(PHASES)), b * cmath.exp(1j * draw(PHASES))))
+        gamma1 = draw(PHASES)
+        gamma2 = draw(st.one_of(st.just(gamma1), PHASES))
+        angles.append([(draw(THETAS), draw(PHASES), gamma1), (draw(THETAS), draw(PHASES), gamma2)])
+    return weights, angles
+
+
+def event_list(spec, sys=SYS):
+    """The scalar event-list compiler that the array compiler replaced, kept as
+    its reference: (kind, spin, flip angle, axis phase, duration) per event, and
+    the cuts."""
+    two_pi, tol = 2.0 * math.pi, 1e-12
+    mag_a, mag_b = abs(spec.weight_a), abs(spec.weight_b)
+    delta = math.atan2(mag_b, mag_a)
+    g1 = spec.psi1.gamma + (cmath.phase(spec.weight_a) if mag_a > 0 else 0.0)
+    g2 = spec.psi2.gamma + (cmath.phase(spec.weight_b) if mag_b > 0 else 0.0)
+    tau = 1.0 / (2.0 * sys.j_hz)
+    events, cuts = [], {}
+
+    def composite_z(angle):
+        angle = math.remainder(angle, two_pi)
+        if abs(angle) >= tol:
+            y_axis = math.pi / 2 if angle > 0 else 3 * math.pi / 2
+            events.extend([
+                ("rf", "A", math.pi / 2, math.pi, 0.0),
+                ("rf", "A", abs(angle), y_axis, 0.0),
+                ("rf", "A", math.pi / 2, 0.0, 0.0),
+            ])
+
+    if abs(delta) >= tol:
+        events.append(("rf", "A", 2 * delta, (math.pi / 2 + (g2 - g1)) % two_pi, 0.0))
+    cuts["i"] = len(events)
+    for control, psi in enumerate((spec.psi1, spec.psi2)):
+        if abs(psi.theta) >= tol:
+            axis = psi.phi + math.pi / 2
+            conj = axis + (math.pi / 2 if control == 0 else -math.pi / 2)
+            echo, delay = ("rf", "A", math.pi, 0.0, 0.0), ("delay", None, 0.0, 0.0, tau)
+            events.extend([
+                ("rf", "X", psi.theta / 2, axis % two_pi, 0.0),
+                delay,
+                ("rf", "X", psi.theta / 2, conj % two_pi, 0.0),
+                echo,
+                delay,
+                echo,
+            ])
+    cuts["ii"] = len(events)
+    composite_z(spec.psi1.gamma - spec.psi2.gamma)
+    cuts["iii"] = len(events)
+    events.append(("rf", "A", math.pi / 2, 3 * math.pi / 2, 0.0))
+    composite_z(math.pi)
+    cuts["iv"] = len(events)
+    events.append(("gradient", None, 0.0, 0.0, 0.0))
+    cuts["v"] = len(events)
+    return events, cuts
+
+
+def assert_round_trips(programs):
+    """Every row goes to PulseSequence JSON and back to the same skeleton, the
+    same cuts and bitwise the same arrays."""
+    for p in programs:
+        for k in range(len(p.rows)):
+            text = json.dumps(PulseSequence.of(p, k).to_json())
+            back = PulseSequence.from_json(json.loads(text)).program()
+            assert back.events == p.events and back.cuts == p.cuts
+            assert back.rows.tolist() == [0]
+            for key in VALUE_FIELDS:
+                assert getattr(back, key)[0].tobytes() == getattr(p, key)[k].tobytes(), key
+
+
+def specs_of(rows) -> list[SuperpositionSpec]:
+    weights, angles = rows
+    return [
+        SuperpositionSpec(w[0], w[1], *(QubitParams(*a) for a in pair))
+        for w, pair in zip(weights, angles)
+    ]
+
+
+class TestArrayCompiler:
+    def check_against_event_list(self, specs, programs):
+        assert sorted(t for p in programs for t in p.rows) == list(range(len(specs)))
+        for p in programs:
+            for k, t in enumerate(p.rows):
+                events, cuts = event_list(specs[t])
+                assert p.cuts == cuts
+                assert p.events == tuple((kind, spin) for kind, spin, *_ in events)
+                flip, axis, duration = (np.array([e[i] for e in events]) for i in (2, 3, 4))
+                np.testing.assert_allclose(p.flip_angle[k], flip, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(p.duration[k], duration, rtol=0, atol=1e-14)
+                # Axis phases are angles: 2 pi - 1e-16 and 0 are one axis.
+                gap = np.remainder(p.axis_phase[k] - axis + math.pi, 2 * math.pi) - math.pi
+                assert np.max(np.abs(gap), initial=0.0) <= 1e-14
+
+    def test_table1_matches_event_list(self):
+        programs = compile_sequence(table1_batch(), SYS)
+        self.check_against_event_list([ds.spec() for ds in TABLE1], programs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_rows())
+    def test_batch_matches_event_list(self, rows):
+        programs = compile_sequence(spec_batch(*rows), SYS)
+        self.check_against_event_list(specs_of(rows), programs)
+
+    def test_skeleton_tests_split_rows(self):
+        # The four tests pick the skeleton: 16 specs, one per skeleton.
+        weights, angles = [], []
+        for code in range(16):
+            on = [bool(code >> bit & 1) for bit in range(4)]
+            weights.append((INV_SQRT2, INV_SQRT2) if on[0] else (1.0, 0.0))
+            gamma2 = 1.0 if on[3] else 0.0
+            angles.append([(0.9 * on[1], 0.3, 0.0), (1.1 * on[2], 0.2, gamma2)])
+        programs = compile_sequence(spec_batch(weights, angles), SYS)
+        assert len(programs) == 16 and all(len(p.rows) == 1 for p in programs)
+        self.check_against_event_list(specs_of((weights, angles)), programs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_rows())
+    def test_batch_matches_kernel_and_solo_runs(self, rows):
+        # At (iv): the trace is the kernel's direct success probability, the
+        # normalized ancilla-|0> block is the target, and each row is its own run.
+        batch = spec_batch(*rows)
+        branches, targets = run_direct_batch(batch)
+        success = kernel.norm_sq(branches[:, 0])
+        assume(np.all(success >= 1e-6))
+        _, goal, _ = outcomes(branches[:, 0], targets)
+        mats = run_sequence(compile_sequence(batch, SYS), SYS, "iv")
+        blocks, norms = partial_tomography(mats)
+        assert np.max(np.abs(norms - success)) <= 1e-9
+        assert np.min(fidelity_batch(blocks, pure_density_batch(goal))) >= 1.0 - 1e-9
+        for t in range(len(mats)):
+            alone = spec_batch(batch.weights[t : t + 1], batch.angles[t : t + 1])
+            solo = run_sequence(compile_sequence(alone, SYS), SYS, "iv")[0]
+            assert np.max(np.abs(mats[t] - solo)) <= 1e-12
+
+    def test_table1_rows_round_trip_json(self):
+        assert_round_trips(compile_sequence(table1_batch(), SYS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec_rows())
+    def test_rows_round_trip_json(self, rows):
+        assert_round_trips(compile_sequence(spec_batch(*rows), SYS))
 
 
 class TestRunSequence:
     @pytest.mark.parametrize("dataset_id", [1, 4, 6, 9])
     def test_checkpoint_ii_matches_encoded_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
-        rho = state(compile_sequence(spec, SYS), "ii")
+        rho = state(sequence(spec), "ii")
         assert fidelity(rho, pure_density(encode_two_qubit(spec))) >= 1.0 - 1e-9
 
     @pytest.mark.parametrize("dataset_id", [1, 4, 6, 9])
     def test_checkpoint_iv_matches_preselection_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
-        rho = state(compile_sequence(spec, SYS), "iv")
+        rho = state(sequence(spec), "iv")
         gate = StateVector((2, 2), kernel.direct(*spec.batch[:3]).reshape(-1))
         assert fidelity(rho, pure_density(gate)) >= 1.0 - 1e-9
 
@@ -318,20 +528,20 @@ class TestRunSequence:
                 tuple(events), {label: len(events) for label in ("i", "ii", "iii", "iv", "v")}
             )
             for label in ("i", "ii", "iii", "iv", "v"):
-                states = run_sequence([seq] * 2, SYS, label)
+                states = run_sequence(stack([seq] * 2), SYS, label)
                 np.testing.assert_allclose(states, [ground().mat] * 2, atol=1e-14)
 
     def test_checkpoint_v_is_crushed_iv(self):
-        seq = compile_sequence(dataset(3).spec(), SYS)
+        seq = sequence(dataset(3).spec())
         np.testing.assert_allclose(
             state(seq, "v").mat, gradient_crush(state(seq, "iv")).mat, atol=1e-14
         )
 
     def test_mixed_start_blends_linearly(self):
-        seq = compile_sequence(dataset(5).spec(), SYS)
+        seq = sequence(dataset(5).spec())
         eps = 0.9
         for label in ("ii", "iv"):
-            mixed = run_sequence([seq], SYS, label, epsilon=eps)[0]
+            mixed = run_sequence([seq.program()], SYS, label, epsilon=eps)[0]
             blended = eps * state(seq, label).mat + (1 - eps) * np.eye(4) / 4.0
             np.testing.assert_allclose(mixed, blended, atol=1e-12)
 
@@ -342,11 +552,11 @@ class TestRunSequence:
     @pytest.mark.parametrize("epsilon", [1.0, 0.3])
     @pytest.mark.parametrize("ds", TABLE1, ids=lambda d: f"dataset{d.dataset_id}")
     def test_datasets_match_event_fold(self, ds, epsilon):
-        seq = compile_sequence(ds.spec(), SYS)
-        reference = fold(seq, SYS, epsilon)
+        programs = compile_sequence(ds.spec().batch, SYS)
+        reference = fold(row_sequences(programs)[0], SYS, epsilon)
         assert list(reference) == list(CHECKPOINT_LABELS)
         for label, rho in reference.items():
-            mat = run_sequence([seq], SYS, label, epsilon)[0]
+            mat = run_sequence(programs, SYS, label, epsilon)[0]
             assert np.max(np.abs(mat - rho.mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -357,9 +567,9 @@ class TestRunSequence:
         for label in CHECKPOINT_LABELS:
             if label not in seq.checkpoints:
                 with pytest.raises(ArgumentError, match=f"no checkpoint '{label}'"):
-                    run_sequence([seq], sys, label, epsilon)
+                    run_sequence([seq.program()], sys, label, epsilon)
                 continue
-            mats = run_sequence([seq], sys, label, epsilon)
+            mats = run_sequence([seq.program()], sys, label, epsilon)
             assert mats.shape == (1, 4, 4)
             assert np.max(np.abs(mats[0] - reference[label].mat)) <= 1e-12
 
@@ -369,41 +579,50 @@ class TestRunSequence:
         # Mixed skeletons: each row equals its own run and the event fold.
         folds = [fold(seq, sys, epsilon) for seq in seqs]
         for label in seqs[0].checkpoints:
-            batch = run_sequence(seqs, sys, label, epsilon)
+            batch = run_sequence(stack(seqs), sys, label, epsilon)
             assert batch.shape == (len(seqs), 4, 4)
             for t, seq in enumerate(seqs):
-                alone = run_sequence([seq], sys, label, epsilon)[0]
+                alone = run_sequence([seq.program()], sys, label, epsilon)[0]
                 assert np.max(np.abs(batch[t] - alone)) <= 1e-12
                 assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.3])
     def test_table1_batch_matches_event_fold(self, epsilon):
-        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1]
-        skeletons = {tuple((e.kind, e.spin) for e in seq.events) for seq in seqs}
-        assert sorted(len(s) for s in skeletons) == [12, 18, 21]
-        folds = [fold(seq, SYS, epsilon) for seq in seqs]
+        programs = compile_sequence(table1_batch(), SYS)
+        assert sorted(len(p.events) for p in programs) == [12, 18, 21]
+        folds = [fold(seq, SYS, epsilon) for seq in row_sequences(programs)]
         for label in CHECKPOINT_LABELS:
-            batch = run_sequence(seqs, SYS, label, epsilon)
+            batch = run_sequence(programs, SYS, label, epsilon)
             for t, reference in enumerate(folds):
                 assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
     def test_every_sequence_needs_the_checkpoint(self):
         events = (PulseEvent("gradient"),)
-        seqs = [
-            PulseSequence(events, {"i": 0, "ii": 1}),
-            PulseSequence(events, {"ii": 1}),
-        ]
-        assert run_sequence(seqs, SYS, "ii").shape == (2, 4, 4)
+        programs = stack(
+            [PulseSequence(events, {"i": 0, "ii": 1}), PulseSequence(events, {"ii": 1})]
+        )
+        assert run_sequence(programs, SYS, "ii").shape == (2, 4, 4)
         with pytest.raises(ArgumentError, match="the sequence has no checkpoint 'i'"):
-            run_sequence(seqs, SYS, "i")
+            run_sequence(programs, SYS, "i")
+
+    @pytest.mark.parametrize("rows", [[[0], [0]], [[0], [2]], [[1]], [[0, 0]]])
+    def test_rows_must_number_each_row_once(self, rows):
+        # Overlapping or missing rows would leave output rows unset.
+        program = PulseSequence((PulseEvent("gradient"),), {"iv": 1}).program()
+        programs = [
+            program._replace(rows=np.array(r), **{k: np.zeros((len(r), 1)) for k in VALUE_FIELDS})
+            for r in rows
+        ]
+        with pytest.raises(ArgumentError, match="rows must number 0..T-1 once each"):
+            run_sequence(programs, SYS, "iv")
 
     def test_batch_validates_its_states(self, monkeypatch):
         # A defect in the propagation is caught by the one batched check.
-        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1[:3]]
+        programs = compile_sequence(table1_batch(), SYS)
         phases = nmr._delay_phases
         monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
         with pytest.raises(ArgumentError, match="trace .* exceeds 1"):
-            run_sequence(seqs, SYS, "iv")
+            run_sequence(programs, SYS, "iv")
 
 
 class TestSequenceUnitary:
@@ -449,8 +668,7 @@ class TestPartialTomography:
         assert fidelity(qubit, target) >= 1.0 - 1e-9
 
     def test_batch_rows_match_scalar(self):
-        seqs = [compile_sequence(ds.spec(), SYS) for ds in TABLE1]
-        mats = run_sequence(seqs, SYS, "iv")
+        mats = run_sequence(compile_sequence(table1_batch(), SYS), SYS, "iv")
         blocks, norms = partial_tomography(mats)
         for t in range(len(TABLE1)):
             block, norm = partial_tomography(mats[t : t + 1])
@@ -498,7 +716,7 @@ class TestPulseIdentities:
 
     def test_unitary_events_preserve_trace_and_purity(self, rng):
         rho = random_density(rng)
-        seq = compile_sequence(dataset(6).spec(), SYS)
+        seq = sequence(dataset(6).spec())
         for event in seq.events:
             if event.kind == "gradient":
                 continue
@@ -561,7 +779,7 @@ class TestEventValidation:
         assert "'iv'" in str(exc.value) and repr(cut) in str(exc.value)
 
     def test_json_round_trip(self):
-        seq = compile_sequence(dataset(9).spec(), SYS)
+        seq = sequence(dataset(9).spec())
         back = PulseSequence.from_json(seq.to_json())
         assert back.checkpoints == seq.checkpoints
         assert len(back.events) == len(seq.events)

@@ -13,7 +13,7 @@ import pytest
 
 from qsuperpose import cli
 from qsuperpose.datasets import dataset
-from qsuperpose.nmr import SpinSystem, compile_sequence
+from qsuperpose.nmr import PulseSequence, SpinSystem, compile_sequence
 
 ROOT = Path(__file__).parent.parent
 README = ROOT / "README.md"
@@ -80,7 +80,8 @@ def readme_dir(tmp_path, monkeypatch):
         norm = math.sqrt(sum(x * x for x in amps))
         states.append({"dims": [3], "amps": [[x / norm, 0.0] for x in amps]})
     (tmp_path / "states.json").write_text(json.dumps(states))
-    seq = compile_sequence(dataset(3).spec(), SpinSystem())
+    (program,) = compile_sequence(dataset(3).spec().batch, SpinSystem())
+    seq = PulseSequence.of(program, 0)
     (tmp_path / "seq.json").write_text(json.dumps(seq.to_json()))
     return tmp_path
 
@@ -110,3 +111,12 @@ def test_enhanced_example_geometry(readme_dir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["geometry"] == "generic"
     assert f"{out['p_total']:.8f}" == "0.25000001"
+
+
+def test_reduced_line_reports_a_fidelity_within_one(readme_dir, capsys):
+    # Its 8-digit inputs give a fidelity a rounding above 1 before the clamp.
+    argv = next(a for a in readme_commands() if a[:3] == ["run-reference", "--mode", "reduced"])
+    assert argv[3:] == ["--psi1", "2.0943951,0", "--psi2", "1.0471976,0",
+                        "--a", "0.70710678", "--b", "0.70710678"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["fidelity"] == 1.0
