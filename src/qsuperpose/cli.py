@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -21,10 +22,10 @@ from .direct import SuperpositionSpec, run_direct
 from .errors import ArgumentError, ToolkitError
 from .linalg import ATOL, DensityMatrix, QubitParams, StateVector, basis_state, make_qubit
 
-# Typed weights whose sum |a_k|^2 misses 1 by at most this much (8-digit
-# decimals such as 0.70710678) are rescaled to unit norm, and a typed polar
-# angle that misses [0, pi] by at most this much is clamped into it; the specs
-# hold every weight batch to the internal ATOL.
+# Typed weights and state-file amplitudes whose sum |a_k|^2 misses 1 by at most
+# this much (8-digit decimals such as 0.70710678) are rescaled to unit norm, and
+# a typed polar angle that misses [0, pi] by at most this much is clamped into
+# it; the specs hold every weight batch and state to the internal ATOL.
 INPUT_TOL = 1e-6
 
 
@@ -33,6 +34,11 @@ class _CliArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # No option starts with "-<digit>": read "-0.6,0" as a value, not a flag.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _CliArgumentError(message)
 
@@ -91,8 +97,8 @@ def _parse_weight_list(text: str) -> list[complex]:
 
 
 def _unit_weights(weights: Sequence[complex]) -> tuple[complex, ...]:
-    """The weight flags, rescaled when sum |a_k|^2 lies in (ATOL, INPUT_TOL] of 1;
-    any other input reaches the spec's own check unchanged."""
+    """Typed weights or state amplitudes, rescaled when sum |a_k|^2 lies in
+    (ATOL, INPUT_TOL] of 1; any other input reaches the spec's own check unchanged."""
     total = float(kernel.norm_sq(np.asarray([weights], dtype=complex))[0])
     if ATOL < abs(total - 1.0) <= INPUT_TOL:
         return tuple(w / math.sqrt(total) for w in weights)
@@ -131,19 +137,15 @@ def _add_state_flags(parser: _Parser, chi: bool = True) -> None:
 
 def _result_output(result, args) -> str | dict:
     """A protocol result as CSV text with --csv, else as its JSON object."""
+    payload = result.to_json()
     if not args.csv:
-        return result.to_json()
-    amps = result.final_state.amps
+        return payload
     header = ["success_prob", "norm_sq", "fidelity"]
-    values = [
-        analysis.fmt9(result.success_prob),
-        analysis.fmt9(result.norm_sq),
-        analysis.fmt9(result.fidelity_to_target),
-    ]
-    for k, amp in enumerate(amps):
+    values = [payload[key] for key in header]
+    for k, amp in enumerate(result.final_state.amps):
         header += [f"final{k}_re", f"final{k}_im"]
-        values += [analysis.fmt9(amp.real), analysis.fmt9(amp.imag)]
-    return ",".join(header) + "\n" + ",".join(values) + "\n"
+        values += [amp.real, amp.imag]
+    return ",".join(header) + "\n" + ",".join(map(analysis.fmt9, values)) + "\n"
 
 
 # Each command returns (output, exit code); main writes the output.
@@ -174,9 +176,9 @@ def _cmd_qudit(args):
         chi = StateVector.from_json(_load_json(args.chi))
     else:
         chi = basis_state(args.d, args.chi_index)
-    spec = reference.ReferenceSpec(
-        n=args.n, d=args.d, weights=weights, states=states, chi=chi
-    )
+    # Amplitudes typed to a few digits are rescaled as the weight flags are.
+    *states, chi = (StateVector(s.dims, _unit_weights(s.amps)) for s in (*states, chi))
+    spec = reference.ReferenceSpec(n=args.n, d=args.d, weights=weights, states=states, chi=chi)
     return hybrid.run_hybrid(spec).to_json(), 0
 
 

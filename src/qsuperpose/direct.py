@@ -8,7 +8,7 @@ proportional to a|psi1> + b|psi2>; outcome |1> carries the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ def spec_batch(weights, angles) -> SpecBatch:
     # psi1, psi2, then psi1 and psi2 with their phases stripped.
     pairs = np.concatenate([angles, angles * [1.0, 1.0, 0.0]], axis=1)
     states = bloch(*pairs.transpose(2, 0, 1))
-    kernel.validate(weights, states[:, :2], _KET0)
+    kernel.validate(weights, states[:, :2], _KET0, ref="0")
     batch = SpecBatch(weights, states[:, :2], angles[:, :, 2], states[:, 2:], angles)
     for arr in batch:
         arr.flags.writeable = False
@@ -94,38 +94,24 @@ def outcomes(branch: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     return final, goal, np.clip(fid, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolResult:
-    """Final state plus the probability bookkeeping of one protocol run."""
+class ProtocolResult(NamedTuple):
+    """The post-selected state of one protocol run, its success probability (the
+    branch's norm^2), its target's norm^2, and its fidelity to the target."""
 
     final_state: StateVector
-    branch_unnormalized: StateVector
     success_prob: float
     norm_sq: float
-    target_state: StateVector
     fidelity_to_target: float
-    difference_branch: Optional[StateVector] = None
 
     @staticmethod
-    def of(
-        branch: np.ndarray, target: np.ndarray, difference: Optional[np.ndarray] = None
-    ) -> "ProtocolResult":
-        """From a post-selected branch, its unnormalized target and, optionally,
-        the difference branch (dropped when its norm is below the floor)."""
-        d = branch.size
-        branch_sv, target_sv = StateVector((d,), branch), StateVector((d,), target)
-        final, goal, fid = outcomes(branch[None], target[None])
-        diff = None
-        if difference is not None and kernel.branch_survives(difference):
-            diff = StateVector((d,), difference).normalize()
+    def of(branch: np.ndarray, target: np.ndarray) -> "ProtocolResult":
+        """From a post-selected branch (d,) and its unnormalized target."""
+        final, _, fid = outcomes(branch[None], target[None])
         return ProtocolResult(
-            final_state=StateVector((d,), final[0], normalized=True),
-            branch_unnormalized=branch_sv,
-            success_prob=branch_sv.norm_sq,
-            norm_sq=target_sv.norm_sq,
-            target_state=StateVector((d,), goal[0], normalized=True),
-            fidelity_to_target=float(fid[0]),
-            difference_branch=diff,
+            StateVector(branch.shape, final[0], normalized=True),
+            float(np.vdot(branch, branch).real),
+            float(np.vdot(target, target).real),
+            float(fid[0]),
         )
 
     def to_json(self) -> dict:
@@ -154,4 +140,4 @@ def run_direct_batch(batch: SpecBatch) -> tuple[np.ndarray, np.ndarray]:
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:
     """Encode, phase-correct, Hadamard, post-select ancilla |0>."""
     rows, targets = run_direct_batch(spec.batch)
-    return ProtocolResult.of(rows[0, 0], targets[0], difference=rows[0, 1])
+    return ProtocolResult.of(rows[0, 0], targets[0])

@@ -16,8 +16,7 @@ add; two Bloch-sphere geometries guarantee that:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,11 +29,11 @@ from .kernel import (
 )
 from .linalg import (
     ATOL,
-    DensityMatrix,
     StateVector,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
-    partial_trace,
     require_overlaps,
+    unit_rows,
+    unit_state,
 )
 from .reference import ReferenceSpec, pair_batch
 
@@ -46,9 +45,9 @@ def chi_perp(chi: StateVector) -> StateVector:
     return StateVector((2,), kernel.chi_perp(chi.amps[None])[0], normalized=True)
 
 
-@dataclass(frozen=True, eq=False)
-class EnhancedResult:
-    """Both sector states, their probabilities, and the combined harvest."""
+class EnhancedResult(NamedTuple):
+    """Both sector states (the chi^perp one None when it vanished), their
+    probabilities and total, and the purity of the combined harvest."""
 
     branch_chi: StateVector
     branch_chi_perp: Optional[StateVector]
@@ -57,20 +56,12 @@ class EnhancedResult:
     p_total: float
     coherent: bool
     geometry: str
-    harvest_state: DensityMatrix
     harvest_purity: float
-
-    def __post_init__(self):
-        # p1 and p2 are squared norms, and p_total is p1 + p2 or p1 by construction.
-        if self.p_total > 1.0 + ATOL:
-            raise ArgumentError("total probability exceeds 1")
 
     def to_json(self) -> dict:
         return {
             "branch_chi": self.branch_chi.to_json(),
-            "branch_chi_perp": (
-                self.branch_chi_perp.to_json() if self.branch_chi_perp else None
-            ),
+            "branch_chi_perp": self.branch_chi_perp and self.branch_chi_perp.to_json(),
             "p1": self.p1,
             "p2": self.p2,
             "p_total": self.p_total,
@@ -96,28 +87,19 @@ def closed_form_p2(spec: ReferenceSpec) -> float:
 
 def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     """Controlled-SWAP, sector-controlled U, ancilla-|0> projection, harvest."""
-    chip = chi_perp(spec.chi)
+    chip = chi_perp(spec.chi).amps
     h = kernel.enhanced(*pair_batch(spec))
     w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
-    branch_chi = StateVector((2,), w_chi).normalize()
-    perp = StateVector((2,), w_perp)
-    branch_chi_perp = perp.normalize() if kernel.branch_survives(w_perp) else None
-
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.
-    joint = np.outer(w_chi, spec.chi.amps) + np.outer(w_perp, chip.amps)
-    joint = StateVector((2, 2), joint.reshape(-1)).normalize()
-    harvest = partial_trace(
-        DensityMatrix((2, 2), np.outer(joint.amps, joint.amps.conj())), [0]
-    )
+    joint = np.outer(w_chi, spec.chi.amps) + np.outer(w_perp, chip)
+    joint = unit_rows(joint.reshape(1, 4))[0]
+    rho = np.einsum("ijkj->ik", np.outer(joint, joint.conj()).reshape(2, 2, 2, 2))
+    # p1 and p2 are squared norms, and p_total is p1 + p2 or p1 by construction.
+    if h.p_total[0] > 1.0 + ATOL:
+        raise ArgumentError("total probability exceeds 1")
     return EnhancedResult(
-        branch_chi=branch_chi,
-        branch_chi_perp=branch_chi_perp,
-        p1=float(h.p1[0]),
-        p2=float(h.p2[0]),
-        p_total=float(h.p_total[0]),
-        coherent=bool(h.coherent[0]),
-        geometry=str(h.geometry[0]),
-        harvest_state=harvest,
-        harvest_purity=harvest.purity(),
+        unit_state(w_chi), unit_state(w_perp) if kernel.branch_survives(w_perp) else None,
+        float(h.p1[0]), float(h.p2[0]), float(h.p_total[0]), bool(h.coherent[0]),
+        str(h.geometry[0]), float(np.trace(rho @ rho).real),
     )

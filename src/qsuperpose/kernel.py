@@ -54,11 +54,10 @@ def branch_survives(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq(amps)) >= BRANCH_NORM_FLOOR
 
 
-def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> None:
-    """Check a whole batch at once, with the bounds of the scalar API.
-
-    NaN fails every comparison, so a non-finite entry fails its norm check.
-    """
+def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> None:
+    """Check a whole batch at once, with the bounds of the scalar API; a zero
+    overlap names the reference ``ref``. NaN fails every comparison, so a
+    non-finite entry fails its norm check."""
     _, n, d = states.shape
     if n * d**n > MAX_PIPELINE_DIM:
         raise ArgumentError(
@@ -71,7 +70,7 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> None:
     bad = ~(np.abs(total - 1.0) <= ATOL)
     if bad.any():
         raise ArgumentError(f"weights must have sum |a_k|^2 = 1, got {total[bad][0]}")
-    require_overlaps(np.abs(overlaps(states, chi)))
+    require_overlaps(np.abs(overlaps(states, chi)), ref)
 
 
 def _leave_one_out(x: np.ndarray) -> np.ndarray:

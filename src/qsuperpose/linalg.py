@@ -92,7 +92,7 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps).real)
 
     def normalize(self) -> "StateVector":
-        return StateVector(self.dims, unit_rows(self.amps[None])[0], normalized=True)
+        return unit_state(self.amps.reshape(self.dims))
 
     def to_json(self) -> dict:
         return {
@@ -121,6 +121,11 @@ def unit_rows(amps: np.ndarray) -> np.ndarray:
     if np.any(n < ATOL):
         raise DegenerateInputError("cannot normalize a (numerically) zero state")
     return amps / n[:, None]
+
+
+def unit_state(amps: np.ndarray) -> StateVector:
+    """amps scaled to unit norm as ``unit_rows`` scales a row; its shape is the dims."""
+    return StateVector(amps.shape, unit_rows(amps.reshape(1, -1))[0], normalized=True)
 
 
 def check_densities(mats: np.ndarray) -> np.ndarray:
@@ -158,9 +163,6 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "trace", tr)
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
 
     def to_json(self) -> dict:
         return {

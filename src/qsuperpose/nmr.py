@@ -362,13 +362,13 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> list[PulseProgram]:
     return programs
 
 
-def initial_state(epsilon: float = 1.0) -> DensityMatrix:
-    """Pseudo-pure |00><00| blended with identity: (1-eps) I/4 + eps |00><00|."""
+def initial_state(epsilon: float = 1.0) -> np.ndarray:
+    """Pseudo-pure |00><00| blended with identity: (1-eps) I/4 + eps |00><00|, (4, 4)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ArgumentError(f"purity epsilon must lie in [0, 1], got {epsilon}")
-    mat = (1.0 - epsilon) * np.eye(4) / 4.0
+    mat = (1.0 - epsilon) * np.eye(4, dtype=complex) / 4.0
     mat[0, 0] += epsilon
-    return DensityMatrix((2, 2), mat)
+    return mat
 
 
 def _propagators(
@@ -415,7 +415,7 @@ def run_sequence(
     rows = np.concatenate([p.rows for p in programs] + [np.zeros(0, dtype=int)])
     if not np.array_equal(np.sort(rows), np.arange(len(rows))):
         raise ArgumentError("the programs' rows must number 0..T-1 once each")
-    start = initial_state(epsilon).mat
+    start = initial_state(epsilon)
     out = np.empty((len(rows), 4, 4), complex)
     for program in programs:
         if checkpoint not in program.cuts:

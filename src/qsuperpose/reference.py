@@ -122,5 +122,5 @@ def run_three_qubit(spec: ReferenceSpec) -> ProtocolResult:
 def run_two_qubit_reduced(spec: ReferenceSpec) -> ProtocolResult:
     """The reduced protocol: primed weights, one chi-projection, Hadamard."""
     batch = pair_batch(spec)
-    rows = kernel.fourier_rows(kernel.reduced(*batch))[0]
-    return ProtocolResult.of(rows[0], kernel.target(*batch)[0], difference=rows[1])
+    branch = kernel.fourier_rows(kernel.reduced(*batch))[0, 0]
+    return ProtocolResult.of(branch, kernel.target(*batch)[0])

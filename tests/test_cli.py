@@ -179,8 +179,7 @@ class TestInputTolerance:
         # chi = |+> overlaps |0> and |1>: the clamped run is the exact run.
         outs = []
         for theta in (typed, exact):
-            # "--psi1=-1e-7,0": argparse reads a lone "-1e-7,0" as a flag.
-            argv = ("run-reference", "--mode", "reduced", f"--psi1={theta},0",
+            argv = ("run-reference", "--mode", "reduced", "--psi1", f"{theta},0",
                     "--psi2", "1.0471976,0", "--chi", "1.5707963267948966,0",
                     "--a", HALF, "--b", HALF)
             code, out, err = run_cli(capsys, *argv)
@@ -196,6 +195,51 @@ class TestInputTolerance:
         error = json.loads(err)["error"]
         assert code == 1 and out == "" and error["type"] == "zero-overlap"
         assert error["message"].startswith("psi1 has a zero overlap")
+
+    def test_run_direct_zero_overlap_names_ket0(self, capsys):
+        # run-direct has no chi: its declared phases, and its overlap rule, refer to |0>.
+        argv = ("--psi1", "3.1415927,0", "--psi2", "1.5707963,0",
+                "--a", "0.70710678", "--b", "0.70710678")
+        code, out, err = run_cli(capsys, "run-direct", *argv)
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "zero-overlap"
+        assert error["message"].startswith(
+            "psi1 has a zero overlap with the reference 0: |<0|psi1>| = 6.123e-17 is below"
+        )
+        assert "chi" not in error["message"]
+
+    @staticmethod
+    def qudit_with_plus(capsys, tmp_path, flag, x):
+        """qudit with |+> typed as amplitudes (x, x): an input state (--states)
+        or the reference (--chi)."""
+        plus = {"dims": [2], "amps": [[x, 0.0], [x, 0.0]]}
+        first = plus if flag == "--states" else {"dims": [2], "amps": [[1.0, 0.0], [0.0, 0.0]]}
+        states = [first, {"dims": [2], "amps": [[0.6, 0.0], [0.8, 0.0]]}]
+        (tmp_path / "s.json").write_text(json.dumps(states))
+        (tmp_path / "chi.json").write_text(json.dumps(plus))
+        chi = ("--chi", str(tmp_path / "chi.json")) if flag == "--chi" else ("--chi-index", "0")
+        argv = ("qudit", "--n", "2", "--d", "2", "--states", str(tmp_path / "s.json"),
+                "--weights", "0.6,0.8", *chi)
+        return run_cli(capsys, *argv)
+
+    @pytest.mark.parametrize("flag", ["--states", "--chi"])
+    def test_eight_digit_state_files_match_full_precision(self, capsys, tmp_path, flag):
+        results = []
+        for x in (0.70710678, INV_SQRT2):
+            code, out, err = self.qudit_with_plus(capsys, tmp_path, flag, x)
+            assert code == 0, err
+            results.append(json.loads(out))
+        assert abs(results[0]["success_prob"] - results[1]["success_prob"]) <= 1e-12
+        final = [state_amps(r["final_state"]) for r in results]
+        assert np.max(np.abs(final[0] - final[1])) <= 1e-12
+
+    @pytest.mark.parametrize("flag", ["--states", "--chi"])
+    def test_state_beyond_the_tolerance_rejected(self, capsys, tmp_path, flag):
+        # 0.7071 misses unit norm by 2e-5, beyond INPUT_TOL: the spec's check stands.
+        code, out, err = self.qudit_with_plus(capsys, tmp_path, flag, 0.7071)
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert error["message"] == "input and reference states must be finite and normalized"
 
     def test_weights_within_atol_kept_as_typed(self):
         weights = (INV_SQRT2, 1j * INV_SQRT2)
@@ -645,6 +689,18 @@ class TestParsing:
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 2
         assert json.loads(err)["error"]["type"] == "argument"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--psi1", "0,0", "--psi2", "1,0", "--a", "-0.6,0", "--b", "0.8"),
+         ("--psi1", "-0.0000001,0", "--psi2", "1,0", "--a", "0.6", "--b", "0.8")],
+    )
+    def test_negative_value_with_a_comma(self, capsys, argv):
+        # No option starts with "-<digit>": each runs as its "--flag=value" form.
+        code, out, err = run_cli(capsys, "run-direct", *argv)
+        assert code == 0, err
+        joined = [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
+        assert run_cli(capsys, "run-direct", *joined) == (0, out, "")
 
     def test_broken_stdout_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

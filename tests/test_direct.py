@@ -27,6 +27,7 @@ from qsuperpose.linalg import (
     StateVector,
     make_qubit,
     phase_equivalent,
+    unit_rows,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -91,9 +92,11 @@ class TestBatch:
         success = kernel.norm_sq(rows[:, 0])
         for t, spec in enumerate(specs):
             result = run_direct(spec)
-            assert np.max(np.abs(rows[t, 0] - result.branch_unnormalized.amps)) <= 1e-12
+            branch = kernel.direct(*spec.batch[:3])[0, 0]
+            target = kernel.weighted_sum(spec.batch.weights, spec.batch.stripped)
+            assert np.max(np.abs(rows[t, 0] - branch)) <= 1e-12
             assert np.max(np.abs(final[t] - result.final_state.amps)) <= 1e-12
-            assert np.max(np.abs(goal[t] - result.target_state.amps)) <= 1e-12
+            assert np.max(np.abs(goal[t] - unit_rows(target)[0])) <= 1e-12
             assert abs(success[t] - result.success_prob) <= 1e-12
             assert abs(fid[t] - result.fidelity_to_target) <= 1e-12
 
@@ -286,19 +289,20 @@ class TestRunDirect:
         assert phase_equivalent(result.final_state, make_qubit(spec.psi1), 1e-12)
 
     def test_difference_branch(self):
+        # Outcome |1> of the Hadamard carries the difference branch.
         spec = dataset(1).spec()
-        result = run_direct(spec)
-        assert result.difference_branch is not None
+        branch = kernel.direct(*spec.batch[:3])[0, 1]
+        assert kernel.branch_survives(branch)
         diff = make_qubit(spec.psi1).amps - make_qubit(spec.psi2).amps
         assert phase_equivalent(
-            result.difference_branch, StateVector((2,), diff).normalize(), 1e-12
+            StateVector((2,), branch), StateVector((2,), diff).normalize(), 1e-12
         )
         # The Hadamard is exact, so real inputs give a real difference branch.
-        assert np.all(result.difference_branch.amps.imag == 0.0)
+        assert np.all(branch.imag == 0.0)
         # Identical inputs leave no difference branch.
         psi = QubitParams(0.7, 0.2)
-        same = run_direct(SuperpositionSpec(INV_SQRT2, INV_SQRT2, psi, psi))
-        assert same.difference_branch is None
+        same = SuperpositionSpec(INV_SQRT2, INV_SQRT2, psi, psi)
+        assert not kernel.branch_survives(kernel.direct(*same.batch[:3])[0, 1])
 
 
 class TestInvariants:

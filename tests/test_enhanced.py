@@ -17,11 +17,13 @@ from qsuperpose.enhanced import (
 from qsuperpose import kernel
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.linalg import (
+    DensityMatrix,
     QubitParams,
     StateVector,
     basis_state,
     fidelity,
     make_qubit,
+    partial_trace,
     phase_equivalent,
     pure_density,
 )
@@ -41,6 +43,17 @@ MINUS = make_qubit(QubitParams(math.pi / 2, math.pi))
 
 def pair(a, b, psi1, psi2, chi):
     return ReferenceSpec(n=2, d=2, weights=(a, b), states=(psi1, psi2), chi=chi)
+
+
+def harvest(spec) -> DensityMatrix:
+    """The combined harvest from the kernel rows: the ancilla-|0> rows of both
+    reference sectors joined with their reference qubit, which is traced out."""
+    weights, states, chi = spec.batch
+    h = kernel.enhanced(weights, states, chi)
+    chip = chi_perp(spec.chi).amps
+    joint = np.outer(h.rows[0, 0], chi[0]) + np.outer(h.rows_perp[0, 0], chip)
+    joint = StateVector((2, 2), joint.reshape(-1)).normalize()
+    return partial_trace(pure_density(joint), [0])
 
 
 def bloch_state(chi, polar, azimuth):
@@ -188,13 +201,14 @@ class TestRunEnhanced:
             chi = random_state(rng)
             psi1 = bloch_state(chi, float(rng.uniform(0.2, 1.3)), 0.8)
             psi2 = bloch_state(chi, float(rng.uniform(0.2, 1.3)), 0.8)
-            result = run_enhanced(pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi))
+            spec = pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
+            result = run_enhanced(spec)
             assert result.geometry == GEOMETRY_LONGITUDINAL
             assert result.harvest_purity >= 1.0 - 1e-9
-            target = kappa_weighted_sum(
-                pair(INV_SQRT2, INV_SQRT2, psi1, psi2, chi)
-            ).normalize()
-            assert fidelity(result.harvest_state, pure_density(target)) >= 1.0 - 1e-9
+            state = harvest(spec)
+            assert np.trace(state.mat @ state.mat).real == result.harvest_purity
+            target = kappa_weighted_sum(spec).normalize()
+            assert fidelity(state, pure_density(target)) >= 1.0 - 1e-9
             assert result.p_total == pytest.approx(result.p1 + result.p2, abs=1e-12)
 
     def test_antipodal_total_matches_seq12(self, rng):
