@@ -20,7 +20,7 @@ from .reference import ReferenceSpec
 
 
 class HybridResult(NamedTuple):
-    """Encoded state, every Fourier branch (norm^2: its probability), and the outcome."""
+    """Encoded state, all Fourier branches, and the post-selected outcome."""
 
     encoded_state: StateVector
     branches: tuple[StateVector, ...]
