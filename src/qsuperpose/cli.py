@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, enhanced, hybrid, kernel, nmr, reference
+from . import analysis, enhanced, hybrid, kernel, linalg, nmr, reference
 from .datasets import dataset
 from .direct import SuperpositionSpec, run_direct
 from .errors import ArgumentError, ToolkitError
@@ -205,21 +205,20 @@ def _cmd_pulse(args):
             f"the scalar coupling J (--j) must be finite and nonzero, got {args.j!r} Hz"
         ) from exc
     if args.sequence is not None:
-        seq = nmr.PulseSequence.from_json(_load_json(args.sequence))
-        program = seq.program()
+        program = nmr.PulseProgram.from_json(_load_json(args.sequence))
     else:
         (program,) = nmr.compile_sequence(dataset(args.dataset).spec().batch, sys_params)
-        seq = nmr.PulseSequence.of(program, 0)
     rho = nmr.run_sequence([program], sys_params, args.checkpoint, epsilon=args.epsilon)
     payload = {
         "dataset": args.dataset,
         "checkpoint": args.checkpoint,
-        "rho": DensityMatrix((2, 2), rho[0]).to_json(),
-        "sequence": seq.to_json(),
+        "rho": linalg.density_json((2, 2), rho[0]),
+        "sequence": program.to_json(),
     }
     if args.dataset is None:
         del payload["dataset"]  # a --sequence run names no dataset
     if args.checkpoint == "iv":
+        # Normalizing by a small trace can push roundoff past ATOL: check the block.
         blocks, norms = nmr.partial_tomography(rho)
         payload["qubit_state"] = DensityMatrix((2,), blocks[0]).to_json()
         payload["normalization"] = float(norms[0])

@@ -165,12 +165,12 @@ class DensityMatrix:
         object.__setattr__(self, "trace", tr)
 
     def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "rows": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.mat
-            ],
-        }
+        return density_json(self.dims, self.mat)
+
+
+def density_json(dims: Sequence[int], mat: np.ndarray) -> dict:
+    """The JSON form {"dims", "rows"} of a density matrix, entries as [re, im]."""
+    return {"dims": list(dims), "rows": [[[v.real, v.imag] for v in row] for row in mat.tolist()]}
 
 
 def check_angles(angles: np.ndarray) -> None:

@@ -23,8 +23,9 @@ share a skeleton (event kinds and spins, checkpoint cuts) form one
 ``PulseProgram`` with (T, E) arrays of flip angles, axis phases and delays.
 ``run_sequence`` propagates programs to one checkpoint: each spin's rotations
 between two delays multiply as 2 x 2 matrices, the unitaries between gradients
-into one U rho U^dagger, and one check validates every state. ``PulseEvent``
-and ``PulseSequence`` are the JSON form of one program row.
+into one U rho U^dagger, and one check validates every state.
+``PulseProgram.to_json`` writes one row as sequence JSON and
+``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ _XZ = np.array([0.5, -0.5, 0.5, -0.5])
 # The gradient keeps the elements of zero total coherence order.
 _COHERENCE_MASK = np.equal.outer(_AZ + _XZ, _AZ + _XZ)
 
-# The fields each event kind carries, in Python and in JSON.
+# The fields each event kind carries in sequence JSON.
 _EVENT_FIELDS = {"rf": ("spin", "flip_angle", "axis_phase"), "delay": ("duration",)}
 # The numeric fields, each a (T, E) array of a PulseProgram.
 _VALUE_FIELDS = ("flip_angle", "axis_phase", "duration")
@@ -94,106 +95,64 @@ class PulseProgram(NamedTuple):
     axis_phase: np.ndarray
     duration: np.ndarray
 
-
-@dataclass(frozen=True)
-class PulseEvent:
-    """One sequence event: an rf pulse, a free-evolution delay, or a gradient."""
-
-    kind: str
-    spin: Optional[str] = None
-    flip_angle: Optional[float] = None
-    axis_phase: Optional[float] = None
-    duration: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "rf":
-            if self.spin not in ("A", "X", "both"):
-                raise ArgumentError(f"rf spin must be A, X or both, got {self.spin}")
-            if self.flip_angle is None or not 0.0 < self.flip_angle <= 2.0 * math.pi:
-                raise ArgumentError("rf flip angle must lie in (0, 2pi]")
-            if self.axis_phase is None or not math.isfinite(self.axis_phase):
-                raise ArgumentError("rf pulses need a finite axis phase")
-        elif self.kind == "delay":
-            if self.duration is None or not 0.0 <= self.duration < math.inf:
-                raise ArgumentError("delay duration must be finite and nonnegative")
-        elif self.kind != "gradient":
-            raise ArgumentError(f"unknown event kind {self.kind!r}")
-
-    def to_json(self) -> dict:
-        fields = _EVENT_FIELDS.get(self.kind, ())
-        return {"kind": self.kind, **{key: getattr(self, key) for key in fields}}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PulseEvent":
-        try:
-            fields = _EVENT_FIELDS.get(obj["kind"], ())
-            # true/false would pass the range checks as 1/0, a str fail them obscurely.
-            for key in fields:
-                if key != "spin" and obj.get(key) is not None:
-                    require_number(obj[key], key)
-            return PulseEvent(obj["kind"], **{key: obj.get(key) for key in fields})
-        except (KeyError, TypeError) as exc:
-            raise ArgumentError(f"malformed pulse event JSON: {exc}") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class PulseSequence:
-    """Ordered events plus checkpoint cut positions (events applied so far)."""
-
-    events: tuple[PulseEvent, ...]
-    checkpoints: dict[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "checkpoints", dict(self.checkpoints))
-        unknown = set(self.checkpoints) - set(CHECKPOINT_LABELS)
-        if unknown:
-            raise ArgumentError(f"unknown checkpoint labels {sorted(unknown)}")
-        for label, cut in self.checkpoints.items():
-            if isinstance(cut, bool) or not isinstance(cut, numbers.Integral):
-                raise ArgumentError(
-                    f"checkpoint {label!r} must be an integer cut, got {cut!r}"
-                )
-        cuts = [self.checkpoints[k] for k in CHECKPOINT_LABELS if k in self.checkpoints]
-        if not all(0 <= cut <= len(self.events) for cut in cuts):
-            raise ArgumentError(f"checkpoint cuts {cuts} out of range")
-        if cuts != sorted(cuts):
-            raise ArgumentError("checkpoint cuts must be non-decreasing")
-
-    def to_json(self) -> dict:
-        events = [e.to_json() for e in self.events]
-        return {"events": events, "checkpoints": dict(self.checkpoints)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PulseSequence":
-        try:
-            events = tuple(PulseEvent.from_json(e) for e in obj["events"])
-            checkpoints = {str(k): v for k, v in obj["checkpoints"].items()}
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ArgumentError(f"malformed pulse sequence JSON: {exc}") from exc
-        return PulseSequence(events, checkpoints)
-
-    @staticmethod
-    def of(program: PulseProgram, k: int) -> "PulseSequence":
-        """Row k of a program (spec ``program.rows[k]``), as events."""
-        values = zip(*(getattr(program, key)[k].tolist() for key in _VALUE_FIELDS))
+    def to_json(self, k: int = 0) -> dict:
+        """Row k as sequence JSON: each event's kind and its fields, and the cuts."""
+        values = zip(*(getattr(self, key)[k].tolist() for key in _VALUE_FIELDS))
         events = []
-        for (kind, spin), row in zip(program.events, values):
+        for (kind, spin), row in zip(self.events, values):
             fields = dict(zip(_VALUE_FIELDS, row), spin=spin)
             keys = _EVENT_FIELDS.get(kind, ())
-            events.append(PulseEvent(kind, **{key: fields[key] for key in keys}))
-        return PulseSequence(tuple(events), program.cuts)
+            events.append({"kind": kind, **{key: fields[key] for key in keys}})
+        return {"events": events, "checkpoints": dict(self.cuts)}
 
-    def program(self) -> PulseProgram:
-        """The sequence as a one-row program."""
-        arrays = []
-        for key in _VALUE_FIELDS:
-            row = [getattr(e, key) for e in self.events]
-            row = [0.0 if value is None else value for value in row]
-            arrays.append(np.array(row, dtype=float).reshape(1, len(row)))
-        skeleton = tuple([(e.kind, e.spin) for e in self.events])
-        cuts = dict(self.checkpoints)
+    @staticmethod
+    def from_json(obj: dict) -> "PulseProgram":
+        """A pulse sequence file, checked, as a one-row program."""
+        try:
+            events = [_event_from_json(e) for e in obj["events"]]
+            cuts = {str(k): v for k, v in obj["checkpoints"].items()}
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ArgumentError(f"malformed pulse sequence JSON: {exc}") from exc
+        unknown = set(cuts) - set(CHECKPOINT_LABELS)
+        if unknown:
+            raise ArgumentError(f"unknown checkpoint labels {sorted(unknown)}")
+        for label, cut in cuts.items():
+            if isinstance(cut, bool) or not isinstance(cut, numbers.Integral):
+                raise ArgumentError(f"checkpoint {label!r} must be an integer cut, got {cut!r}")
+        ordered = [cuts[k] for k in CHECKPOINT_LABELS if k in cuts]
+        if not all(0 <= cut <= len(events) for cut in ordered):
+            raise ArgumentError(f"checkpoint cuts {ordered} out of range")
+        if ordered != sorted(ordered):
+            raise ArgumentError("checkpoint cuts must be non-decreasing")
+        arrays = [np.array([[e.get(key, 0.0) for e in events]], float) for key in _VALUE_FIELDS]
+        skeleton = tuple([(e["kind"], e.get("spin")) for e in events])
         return PulseProgram(np.zeros(1, dtype=int), skeleton, cuts, *arrays)
+
+
+def _event_from_json(obj: dict) -> dict:
+    """One event of a sequence file, checked: its kind and its fields."""
+    try:
+        kind = obj["kind"]
+        fields = {key: obj.get(key) for key in _EVENT_FIELDS.get(kind, ())}
+        # true/false would pass the range checks as 1/0, a str fail them obscurely.
+        for key, value in fields.items():
+            if key != "spin" and value is not None:
+                require_number(value, key)
+    except (KeyError, TypeError) as exc:
+        raise ArgumentError(f"malformed pulse event JSON: {exc}") from exc
+    if kind == "rf":
+        if fields["spin"] not in ("A", "X", "both"):
+            raise ArgumentError(f"rf spin must be A, X or both, got {fields['spin']}")
+        if fields["flip_angle"] is None or not 0.0 < fields["flip_angle"] <= _TWO_PI:
+            raise ArgumentError("rf flip angle must lie in (0, 2pi]")
+        if fields["axis_phase"] is None or not math.isfinite(fields["axis_phase"]):
+            raise ArgumentError("rf pulses need a finite axis phase")
+    elif kind == "delay":
+        if fields["duration"] is None or not 0.0 <= fields["duration"] < math.inf:
+            raise ArgumentError("delay duration must be finite and nonnegative")
+    elif kind != "gradient":
+        raise ArgumentError(f"unknown event kind {kind!r}")
+    return {"kind": kind, **fields}
 
 
 def _energies(sys: SpinSystem) -> np.ndarray:
@@ -327,6 +286,11 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> list[PulseProgram]:
     g = gamma + np.where(mag > 0, np.angle(batch.weights), 0.0)
     rel = g[:, 1] - g[:, 0]
     tau = 1.0 / (2.0 * sys.j_hz)
+    if not 0.0 < tau < math.inf:
+        raise ArgumentError(
+            "the scalar coupling J must be positive with a finite 1/(2J) delay, "
+            f"got J = {sys.j_hz:g} Hz"
+        )
     # Only the declared gammas are removed; weight phases stay in the target.
     z = np.array([math.remainder(x, _TWO_PI) for x in (gamma[:, 0] - gamma[:, 1]).tolist()])
     axis = phi + math.pi / 2
@@ -385,7 +349,12 @@ def _propagators(
     delays = [k for k, (kind, _) in enumerate(events) if kind == "delay"]
     angles = program.flip_angle[:, rf], program.axis_phase[:, rf]
     rotations = iter(rotation_matrix(*angles).swapaxes(0, 1))
-    phases = iter(_delay_phases(sys, program.duration[:, delays]).swapaxes(0, 1))
+    durations = program.duration[:, delays]
+    longest = float(np.max(np.abs(durations), initial=0.0))
+    # A J t past the float range would warn and turn every phase to NaN.
+    if not math.isfinite(longest * sys.j_coupling):
+        raise ArgumentError(f"a delay of {longest!r} s overflows J t at J = {sys.j_hz:g} Hz")
+    phases = iter(_delay_phases(sys, durations).swapaxes(0, 1))
     u, pending = EYE4, {}
     # The closing None flushes the rotations after the last delay or gradient.
     for kind, spin in events + ((None, None),):
@@ -426,14 +395,6 @@ def run_sequence(
         out[program.rows] = mat
     check_densities(out)
     return out
-
-
-def sequence_unitary(seq: PulseSequence, sys: SpinSystem) -> np.ndarray:
-    """Net unitary of a gradient-free sequence (for equivalence checks)."""
-    u, *rest = _propagators(seq.program(), sys, len(seq.events))
-    if rest:
-        raise ArgumentError("gradients have no unitary representation")
-    return u.reshape(4, 4)
 
 
 def partial_tomography(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

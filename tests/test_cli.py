@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsuperpose import analysis, cli
+from qsuperpose import analysis, cli, linalg, nmr
 from qsuperpose.cli import main
 
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
@@ -515,6 +515,57 @@ class TestPulse:
             first["normalization"], abs=1e-12
         )
         assert replayed["rho"] == first["rho"]
+        assert replayed["sequence"] == first["sequence"]
+
+    def test_integer_numbers_echoed_as_floats(self, capsys, tmp_path):
+        pulse = {"kind": "rf", "spin": "A", "flip_angle": 1, "axis_phase": 0}
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps({"events": [pulse], "checkpoints": {"iv": 1}}))
+        code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path))
+        assert code == 0
+        assert '"flip_angle": 1.0, "axis_phase": 0.0' in out
+
+    @pytest.mark.parametrize("checkpoint,checks", [("iv", 2), ("v", 1)])
+    def test_each_state_checked_once(self, capsys, monkeypatch, checkpoint, checks):
+        # run_sequence checks rho; only the normalized (iv) block is checked again.
+        calls, check = [], linalg.check_densities
+
+        def counted(mats):
+            calls.append(len(mats))
+            return check(mats)
+
+        monkeypatch.setattr(nmr, "check_densities", counted)
+        monkeypatch.setattr(linalg, "check_densities", counted)
+        code, _, _ = run_cli(capsys, "pulse", "--dataset", "6", "--checkpoint", checkpoint)
+        assert code == 0 and len(calls) == checks
+
+    @pytest.mark.parametrize("value", ["-215", "1e-310"])
+    def test_coupling_without_a_positive_finite_delay(self, capsys, value):
+        # --dataset compiles 1/(2J) delays: J must be positive and not tiny.
+        code, out, err = run_cli(capsys, "pulse", "--dataset", "3", "--j", value)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert f"J = {value} Hz" in error["message"] and "delay duration" not in error["message"]
+
+    def test_sequence_runs_at_negative_coupling(self, capsys, tmp_path):
+        (program,) = nmr.compile_sequence(cli.dataset(3).spec().batch, nmr.SpinSystem())
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps(program.to_json()))
+        code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path), "--j", "-215")
+        assert code == 0 and json.loads(out)["rho"]["dims"] == [2, 2]
+
+    def test_overflowing_delay_named(self, capsys, tmp_path):
+        seq_path = tmp_path / "seq.json"
+        delay = {"kind": "delay", "duration": 1e308}
+        seq_path.write_text(json.dumps({"events": [delay], "checkpoints": {"iv": 1}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "pulse", "--sequence", str(seq_path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "argument"
+        assert "delay of 1e+308 s" in error["message"]
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_coupling(self, capsys, value):

@@ -30,9 +30,7 @@ from qsuperpose.linalg import (
 )
 from qsuperpose.nmr import (
     CHECKPOINT_LABELS,
-    PulseEvent,
     PulseProgram,
-    PulseSequence,
     SpinSystem,
     compile_sequence,
     evolve_free,
@@ -43,7 +41,6 @@ from qsuperpose.nmr import (
     rf_pulse,
     rotation_matrix,
     run_sequence,
-    sequence_unitary,
 )
 
 SYS = SpinSystem()
@@ -69,23 +66,24 @@ def table1_batch():
     return spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
 
 
-def sequence(spec) -> PulseSequence:
-    """A spec's compiled program, as its JSON form."""
+def sequence(spec) -> PulseProgram:
+    """A spec's compiled one-row program."""
     (program,) = compile_sequence(spec.batch, SYS)
-    return PulseSequence.of(program, 0)
+    return program
 
 
-def row_sequences(programs) -> list[PulseSequence]:
-    """Row t of the programs as a PulseSequence, for every row t."""
-    seqs = {t: PulseSequence.of(p, k) for p in programs for k, t in enumerate(p.rows)}
+def row_sequences(programs) -> list[dict]:
+    """Row t of the programs as sequence JSON, for every row t."""
+    seqs = {t: p.to_json(k) for p in programs for k, t in enumerate(p.rows)}
     return [seqs[t] for t in range(len(seqs))]
 
 
 def stack(seqs) -> list[PulseProgram]:
-    """The sequences as programs, one per skeleton and cuts; row t is seqs[t]."""
+    """The sequence JSON objects as programs, one per skeleton and cuts; row t
+    is seqs[t]."""
     groups: dict = {}
     for t, seq in enumerate(seqs):
-        program = seq.program()
+        program = PulseProgram.from_json(seq)
         key = (program.events, tuple(sorted(program.cuts.items())))
         groups.setdefault(key, []).append((t, program))
     return [
@@ -99,9 +97,9 @@ def stack(seqs) -> list[PulseProgram]:
     ]
 
 
-def state(seq, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
-    """One sequence's state at one checkpoint, as a DensityMatrix."""
-    return DensityMatrix((2, 2), run_sequence([seq.program()], sys, label, epsilon)[0])
+def state(program, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
+    """A one-row program's state at one checkpoint, as a DensityMatrix."""
+    return DensityMatrix((2, 2), run_sequence([program], sys, label, epsilon)[0])
 
 
 def readout(spec) -> tuple[DensityMatrix, float]:
@@ -122,21 +120,39 @@ def gate_target(spec) -> DensityMatrix:
 
 
 def apply_event(rho, event, sys):
-    if event.kind == "rf":
-        return rf_pulse(rho, event.spin, event.flip_angle, event.axis_phase)
-    if event.kind == "delay":
-        return evolve_free(rho, sys, event.duration)
+    """One event dict of sequence JSON, applied by its scalar operation."""
+    if event["kind"] == "rf":
+        return rf_pulse(rho, event["spin"], event["flip_angle"], event["axis_phase"])
+    if event["kind"] == "delay":
+        return evolve_free(rho, sys, event["duration"])
     return gradient_crush(rho)
 
 
 def fold(seq, sys, epsilon):
-    """The event-by-event reference: one validated state after every event."""
+    """The event-by-event reference over sequence JSON: one validated state
+    after every event."""
     rho = DensityMatrix((2, 2), initial_state(epsilon))
-    states = {label: rho for label, cut in seq.checkpoints.items() if cut == 0}
-    for idx, event in enumerate(seq.events, start=1):
+    cuts = seq["checkpoints"]
+    states = {label: rho for label, cut in cuts.items() if cut == 0}
+    for idx, event in enumerate(seq["events"], start=1):
         rho = apply_event(rho, event, sys)
-        states.update({k: rho for k, cut in seq.checkpoints.items() if cut == idx})
+        states.update({k: rho for k, cut in cuts.items() if cut == idx})
     return states
+
+
+def parse(events, checkpoints=None) -> PulseProgram:
+    """Event dicts and cuts, read as a sequence file."""
+    return PulseProgram.from_json({"events": events, "checkpoints": checkpoints or {}})
+
+
+def rf(**fields) -> dict:
+    return {"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": 0.0, **fields}
+
+
+def unitary(events, sys=SYS):
+    """Net unitary of gradient-free event dicts: the engine's one propagator."""
+    (u,) = nmr._propagators(parse(events), sys, len(events))
+    return u.reshape(4, 4)
 
 
 def hamiltonian(sys):
@@ -148,25 +164,28 @@ def delay_unitary(sys, t):
     return np.diag(np.exp(-1j * nmr._energies(sys) * t))
 
 
-RF_EVENTS = st.builds(
-    PulseEvent,
-    kind=st.just("rf"),
-    spin=st.sampled_from(["A", "X", "both"]),
-    flip_angle=st.floats(1e-3, 2 * math.pi),
-    axis_phase=st.floats(0.0, 2 * math.pi),
-)
-DELAYS = st.builds(PulseEvent, kind=st.just("delay"), duration=st.floats(0.0, 1e-2))
-GRADIENTS = st.just(PulseEvent("gradient"))
+def rf_events(spins=st.sampled_from(["A", "X", "both"])):
+    return st.fixed_dictionaries({
+        "kind": st.just("rf"),
+        "spin": spins,
+        "flip_angle": st.floats(1e-3, 2 * math.pi),
+        "axis_phase": st.floats(0.0, 2 * math.pi),
+    })
+
+
+RF_EVENTS = rf_events()
+DELAYS = st.fixed_dictionaries({"kind": st.just("delay"), "duration": st.floats(0.0, 1e-2)})
+GRADIENTS = st.just({"kind": "gradient"})
 SPIN_SYSTEMS = st.builds(SpinSystem, j_coupling=st.floats(10.0, 2e3))
 
 
 @st.composite
 def sequences(draw, events=st.one_of(RF_EVENTS, DELAYS, GRADIENTS)):
-    """Any events, with sorted (possibly repeated, possibly 0) cuts."""
+    """Sequence JSON: any events, with sorted (possibly repeated, possibly 0) cuts."""
     evs = draw(st.lists(events, max_size=12))
     labels = [k for k in CHECKPOINT_LABELS if draw(st.booleans())]
     cuts = sorted(draw(st.integers(0, len(evs))) for _ in labels)
-    return PulseSequence(tuple(evs), dict(zip(labels, cuts)))
+    return {"events": evs, "checkpoints": dict(zip(labels, cuts))}
 
 
 SKELETON_EVENTS = st.sampled_from(
@@ -176,13 +195,7 @@ SKELETON_EVENTS = st.sampled_from(
 
 def event_of(kind, spin):
     if kind == "rf":
-        return st.builds(
-            PulseEvent,
-            kind=st.just("rf"),
-            spin=st.just(spin),
-            flip_angle=st.floats(1e-3, 2 * math.pi),
-            axis_phase=st.floats(0.0, 2 * math.pi),
-        )
+        return rf_events(st.just(spin))
     return DELAYS if kind == "delay" else GRADIENTS
 
 
@@ -200,8 +213,8 @@ def skeleton_batches(draw):
         skeleton = draw(st.sampled_from(kinds))
         cuts = dict(zip(labels, sorted(draw(st.integers(0, len(skeleton))) for _ in labels)))
         for _ in range(draw(st.integers(1, 3))):
-            events = tuple(draw(event_of(*kind)) for kind in skeleton)
-            seqs.append(PulseSequence(events, cuts))
+            events = [draw(event_of(*kind)) for kind in skeleton]
+            seqs.append({"events": events, "checkpoints": cuts})
     return draw(st.permutations(seqs))
 
 
@@ -329,22 +342,21 @@ class TestCompileSequence:
         u[2:, 2:] = rotation_matrix(spec.psi2.theta, spec.psi2.phi + math.pi / 2)
         return u
 
-    def encoding_block(self, seq):
-        events = seq.events[seq.checkpoints["i"] : seq.checkpoints["ii"]]
-        return PulseSequence(events, {})
+    def encoding_block(self, program):
+        return program.to_json()["events"][program.cuts["i"] : program.cuts["ii"]]
 
     @pytest.mark.parametrize("dataset_id", [1, 3, 5, 7, 9, 11])
     def test_encoding_block_matches_gate_level(self, dataset_id):
         ds = dataset(dataset_id)
         spec = ds.spec()
         seq = sequence(spec)
-        net = sequence_unitary(self.encoding_block(seq), SYS)
+        net = unitary(self.encoding_block(seq), SYS)
         assert_equal_up_to_phase(net, self.gate_level_encoding(spec))
 
     def test_single_weight_empty_initial_block(self):
         spec = SuperpositionSpec(1.0, 0.0, QubitParams(0, 0), QubitParams(1.0, 0.0))
         seq = sequence(spec)
-        assert seq.checkpoints["i"] == 0
+        assert seq.cuts["i"] == 0
         np.testing.assert_allclose(state(seq, "i").mat, ground().mat, atol=1e-14)
 
     def test_dataset9_carries_branch_phase(self):
@@ -358,8 +370,8 @@ class TestCompileSequence:
 
     def test_checkpoints_cover_all_labels(self):
         seq = sequence(dataset(2).spec())
-        assert list(seq.checkpoints) == ["i", "ii", "iii", "iv", "v"]
-        assert seq.checkpoints["v"] == len(seq.events)
+        assert list(seq.cuts) == ["i", "ii", "iii", "iv", "v"]
+        assert seq.cuts["v"] == len(seq.events)
 
 
 PHASES = st.floats(0.0, 2 * math.pi, exclude_max=True)
@@ -432,12 +444,12 @@ def event_list(spec, sys=SYS):
 
 
 def assert_round_trips(programs):
-    """Every row goes to PulseSequence JSON and back to the same skeleton, the
-    same cuts and bitwise the same arrays."""
+    """Every row goes to sequence JSON and back to the same skeleton, the same
+    cuts and bitwise the same arrays."""
     for p in programs:
         for k in range(len(p.rows)):
-            text = json.dumps(PulseSequence.of(p, k).to_json())
-            back = PulseSequence.from_json(json.loads(text)).program()
+            text = json.dumps(p.to_json(k))
+            back = PulseProgram.from_json(json.loads(text))
             assert back.events == p.events and back.cuts == p.cuts
             assert back.rows.tolist() == [0]
             for key in VALUE_FIELDS:
@@ -512,9 +524,9 @@ class TestArrayCompiler:
         assert_round_trips(compile_sequence(table1_batch(), SYS))
 
     @settings(max_examples=60, deadline=None)
-    @given(spec_rows())
-    def test_rows_round_trip_json(self, rows):
-        assert_round_trips(compile_sequence(spec_batch(*rows), SYS))
+    @given(spec_rows(), SPIN_SYSTEMS)
+    def test_rows_round_trip_json(self, rows, sys):
+        assert_round_trips(compile_sequence(spec_batch(*rows), sys))
 
 
 class TestRunSequence:
@@ -533,10 +545,9 @@ class TestRunSequence:
 
     def test_no_pulses_keeps_ground_state(self):
         # No rf events: every checkpoint stays |00><00| (delays act trivially).
-        for events in ([], [PulseEvent("delay", duration=1e-3)]):
-            seq = PulseSequence(
-                tuple(events), {label: len(events) for label in ("i", "ii", "iii", "iv", "v")}
-            )
+        for events in ([], [{"kind": "delay", "duration": 1e-3}]):
+            cuts = {label: len(events) for label in ("i", "ii", "iii", "iv", "v")}
+            seq = {"events": events, "checkpoints": cuts}
             for label in ("i", "ii", "iii", "iv", "v"):
                 states = run_sequence(stack([seq] * 2), SYS, label)
                 np.testing.assert_allclose(states, [ground().mat] * 2, atol=1e-14)
@@ -551,7 +562,7 @@ class TestRunSequence:
         seq = sequence(dataset(5).spec())
         eps = 0.9
         for label in ("ii", "iv"):
-            mixed = run_sequence([seq.program()], SYS, label, epsilon=eps)[0]
+            mixed = run_sequence([seq], SYS, label, epsilon=eps)[0]
             blended = eps * state(seq, label).mat + (1 - eps) * np.eye(4) / 4.0
             np.testing.assert_allclose(mixed, blended, atol=1e-12)
 
@@ -573,13 +584,14 @@ class TestRunSequence:
     @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_propagators_match_event_fold(self, seq, sys, epsilon):
         reference = fold(seq, sys, epsilon)
-        assert sorted(reference) == sorted(seq.checkpoints)
+        program = PulseProgram.from_json(seq)
+        assert sorted(reference) == sorted(seq["checkpoints"])
         for label in CHECKPOINT_LABELS:
-            if label not in seq.checkpoints:
+            if label not in seq["checkpoints"]:
                 with pytest.raises(ArgumentError, match=f"no checkpoint '{label}'"):
-                    run_sequence([seq.program()], sys, label, epsilon)
+                    run_sequence([program], sys, label, epsilon)
                 continue
-            mats = run_sequence([seq.program()], sys, label, epsilon)
+            mats = run_sequence([program], sys, label, epsilon)
             assert mats.shape == (1, 4, 4)
             assert np.max(np.abs(mats[0] - reference[label].mat)) <= 1e-12
 
@@ -588,11 +600,11 @@ class TestRunSequence:
     def test_batch_rows_match_run_sequence(self, seqs, sys, epsilon):
         # Mixed skeletons: each row equals its own run and the event fold.
         folds = [fold(seq, sys, epsilon) for seq in seqs]
-        for label in seqs[0].checkpoints:
+        for label in seqs[0]["checkpoints"]:
             batch = run_sequence(stack(seqs), sys, label, epsilon)
             assert batch.shape == (len(seqs), 4, 4)
             for t, seq in enumerate(seqs):
-                alone = run_sequence([seq.program()], sys, label, epsilon)[0]
+                alone = run_sequence(stack([seq]), sys, label, epsilon)[0]
                 assert np.max(np.abs(batch[t] - alone)) <= 1e-12
                 assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
 
@@ -607,10 +619,11 @@ class TestRunSequence:
                 assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
     def test_every_sequence_needs_the_checkpoint(self):
-        events = (PulseEvent("gradient"),)
-        programs = stack(
-            [PulseSequence(events, {"i": 0, "ii": 1}), PulseSequence(events, {"ii": 1})]
-        )
+        events = [{"kind": "gradient"}]
+        programs = stack([
+            {"events": events, "checkpoints": {"i": 0, "ii": 1}},
+            {"events": events, "checkpoints": {"ii": 1}},
+        ])
         assert run_sequence(programs, SYS, "ii").shape == (2, 4, 4)
         with pytest.raises(ArgumentError, match="the sequence has no checkpoint 'i'"):
             run_sequence(programs, SYS, "i")
@@ -618,7 +631,7 @@ class TestRunSequence:
     @pytest.mark.parametrize("rows", [[[0], [0]], [[0], [2]], [[1]], [[0, 0]]])
     def test_rows_must_number_each_row_once(self, rows):
         # Overlapping or missing rows would leave output rows unset.
-        program = PulseSequence((PulseEvent("gradient"),), {"iv": 1}).program()
+        program = parse([{"kind": "gradient"}], {"iv": 1})
         programs = [
             program._replace(rows=np.array(r), **{k: np.zeros((len(r), 1)) for k in VALUE_FIELDS})
             for r in rows
@@ -641,21 +654,12 @@ class TestSequenceUnitary:
     def test_ordered_product_of_events(self, events, sys):
         expected = np.eye(4, dtype=complex)
         for event in events:
-            if event.kind == "rf":
-                step = pulse_unitary(event.spin, event.flip_angle, event.axis_phase)
+            if event["kind"] == "rf":
+                step = pulse_unitary(event["spin"], event["flip_angle"], event["axis_phase"])
             else:
-                step = delay_unitary(sys, event.duration)
+                step = delay_unitary(sys, event["duration"])
             expected = step @ expected
-        net = sequence_unitary(PulseSequence(tuple(events), {}), sys)
-        np.testing.assert_allclose(net, expected, rtol=0, atol=1e-12)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.one_of(RF_EVENTS, DELAYS), max_size=6), st.data())
-    def test_gradient_rejected(self, events, data):
-        at = data.draw(st.integers(0, len(events)))
-        events.insert(at, PulseEvent("gradient"))
-        with pytest.raises(ArgumentError):
-            sequence_unitary(PulseSequence(tuple(events), {}), SYS)
+        np.testing.assert_allclose(unitary(events, sys), expected, rtol=0, atol=1e-12)
 
 
 class TestPartialTomography:
@@ -725,71 +729,79 @@ class TestPulseIdentities:
     def test_unitary_events_preserve_trace_and_purity(self, rng):
         rho = random_density(rng)
         seq = sequence(dataset(6).spec())
-        for event in seq.events:
-            if event.kind == "gradient":
+        for event in seq.to_json()["events"]:
+            if event["kind"] == "gradient":
                 continue
-            out = (
-                rf_pulse(rho, event.spin, event.flip_angle, event.axis_phase)
-                if event.kind == "rf"
-                else evolve_free(rho, SYS, event.duration)
-            )
+            out = apply_event(rho, event, SYS)
             assert out.trace == pytest.approx(rho.trace, abs=1e-12)
             assert purity(out) == pytest.approx(purity(rho), abs=1e-12)
 
 
 class TestEventValidation:
     def test_zero_flip_angle(self):
-        with pytest.raises(ArgumentError):
-            PulseEvent("rf", spin="A", flip_angle=0.0, axis_phase=0.0)
+        with pytest.raises(ArgumentError, match=r"rf flip angle must lie in \(0, 2pi\]"):
+            parse([rf(flip_angle=0.0)])
 
     def test_flip_angle_above_two_pi(self):
-        with pytest.raises(ArgumentError):
-            PulseEvent("rf", spin="A", flip_angle=7.0, axis_phase=0.0)
+        with pytest.raises(ArgumentError, match=r"rf flip angle must lie in \(0, 2pi\]"):
+            parse([rf(flip_angle=7.0)])
 
     def test_bad_spin(self):
-        with pytest.raises(ArgumentError):
-            PulseEvent("rf", spin="B", flip_angle=1.0, axis_phase=0.0)
+        with pytest.raises(ArgumentError, match="rf spin must be A, X or both, got B"):
+            parse([rf(spin="B")])
 
     def test_negative_delay(self):
-        with pytest.raises(ArgumentError):
-            PulseEvent("delay", duration=-1.0)
+        with pytest.raises(ArgumentError, match="delay duration must be finite and nonnegative"):
+            parse([{"kind": "delay", "duration": -1.0}])
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_delay_and_axis(self, value):
-        with pytest.raises(ArgumentError):
-            PulseEvent("delay", duration=value)
-        with pytest.raises(ArgumentError):
-            PulseEvent("rf", spin="A", flip_angle=1.0, axis_phase=value)
+        with pytest.raises(ArgumentError, match="delay duration must be finite and nonnegative"):
+            parse([{"kind": "delay", "duration": value}])
+        with pytest.raises(ArgumentError, match="rf pulses need a finite axis phase"):
+            parse([rf(axis_phase=value)])
 
     def test_unknown_kind(self):
-        with pytest.raises(ArgumentError):
-            PulseEvent("laser")
+        with pytest.raises(ArgumentError, match="unknown event kind 'laser'"):
+            parse([{"kind": "laser"}])
 
     def test_checkpoint_out_of_range(self):
-        with pytest.raises(ArgumentError):
-            PulseSequence((), {"i": 1})
+        with pytest.raises(ArgumentError, match=r"checkpoint cuts \[1\] out of range"):
+            parse([], {"i": 1})
 
     def test_checkpoint_decreasing(self):
-        events = (PulseEvent("gradient"), PulseEvent("gradient"))
-        with pytest.raises(ArgumentError):
-            PulseSequence(events, {"i": 2, "ii": 1})
+        gradients = [{"kind": "gradient"}] * 2
+        with pytest.raises(ArgumentError, match="checkpoint cuts must be non-decreasing"):
+            parse(gradients, {"i": 2, "ii": 1})
 
     def test_unknown_label(self):
-        with pytest.raises(ArgumentError):
-            PulseSequence((), {"vi": 0})
+        with pytest.raises(ArgumentError, match=r"unknown checkpoint labels \['vi'\]"):
+            parse([], {"vi": 0})
 
     @pytest.mark.parametrize("cut", [1.9, 1.0, True, "1"])
     def test_non_integer_cut_rejected(self, cut):
         # A cut counts whole events; "iv": 1.9 must not run as cut 1.
-        events = [PulseEvent("gradient").to_json()] * 2
         with pytest.raises(ArgumentError) as exc:
-            PulseSequence.from_json({"events": events, "checkpoints": {"iv": cut}})
+            parse([{"kind": "gradient"}] * 2, {"iv": cut})
         assert "'iv'" in str(exc.value) and repr(cut) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([1], "malformed pulse sequence JSON"),
+            ({"checkpoints": {}}, "malformed pulse sequence JSON: 'events'"),
+            ({"events": [], "checkpoints": [0]}, "malformed pulse sequence JSON"),
+            ({"events": [{"spin": "A"}], "checkpoints": {}}, "malformed pulse event JSON: 'kind'"),
+            ({"events": [[1]], "checkpoints": {}}, "malformed pulse event JSON"),
+        ],
+    )
+    def test_malformed_json(self, obj, message):
+        with pytest.raises(ArgumentError, match=message):
+            PulseProgram.from_json(obj)
+
     def test_json_round_trip(self):
-        seq = sequence(dataset(9).spec())
-        back = PulseSequence.from_json(seq.to_json())
-        assert back.checkpoints == seq.checkpoints
-        assert len(back.events) == len(seq.events)
-        for e1, e2 in zip(back.events, seq.events):
-            assert e1 == e2
+        program = sequence(dataset(9).spec())
+        back = PulseProgram.from_json(program.to_json())
+        assert back.cuts == program.cuts and back.events == program.events
+        for key in VALUE_FIELDS:
+            np.testing.assert_array_equal(getattr(back, key), getattr(program, key))

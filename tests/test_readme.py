@@ -13,7 +13,7 @@ import pytest
 
 from qsuperpose import cli
 from qsuperpose.datasets import dataset
-from qsuperpose.nmr import PulseSequence, SpinSystem, compile_sequence
+from qsuperpose.nmr import SpinSystem, compile_sequence
 
 ROOT = Path(__file__).parent.parent
 README = ROOT / "README.md"
@@ -81,8 +81,7 @@ def readme_dir(tmp_path, monkeypatch):
         states.append({"dims": [3], "amps": [[x / norm, 0.0] for x in amps]})
     (tmp_path / "states.json").write_text(json.dumps(states))
     (program,) = compile_sequence(dataset(3).spec().batch, SpinSystem())
-    seq = PulseSequence.of(program, 0)
-    (tmp_path / "seq.json").write_text(json.dumps(seq.to_json()))
+    (tmp_path / "seq.json").write_text(json.dumps(program.to_json()))
     return tmp_path
 
 
