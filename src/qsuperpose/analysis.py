@@ -89,7 +89,7 @@ class Table1Row:
 
 def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
     """Run the gate and/or pulse pipeline over all eleven datasets at once: one
-    validated spec batch through the kernel, and one pulse program per skeleton."""
+    validated spec batch through the kernel and one compiled pulse program."""
     if mode not in ("gate", "pulse", "both"):
         raise ArgumentError(f"mode must be gate, pulse or both, got {mode!r}")
     batch = spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
@@ -99,8 +99,8 @@ def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
     pulse_fid = [None] * len(TABLE1)
     if mode != "gate":
         sys = nmr.SpinSystem()
-        programs = nmr.compile_sequence(batch, sys)
-        blocks, norms = nmr.partial_tomography(nmr.run_sequence(programs, sys, "iv"))
+        program = nmr.compile_sequence(batch, sys)
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, sys, "iv"))
         pulse_fid = fidelity_batch(blocks, pure_density_batch(goal)).tolist()
         if mode == "pulse":
             gate_fid, success = [None] * len(TABLE1), norms

@@ -111,7 +111,7 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ArgumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise ArgumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -207,8 +207,8 @@ def _cmd_pulse(args):
     if args.sequence is not None:
         program = nmr.PulseProgram.from_json(_load_json(args.sequence))
     else:
-        (program,) = nmr.compile_sequence(dataset(args.dataset).spec().batch, sys_params)
-    rho = nmr.run_sequence([program], sys_params, args.checkpoint, epsilon=args.epsilon)
+        program = nmr.compile_sequence(dataset(args.dataset).spec().batch, sys_params)
+    rho = nmr.run_sequence(program, sys_params, args.checkpoint, epsilon=args.epsilon)
     payload = {
         "dataset": args.dataset,
         "checkpoint": args.checkpoint,

@@ -53,10 +53,14 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
 
 
 def require_number(value, what: str):
-    """value, if it is an int or a float; a bool (JSON true/false), a str or None
-    is an ArgumentError naming what and the value."""
+    """value, if it is an int or a float; a bool (JSON true/false), a str, None or
+    an int past the float range is an ArgumentError naming what and the value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ArgumentError(f"{what} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ArgumentError(f"{what} is too large for a float, got {value!r}") from None
     return value
 
 

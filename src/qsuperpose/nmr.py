@@ -18,13 +18,14 @@ half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
 phase.
 
-``compile_sequence`` compiles a spec batch to arrays: the rows whose programs
-share a skeleton (event kinds and spins, checkpoint cuts) form one
-``PulseProgram`` with (T, E) arrays of flip angles, axis phases and delays.
-``run_sequence`` propagates programs to one checkpoint: each spin's rotations
-between two delays multiply as 2 x 2 matrices, the unitaries between gradients
-into one U rho U^dagger, and one check validates every state.
-``PulseProgram.to_json`` writes one row as sequence JSON and
+``compile_sequence`` compiles a spec batch to one ``PulseProgram`` on the
+fixed 21-event template, with (T, E) arrays of flip angles, axis phases and
+delays. A block that a spec skips keeps its events with flip angle 0 and
+duration 0, both exact identities, and ``emitted`` marks the events each row
+really has. ``run_sequence`` propagates the program to one checkpoint: each
+spin's rotations between two delays multiply as 2 x 2 matrices, the unitaries
+between gradients into one U rho U^dagger, and one check validates every state.
+``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -82,28 +83,34 @@ class SpinSystem:
 
 
 class PulseProgram(NamedTuple):
-    """Compiled programs of one skeleton: row k is the program of spec ``rows[k]``.
+    """Compiled programs of T specs on one event list: row k is spec k's program.
 
     ``events`` holds each event's (kind, spin) and ``cuts`` the number of events
-    applied at each checkpoint label. The (T, E) arrays hold each event's flip
-    angle, axis phase and duration, 0 where its kind has none."""
+    applied at each checkpoint label. The (T, E) bool ``emitted`` marks the
+    events row k really has; the others are identities (flip angle and duration
+    0). The (T, E) arrays hold each event's flip angle, axis phase and duration,
+    0 where its kind has none."""
 
-    rows: np.ndarray
     events: tuple[tuple[str, Optional[str]], ...]
     cuts: dict[str, int]
+    emitted: np.ndarray
     flip_angle: np.ndarray
     axis_phase: np.ndarray
     duration: np.ndarray
 
     def to_json(self, k: int = 0) -> dict:
-        """Row k as sequence JSON: each event's kind and its fields, and the cuts."""
+        """Row k as sequence JSON: each emitted event's kind and its fields, and
+        the cuts counted over the emitted events."""
+        emitted = self.emitted[k].tolist()
         values = zip(*(getattr(self, key)[k].tolist() for key in _VALUE_FIELDS))
         events = []
-        for (kind, spin), row in zip(self.events, values):
-            fields = dict(zip(_VALUE_FIELDS, row), spin=spin)
-            keys = _EVENT_FIELDS.get(kind, ())
-            events.append({"kind": kind, **{key: fields[key] for key in keys}})
-        return {"events": events, "checkpoints": dict(self.cuts)}
+        for (kind, spin), row, on in zip(self.events, values, emitted):
+            if on:
+                fields = dict(zip(_VALUE_FIELDS, row), spin=spin)
+                keys = _EVENT_FIELDS.get(kind, ())
+                events.append({"kind": kind, **{key: fields[key] for key in keys}})
+        ends = list(accumulate(emitted, initial=0))
+        return {"events": events, "checkpoints": {c: ends[cut] for c, cut in self.cuts.items()}}
 
     @staticmethod
     def from_json(obj: dict) -> "PulseProgram":
@@ -126,7 +133,7 @@ class PulseProgram(NamedTuple):
             raise ArgumentError("checkpoint cuts must be non-decreasing")
         arrays = [np.array([[e.get(key, 0.0) for e in events]], float) for key in _VALUE_FIELDS]
         skeleton = tuple([(e["kind"], e.get("spin")) for e in events])
-        return PulseProgram(np.zeros(1, dtype=int), skeleton, cuts, *arrays)
+        return PulseProgram(skeleton, cuts, np.ones((1, len(events)), bool), *arrays)
 
 
 def _event_from_json(obj: dict) -> dict:
@@ -229,15 +236,17 @@ def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
 
 # Every event a spec can compile to, block by block, as (kind, spin). Blocks 0-3
 # are emitted only where their test holds (2 delta, theta1, theta2 and the
-# gamma1 - gamma2 z-composite nonzero), blocks 4-6 always: at most 16 skeletons.
+# gamma1 - gamma2 z-composite nonzero), blocks 4-6 always.
 _RF_A, _RF_X = ("rf", "A"), ("rf", "X")
 _DELAY, _GRADIENT = ("delay", None), ("gradient", None)
 _ECHOED = (_RF_X, _DELAY, _RF_X, _RF_A, _DELAY, _RF_A)
 _COMPOSITE = (_RF_A,) * 3
 _BLOCKS = ((_RF_A,), _ECHOED, _ECHOED, _COMPOSITE, (_RF_A,), _COMPOSITE, (_GRADIENT,))
 _BLOCK_OF = [b for b, block in enumerate(_BLOCKS) for _ in block]
+_EVENTS = tuple([event for block in _BLOCKS for event in block])
 # Checkpoints (i)-(v) fall after blocks 0, 2, 3, 5 and 6.
-_LAST_BLOCK = dict(zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6)))
+_ENDS = list(accumulate(len(block) for block in _BLOCKS))
+_CUTS = {label: _ENDS[last] for label, last in zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6))}
 
 
 def _controlled_rotation(theta, axis, conj_axis, tau) -> list[tuple]:
@@ -271,9 +280,9 @@ def _table(column: Sequence, t: int) -> np.ndarray:
     return out
 
 
-def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> list[PulseProgram]:
+def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     """Emit the initial / encoding / superposition blocks for every spec of a
-    batch, as one program per skeleton.
+    batch, as one program: row k is spec k's.
 
     Complex weight phases fold into the effective encoded phases, so the
     pulse program always prepares (cos d)|0> + e^{i(g2-g1)}(sin d)|1> on
@@ -308,22 +317,13 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> list[PulseProgram]:
     columns += _composite_z(math.remainder(math.pi, _TWO_PI))
     # Readout gradient for the normalization measurement.
     columns += [(0.0, 0.0, 0.0)]
-    values = [_table(column, len(delta)) for column in zip(*columns)]
+    flip, axis_phase, duration = (_table(column, len(delta)) for column in zip(*columns))
 
-    tests = np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)
-    tests = np.abs(tests) >= _ANGLE_TOL
-    codes = tests @ (1 << np.arange(4))
-    programs = []
-    # np.bincount, not np.unique: np.unique imports numpy.ma (about 2 MB).
-    for code in np.flatnonzero(np.bincount(codes)):
-        rows = np.flatnonzero(codes == code)
-        emitted = [*tests[rows[0]].tolist(), True, True, True]
-        cols = [k for k, b in enumerate(_BLOCK_OF) if emitted[b]]
-        ends = list(accumulate(len(block) * on for block, on in zip(_BLOCKS, emitted)))
-        cuts = {label: ends[last] for label, last in _LAST_BLOCK.items()}
-        events = tuple([e for block, on in zip(_BLOCKS, emitted) if on for e in block])
-        programs.append(PulseProgram(rows, events, cuts, *(v[rows][:, cols] for v in values)))
-    return programs
+    tests = np.abs(np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)) >= _ANGLE_TOL
+    emitted = np.concatenate([tests, np.ones((len(tests), 3), bool)], axis=1)[:, _BLOCK_OF]
+    # R(0, phi) is exactly 1, and so are a zero delay's phases.
+    flip, duration = np.where(emitted, flip, 0.0), np.where(emitted, duration, 0.0)
+    return PulseProgram(_EVENTS, dict(_CUTS), emitted, flip, axis_phase, duration)
 
 
 def initial_state(epsilon: float = 1.0) -> np.ndarray:
@@ -376,25 +376,17 @@ def _propagators(
 
 
 def run_sequence(
-    programs: Sequence[PulseProgram], sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
+    program: PulseProgram, sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
 ) -> np.ndarray:
-    """States (T, 4, 4) at ``checkpoint``: row ``p.rows[k]`` from row k of program
-    p, whose rows must number 0..T-1 once each. The events after the checkpoint
-    are not simulated."""
-    rows = np.concatenate([p.rows for p in programs] + [np.zeros(0, dtype=int)])
-    if not np.array_equal(np.sort(rows), np.arange(len(rows))):
-        raise ArgumentError("the programs' rows must number 0..T-1 once each")
-    start = initial_state(epsilon)
-    out = np.empty((len(rows), 4, 4), complex)
-    for program in programs:
-        if checkpoint not in program.cuts:
-            raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
-        mat = start
-        for u in _propagators(program, sys, program.cuts[checkpoint]):
-            mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
-        out[program.rows] = mat
-    check_densities(out)
-    return out
+    """States (T, 4, 4) at ``checkpoint``, row k from row k of the program. The
+    events after the checkpoint are not simulated."""
+    if checkpoint not in program.cuts:
+        raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
+    mat = np.tile(initial_state(epsilon), (len(program.emitted), 1, 1))
+    for u in _propagators(program, sys, program.cuts[checkpoint]):
+        mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
+    check_densities(mat)
+    return mat
 
 
 def partial_tomography(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -387,9 +387,10 @@ class TestQudit:
         error = json.loads(err)["error"]
         assert error["type"] == "argument" and repr(dims) in error["message"]
 
-    @pytest.mark.parametrize("value", [True, "1"])
+    @pytest.mark.parametrize("value", [True, "1", pytest.param(10**400, id="int_past_float")])
     def test_non_number_amplitude_rejected(self, capsys, tmp_path, value):
-        # JSON true would otherwise load as the amplitude 1.
+        # JSON true would otherwise load as the amplitude 1, and no float can
+        # hold 10**400.
         states = [{"dims": [2], "amps": [[value, 0.0], [0.0, 0.0]]}, self.qubit_json([1, 0])]
         code, out, err = run_cli(
             capsys,
@@ -549,7 +550,7 @@ class TestPulse:
         assert f"J = {value} Hz" in error["message"] and "delay duration" not in error["message"]
 
     def test_sequence_runs_at_negative_coupling(self, capsys, tmp_path):
-        (program,) = nmr.compile_sequence(cli.dataset(3).spec().batch, nmr.SpinSystem())
+        program = nmr.compile_sequence(cli.dataset(3).spec().batch, nmr.SpinSystem())
         seq_path = tmp_path / "seq.json"
         seq_path.write_text(json.dumps(program.to_json()))
         code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path), "--j", "-215")
@@ -605,6 +606,9 @@ class TestPulse:
             ({"kind": "delay", "duration": "0.001"}, "duration"),
             ({"kind": "rf", "spin": "A", "flip_angle": True, "axis_phase": 0.0}, "flip_angle"),
             ({"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": "0"}, "axis_phase"),
+            # JSON loads these integers exactly; no float can hold them.
+            ({"kind": "delay", "duration": 10**400}, "duration"),
+            ({"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": -(10**400)}, "axis_phase"),
         ],
     )
     def test_non_number_event_field_rejected(self, capsys, tmp_path, event, field):
@@ -614,6 +618,16 @@ class TestPulse:
         error = json.loads(err)["error"]
         assert code == 1 and out == "" and error["type"] == "argument"
         assert field in error["message"] and repr(event[field]) in error["message"]
+
+    def test_integer_past_digit_limit_rejected(self, capsys, tmp_path):
+        # Python refuses to parse an integer of more than 4300 digits.
+        seq_path = tmp_path / "seq.json"
+        delay = '{"kind": "delay", "duration": 1' + "0" * 5000 + "}"
+        seq_path.write_text('{"events": [' + delay + '], "checkpoints": {"iv": 1}}')
+        code, out, err = run_cli(capsys, "pulse", "--sequence", str(seq_path))
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert "is not valid JSON" in error["message"]
 
     def test_missing_checkpoint_in_custom_sequence(self, capsys, tmp_path):
         seq_path = tmp_path / "seq.json"

@@ -60,6 +60,7 @@ def random_density(rng) -> DensityMatrix:
 
 
 VALUE_FIELDS = ("flip_angle", "axis_phase", "duration")
+ARRAY_FIELDS = ("emitted", *VALUE_FIELDS)
 
 
 def table1_batch():
@@ -68,38 +69,27 @@ def table1_batch():
 
 def sequence(spec) -> PulseProgram:
     """A spec's compiled one-row program."""
-    (program,) = compile_sequence(spec.batch, SYS)
-    return program
+    return compile_sequence(spec.batch, SYS)
 
 
-def row_sequences(programs) -> list[dict]:
-    """Row t of the programs as sequence JSON, for every row t."""
-    seqs = {t: p.to_json(k) for p in programs for k, t in enumerate(p.rows)}
-    return [seqs[t] for t in range(len(seqs))]
+def row_sequences(program) -> list[dict]:
+    """Row t of the program as sequence JSON, for every row t."""
+    return [program.to_json(t) for t in range(len(program.emitted))]
 
 
-def stack(seqs) -> list[PulseProgram]:
-    """The sequence JSON objects as programs, one per skeleton and cuts; row t
-    is seqs[t]."""
-    groups: dict = {}
-    for t, seq in enumerate(seqs):
-        program = PulseProgram.from_json(seq)
-        key = (program.events, tuple(sorted(program.cuts.items())))
-        groups.setdefault(key, []).append((t, program))
-    return [
-        PulseProgram(
-            np.array([t for t, _ in group]),
-            group[0][1].events,
-            group[0][1].cuts,
-            *(np.concatenate([getattr(p, key) for _, p in group]) for key in VALUE_FIELDS),
-        )
-        for group in groups.values()
-    ]
+def stack(seqs) -> PulseProgram:
+    """Sequence JSON objects of one skeleton and cuts as one program; row t is
+    seqs[t]."""
+    programs = [PulseProgram.from_json(seq) for seq in seqs]
+    first = programs[0]
+    assert all(p.events == first.events and p.cuts == first.cuts for p in programs)
+    arrays = {key: np.concatenate([getattr(p, key) for p in programs]) for key in ARRAY_FIELDS}
+    return first._replace(**arrays)
 
 
 def state(program, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
     """A one-row program's state at one checkpoint, as a DensityMatrix."""
-    return DensityMatrix((2, 2), run_sequence([program], sys, label, epsilon)[0])
+    return DensityMatrix((2, 2), run_sequence(program, sys, label, epsilon)[0])
 
 
 def readout(spec) -> tuple[DensityMatrix, float]:
@@ -343,7 +333,8 @@ class TestCompileSequence:
         return u
 
     def encoding_block(self, program):
-        return program.to_json()["events"][program.cuts["i"] : program.cuts["ii"]]
+        seq = program.to_json()
+        return seq["events"][seq["checkpoints"]["i"] : seq["checkpoints"]["ii"]]
 
     @pytest.mark.parametrize("dataset_id", [1, 3, 5, 7, 9, 11])
     def test_encoding_block_matches_gate_level(self, dataset_id):
@@ -356,7 +347,7 @@ class TestCompileSequence:
     def test_single_weight_empty_initial_block(self):
         spec = SuperpositionSpec(1.0, 0.0, QubitParams(0, 0), QubitParams(1.0, 0.0))
         seq = sequence(spec)
-        assert seq.cuts["i"] == 0
+        assert seq.to_json()["checkpoints"]["i"] == 0
         np.testing.assert_allclose(state(seq, "i").mat, ground().mat, atol=1e-14)
 
     def test_dataset9_carries_branch_phase(self):
@@ -443,17 +434,18 @@ def event_list(spec, sys=SYS):
     return events, cuts
 
 
-def assert_round_trips(programs):
-    """Every row goes to sequence JSON and back to the same skeleton, the same
-    cuts and bitwise the same arrays."""
-    for p in programs:
-        for k in range(len(p.rows)):
-            text = json.dumps(p.to_json(k))
-            back = PulseProgram.from_json(json.loads(text))
-            assert back.events == p.events and back.cuts == p.cuts
-            assert back.rows.tolist() == [0]
-            for key in VALUE_FIELDS:
-                assert getattr(back, key)[0].tobytes() == getattr(p, key)[k].tobytes(), key
+def assert_round_trips(program):
+    """Every row's sequence JSON is a fixed point of from_json then to_json, and
+    reads back as the row's emitted events, bitwise the same values."""
+    for k, emitted in enumerate(program.emitted):
+        seq = program.to_json(k)
+        back = PulseProgram.from_json(json.loads(json.dumps(seq)))
+        assert back.to_json() == seq
+        assert back.events == tuple(e for e, on in zip(program.events, emitted) if on)
+        assert back.emitted.all() and back.emitted.shape == (1, emitted.sum())
+        for key in VALUE_FIELDS:
+            column = getattr(program, key)[k, emitted]
+            assert getattr(back, key)[0].tobytes() == column.tobytes(), key
 
 
 def specs_of(rows) -> list[SuperpositionSpec]:
@@ -464,42 +456,59 @@ def specs_of(rows) -> list[SuperpositionSpec]:
     ]
 
 
+def all_block_codes():
+    """16 specs, spec `code` with block b+1 (2 delta, theta1, theta2, the
+    z-composite) present iff bit b of code is set."""
+    weights, angles = [], []
+    for code in range(16):
+        on = [bool(code >> bit & 1) for bit in range(4)]
+        weights.append((INV_SQRT2, INV_SQRT2) if on[0] else (1.0, 0.0))
+        gamma2 = 1.0 if on[3] else 0.0
+        angles.append([(0.9 * on[1], 0.3, 0.0), (1.1 * on[2], 0.2, gamma2)])
+    return weights, angles
+
+
 class TestArrayCompiler:
-    def check_against_event_list(self, specs, programs):
-        assert sorted(t for p in programs for t in p.rows) == list(range(len(specs)))
-        for p in programs:
-            for k, t in enumerate(p.rows):
-                events, cuts = event_list(specs[t])
-                assert p.cuts == cuts
-                assert p.events == tuple((kind, spin) for kind, spin, *_ in events)
-                flip, axis, duration = (np.array([e[i] for e in events]) for i in (2, 3, 4))
-                np.testing.assert_allclose(p.flip_angle[k], flip, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(p.duration[k], duration, rtol=0, atol=1e-14)
-                # Axis phases are angles: 2 pi - 1e-16 and 0 are one axis.
-                gap = np.remainder(p.axis_phase[k] - axis + math.pi, 2 * math.pi) - math.pi
-                assert np.max(np.abs(gap), initial=0.0) <= 1e-14
+    def check_against_event_list(self, specs, program):
+        assert program.flip_angle.shape == (len(specs), len(program.events))
+        for k, spec in enumerate(specs):
+            events, cuts = event_list(spec)
+            on = program.emitted[k]
+            assert program.to_json(k)["checkpoints"] == cuts
+            assert tuple(e for e, keep in zip(program.events, on) if keep) == tuple(
+                (kind, spin) for kind, spin, *_ in events
+            )
+            flip, axis, duration = (np.array([e[i] for e in events]) for i in (2, 3, 4))
+            np.testing.assert_allclose(program.flip_angle[k, on], flip, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(program.duration[k, on], duration, rtol=0, atol=1e-14)
+            # Axis phases are angles: 2 pi - 1e-16 and 0 are one axis.
+            gap = np.remainder(program.axis_phase[k, on] - axis + math.pi, 2 * math.pi) - math.pi
+            assert np.max(np.abs(gap), initial=0.0) <= 1e-14
+            # An absent event is an exact identity.
+            assert not program.flip_angle[k, ~on].any() and not program.duration[k, ~on].any()
 
     def test_table1_matches_event_list(self):
-        programs = compile_sequence(table1_batch(), SYS)
-        self.check_against_event_list([ds.spec() for ds in TABLE1], programs)
+        program = compile_sequence(table1_batch(), SYS)
+        self.check_against_event_list([ds.spec() for ds in TABLE1], program)
 
     @settings(max_examples=60, deadline=None)
     @given(spec_rows())
     def test_batch_matches_event_list(self, rows):
-        programs = compile_sequence(spec_batch(*rows), SYS)
-        self.check_against_event_list(specs_of(rows), programs)
+        program = compile_sequence(spec_batch(*rows), SYS)
+        self.check_against_event_list(specs_of(rows), program)
 
-    def test_skeleton_tests_split_rows(self):
-        # The four tests pick the skeleton: 16 specs, one per skeleton.
-        weights, angles = [], []
-        for code in range(16):
-            on = [bool(code >> bit & 1) for bit in range(4)]
-            weights.append((INV_SQRT2, INV_SQRT2) if on[0] else (1.0, 0.0))
-            gamma2 = 1.0 if on[3] else 0.0
-            angles.append([(0.9 * on[1], 0.3, 0.0), (1.1 * on[2], 0.2, gamma2)])
-        programs = compile_sequence(spec_batch(weights, angles), SYS)
-        assert len(programs) == 16 and all(len(p.rows) == 1 for p in programs)
-        self.check_against_event_list(specs_of((weights, angles)), programs)
+    def test_block_tests_pick_emitted_events(self):
+        # The four block tests pick each row's events: 16 specs, every block
+        # code, in one program; row k's JSON drops exactly its absent blocks.
+        weights, angles = all_block_codes()
+        program = compile_sequence(spec_batch(weights, angles), SYS)
+        assert program.events == nmr._EVENTS and program.emitted.shape == (16, 21)
+        for code, emitted in enumerate(program.emitted):
+            present = [bool(code >> bit & 1) for bit in range(4)] + [True] * 3
+            assert emitted.tolist() == [present[b] for b in nmr._BLOCK_OF]
+            kept = [len(block) for block, on in zip(nmr._BLOCKS, present) if on]
+            assert len(program.to_json(code)["events"]) == sum(kept)
+        self.check_against_event_list(specs_of((weights, angles)), program)
 
     @settings(max_examples=60, deadline=None)
     @given(spec_rows())
@@ -562,7 +571,7 @@ class TestRunSequence:
         seq = sequence(dataset(5).spec())
         eps = 0.9
         for label in ("ii", "iv"):
-            mixed = run_sequence([seq], SYS, label, epsilon=eps)[0]
+            mixed = run_sequence(seq, SYS, label, epsilon=eps)[0]
             blended = eps * state(seq, label).mat + (1 - eps) * np.eye(4) / 4.0
             np.testing.assert_allclose(mixed, blended, atol=1e-12)
 
@@ -573,11 +582,11 @@ class TestRunSequence:
     @pytest.mark.parametrize("epsilon", [1.0, 0.3])
     @pytest.mark.parametrize("ds", TABLE1, ids=lambda d: f"dataset{d.dataset_id}")
     def test_datasets_match_event_fold(self, ds, epsilon):
-        programs = compile_sequence(ds.spec().batch, SYS)
-        reference = fold(row_sequences(programs)[0], SYS, epsilon)
+        program = compile_sequence(ds.spec().batch, SYS)
+        reference = fold(row_sequences(program)[0], SYS, epsilon)
         assert list(reference) == list(CHECKPOINT_LABELS)
         for label, rho in reference.items():
-            mat = run_sequence(programs, SYS, label, epsilon)[0]
+            mat = run_sequence(program, SYS, label, epsilon)[0]
             assert np.max(np.abs(mat - rho.mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -589,63 +598,90 @@ class TestRunSequence:
         for label in CHECKPOINT_LABELS:
             if label not in seq["checkpoints"]:
                 with pytest.raises(ArgumentError, match=f"no checkpoint '{label}'"):
-                    run_sequence([program], sys, label, epsilon)
+                    run_sequence(program, sys, label, epsilon)
                 continue
-            mats = run_sequence([program], sys, label, epsilon)
+            mats = run_sequence(program, sys, label, epsilon)
             assert mats.shape == (1, 4, 4)
             assert np.max(np.abs(mats[0] - reference[label].mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(skeleton_batches(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_batch_rows_match_run_sequence(self, seqs, sys, epsilon):
-        # Mixed skeletons: each row equals its own run and the event fold.
-        folds = [fold(seq, sys, epsilon) for seq in seqs]
-        for label in seqs[0]["checkpoints"]:
-            batch = run_sequence(stack(seqs), sys, label, epsilon)
-            assert batch.shape == (len(seqs), 4, 4)
-            for t, seq in enumerate(seqs):
-                alone = run_sequence(stack([seq]), sys, label, epsilon)[0]
-                assert np.max(np.abs(batch[t] - alone)) <= 1e-12
-                assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
+        # Mixed skeletons, each skeleton's rows run as one program: each row
+        # equals its own run and the event fold.
+        groups: dict = {}
+        for seq in seqs:
+            program = PulseProgram.from_json(seq)
+            groups.setdefault((program.events, tuple(program.cuts.items())), []).append(seq)
+        for group in groups.values():
+            folds = [fold(seq, sys, epsilon) for seq in group]
+            for label in group[0]["checkpoints"]:
+                batch = run_sequence(stack(group), sys, label, epsilon)
+                assert batch.shape == (len(group), 4, 4)
+                for t, seq in enumerate(group):
+                    alone = run_sequence(stack([seq]), sys, label, epsilon)[0]
+                    assert np.max(np.abs(batch[t] - alone)) <= 1e-12
+                    assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
 
     @pytest.mark.parametrize("epsilon", [1.0, 0.3])
     def test_table1_batch_matches_event_fold(self, epsilon):
-        programs = compile_sequence(table1_batch(), SYS)
-        assert sorted(len(p.events) for p in programs) == [12, 18, 21]
-        folds = [fold(seq, SYS, epsilon) for seq in row_sequences(programs)]
+        program = compile_sequence(table1_batch(), SYS)
+        assert sorted(program.emitted.sum(axis=1).tolist()) == [12] * 5 + [18] * 4 + [21] * 2
+        folds = [fold(seq, SYS, epsilon) for seq in row_sequences(program)]
         for label in CHECKPOINT_LABELS:
-            batch = run_sequence(programs, SYS, label, epsilon)
+            batch = run_sequence(program, SYS, label, epsilon)
             for t, reference in enumerate(folds):
                 assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
     def test_every_sequence_needs_the_checkpoint(self):
-        events = [{"kind": "gradient"}]
-        programs = stack([
-            {"events": events, "checkpoints": {"i": 0, "ii": 1}},
-            {"events": events, "checkpoints": {"ii": 1}},
-        ])
-        assert run_sequence(programs, SYS, "ii").shape == (2, 4, 4)
+        # Gradients only: no rf pulse or delay gives the states a row axis.
+        seq = {"events": [{"kind": "gradient"}], "checkpoints": {"ii": 1}}
+        assert run_sequence(stack([seq] * 2), SYS, "ii").shape == (2, 4, 4)
         with pytest.raises(ArgumentError, match="the sequence has no checkpoint 'i'"):
-            run_sequence(programs, SYS, "i")
-
-    @pytest.mark.parametrize("rows", [[[0], [0]], [[0], [2]], [[1]], [[0, 0]]])
-    def test_rows_must_number_each_row_once(self, rows):
-        # Overlapping or missing rows would leave output rows unset.
-        program = parse([{"kind": "gradient"}], {"iv": 1})
-        programs = [
-            program._replace(rows=np.array(r), **{k: np.zeros((len(r), 1)) for k in VALUE_FIELDS})
-            for r in rows
-        ]
-        with pytest.raises(ArgumentError, match="rows must number 0..T-1 once each"):
-            run_sequence(programs, SYS, "iv")
+            run_sequence(stack([seq] * 2), SYS, "i")
 
     def test_batch_validates_its_states(self, monkeypatch):
         # A defect in the propagation is caught by the one batched check.
-        programs = compile_sequence(table1_batch(), SYS)
+        program = compile_sequence(table1_batch(), SYS)
         phases = nmr._delay_phases
         monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
         with pytest.raises(ArgumentError, match="trace .* exceeds 1"):
-            run_sequence(programs, SYS, "iv")
+            run_sequence(program, SYS, "iv")
+
+
+class TestAbsentBlocks:
+    """A block a spec skips stays in its program as exact identities, so each
+    row runs as its own sequence JSON does."""
+
+    def assert_rows_run_as_their_json(self, batch, epsilons):
+        program = compile_sequence(batch, SYS)
+        solo = [PulseProgram.from_json(program.to_json(k)) for k in range(len(program.emitted))]
+        for epsilon in epsilons:
+            for label in CHECKPOINT_LABELS:
+                mats = run_sequence(program, SYS, label, epsilon)
+                for k, alone in enumerate(solo):
+                    gap = np.abs(mats[k] - run_sequence(alone, SYS, label, epsilon)[0])
+                    assert np.max(gap) <= 1e-15, (k, label, epsilon)
+
+    def test_table1_rows_run_as_their_json(self):
+        self.assert_rows_run_as_their_json(table1_batch(), (1.0, 0.3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec_rows(), st.floats(0.0, 1.0))
+    def test_mixed_block_codes_run_as_their_json(self, rows, epsilon):
+        # Every block code, then the drawn rows: b = 0, theta = 0 and
+        # gamma1 = gamma2 each drop a block.
+        weights, angles = all_block_codes()
+        batch = spec_batch(weights + list(rows[0]), angles + list(rows[1]))
+        self.assert_rows_run_as_their_json(batch, (1.0, 0.3, epsilon))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_zero_flip_is_identity(self, axis_phase):
+        assert np.array_equal(rotation_matrix(0.0, axis_phase), nmr.EYE2)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    def test_zero_delay_is_identity(self, j_coupling):
+        assert np.array_equal(nmr._delay_phases(SpinSystem(j_coupling), 0.0), np.ones(4))
 
 
 class TestSequenceUnitary:

@@ -80,7 +80,7 @@ def readme_dir(tmp_path, monkeypatch):
         norm = math.sqrt(sum(x * x for x in amps))
         states.append({"dims": [3], "amps": [[x / norm, 0.0] for x in amps]})
     (tmp_path / "states.json").write_text(json.dumps(states))
-    (program,) = compile_sequence(dataset(3).spec().batch, SpinSystem())
+    program = compile_sequence(dataset(3).spec().batch, SpinSystem())
     (tmp_path / "seq.json").write_text(json.dumps(program.to_json()))
     return tmp_path
 
