@@ -164,18 +164,29 @@ class VerifyReport:
         return not self.failures
 
     def record(self, name: str, trials, deviation, spec: Callable[[int], dict]):
-        """Fold one check into the report; ``spec(i)`` runs for failed rows only."""
-        if len(trials):
-            deviation = np.abs(deviation)
-            # np.max returns NaN when any row is NaN: count it as +inf, so it
-            # cannot hide a finite deviation.
-            worst = float(np.max(deviation))
+        """Fold one check into the report: ``record_all`` of that check alone."""
+        self.record_all([(name, trials, deviation, spec)])
+
+    def record_all(self, checks):
+        """Fold (name, trials, deviation, spec) checks into the report in order,
+        in one pass over their stacked |deviation|; ``spec(i)`` runs for failed
+        rows only."""
+        checks = [check for check in checks if len(check[1])]
+        if not checks:
+            return
+        starts = np.cumsum([0] + [len(check[1]) for check in checks[:-1]])
+        deviation = np.abs(np.concatenate([check[2] for check in checks]))
+        # maximum.reduceat gives NaN where a check has a NaN row: count it as
+        # +inf, so it cannot hide a finite deviation.
+        for (name, *_), worst in zip(checks, np.maximum.reduceat(deviation, starts).tolist()):
             worst = math.inf if math.isnan(worst) else worst
             self.max_deviation[name] = max(self.max_deviation.get(name, 0.0), worst)
-            for i in np.flatnonzero(~(deviation <= FORMULA_TOL)):
-                failure = {"check": name, "trial": int(trials[i])}
-                failure.update(deviation=float(deviation[i]), spec=spec(i))
-                self.failures.append(failure)
+        failed = np.flatnonzero(~(deviation <= FORMULA_TOL))
+        for i, k in zip(failed, np.searchsorted(starts, failed, "right") - 1):
+            name, trials, _, spec = checks[k]
+            row = i - starts[k]
+            self.failures.append({"check": name, "trial": int(trials[row]),
+                                  "deviation": float(deviation[i]), "spec": spec(row)})
 
     def to_json(self) -> dict:
         return {
@@ -187,34 +198,34 @@ class VerifyReport:
         }
 
 
-def _unit(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
-    """Random unit vectors (rows, d); also the weights."""
-    amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
-    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+def _units(rng: np.random.Generator, *shapes: tuple[int, int]) -> list[np.ndarray]:
+    """Random unit vectors, one (rows, d) array per shape (also the weights), from
+    one normal draw: the stream of drawing each shape's real parts, then its
+    imaginary parts, in turn."""
+    z, out = rng.normal(size=2 * sum(rows * d for rows, d in shapes)), []
+    for rows, d in shapes:
+        (re, im), z = z[: 2 * rows * d].reshape(2, rows, d), z[2 * rows * d :]
+        amps = re + 1j * im
+        # np.linalg.norm's formula, bit for bit.
+        out.append(amps / np.sqrt(np.add.reduce((amps.conj() * amps).real, 1, keepdims=True)))
+    return out
 
 
-def _overlapping(rng: np.random.Generator, chi: np.ndarray, n: int) -> np.ndarray:
-    """(T, n, d) random states with |<chi|psi>| >= OVERLAP_FLOOR, redrawing failures."""
-    t, d = chi.shape
-    states = _unit(rng, t * n, d).reshape(t, n, d)
+def _redraw(rng: np.random.Generator, states: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Redraw the (T, n, d) states with |<chi|psi>| < OVERLAP_FLOOR until none is left."""
     while (bad := np.abs(kernel.overlaps(states, chi)) < OVERLAP_FLOOR).any():
-        states[bad] = _unit(rng, int(bad.sum()), d)
+        states[bad] = _units(rng, (int(bad.sum()), states.shape[2]))[0]
     return states
 
 
-def _bloch_pairs(rng: np.random.Generator, rows: int, antipodal: bool):
-    """(weights, (psi1, psi2) pairs, chi), the pairs in a fixed geometry
-    relative to a random chi and the weights drawn last.
-
-    Antipodal pairs share the polar angle and sit pi apart in azimuth;
-    longitudinal pairs share the azimuth.
-    """
-    chi = _unit(rng, rows, 2)
-    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
-    coords = bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
-    pair = coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1)
-    return _unit(rng, rows, 2), pair, chi
+def _bloch_pair(rng: np.random.Generator, chi: np.ndarray, antipodal: bool) -> np.ndarray:
+    """(psi1, psi2) pairs (T, 2, 2) in a fixed geometry relative to chi: antipodal
+    pairs share the polar angle, pi apart in azimuth; longitudinal ones the azimuth."""
+    t = len(chi)
+    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(t, 1 if antipodal else 2))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(t, 1)) + [0, math.pi * antipodal]
+    coords = bloch(np.broadcast_to(2 * polar, (t, 2)), azimuth, np.zeros((t, 2)))
+    return coords @ np.concatenate([chi, kernel.chi_perp(chi)], axis=1).reshape(t, 2, 2)
 
 
 def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
@@ -227,12 +238,9 @@ def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
     }
 
 
-def _stack(*groups):
-    """Row-concatenate (weights, states, chi) groups; ``split`` cuts a per-row
-    result back into the groups. Kernel steps are row-independent, so a row's
-    bits do not depend on the rows stacked beside it."""
-    cuts = np.cumsum([len(g[0]) for g in groups])[:-1]
-    return [np.concatenate(x) for x in zip(*groups)], lambda a: np.split(a, cuts)
+def _cut(a: np.ndarray, *sizes: int) -> list[np.ndarray]:
+    """Consecutive slices of a, of the given lengths."""
+    return [a[end - n : end] for n, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 
 def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
@@ -243,61 +251,76 @@ def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
 
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
     """Draw every input of one batch of trials, run each kernel step once over
-    all the qubit-pair rows that need it, then record the checks in order."""
-    t = len(trials)
-    w = _unit(rng, t, 2)
+    all the qubit-pair rows that need it, then record the checks in order.
+    Consecutive unit vectors share one normal draw (the same stream); only a
+    uniform draw or a data-dependent overlap redraw ends it."""
+    t, n_shapes = len(trials), len(_HYBRID_SHAPES)
+    (w,) = _units(rng, (t, 2))
     # Direct protocol: operational probability vs the weighted-sum norm.
-    angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
+    # uniform(0, high) is high * random() bit for bit: 0 + x rounds nothing.
+    angles = rng.random((t, 2, 3)) * [math.pi, 2 * math.pi, 2 * math.pi]
     theta, phi, gamma = np.moveaxis(angles, -1, 0)
-    direct = (w, bloch(theta, phi, gamma), np.tile([1.0 + 0j, 0.0], (t, 1)))
+    direct = (w, bloch(theta, phi, gamma), np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
     # Reference protocols on random states with comfortable overlaps.
-    chi = _unit(rng, t, 2)
-    ref = (w, _overlapping(rng, chi, 2), chi)
-    # Hybrid protocol, trial t on shape t mod 4.
-    shape_of, hybrid = trials % len(_HYBRID_SHAPES), []
-    for k, (n, d) in enumerate(_HYBRID_SHAPES):
-        chi_d = _unit(rng, int(np.sum(shape_of == k)), d)
-        states = _overlapping(rng, chi_d, n)
-        hybrid.append((_unit(rng, len(chi_d), n), states, chi_d))
+    chi, states = _units(rng, (t, 2), (2 * t, 2))
+    ref = (w, _redraw(rng, states.reshape(t, 2, 2), chi), chi)
+    # Hybrid protocol, trial i on shape i mod 4; each shape's weights are drawn
+    # with the next shape's chi and states, the last with the enhanced pairs.
+    hyb_trials = [trials[(k - trials[0]) % n_shapes :: n_shapes] for k in range(n_shapes)]
+    drawn, lead = [], ()
+    for rows, (n, d) in zip(map(len, hyb_trials), _HYBRID_SHAPES):
+        *done, chi_d, states = _units(rng, *lead, (rows, d), (rows * n, d))
+        drawn += [*done, _redraw(rng, states.reshape(rows, n, d), chi_d), chi_d]
+        lead = ((rows, n),)
+    *done, pair = _units(rng, *lead, (2 * t, 2))
+    drawn += done  # states, chi, weights per shape
+    hybrid = list(zip(drawn[2::3], drawn[0::3], drawn[1::3]))
     # Enhanced protocol, on the trials whose states also overlap chi^perp
     # comfortably; then geometry-specific totals on constructed pairs.
-    pair = _overlapping(rng, chi, 2)
-    ok = np.all(np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR, 1)
-    enh, ran = (w[ok], pair[ok], chi[ok]), trials[ok]
-    lon, anti = [_bloch_pairs(rng, t, antipodal) for antipodal in (False, True)]
+    pair = _redraw(rng, pair.reshape(t, 2, 2), chi)
+    ok = (np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR).all(1)
+    enh, ran, m = (w[ok], pair[ok], chi[ok]), trials[ok], int(ok.sum())
+    (lon_chi,) = _units(rng, (t, 2))
+    lon_pair = _bloch_pair(rng, lon_chi, antipodal=False)
+    lon_w, anti_chi = _units(rng, (t, 2), (t, 2))
+    anti_pair = _bloch_pair(rng, anti_chi, antipodal=True)
+    lon, anti = (lon_w, lon_pair, lon_chi), (*_units(rng, (t, 2)), anti_pair, anti_chi)
 
-    # One kernel pass per step over the qubit-pair rows; the larger hybrid
-    # shapes keep their own.
-    kernel.validate(*_stack(direct, ref, hybrid[0], enh, lon, anti)[0])
+    # One kernel pass per step over the qubit-pair rows, stacked once as
+    # direct | hybrid (2, 2) | ref | enh | lon | anti, each step on a slice: mu
+    # on ref | enh | lon, then enh | lon with chi^perp. The larger hybrid shapes
+    # keep their own passes.
+    W, S, C = (np.concatenate(x) for x in zip(direct, hybrid[0], ref, enh, lon, anti))
+    r = t + len(hyb_trials[0])
+    e, a = r + t, r + 2 * t + m
+    kernel.validate(W, S, C)
     for group in hybrid[1:]:
         kernel.validate(*group)
-    rows, split = _stack(ref, hybrid[0])
-    p2_dev, *eq8_dev = split(_eq8_deviation(*rows))
+    *eq8_dev, p2_dev = _cut(_eq8_deviation(W[t:e], S[t:e], C[t:e]), r - t, t)
     eq8_dev += [_eq8_deviation(*group) for group in hybrid[1:]]
-    rows, split = _stack(enh, lon, anti)
-    res = kernel.enhanced(*rows)
-    p1, p2, geometry = (split(x)[0] for x in (res.p1, res.p2, res.geometry))
-    _, lon_total, anti_total = split(res.p_total)
-    g = geometry != kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
-    enh_perp = (enh[0][g], enh[1][g], kernel.chi_perp(enh[2])[g])
-    lon_perp = (*lon[:2], kernel.chi_perp(lon[2]))
-    rows, split = _stack(ref, enh, enh_perp, lon, lon_perp)
-    p3_mu, p1_mu, p2_mu, lon_mu, lon_perp_mu = split(kernel.closed_form_mu(*rows))
+    res = kernel.enhanced(W[e:], S[e:], C[e:])
+    p1, p2, g = res.p1[:m], res.p2[:m], res.geometry[:m] != kernel.CODE_ANTIPODAL
+    _, lon_total, anti_total = _cut(res.p_total, m, t, t)
+    rows = (np.concatenate([X[r:a], X[e:a]]) for X in (W, S))
+    mu = kernel.closed_form_mu(*rows, np.concatenate([C[r:a], kernel.chi_perp(C[e:a])]))
+    p3_mu, p1_mu, lon_mu, p2_mu, lon_perp_mu = _cut(mu, t, m, t, m, t)
 
     sim = kernel.norm_sq(kernel.direct(w, direct[1], gamma)[:, 0])
     closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
-    report.record("direct_success", trials, sim - closed, _spec(*direct, angles=angles))
-    report.record("p2_reduced", trials, p2_dev, _spec(*ref))
-    sim = kernel.norm_sq(kernel.three_qubit(*ref))
-    report.record("p3_three_qubit", trials, sim - p3_mu, _spec(*ref))
-    for k, (deviation, group) in enumerate(zip(eq8_dev, hybrid)):
-        report.record("hybrid_eq8", trials[shape_of == k], deviation, _spec(*group))
-    report.record("enhanced_p1", ran, p1 - p1_mu, _spec(*enh))
-    report.record("enhanced_p2", ran[g], p2[g] - p2_mu, _spec(*(x[g] for x in enh)))
-    deviation = lon_total - (lon_mu + lon_perp_mu)
-    report.record("enhanced_ptotal_longitudinal", trials, deviation, _spec(*lon))
-    deviation = anti_total - kernel.norm_sq(kernel.target(*anti)) / 2.0
-    report.record("enhanced_ptotal_antipodal", trials, deviation, _spec(*anti))
+    p3 = kernel.norm_sq(kernel.three_qubit(*ref))
+    anti_closed = kernel.norm_sq(kernel.target(*anti)) / 2.0
+    report.record_all([
+        ("direct_success", trials, sim - closed, _spec(*direct, angles=angles)),
+        ("p2_reduced", trials, p2_dev, _spec(*ref)),
+        ("p3_three_qubit", trials, p3 - p3_mu, _spec(*ref)),
+        *(("hybrid_eq8", k, dev, _spec(*group))
+          for k, dev, group in zip(hyb_trials, eq8_dev, hybrid)),
+        ("enhanced_p1", ran, p1 - p1_mu, _spec(*enh)),
+        ("enhanced_p2", ran[g], p2[g] - p2_mu[g], _spec(*(x[g] for x in enh))),
+        ("enhanced_ptotal_longitudinal", trials, lon_total - (lon_mu + lon_perp_mu),
+         _spec(*lon)),
+        ("enhanced_ptotal_antipodal", trials, anti_total - anti_closed, _spec(*anti)),
+    ])
 
 
 def verify_probability_formulas(trials: int, seed: int) -> VerifyReport:

@@ -35,7 +35,7 @@ from .linalg import (
     unit_rows,
     unit_state,
 )
-from .reference import ReferenceSpec, pair_batch
+from .reference import ReferenceSpec, closed_form_p3, pair_batch
 
 
 def chi_perp(chi: StateVector) -> StateVector:
@@ -74,15 +74,20 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
     """longitudinal, transverse_antipodal, or generic relative to the chi axis."""
     if not psi1.dims == psi2.dims == chi.dims == (2,):
         raise ArgumentError("geometry needs three single-qubit states")
-    return str(kernel.geometry(np.array([[psi1.amps, psi2.amps]]), chi.amps[None])[0])
+    states, chi = np.array([[psi1.amps, psi2.amps]]), chi.amps[None]
+    ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, kernel.chi_perp(chi))
+    return kernel.GEOMETRIES[kernel.geometry(ip, ipp)[0]]
 
 
 def closed_form_p2(spec: ReferenceSpec) -> float:
-    """P(2): P3's expression in the chi^perp sector. P(1) is ``closed_form_p3``."""
-    weights, states, _ = pair_batch(spec)
+    """P(2) as harvested: P3's expression in the chi^perp sector, but ||target||^2 / 2
+    - P3 for transverse antipodal pairs (the ancilla-|1> row). P(1): closed_form_p3."""
+    weights, states, chi = pair_batch(spec)
     chip = chi_perp(spec.chi).amps[None]
     require_overlaps(np.abs(kernel.overlaps(states, chip)), "chi_perp")
-    return float(kernel.closed_form_mu(weights, states, chip)[0])
+    if geometry_classify(*spec.states, spec.chi) != GEOMETRY_TRANSVERSE_ANTIPODAL:
+        return float(kernel.closed_form_mu(weights, states, chip)[0])
+    return float(kernel.norm_sq(kernel.target(weights, states, chi))[0] / 2 - closed_form_p3(spec))
 
 
 def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
@@ -101,5 +106,5 @@ def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     return EnhancedResult(
         unit_state(w_chi), unit_state(w_perp) if kernel.branch_survives(w_perp) else None,
         float(h.p1[0]), float(h.p2[0]), float(h.p_total[0]), bool(h.coherent[0]),
-        str(h.geometry[0]), float(np.trace(rho @ rho).real),
+        kernel.GEOMETRIES[h.geometry[0]], float(np.trace(rho @ rho).real),
     )

@@ -29,9 +29,15 @@ GEOMETRY_LONGITUDINAL = "longitudinal"
 GEOMETRY_TRANSVERSE_ANTIPODAL = "transverse_antipodal"
 GEOMETRY_GENERIC = "generic"
 GEOMETRY_TOL = 1e-9
+# ``geometry`` returns codes: GEOMETRIES[code] is the name.
+GEOMETRIES = (GEOMETRY_GENERIC, GEOMETRY_LONGITUDINAL, GEOMETRY_TRANSVERSE_ANTIPODAL)
+CODE_LONGITUDINAL, CODE_ANTIPODAL = 1, 2
 
 # e^{2 pi i q / 4} for q = 0..3, exact.
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+# Input-independent constants by n: read-only F_n, and the leave-one-out mask.
+_FOURIER: dict[int, np.ndarray] = {}
+_EYE: dict[int, np.ndarray] = {}
 
 
 def norm_sq(amps: np.ndarray) -> np.ndarray:
@@ -76,7 +82,9 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi"
 def _leave_one_out(x: np.ndarray) -> np.ndarray:
     """prod_{j != k} x_j for every k: (T, n)."""
     n = x.shape[1]
-    return np.prod(np.where(np.eye(n, dtype=bool), 1.0, x[:, None, :]), axis=2)
+    if (eye := _EYE.get(n)) is None:
+        eye = _EYE[n] = np.eye(n, dtype=bool)
+    return np.multiply.reduce(np.where(eye, 1.0, x[:, None, :]), axis=2)
 
 
 def primed(weights: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -108,7 +116,7 @@ def project(
     """Project qudits 2..n onto chi: the (T, n, d) block and chi^(n-1); the
     projected state is block (x) chi^(n-1), with the block's norm^2."""
     t = len(chi)
-    aux = encode(np.ones((t, 1)), np.broadcast_to(chi[:, None, :], (t, n - 1, d)))
+    aux = encode(np.ones((t, 1)), chi[:, None, :].repeat(n - 1, axis=1))
     block = amps.reshape(t, n * d, d ** (n - 1)) @ aux.conj()[:, :, None]
     return block.reshape(t, n, d), aux
 
@@ -123,14 +131,17 @@ def fourier(n: int) -> np.ndarray:
     """F[j][k] = f^{jk} / sqrt(n) with f = e^{2 pi i / n}.
 
     Powers of f at quarter turns are exactly 1, i, -1, -i, so fourier(2)
-    is the Hadamard bit for bit."""
-    if n < 1:
-        raise ArgumentError(f"Fourier dimension must be positive, got {n}")
-    roots = np.exp(2j * math.pi * np.arange(n) / n)
-    for q in range(4):
-        if q * n % 4 == 0:
-            roots[q * n // 4] = _QUARTER_TURNS[q]
-    return roots[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
+    is the Hadamard bit for bit. Built once per n, and read-only."""
+    if n not in _FOURIER:
+        if n < 1:
+            raise ArgumentError(f"Fourier dimension must be positive, got {n}")
+        roots = np.exp(2j * math.pi * np.arange(n) / n)
+        for q in range(4):
+            if q * n % 4 == 0:
+                roots[q * n // 4] = _QUARTER_TURNS[q]
+        _FOURIER[n] = roots[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
+        _FOURIER[n].flags.writeable = False
+    return _FOURIER[n]
 
 
 def fourier_rows(block: np.ndarray) -> np.ndarray:
@@ -147,7 +158,7 @@ def phase_gate(block: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Ancilla z-rotation by theta_z = (gamma1 - gamma2)/2: branch |0> gains
     e^{-i theta_z}, |1> e^{+i theta_z}, so the declared phases become global."""
     half = (gammas[:, 0] - gammas[:, 1]) / 2.0
-    return block * np.exp(1j * np.stack([-half, half], axis=1))[:, :, None]
+    return block * np.exp(1j * (half[:, None] * [-1.0, 1.0]))[:, :, None]
 
 
 def direct(weights: np.ndarray, states: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -173,33 +184,30 @@ def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.
 
 def chi_perp(chi: np.ndarray) -> np.ndarray:
     """Canonical orthogonal qubit: alpha|0> + beta|1> -> -beta*|0> + alpha*|1>."""
-    return np.stack([-chi[:, 1].conj(), chi[:, 0].conj()], axis=1)
+    return np.concatenate([-chi[:, 1:].conj(), chi[:, :1].conj()], axis=1)
 
 
 def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """(1/N1) [[1/sqrt(c1), 1/sqrt(c2)], [1/sqrt(c2), -1/sqrt(c1)]]: (T, 2, 2)."""
     s1, s2 = 1.0 / np.sqrt(c1), 1.0 / np.sqrt(c2)
-    u = np.stack([np.stack([s1, s2], -1), np.stack([s2, -s1], -1)], -2)
+    u = np.array([s1, s2, s2, -s1]).T.reshape(-1, 2, 2)
     return u / np.sqrt((c1 + c2) / (c1 * c2))[:, None, None]
 
 
-def geometry(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Each qubit pair's GEOMETRY_* relative to the chi axis: (T,)."""
-    ip, ipp = overlaps(states, chi), overlaps(states, chi_perp(chi))
-    zero = np.any(zero_overlap(np.abs(ip)) | zero_overlap(np.abs(ipp)), axis=1)
+def geometry(ip: np.ndarray, ipp: np.ndarray) -> np.ndarray:
+    """Each qubit pair's geometry relative to the chi axis, from its overlaps
+    <chi|Psi_j> and <chi^perp|Psi_j>: (T,) codes into GEOMETRIES."""
+    mag, magp = np.abs(ip), np.abs(ipp)
+    zero = np.any(zero_overlap(mag) | zero_overlap(magp), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         # e^{i phi_j}: azimuth of Psi_j around the chi axis.
-        az = ipp / np.abs(ipp) * (ip / np.abs(ip)).conj()
-    c = np.abs(ip) ** 2
+        az = ipp / magp * (ip / mag).conj()
+    c = mag**2
     longitudinal = np.abs(az[:, 0] - az[:, 1]) <= GEOMETRY_TOL
     antipodal = (np.abs(c[:, 0] - c[:, 1]) <= GEOMETRY_TOL) & (
         np.abs(az[:, 0] + az[:, 1]) <= GEOMETRY_TOL
     )
-    return np.select(
-        [zero, longitudinal, antipodal],
-        [GEOMETRY_GENERIC, GEOMETRY_LONGITUDINAL, GEOMETRY_TRANSVERSE_ANTIPODAL],
-        GEOMETRY_GENERIC,
-    )
+    return ~zero * np.where(longitudinal, CODE_LONGITUDINAL, CODE_ANTIPODAL * antipodal)
 
 
 class Harvest(NamedTuple):
@@ -207,7 +215,7 @@ class Harvest(NamedTuple):
 
     rows: np.ndarray
     rows_perp: np.ndarray
-    geometry: np.ndarray
+    geometry: np.ndarray  # codes into GEOMETRIES
     coherent: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
@@ -224,9 +232,10 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> Harves
     pairs, in the ancilla-|1> row for transverse antipodal pairs.
     """
     chip = chi_perp(chi)
-    magp = np.abs(overlaps(states, chip))
+    ip, ipp = overlaps(states, chi), overlaps(states, chip)
+    magp = np.abs(ipp)
     require_overlaps(magp, "chi_perp")
-    c, cp = overlap_c(states, chi), magp**2
+    c, cp = np.abs(ip) ** 2, magp**2
     rows = u_chi(c[:, 1], c[:, 0]) @ cascade_block(weights, states, chi)
     rows_perp = u_chi(cp[:, 1], cp[:, 0]) @ cascade_block(weights, states, chip)
     w, p1 = rows[:, 0], norm_sq(rows[:, 0])
@@ -236,9 +245,9 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> Harves
             fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * norm_sq(v))
         return branch_survives(v) & (fid >= 1.0 - GEOMETRY_TOL)
 
-    geom = geometry(states, chi)
-    antipodal = (geom == GEOMETRY_TRANSVERSE_ANTIPODAL) & agrees(rows_perp[:, 1])
-    coherent = antipodal | ((geom == GEOMETRY_LONGITUDINAL) & agrees(rows_perp[:, 0]))
+    geom = geometry(ip, ipp)
+    antipodal = (geom == CODE_ANTIPODAL) & agrees(rows_perp[:, 1])
+    coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees(rows_perp[:, 0]))
     p2 = norm_sq(np.where(antipodal[:, None], rows_perp[:, 1], rows_perp[:, 0]))
     p_total = np.where(coherent, p1 + p2, p1)
     return Harvest(rows, rows_perp, geom, coherent, p1, p2, p_total)
@@ -252,23 +261,25 @@ def weighted_sum(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (weights[:, None, :] @ states)[:, 0]
 
 
-def target(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """sum_k a_k (prod_{j != k} kappa_j) Psi_k, unnormalized: (T, d)."""
-    ip = overlaps(states, chi)
+def target(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
+    """sum_k a_k (prod_{j != k} kappa_j) Psi_k, unnormalized: (T, d); ``ip`` is
+    <chi|Psi_k> when the caller already has it."""
+    ip = overlaps(states, chi) if ip is None else ip
     return weighted_sum(weights * _leave_one_out(ip / np.abs(ip)), states)
 
 
 def closed_form_fourier(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
     """Eq. 8, prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n; P2 at n = 2."""
-    c = overlap_c(states, chi)
-    weight_term = np.sum(np.abs(weights) ** 2 * c, axis=1)
-    nsq = norm_sq(target(weights, states, chi))
-    return np.prod(c, axis=1) / weight_term * nsq / states.shape[1]
+    ip = overlaps(states, chi)
+    c = np.abs(ip) ** 2
+    weight_term = np.add.reduce(np.abs(weights) ** 2 * c, axis=1)
+    nsq = norm_sq(target(weights, states, chi, ip))
+    return np.multiply.reduce(c, axis=1) / weight_term * nsq / states.shape[1]
 
 
 def closed_form_mu(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
     """P3 = c1 c2 ||target||^2 / (c1 + c2); also the enhanced P(1), and with
     chi^perp in place of chi the enhanced P(2)."""
-    c = overlap_c(states, chi)
-    nsq = norm_sq(target(weights, states, chi))
-    return np.prod(c, axis=1) / np.sum(c, axis=1) * nsq
+    ip = overlaps(states, chi)
+    c, nsq = np.abs(ip) ** 2, norm_sq(target(weights, states, chi, ip))
+    return np.multiply.reduce(c, axis=1) / np.add.reduce(c, axis=1) * nsq

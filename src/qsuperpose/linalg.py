@@ -35,8 +35,8 @@ def zero_overlap(mag: np.ndarray) -> np.ndarray:
 def require_overlaps(mag: np.ndarray, ref: str = "chi") -> None:
     """Raise ZeroOverlapError at the first zero |<ref|psi_k>|, k on the last axis."""
     mag = np.asarray(mag)
-    zero = np.argwhere(zero_overlap(mag))
-    if len(zero):
+    if (zero := zero_overlap(mag)).any():
+        zero = np.argwhere(zero)
         k = zero[0][-1] + 1 if mag.shape[-1] > 1 else ""
         raise ZeroOverlapError(
             f"psi{k} has a zero overlap with the reference {ref}: "
@@ -212,7 +212,8 @@ class OverlapInfo(NamedTuple):
 
 def bloch(theta, phi, gamma) -> np.ndarray:
     """e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>), elementwise: (..., 2)."""
-    amps = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1)
+    amps = np.empty(np.shape(theta) + (2,), complex)
+    amps[..., 0], amps[..., 1] = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
     return np.exp(1j * gamma)[..., None] * amps
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsuperpose import analysis, kernel
 from qsuperpose.analysis import (
@@ -26,6 +28,7 @@ from qsuperpose.linalg import (
     QubitParams,
     StateVector,
     basis_state,
+    bloch,
     make_qubit,
     overlap_decompose,
     phase_equivalent,
@@ -316,6 +319,124 @@ class TestVerifyHarness:
         c2 = overlap_decompose(psi2, chi).c
         tampered = c1 * c2 / (c1 + c2) * kappa_weighted_sum(spec).norm_sq
         assert abs(sim - tampered) > 1e-9
+
+
+# --- Fused draws and one-pass bookkeeping against their sequential forms ----
+
+PROPERTY = settings(max_examples=60, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def unit(rng, rows, d):
+    """One unit-vector array per draw: real parts, imaginary parts, norm."""
+    amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def overlapping(rng, chi, n):
+    t, d = chi.shape
+    states = unit(rng, t * n, d).reshape(t, n, d)
+    while (bad := np.abs(kernel.overlaps(states, chi)) < analysis.OVERLAP_FLOOR).any():
+        states[bad] = unit(rng, int(bad.sum()), d)
+    return states
+
+
+def bloch_pairs(rng, rows, antipodal):
+    chi = unit(rng, rows, 2)
+    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
+    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
+    coords = bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
+    pair = coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1)
+    return unit(rng, rows, 2), pair, chi
+
+
+def sequential_draws(rng, trials):
+    """One chunk's inputs drawn one array at a time, in the harness's order:
+    the qubit-pair groups (direct, hybrid (2, 2), ref, enh, lon, anti) and
+    the larger hybrid groups."""
+    t = len(trials)
+    w = unit(rng, t, 2)
+    angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
+    direct = (w, bloch(*np.moveaxis(angles, -1, 0)), np.tile([1.0 + 0j, 0.0], (t, 1)))
+    chi = unit(rng, t, 2)
+    ref = (w, overlapping(rng, chi, 2), chi)
+    hybrid = []
+    for k, (n, d) in enumerate(analysis._HYBRID_SHAPES):
+        chi_d = unit(rng, int(np.sum(trials % 4 == k)), d)
+        states = overlapping(rng, chi_d, n)
+        hybrid.append((unit(rng, len(chi_d), n), states, chi_d))
+    pair = overlapping(rng, chi, 2)
+    ok = np.all(np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= analysis.OVERLAP_FLOOR, 1)
+    lon, anti = [bloch_pairs(rng, t, antipodal) for antipodal in (False, True)]
+    pairs = (direct, hybrid[0], ref, (w[ok], pair[ok], chi[ok]), lon, anti)
+    return [tuple(np.concatenate(x) for x in zip(*pairs)), *hybrid[1:]]
+
+
+SHAPES = st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4)), min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(SEEDS, SHAPES)
+def test_fused_draws_equal_one_draw_per_array(seed, shapes):
+    fused_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fused = analysis._units(fused_rng, *shapes)
+    for got, (rows, d) in zip(fused, shapes, strict=True):
+        assert np.array_equal(got, unit(rng, rows, d))
+    assert fused_rng.normal() == rng.normal()  # the stream goes on at the same place
+
+
+@pytest.mark.parametrize("trials", [1, 3, 20, 1030])
+def test_chunk_inputs_equal_sequential_draws(monkeypatch, trials):
+    seen = []
+    true_validate = kernel.validate
+    monkeypatch.setattr(kernel, "validate",
+                        lambda *args: seen.append(args) or true_validate(*args))
+    assert verify_probability_formulas(trials=trials, seed=trials).ok
+    rng, expected = np.random.default_rng(trials), []
+    for start in range(0, trials, analysis.VERIFY_CHUNK):
+        chunk = np.arange(start, min(trials, start + analysis.VERIFY_CHUNK))
+        expected += sequential_draws(rng, chunk)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def record_one(report, name, trials, deviation, spec):
+    """The per-check bookkeeping: one abs, max and failure scan per check."""
+    if len(trials):
+        deviation = np.abs(deviation)
+        worst = float(np.max(deviation))
+        worst = math.inf if math.isnan(worst) else worst
+        report.max_deviation[name] = max(report.max_deviation.get(name, 0.0), worst)
+        for i in np.flatnonzero(~(deviation <= analysis.FORMULA_TOL)):
+            failure = {"check": name, "trial": int(trials[i])}
+            failure.update(deviation=float(deviation[i]), spec=spec(i))
+            report.failures.append(failure)
+
+
+DEVIATIONS = st.lists(st.one_of(
+    st.just(math.nan), st.floats(-2e-9, 2e-9), st.floats(-10.0, 10.0), st.just(math.inf),
+), max_size=6)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from("xyz"), DEVIATIONS), max_size=8), st.integers(0, 1))
+def test_one_pass_bookkeeping_equals_per_check_records(checks, chunks):
+    checks = [
+        (name, np.arange(len(dev)) + 100 * k, np.array(dev, dtype=float),
+         lambda i, name=name, k=k: {"from": [name, k, int(i)]})
+        for k, (name, dev) in enumerate(checks)
+    ]
+    one, each, view = (analysis.VerifyReport(trials=0, seed=0) for _ in range(3))
+    for _ in range(chunks + 1):
+        one.record_all(checks)
+        for check in checks:
+            record_one(each, *check)
+            view.record(*check)
+    for report in (one, view):
+        assert report.max_deviation == each.max_deviation
+        # Through JSON, where a NaN deviation compares equal to itself.
+        assert json.dumps(report.failures) == json.dumps(each.failures)
 
 
 class TestCsvFormat:

@@ -450,6 +450,22 @@ class TestEnhanced:
         assert payload["coherent"] is True
         assert payload["geometry_report"]["geometry"] == "transverse_antipodal"
 
+    def test_antipodal_report_gives_the_harvested_p2(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "enhanced",
+            "--psi1", "1,0",
+            "--psi2", f"1,{math.pi}",
+            "--a", "0.6",
+            "--b", "0.8",
+            "--geometry-report",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["geometry"] == "transverse_antipodal"
+        report = payload["geometry_report"]
+        assert report["p2_closed_form"] == pytest.approx(payload["p2"], abs=1e-12)
+
     def test_zero_overlap(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -249,6 +249,22 @@ class TestClosedFormP2:
         )
 
 
+    def test_antipodal_pairs_give_the_harvested_row(self, rng):
+        # A transverse antipodal pair harvests its ancilla-|1> row; with unequal
+        # weights that P(2) differs from the ancilla-|0> row's closed form.
+        for _ in range(20):
+            chi = random_state(rng)
+            polar = float(rng.uniform(0.2, math.pi / 2 - 0.1))
+            azimuth = float(rng.uniform(0, 2 * math.pi))
+            a = float(rng.uniform(0.3, 0.6))
+            psi1 = bloch_state(chi, polar, azimuth)
+            psi2 = bloch_state(chi, polar, azimuth + math.pi)
+            spec = pair(a, math.sqrt(1 - a * a), psi1, psi2, chi)
+            result = run_enhanced(spec)
+            assert result.geometry == GEOMETRY_TRANSVERSE_ANTIPODAL
+            assert closed_form_p2(spec) == pytest.approx(result.p2, abs=1e-9)
+
+
 class TestSpecShape:
     @pytest.mark.parametrize("pipeline", [run_enhanced, closed_form_p2])
     def test_rejects_three_states(self, pipeline):

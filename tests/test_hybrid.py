@@ -59,6 +59,21 @@ class TestFourier:
         with pytest.raises(ArgumentError):
             fourier(0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_built_once_read_only_and_exact(self, n):
+        f = fourier(n)
+        assert kernel.fourier(n) is f
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+        # Bit for bit the construction from the roots of unity, quarter turns exact.
+        roots = np.exp(2j * math.pi * np.arange(n) / n)
+        for q in range(4):
+            if q * n % 4 == 0:
+                roots[q * n // 4] = (1, 1j, -1, -1j)[q]
+        assert f.tobytes() == (roots[np.outer(range(n), range(n)) % n] / math.sqrt(n)).tobytes()
+        if n == 2:
+            assert f.tobytes() == (np.array([[1, 1], [1, -1]], complex) / math.sqrt(2)).tobytes()
+
 
 class TestRunHybrid:
     def test_reduces_to_two_qubit(self, rng):
