@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -31,45 +31,36 @@ def fmt9(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def success_ratio(r_c: float, b_sq: float) -> float:
-    """r_p = (r_c + 1) / (2 (1 + b_sq (r_c - 1)))."""
-    if not 0.0 < r_c < math.inf:
-        raise ArgumentError(f"r_c must be positive and finite, got {r_c}")
-    if not 0.0 < b_sq < 1.0:
-        raise ArgumentError(f"b_sq must lie in (0, 1), got {b_sq}")
+def success_ratio(r_c, b_sq):
+    """r_p = P2 / P3 = (r_c + 1) / (2 (1 + b_sq (r_c - 1))), elementwise: the reduced scheme's
+    success over the prior three-qubit scheme's, where r_c = c2 / c1 with c_k = |<chi|psi_k>|^2
+    and b_sq = |b|^2, b the weight of psi2. The first point in row-major order that breaks
+    0 < r_c < inf, then 0 < b_sq < 1, raises naming its value."""
+    r_c, b_sq = np.broadcast_arrays(np.asarray(r_c, dtype=float), np.asarray(b_sq, dtype=float))
+    good_r_c = (0.0 < r_c) & (r_c < math.inf)
+    if (bad := ~(good_r_c & (0.0 < b_sq) & (b_sq < 1.0))).any():
+        i = np.argmax(bad)
+        if not good_r_c.flat[i]:
+            raise ArgumentError(f"r_c must be positive and finite, got {float(r_c.flat[i])}")
+        raise ArgumentError(f"b_sq must lie in (0, 1), got {float(b_sq.flat[i])}")
     # Halve the numerator (exact) rather than double the denominator (may overflow).
     return (r_c + 1.0) / 2.0 / (1.0 + b_sq * (r_c - 1.0))
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    r_c: float
-    b_sq: float
-    r_p: float
-    regime: str
+def sweep_rp(r_c_values, b_sq_values):
+    """r_p over the grid as flat row-major (r_c outer) columns: r_c, b_sq, r_p, regime."""
+    r_c, b_sq = (x.ravel() for x in np.meshgrid(r_c_values, b_sq_values, indexing="ij"))
+    r_p = success_ratio(r_c, b_sq)
+    regime = np.select([np.abs(r_p - 1.0) <= TIE_TOL, r_p > 1.0],
+                       [REGIME_TIE, REGIME_TWO_QUBIT], REGIME_THREE_QUBIT)
+    return r_c, b_sq, r_p, regime
 
 
-def sweep_rp(r_c_values: Sequence[float], b_sq_values: Sequence[float]) -> list[SweepRow]:
-    """Evaluate r_p over the grid, row-major (r_c outer, b_sq inner)."""
-    rows = []
-    for r_c in r_c_values:
-        for b_sq in b_sq_values:
-            r_p = success_ratio(r_c, b_sq)
-            if abs(r_p - 1.0) <= TIE_TOL:
-                regime = REGIME_TIE
-            elif r_p > 1.0:
-                regime = REGIME_TWO_QUBIT
-            else:
-                regime = REGIME_THREE_QUBIT
-            rows.append(SweepRow(r_c, b_sq, r_p, regime))
-    return rows
-
-
-def sweep_csv(rows: Iterable[SweepRow]) -> str:
-    lines = ["r_c,b_sq,r_p,regime"]
-    for row in rows:
-        lines.append(f"{fmt9(row.r_c)},{fmt9(row.b_sq)},{fmt9(row.r_p)},{row.regime}")
-    return "\n".join(lines) + "\n"
+def sweep_csv(columns) -> str:
+    """The (r_c, b_sq, r_p, regime) columns of ``sweep_rp`` as CSV."""
+    rows = zip(*(column.tolist() for column in columns))
+    lines = [f"{fmt9(x)},{fmt9(y)},{fmt9(z)},{g}" for x, y, z, g in rows]
+    return "\n".join(["r_c,b_sq,r_p,regime", *lines]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -244,9 +235,9 @@ def _cut(a: np.ndarray, *sizes: int) -> list[np.ndarray]:
 
 
 def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
-    """Fourier post-selection probability minus its closed form, Eq. 8."""
+    """Fourier post-selection probability, and its deviation from the closed form, Eq. 8."""
     sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(weights, states, chi))[:, 0])
-    return sim - kernel.closed_form_fourier(weights, states, chi)
+    return sim, sim - kernel.closed_form_fourier(weights, states, chi)
 
 
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
@@ -296,8 +287,9 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     kernel.validate(W, S, C)
     for group in hybrid[1:]:
         kernel.validate(*group)
-    *eq8_dev, p2_dev = _cut(_eq8_deviation(W[t:e], S[t:e], C[t:e]), r - t, t)
-    eq8_dev += [_eq8_deviation(*group) for group in hybrid[1:]]
+    p2_sim, eq8 = _eq8_deviation(W[t:e], S[t:e], C[t:e])
+    *eq8_dev, p2_dev = _cut(eq8, r - t, t)
+    eq8_dev += [_eq8_deviation(*group)[1] for group in hybrid[1:]]
     res = kernel.enhanced(W[e:], S[e:], C[e:])
     p1, p2, g = res.p1[:m], res.p2[:m], res.geometry[:m] != kernel.CODE_ANTIPODAL
     _, lon_total, anti_total = _cut(res.p_total, m, t, t)
@@ -308,11 +300,14 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     sim = kernel.norm_sq(kernel.direct(w, direct[1], gamma)[:, 0])
     closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
     p3 = kernel.norm_sq(kernel.three_qubit(*ref))
+    c = kernel.overlap_c(*ref[1:])
+    ratio = p2_sim[r - t :] / p3 / success_ratio(c[:, 1] / c[:, 0], np.abs(w[:, 1]) ** 2)
     anti_closed = kernel.norm_sq(kernel.target(*anti)) / 2.0
     report.record_all([
         ("direct_success", trials, sim - closed, _spec(*direct, angles=angles)),
         ("p2_reduced", trials, p2_dev, _spec(*ref)),
         ("p3_three_qubit", trials, p3 - p3_mu, _spec(*ref)),
+        ("ratio_rp", trials, ratio - 1.0, _spec(*ref)),
         *(("hybrid_eq8", k, dev, _spec(*group))
           for k, dev, group in zip(hyb_trials, eq8_dev, hybrid)),
         ("enhanced_p1", ran, p1 - p1_mu, _spec(*enh)),

@@ -231,15 +231,14 @@ def _cmd_sweep_rp(args):
     for flag, value in (("--rc-min", args.rc_min), ("--rc-max", args.rc_max)):
         if not math.isfinite(value):
             raise ArgumentError(f"{flag} must be finite, got {value!r}")
-    if args.rc_steps == 1:
-        r_c_values = [args.rc_min]
-    else:
-        step = (args.rc_max - args.rc_min) / (args.rc_steps - 1)
-        r_c_values = [args.rc_min + k * step for k in range(args.rc_steps)]
     try:
         b_sq_values = [float(p) for p in args.bsq.split(",")]
     except ValueError as exc:
         raise ArgumentError(f"--bsq: {exc}") from exc
+    # One step is rc_min alone: adding -0.0 changes no float, not even -0.0.
+    step = (args.rc_max - args.rc_min) / (args.rc_steps - 1) if args.rc_steps > 1 else -0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # nan and inf, as float math gives
+        r_c_values = args.rc_min + np.arange(args.rc_steps) * step
     return analysis.sweep_csv(analysis.sweep_rp(r_c_values, b_sq_values)), 0
 
 
@@ -291,11 +290,12 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=1.0, help="pseudo-pure purity")
     p.set_defaults(func=_cmd_pulse)
 
-    p = sub.add_parser("sweep-rp", help="P2/P3 ratio sweep to CSV")
-    p.add_argument("--rc-min", required=True, type=float)
-    p.add_argument("--rc-max", required=True, type=float)
-    p.add_argument("--rc-steps", required=True, type=int)
-    p.add_argument("--bsq", required=True, help="comma list of |b|^2 values")
+    p = sub.add_parser("sweep-rp", help="r_p = P2/P3 ratio sweep to CSV", description=(
+        "r_p = P2/P3 over r_c = c2/c1 and |b|^2, with c_k = |<chi|psi_k>|^2 and b psi2's weight"))
+    p.add_argument("--rc-min", required=True, type=float, help="first r_c = c2/c1")
+    p.add_argument("--rc-max", required=True, type=float, help="last r_c = c2/c1")
+    p.add_argument("--rc-steps", required=True, type=int, help="count of evenly spaced r_c values")
+    p.add_argument("--bsq", required=True, help="comma list of |b|^2, b the weight of psi2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep_rp)
 

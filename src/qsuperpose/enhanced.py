@@ -35,7 +35,7 @@ from .linalg import (
     unit_rows,
     unit_state,
 )
-from .reference import ReferenceSpec, closed_form_p3, pair_batch
+from .reference import ReferenceSpec, pair_batch
 
 
 def chi_perp(chi: StateVector) -> StateVector:
@@ -83,11 +83,15 @@ def closed_form_p2(spec: ReferenceSpec) -> float:
     """P(2) as harvested: P3's expression in the chi^perp sector, but ||target||^2 / 2
     - P3 for transverse antipodal pairs (the ancilla-|1> row). P(1): closed_form_p3."""
     weights, states, chi = pair_batch(spec)
-    chip = chi_perp(spec.chi).amps[None]
-    require_overlaps(np.abs(kernel.overlaps(states, chip)), "chi_perp")
-    if geometry_classify(*spec.states, spec.chi) != GEOMETRY_TRANSVERSE_ANTIPODAL:
+    if spec.d != 2:
+        raise ArgumentError("chi must be a single qubit state")
+    chip = kernel.chi_perp(chi)
+    ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, chip)
+    require_overlaps(np.abs(ipp), "chi_perp")
+    if kernel.geometry(ip, ipp)[0] != kernel.CODE_ANTIPODAL:
         return float(kernel.closed_form_mu(weights, states, chip)[0])
-    return float(kernel.norm_sq(kernel.target(weights, states, chi))[0] / 2 - closed_form_p3(spec))
+    p3 = kernel.closed_form_mu(weights, states, chi)[0]
+    return float(kernel.norm_sq(kernel.target(weights, states, chi, ip))[0] / 2 - p3)
 
 
 def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:

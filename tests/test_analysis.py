@@ -1,6 +1,7 @@
 """Sweeps, the experiment-table driver, and the verification harness."""
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from qsuperpose.reference import (
     closed_form_p3,
     kappa_weighted_sum,
     run_three_qubit,
+    run_two_qubit_reduced,
 )
 
 GOLDEN_TABLE1 = Path(__file__).resolve().parents[1] / "bench" / "golden_table1.csv"
@@ -100,17 +102,17 @@ class TestSuccessRatio:
 
 class TestSweep:
     def test_examples(self):
-        rows = sweep_rp((0.5, 2.0), (0.8,))
-        assert rows[0].r_p == pytest.approx(1.25, abs=1e-12)
-        assert rows[0].regime == REGIME_TWO_QUBIT
-        assert rows[1].r_p == pytest.approx(3.0 / (2 * 1.8), abs=1e-12)
-        assert rows[1].regime == REGIME_THREE_QUBIT
+        _, _, r_p, regime = sweep_rp((0.5, 2.0), (0.8,))
+        assert r_p[0] == pytest.approx(1.25, abs=1e-12)
+        assert regime[0] == REGIME_TWO_QUBIT
+        assert r_p[1] == pytest.approx(3.0 / (2 * 1.8), abs=1e-12)
+        assert regime[1] == REGIME_THREE_QUBIT
 
     def test_tie_lines(self):
-        rows = sweep_rp((1.0,), (0.1, 0.3, 0.9))
-        assert all(r.regime == REGIME_TIE for r in rows)
-        rows = sweep_rp((0.2, 5.0), (0.5,))
-        assert all(r.regime == REGIME_TIE for r in rows)
+        regime = sweep_rp((1.0,), (0.1, 0.3, 0.9))[3]
+        assert all(r == REGIME_TIE for r in regime)
+        regime = sweep_rp((0.2, 5.0), (0.5,))[3]
+        assert all(r == REGIME_TIE for r in regime)
 
     def test_advantage_regions(self, rng):
         for _ in range(200):
@@ -131,11 +133,53 @@ class TestSweep:
             with pytest.raises(ArgumentError, match="finite"):
                 sweep_rp((1.0, r_c), (0.5,))
 
+    def test_first_bad_point_in_row_major_order_names_its_value(self):
+        # (1, 1.5) comes before (0, 0.5); at one point r_c is checked first.
+        with pytest.raises(ArgumentError, match=re.escape("b_sq must lie in (0, 1), got 1.5")):
+            sweep_rp((1.0, 0.0, -1.0), (0.5, 1.5))
+        with pytest.raises(ArgumentError, match="r_c must be positive and finite, got 0.0"):
+            sweep_rp((1.0, 0.0, -1.0), (0.5, 0.7))
+        with pytest.raises(ArgumentError, match="r_c must be positive and finite, got -1.0"):
+            sweep_rp((-1.0,), (1.5,))
+
     def test_csv_deterministic(self):
         grid = (np.linspace(0.1, 4.0, 7), (0.1, 0.2, 0.8))
         assert sweep_csv(sweep_rp(*grid)) == sweep_csv(sweep_rp(*grid))
         header = sweep_csv(sweep_rp(*grid)).splitlines()[0]
         assert header == "r_c,b_sq,r_p,regime"
+
+
+def sweep_per_point(r_c_values, b_sq_values):
+    """The sweep as (r_c, b_sq, r_p, regime) rows, one grid point at a time in
+    float arithmetic."""
+    rows = []
+    for r_c in r_c_values:
+        for b_sq in b_sq_values:
+            r_p = (r_c + 1.0) / 2.0 / (1.0 + b_sq * (r_c - 1.0))
+            if abs(r_p - 1.0) <= analysis.TIE_TOL:
+                regime = REGIME_TIE
+            elif r_p > 1.0:
+                regime = REGIME_TWO_QUBIT
+            else:
+                regime = REGIME_THREE_QUBIT
+            rows.append((r_c, b_sq, r_p, regime))
+    return rows
+
+
+# r_c = 1 and b_sq = 1/2 are the tie lines; 1.7e308 is near the float maximum.
+R_C = st.one_of(
+    st.floats(0.0, 1.7e308, exclude_min=True),
+    st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+    st.sampled_from([1.0, 1.7e308, 1.0 - 1e-12, 1.0 + 1e-12, 5e-324]),
+)
+B_SQ = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.just(0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(R_C, min_size=1, max_size=8), st.lists(B_SQ, min_size=1, max_size=8))
+def test_array_sweep_equals_the_per_point_loop(r_c_values, b_sq_values):
+    columns = [column.tolist() for column in sweep_rp(r_c_values, b_sq_values)]
+    assert list(zip(*columns)) == sweep_per_point(r_c_values, b_sq_values)
 
 
 class TestReproduceTable1:
@@ -194,6 +238,7 @@ ALL_CHECKS = {
     "direct_success",
     "p2_reduced",
     "p3_three_qubit",
+    "ratio_rp",
     "hybrid_eq8",
     "enhanced_p1",
     "enhanced_p2",
@@ -302,6 +347,41 @@ class TestVerifyHarness:
             pair = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
             sim = run_three_qubit(pair).success_prob
             return abs(sim - closed_form_p3(pair))
+
+        assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
+        monkeypatch.undo()
+        assert replay() <= 1e-12
+
+    def test_injected_ratio_fault_names_its_trial_and_replays(self, monkeypatch):
+        true_ratio = analysis.success_ratio
+        marked = []
+
+        def off_on_one_trial(r_c, b_sq):
+            # The first call holds every trial of the chunk: mark trial 3, then
+            # skew the ratio wherever that point recurs.
+            if not marked:
+                marked.extend((r_c[3], b_sq[3]))
+            hit = (r_c == marked[0]) & (b_sq == marked[1])
+            return true_ratio(r_c, b_sq) * (1.0 + 1e-6 * hit)
+
+        monkeypatch.setattr(analysis, "success_ratio", off_on_one_trial)
+        report = verify_probability_formulas(trials=20, seed=3)
+        assert [(f["check"], f["trial"]) for f in report.failures] == [("ratio_rp", 3)]
+        failure = json.loads(json.dumps(report.failures[0]))
+        assert failure["deviation"] == pytest.approx(1e-6, rel=1e-5)
+
+        spec = failure["spec"]
+        weights = tuple(complex(re, im) for re, im in spec["weights"])
+        states = tuple(StateVector.from_json(obj) for obj in spec["states"])
+        chi = StateVector.from_json(spec["chi"])
+
+        def replay():
+            pair = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
+            p2 = run_two_qubit_reduced(pair).success_prob
+            p3 = run_three_qubit(pair).success_prob
+            c = kernel.overlap_c(*pair.batch[1:])
+            r_p = analysis.success_ratio(c[:, 1] / c[:, 0], np.abs(pair.batch[0][:, 1]) ** 2)
+            return abs(p2 / p3 / r_p[0] - 1.0)
 
         assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
         monkeypatch.undo()

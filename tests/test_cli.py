@@ -1,4 +1,5 @@
 """Command-line interface: flags, outputs, exit codes, error envelopes."""
+import hashlib
 import json
 import math
 import os
@@ -695,6 +696,53 @@ class TestSweepRp:
         )
         assert code == 1
         assert json.loads(err)["error"]["type"] == "argument"
+
+    @pytest.mark.parametrize(
+        "grid,digest",
+        [
+            # The README's line.
+            (["--rc-min", "0.1", "--rc-max", "10", "--rc-steps", "100",
+              "--bsq", "0.1,0.2,0.5,0.8"],
+             "c4c08ecbd1a606782dc8e80f50c35c2412659d818d4fd53fba3d1dbba1057fe3"),
+            # 100 x 50: b_sq = 0.01, 0.03, ..., 0.99.
+            (["--rc-min", "0.01", "--rc-max", "50", "--rc-steps", "100",
+              "--bsq", ",".join(f"{0.01 + 0.02 * k:.2f}" for k in range(50))],
+             "fcb27bf0e0ec2ea13586f29a19c6fea133f835a0bb18d22774c9fe0532a30108"),
+        ],
+    )
+    def test_pinned_csv(self, capsys, tmp_path, grid, digest):
+        out_path = tmp_path / "sweep.csv"
+        assert run_cli(capsys, "sweep-rp", *grid, "--out", str(out_path))[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "rc_min,bsq,message",
+        [
+            # r_c = 1, 0, -1: the point (1, 1.5) comes first in row-major order.
+            ("1", "0.5,1.5", "b_sq must lie in (0, 1), got 1.5"),
+            ("1", "0.5,0.7", "r_c must be positive and finite, got 0.0"),
+            # At one point r_c is checked before b_sq.
+            ("-1", "1.5", "r_c must be positive and finite, got -1.0"),
+        ],
+    )
+    def test_first_bad_grid_point_is_named(self, capsys, tmp_path, rc_min, bsq, message):
+        code, out, err = run_cli(
+            capsys,
+            "sweep-rp", "--rc-min", rc_min, "--rc-max", "-1",
+            "--rc-steps", "3", "--bsq", bsq, "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": {"type": "argument", "message": message}}
+
+    def test_one_step_is_rc_min_as_typed(self, capsys, tmp_path):
+        # The grid is rc_min alone, even when rc_max - rc_min overflows.
+        out_path = tmp_path / "x.csv"
+        argv = ["sweep-rp", "--rc-max", "-1.7e308", "--rc-steps", "1", "--bsq", "0.5"]
+        assert run_cli(capsys, *argv, "--rc-min", "1e308", "--out", str(out_path))[0] == 0
+        assert out_path.read_text().splitlines()[1] == "1e+308,0.5,1,tie"
+        code, _, err = run_cli(capsys, *argv, "--rc-min", "-0.0", "--out", str(out_path))
+        assert code == 1
+        assert json.loads(err)["error"]["message"] == "r_c must be positive and finite, got -0.0"
 
     @pytest.mark.parametrize(
         "rc_min,rc_max,flag,typed",
