@@ -132,19 +132,27 @@ def unit_state(amps: np.ndarray) -> StateVector:
     return StateVector(amps.shape, unit_rows(amps.reshape(1, -1))[0], normalized=True)
 
 
-def check_densities(mats: np.ndarray) -> np.ndarray:
-    """Validate density matrices (T, d, d) at once, with one eigvalsh; return the
-    traces. A bad row raises the error a DensityMatrix built from it would."""
+def check_states(mats: np.ndarray) -> np.ndarray:
+    """Check matrices (T, d, d) whose positivity is already proven: finite,
+    Hermitian within ATOL, and traces in (ATOL, 1 + ATOL]; return the traces."""
     _check_finite(mats, "density matrix entries")
     if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0) > ATOL:
         raise ArgumentError("density matrix is not Hermitian within tolerance")
-    if np.min(np.linalg.eigvalsh(mats), initial=0.0) < PSD_FLOOR:
-        raise ArgumentError("density matrix has a negative eigenvalue")
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     if np.any(tr <= ATOL):
         raise DegenerateInputError("density matrix has (numerically) zero trace")
     if np.any(tr > 1.0 + ATOL):
         raise ArgumentError(f"density matrix trace {tr[tr > 1.0 + ATOL][0]} exceeds 1")
+    return tr
+
+
+def check_densities(mats: np.ndarray) -> np.ndarray:
+    """Validate density matrices (T, d, d) at once: ``check_states``, then one
+    eigvalsh; return the traces. A bad row raises the error a DensityMatrix
+    built from it would."""
+    tr = check_states(mats)
+    if np.min(np.linalg.eigvalsh(mats), initial=0.0) < PSD_FLOOR:
+        raise ArgumentError("density matrix has a negative eigenvalue")
     return tr
 
 

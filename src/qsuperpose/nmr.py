@@ -24,7 +24,10 @@ delays. A block that a spec skips keeps its events with flip angle 0 and
 duration 0, both exact identities, and ``emitted`` marks the events each row
 really has. ``run_sequence`` propagates the program to one checkpoint: each
 spin's rotations between two delays multiply as 2 x 2 matrices, the unitaries
-between gradients into one U rho U^dagger, and one check validates every state.
+between gradients into one U rho U^dagger. Each such U is certified unitary
+within ATOL, which proves every state positive without an eigvalsh (see
+``run_sequence``), and one check covers the states' finiteness, Hermiticity
+and traces.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -40,13 +43,16 @@ import numpy as np
 
 from .direct import SpecBatch
 from .errors import ArgumentError, DegenerateInputError
-from .linalg import DensityMatrix, check_densities, require_number
+from .linalg import ATOL, DensityMatrix, check_densities, check_states, require_number
 
 EYE2 = np.eye(2, dtype=complex)
 EYE4 = np.eye(4, dtype=complex)
 
 CHECKPOINT_LABELS = ("i", "ii", "iii", "iv", "v")
 
+# Gradient-separated runs whose rounding the unitarity certificate bounds
+# within PSD_FLOOR (see run_sequence).
+_CERTIFIED_RUNS = 6000
 # Rotation angles below this compile to no pulse at all.
 _ANGLE_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
@@ -270,16 +276,6 @@ def _composite_z(angle) -> list[tuple]:
     return [(quarter, math.pi, 0.0), (np.abs(angle), y_axis, 0.0), (quarter, 0.0, 0.0)]
 
 
-def _table(column: Sequence, t: int) -> np.ndarray:
-    """(t, E) array of E per-event values, each a scalar or a (t,) array."""
-    per_row = [bool(getattr(value, "shape", ())) for value in column]
-    out = np.tile([0.0 if vary else value for vary, value in zip(per_row, column)], (t, 1))
-    varying = [k for k, vary in enumerate(per_row) if vary]
-    if varying:
-        out[:, varying] = np.stack([column[k] for k in varying], axis=1)
-    return out
-
-
 def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     """Emit the initial / encoding / superposition blocks for every spec of a
     batch, as one program: row k is spec k's.
@@ -317,12 +313,15 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     columns += _composite_z(math.remainder(math.pi, _TWO_PI))
     # Readout gradient for the normalization measurement.
     columns += [(0.0, 0.0, 0.0)]
-    flip, axis_phase, duration = (_table(column, len(delta)) for column in zip(*columns))
+    flip, axis_phase, duration = np.empty((3, len(delta), len(_EVENTS)))
+    for e, (f, p, d) in enumerate(columns):
+        flip[:, e], axis_phase[:, e], duration[:, e] = f, p, d
 
     tests = np.abs(np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)) >= _ANGLE_TOL
     emitted = np.concatenate([tests, np.ones((len(tests), 3), bool)], axis=1)[:, _BLOCK_OF]
     # R(0, phi) is exactly 1, and so are a zero delay's phases.
-    flip, duration = np.where(emitted, flip, 0.0), np.where(emitted, duration, 0.0)
+    skipped = ~emitted
+    flip[skipped] = duration[skipped] = 0.0
     return PulseProgram(_EVENTS, dict(_CUTS), emitted, flip, axis_phase, duration)
 
 
@@ -379,13 +378,46 @@ def run_sequence(
     program: PulseProgram, sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
 ) -> np.ndarray:
     """States (T, 4, 4) at ``checkpoint``, row k from row k of the program. The
-    events after the checkpoint are not simulated."""
+    events after the checkpoint are not simulated.
+
+    Each net propagator U is certified, max |U^dagger U - I| <= ATOL, in place
+    of an eigvalsh on the states; their finiteness, Hermiticity and traces are
+    still checked. The certificate proves the eigvalsh bound, every eigenvalue
+    >= PSD_FLOOR (-1e-10):
+
+    * In exact arithmetic every state is positive. The start state is diagonal
+      and nonnegative for epsilon in [0, 1]; U rho U^dagger is a congruence,
+      positive for any U; the gradient is a pinching (np.where is exact).
+    * So only rounding goes negative. fl(U rho U^dagger) is off by at most
+      2 sqrt(2) gamma_6 |U| |rho| |U^dagger| entrywise (gamma_6 ~ 6u, u =
+      2^-53), and || |A| ||_2 <= 2 ||A||_2 at n = 4: at most 1.5e-14 ||U||_2^2
+      ||rho||_2 in 2-norm, where ||U||_2^2 <= 1 + 4 ATOL and ||rho||_2 <= tr
+      rho, about 1. By Weyl's inequality each conjugation lowers the least
+      eigenvalue of the Hermitian part by at most about 1.5e-14, and the
+      pinching by nothing; eigvalsh's lower triangle is within 2 ATOL of it.
+    * K gradient-separated runs thus end above -(K 1.5e-14 + 2e-12), inside
+      PSD_FLOOR for K <= _CERTIFIED_RUNS. A compiled program has K <= 2; a
+      sequence file with more runs is checked by eigvalsh instead.
+    """
     if checkpoint not in program.cuts:
         raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
-    mat = np.tile(initial_state(epsilon), (len(program.emitted), 1, 1))
-    for u in _propagators(program, sys, program.cuts[checkpoint]):
-        mat = np.where(_COHERENCE_MASK, mat, 0.0) if u is None else _conjugate(u, mat)
-    check_densities(mat)
+    cut = program.cuts[checkpoint]
+    mat = initial_state(epsilon)
+    for u in _propagators(program, sys, cut):
+        if u is None:
+            mat = np.where(_COHERENCE_MASK, mat, 0.0)
+            continue
+        u_dag = u.conj().swapaxes(-1, -2)
+        residual = np.max(np.abs(u_dag @ u - EYE4))
+        if residual > ATOL:
+            raise ArgumentError(
+                f"a pulse propagator is not unitary: max |U^dagger U - I| = {residual:.3g}"
+            )
+        mat = u @ mat @ u_dag
+    if mat.ndim == 2:  # no event broadcast the start state over the rows
+        mat = np.tile(mat, (len(program.emitted), 1, 1))
+    certified = program.events[:cut].count(_GRADIENT) < _CERTIFIED_RUNS
+    (check_states if certified else check_densities)(mat)
     return mat
 
 

@@ -545,15 +545,16 @@ class TestPulse:
 
     @pytest.mark.parametrize("checkpoint,checks", [("iv", 2), ("v", 1)])
     def test_each_state_checked_once(self, capsys, monkeypatch, checkpoint, checks):
-        # run_sequence checks rho; only the normalized (iv) block is checked again.
-        calls, check = [], linalg.check_densities
+        # run_sequence checks rho; only the normalized (iv) block is checked again
+        # (check_densities runs check_states, then its eigvalsh).
+        calls, check = [], linalg.check_states
 
         def counted(mats):
             calls.append(len(mats))
             return check(mats)
 
-        monkeypatch.setattr(nmr, "check_densities", counted)
-        monkeypatch.setattr(linalg, "check_densities", counted)
+        monkeypatch.setattr(nmr, "check_states", counted)
+        monkeypatch.setattr(linalg, "check_states", counted)
         code, _, _ = run_cli(capsys, "pulse", "--dataset", "6", "--checkpoint", checkpoint)
         assert code == 0 and len(calls) == checks
 

@@ -20,6 +20,7 @@ from qsuperpose.linalg import (
     StateVector,
     basis_state,
     check_densities,
+    check_states,
     fidelity,
     make_qubit,
     overlap_decompose,
@@ -315,6 +316,29 @@ class TestBatchCheck:
                 check_densities(mats)
             assert type(batch.value) is type(scalar.value)
             assert str(batch.value) == str(scalar.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 4),
+        st.sampled_from(["hermitian", "negative", "trace", "zero", "nan"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_check_states_is_check_densities_without_eigvalsh(self, t, d, fault, seed):
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_density(rng, (d,)).mat for _ in range(t)])
+        assert check_states(mats).tolist() == check_densities(mats).tolist()
+        mats[-1] = spoil(mats[-1], fault)
+        if fault == "negative":
+            # Positivity is left to the caller's proof.
+            assert check_states(mats).tolist() == np.trace(mats, axis1=1, axis2=2).real.tolist()
+            return
+        with pytest.raises(ToolkitError) as full:
+            check_densities(mats)
+        with pytest.raises(ToolkitError) as states:
+            check_states(mats)
+        assert type(states.value) is type(full.value)
+        assert str(states.value) == str(full.value)
 
 
 class TestJsonRoundTrip:

@@ -23,6 +23,7 @@ from qsuperpose.linalg import (
     DensityMatrix,
     QubitParams,
     StateVector,
+    check_densities,
     fidelity,
     fidelity_batch,
     pure_density,
@@ -641,12 +642,57 @@ class TestRunSequence:
             run_sequence(stack([seq] * 2), SYS, "i")
 
     def test_batch_validates_its_states(self, monkeypatch):
-        # A defect in the propagation is caught by the one batched check.
+        # A defect in the propagation is caught by the propagators' certificate.
         program = compile_sequence(table1_batch(), SYS)
         phases = nmr._delay_phases
         monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
-        with pytest.raises(ArgumentError, match="trace .* exceeds 1"):
+        with pytest.raises(ArgumentError, match="propagator is not unitary"):
             run_sequence(program, SYS, "iv")
+
+    @staticmethod
+    def scale_one_rotation(monkeypatch, scale, row=3):
+        """Make the first rotation of one row non-unitary: scaled by ``scale``."""
+        rotation = nmr.rotation_matrix
+
+        def scaled(*angles):
+            r = rotation(*angles)
+            r[row, 0] *= scale
+            return r
+
+        monkeypatch.setattr(nmr, "rotation_matrix", scaled)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    @pytest.mark.parametrize("label", CHECKPOINT_LABELS)
+    def test_certificate_refuses_a_scaled_rotation(self, monkeypatch, scale, label):
+        program = compile_sequence(table1_batch(), SYS)
+        self.scale_one_rotation(monkeypatch, scale)
+        with pytest.raises(ArgumentError, match="propagator is not unitary"):
+            run_sequence(program, SYS, label)
+
+    def test_certificate_sees_what_eigvalsh_does_not(self, monkeypatch):
+        # Shrinking a rotation keeps the state positive; only its trace, 0.81
+        # of a unit trace, is wrong, and no state check can know that.
+        program = compile_sequence(table1_batch(), SYS)
+        self.scale_one_rotation(monkeypatch, 0.9)
+        monkeypatch.setattr(nmr, "ATOL", math.inf)
+        mats = run_sequence(program, SYS, "iv")
+        traces = check_densities(mats)
+        assert traces[3] == pytest.approx(0.81, abs=1e-12)
+
+    def test_certificate_replaces_eigvalsh(self, monkeypatch):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        program = compile_sequence(table1_batch(), SYS)
+        for label in CHECKPOINT_LABELS:
+            run_sequence(program, SYS, label, 0.3)
+        assert calls == []
+        # Past the runs whose rounding the certificate bounds, eigvalsh checks.
+        for runs, checked in ((nmr._CERTIFIED_RUNS, []), (nmr._CERTIFIED_RUNS + 1, [1])):
+            pulse = {"kind": "rf", "spin": "X", "flip_angle": 1.0, "axis_phase": 0.5}
+            events = [{"kind": "gradient"}, pulse] * (runs - 1)
+            seq = {"events": events, "checkpoints": {"v": len(events)}}
+            run_sequence(PulseProgram.from_json(seq), SYS, "v")
+            assert calls == checked
 
 
 class TestAbsentBlocks:
