@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import kernel, nmr
 from .datasets import TABLE1
 from .direct import outcomes, run_direct_batch, spec_batch
 from .errors import ArgumentError
-from .linalg import QubitParams, StateVector, bloch, fidelity_batch, pure_density_batch
+from .linalg import StateVector, bloch, fidelity_batch, pure_density_batch
 
 TIE_TOL = 1e-12
 
@@ -63,16 +63,10 @@ def sweep_csv(columns) -> str:
     return "\n".join(["r_c,b_sq,r_p,regime", *lines]) + "\n"
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """Simulation results for one dataset; the reported fidelity is metadata."""
+class Table1Row(NamedTuple):
+    """Simulation results for one dataset; its inputs are TABLE1[dataset_id - 1]."""
 
     dataset_id: int
-    psi1: QubitParams
-    psi2: QubitParams
-    weight_ratio: float
-    gamma2: float
-    reported_fidelity: float
     sim_fidelity_gate: Optional[float]
     sim_fidelity_pulse: Optional[float]
     success_prob: float
@@ -96,37 +90,24 @@ def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
         if mode == "pulse":
             gate_fid, success = [None] * len(TABLE1), norms
     return [
-        Table1Row(ds.dataset_id, ds.psi1, ds.psi2, ds.weight_ratio, ds.gamma2,
-                  ds.reported_fidelity, gate, pulse, float(p))
+        Table1Row(ds.dataset_id, gate, pulse, float(p))
         for ds, gate, pulse, p in zip(TABLE1, gate_fid, pulse_fid, success)
     ]
 
 
 def table1_csv(rows: Iterable[Table1Row]) -> str:
+    """Each row's dataset inputs and its results as CSV; a result not run is empty."""
     lines = [
         "dataset,theta1,phi1,theta2,phi2,weight_ratio,gamma2,reported_fidelity,"
         "sim_fidelity_gate,sim_fidelity_pulse,success_prob"
     ]
     for r in rows:
-        gate = fmt9(r.sim_fidelity_gate) if r.sim_fidelity_gate is not None else ""
-        pulse = fmt9(r.sim_fidelity_pulse) if r.sim_fidelity_pulse is not None else ""
-        lines.append(
-            ",".join(
-                [
-                    str(r.dataset_id),
-                    fmt9(r.psi1.theta),
-                    fmt9(r.psi1.phi),
-                    fmt9(r.psi2.theta),
-                    fmt9(r.psi2.phi),
-                    fmt9(r.weight_ratio),
-                    fmt9(r.gamma2),
-                    fmt9(r.reported_fidelity),
-                    gate,
-                    pulse,
-                    fmt9(r.success_prob),
-                ]
-            )
-        )
+        ds = TABLE1[r.dataset_id - 1]
+        values = (ds.psi1.theta, ds.psi1.phi, ds.psi2.theta, ds.psi2.phi, ds.weight_ratio,
+                  ds.gamma2, ds.reported_fidelity, r.sim_fidelity_gate, r.sim_fidelity_pulse,
+                  r.success_prob)
+        cells = ["" if x is None else fmt9(x) for x in values]
+        lines.append(",".join([str(r.dataset_id), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -153,10 +134,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def record(self, name: str, trials, deviation, spec: Callable[[int], dict]):
-        """Fold one check into the report: ``record_all`` of that check alone."""
-        self.record_all([(name, trials, deviation, spec)])
 
     def record_all(self, checks):
         """Fold (name, trials, deviation, spec) checks into the report in order,
@@ -243,8 +220,8 @@ def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
     """Draw every input of one batch of trials, run each kernel step once over
     all the qubit-pair rows that need it, then record the checks in order.
-    Consecutive unit vectors share one normal draw (the same stream); only a
-    uniform draw or a data-dependent overlap redraw ends it."""
+    One normal draw over consecutive unit vectors is the stream of a draw for
+    each, so grouping them changes no bit."""
     t, n_shapes = len(trials), len(_HYBRID_SHAPES)
     (w,) = _units(rng, (t, 2))
     # Direct protocol: operational probability vs the weighted-sum norm.
@@ -255,20 +232,17 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     # Reference protocols on random states with comfortable overlaps.
     chi, states = _units(rng, (t, 2), (2 * t, 2))
     ref = (w, _redraw(rng, states.reshape(t, 2, 2), chi), chi)
-    # Hybrid protocol, trial i on shape i mod 4; each shape's weights are drawn
-    # with the next shape's chi and states, the last with the enhanced pairs.
+    # Hybrid protocol, trial i on shape i mod 4: chi and states, their redraws,
+    # then the weights.
     hyb_trials = [trials[(k - trials[0]) % n_shapes :: n_shapes] for k in range(n_shapes)]
-    drawn, lead = [], ()
+    hybrid = []
     for rows, (n, d) in zip(map(len, hyb_trials), _HYBRID_SHAPES):
-        *done, chi_d, states = _units(rng, *lead, (rows, d), (rows * n, d))
-        drawn += [*done, _redraw(rng, states.reshape(rows, n, d), chi_d), chi_d]
-        lead = ((rows, n),)
-    *done, pair = _units(rng, *lead, (2 * t, 2))
-    drawn += done  # states, chi, weights per shape
-    hybrid = list(zip(drawn[2::3], drawn[0::3], drawn[1::3]))
+        chi_d, states = _units(rng, (rows, d), (rows * n, d))
+        states = _redraw(rng, states.reshape(rows, n, d), chi_d)
+        hybrid.append((*_units(rng, (rows, n)), states, chi_d))
     # Enhanced protocol, on the trials whose states also overlap chi^perp
     # comfortably; then geometry-specific totals on constructed pairs.
-    pair = _redraw(rng, pair.reshape(t, 2, 2), chi)
+    pair = _redraw(rng, _units(rng, (2 * t, 2))[0].reshape(t, 2, 2), chi)
     ok = (np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR).all(1)
     enh, ran, m = (w[ok], pair[ok], chi[ok]), trials[ok], int(ok.sum())
     (lon_chi,) = _units(rng, (t, 2))

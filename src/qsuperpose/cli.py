@@ -341,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # final flush from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # an unwritable --out, an unallocatable size
         _emit_error("argument", str(exc))
         return 1
 

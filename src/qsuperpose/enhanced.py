@@ -22,11 +22,6 @@ import numpy as np
 
 from . import kernel
 from .errors import ArgumentError
-from .kernel import (
-    GEOMETRY_GENERIC,
-    GEOMETRY_LONGITUDINAL,
-    GEOMETRY_TRANSVERSE_ANTIPODAL,
-)
 from .linalg import (
     ATOL,
     StateVector,

@@ -95,9 +95,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def normalize(self) -> "StateVector":
-        return unit_state(self.amps.reshape(self.dims))
-
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),
@@ -251,7 +248,7 @@ def pure_density_batch(psi: np.ndarray) -> np.ndarray:
 
 
 def pure_density(state: StateVector) -> DensityMatrix:
-    psi = state.amps if state.normalized else state.normalize().amps
+    psi = state.amps if state.normalized else unit_state(state.amps.reshape(state.dims)).amps
     return DensityMatrix(state.dims, pure_density_batch(psi[None])[0])
 
 
@@ -296,14 +293,3 @@ def overlap_decompose(psi: StateVector, chi: StateVector) -> OverlapInfo:
     mag = abs(ip)
     require_overlaps([mag])
     return OverlapInfo(c=mag * mag, kappa=ip / mag)
-
-
-def phase_equivalent(u: StateVector, v: StateVector, tol: float = 1e-9) -> bool:
-    """True iff u and v are the same state up to a global phase."""
-    if u.dims != v.dims:
-        raise ArgumentError(f"dimension mismatch: {u.dims} vs {v.dims}")
-    nu = math.sqrt(u.norm_sq)
-    nv = math.sqrt(v.norm_sq)
-    if nu < ATOL or nv < ATOL:
-        raise DegenerateInputError("phase comparison of a zero state is undefined")
-    return abs(np.vdot(u.amps, v.amps)) / (nu * nv) >= 1.0 - tol

@@ -168,23 +168,15 @@ def _event_from_json(obj: dict) -> dict:
     return {"kind": kind, **fields}
 
 
-def _energies(sys: SpinSystem) -> np.ndarray:
-    """Diagonal of H over |00>, |01>, |10>, |11> (A_z, X_z = +-1/2)."""
-    return sys.j_coupling * (_AZ * _XZ)
-
-
 def _delay_phases(sys: SpinSystem, t) -> np.ndarray:
-    """Diagonal of exp(-i H t), the compiled form of a delay, elementwise: (..., 4)."""
-    return np.exp(-1j * _energies(sys) * np.asarray(t)[..., None])
+    """Diagonal of exp(-i H t) over |00>, |01>, |10>, |11>, the compiled form of
+    a delay, elementwise: (..., 4)."""
+    return np.exp(-1j * (sys.j_coupling * (_AZ * _XZ)) * np.asarray(t)[..., None])
 
 
 def _require_two_spin(rho: DensityMatrix) -> None:
     if rho.dims != (2, 2):
         raise ArgumentError(f"expected a two-spin density matrix, got dims {rho.dims}")
-
-
-def _conjugate(u: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return u @ mat @ u.conj().swapaxes(-1, -2)
 
 
 def evolve_free(rho: DensityMatrix, sys: SpinSystem, t: float) -> DensityMatrix:
@@ -212,17 +204,13 @@ def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return kron.reshape(kron.shape[:-4] + (4, 4))
 
 
-def _on_spin(spin: str, r: np.ndarray) -> np.ndarray:
-    """Kronecker forms (..., 4, 4) of rotations r on a spin."""
+def pulse_unitary(spin: str, flip_angle, axis_phase) -> np.ndarray:
+    """Kronecker product of the per-spin rotations, elementwise over the angles."""
+    r = rotation_matrix(flip_angle, axis_phase)
     factors = {"A": (r, EYE2), "X": (EYE2, r), "both": (r, r)}.get(spin)
     if factors is None:
         raise ArgumentError(f"rf spin must be A, X or both, got {spin}")
     return _kron(*factors)
-
-
-def pulse_unitary(spin: str, flip_angle, axis_phase) -> np.ndarray:
-    """Kronecker product of the per-spin rotations, elementwise over the angles."""
-    return _on_spin(spin, rotation_matrix(flip_angle, axis_phase))
 
 
 def rf_pulse(
@@ -231,7 +219,7 @@ def rf_pulse(
     """Instantaneous rotation of the addressed spin(s)."""
     _require_two_spin(rho)
     u = pulse_unitary(spin, flip_angle, axis_phase)
-    return DensityMatrix((2, 2), _conjugate(u, rho.mat))
+    return DensityMatrix((2, 2), u @ rho.mat @ u.conj().swapaxes(-1, -2))
 
 
 def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
@@ -297,7 +285,9 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
             f"got J = {sys.j_hz:g} Hz"
         )
     # Only the declared gammas are removed; weight phases stay in the target.
-    z = np.array([math.remainder(x, _TWO_PI) for x in (gamma[:, 0] - gamma[:, 1]).tolist()])
+    # z lies in (-2 pi, 2 pi), so its remainder mod 2 pi takes one exact subtraction.
+    z = gamma[:, 0] - gamma[:, 1]
+    z = np.where(np.abs(z) > math.pi, z - np.copysign(_TWO_PI, z), z)
     axis = phi + math.pi / 2
     # psi1 is rotated on ancilla |0>, psi2 on ancilla |1>.
     conj_axis = axis + [math.pi / 2, -math.pi / 2]

@@ -1,0 +1,18 @@
+"""Helpers the tests share."""
+import math
+
+import numpy as np
+
+from qsuperpose.errors import ArgumentError, DegenerateInputError
+from qsuperpose.linalg import ATOL, StateVector
+
+
+def phase_equivalent(u: StateVector, v: StateVector, tol: float = 1e-9) -> bool:
+    """True iff u and v are the same state up to a global phase."""
+    if u.dims != v.dims:
+        raise ArgumentError(f"dimension mismatch: {u.dims} vs {v.dims}")
+    nu = math.sqrt(u.norm_sq)
+    nv = math.sqrt(v.norm_sq)
+    if nu < ATOL or nv < ATOL:
+        raise DegenerateInputError("phase comparison of a zero state is undefined")
+    return abs(np.vdot(u.amps, v.amps)) / (nu * nv) >= 1.0 - tol

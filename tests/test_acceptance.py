@@ -32,12 +32,13 @@ from qsuperpose.linalg import (
     basis_state,
     make_qubit,
     partial_trace,
-    phase_equivalent,
     pure_density,
     tensor,
 )
 from qsuperpose.nmr import SpinSystem, compile_sequence, partial_tomography, run_sequence
 from qsuperpose.reference import ReferenceSpec, closed_form_p3
+
+from helpers import phase_equivalent
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SYS = SpinSystem()

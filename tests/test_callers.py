@@ -1,0 +1,66 @@
+"""Every function, class and method the package defines is referenced outside
+the tests: in ``src/``, in the README's Python block or in a benchmark file.
+A name only the tests use belongs in the tests."""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qsuperpose"
+# argparse calls its parser's error hook.
+EXEMPT = {"cli._Parser.error"}
+
+
+def definitions():
+    """(qualified name, name) of each module-level function and class of the
+    package, and of each method of its classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
+def references(tree: ast.AST, strings: bool = False) -> set[str]:
+    """The names a tree loads or reads as an attribute, and with ``strings``
+    its string constants that are identifiers (the tracer's layer names)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def referenced_names() -> set[str]:
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        used |= references(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    used |= references(ast.parse(re.search(r"```python\n(.*?)```", readme, re.S).group(1)))
+    for path in (ROOT / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # A name a benchmark file defines itself (its Counter.record) is its own.
+        own = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        used |= references(tree, strings=True) - own
+    return used
+
+
+def test_every_definition_is_referenced_outside_the_tests():
+    defined = dict(definitions())
+    # The walk reaches functions, classes and methods.
+    assert {"linalg.StateVector", "nmr.run_sequence", "nmr.PulseProgram.from_json"} <= set(defined)
+    used = referenced_names()
+    unused = [
+        qualified for qualified, name in defined.items()
+        if name not in used and not name.startswith("__") and qualified not in EXEMPT
+    ]
+    assert unused == []

@@ -762,6 +762,19 @@ class TestSweepRp:
         assert error["message"] == f"{flag} must be finite, got {typed}"
         assert not out_path.exists()
 
+    def test_unallocatable_grid_is_an_argument_error(self, capsys, tmp_path):
+        # 10**15 steps need petabytes: numpy refuses them before allocating.
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep-rp", "--rc-min", "0.1", "--rc-max", "10",
+            "--rc-steps", str(10**15), "--bsq", "0.5", "--out", str(out_path),
+        )
+        error = json.loads(err)["error"]
+        assert code == 1 and out == "" and error["type"] == "argument"
+        assert "Unable to allocate" in error["message"]
+        assert not out_path.exists()
+
 
 class TestTable1:
     def test_gate_csv(self, capsys, tmp_path):

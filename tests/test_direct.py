@@ -26,9 +26,11 @@ from qsuperpose.linalg import (
     QubitParams,
     StateVector,
     make_qubit,
-    phase_equivalent,
     unit_rows,
+    unit_state,
 )
+
+from helpers import phase_equivalent
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -92,8 +94,9 @@ class TestBatch:
         success = kernel.norm_sq(rows[:, 0])
         for t, spec in enumerate(specs):
             result = run_direct(spec)
-            branch = kernel.direct(*spec.batch[:3])[0, 0]
-            target = kernel.weighted_sum(spec.batch.weights, spec.batch.stripped)
+            batch = spec.batch
+            branch = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])[0, 0]
+            target = kernel.weighted_sum(batch.weights, batch.stripped)
             assert np.max(np.abs(rows[t, 0] - branch)) <= 1e-12
             assert np.max(np.abs(final[t] - result.final_state.amps)) <= 1e-12
             assert np.max(np.abs(goal[t] - unit_rows(target)[0])) <= 1e-12
@@ -291,18 +294,21 @@ class TestRunDirect:
     def test_difference_branch(self):
         # Outcome |1> of the Hadamard carries the difference branch.
         spec = dataset(1).spec()
-        branch = kernel.direct(*spec.batch[:3])[0, 1]
+        batch = spec.batch
+        branch = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])[0, 1]
         assert kernel.branch_survives(branch)
         diff = make_qubit(spec.psi1).amps - make_qubit(spec.psi2).amps
         assert phase_equivalent(
-            StateVector((2,), branch), StateVector((2,), diff).normalize(), 1e-12
+            StateVector((2,), branch), unit_state(diff), 1e-12
         )
         # The Hadamard is exact, so real inputs give a real difference branch.
         assert np.all(branch.imag == 0.0)
         # Identical inputs leave no difference branch.
         psi = QubitParams(0.7, 0.2)
         same = SuperpositionSpec(INV_SQRT2, INV_SQRT2, psi, psi)
-        assert not kernel.branch_survives(kernel.direct(*same.batch[:3])[0, 1])
+        batch = same.batch
+        rows = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])
+        assert not kernel.branch_survives(rows[0, 1])
 
 
 class TestInvariants:

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from qsuperpose import kernel
-from qsuperpose.enhanced import (
+from qsuperpose.enhanced import chi_perp, closed_form_p2, geometry_classify, run_enhanced
+from qsuperpose.kernel import (
     GEOMETRY_GENERIC,
     GEOMETRY_LONGITUDINAL,
     GEOMETRY_TRANSVERSE_ANTIPODAL,
-    chi_perp,
-    closed_form_p2,
-    geometry_classify,
-    run_enhanced,
 )
-from qsuperpose import kernel
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.linalg import (
     DensityMatrix,
@@ -24,10 +20,12 @@ from qsuperpose.linalg import (
     fidelity,
     make_qubit,
     partial_trace,
-    phase_equivalent,
     pure_density,
+    unit_state,
 )
 from qsuperpose.reference import ReferenceSpec, closed_form_p3, kappa_weighted_sum
+
+from helpers import phase_equivalent
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -52,7 +50,7 @@ def harvest(spec) -> DensityMatrix:
     h = kernel.enhanced(weights, states, chi)
     chip = chi_perp(spec.chi).amps
     joint = np.outer(h.rows[0, 0], chi[0]) + np.outer(h.rows_perp[0, 0], chip)
-    joint = StateVector((2, 2), joint.reshape(-1)).normalize()
+    joint = unit_state(joint.reshape(2, 2))
     return partial_trace(pure_density(joint), [0])
 
 
@@ -182,12 +180,12 @@ class TestRunEnhanced:
             if result.geometry != GEOMETRY_TRANSVERSE_ANTIPODAL:
                 assert abs(result.p2 - closed_form_p2(spec)) <= 1e-9
             # Each branch is the kappa-weighted superposition of its sector.
-            target1 = kappa_weighted_sum(spec).normalize()
+            target1 = unit_state(kappa_weighted_sum(spec).amps)
             assert phase_equivalent(result.branch_chi, target1, 1e-9)
             if result.branch_chi_perp is not None:
-                target2 = kappa_weighted_sum(
-                    pair(a, b, psi1, psi2, chi_perp(chi))
-                ).normalize()
+                target2 = unit_state(
+                    kappa_weighted_sum(pair(a, b, psi1, psi2, chi_perp(chi))).amps
+                )
                 assert phase_equivalent(result.branch_chi_perp, target2, 1e-9)
 
     def test_generic_reports_p1_only(self):
@@ -207,7 +205,7 @@ class TestRunEnhanced:
             assert result.harvest_purity >= 1.0 - 1e-9
             state = harvest(spec)
             assert np.trace(state.mat @ state.mat).real == result.harvest_purity
-            target = kappa_weighted_sum(spec).normalize()
+            target = unit_state(kappa_weighted_sum(spec).amps)
             assert fidelity(state, pure_density(target)) >= 1.0 - 1e-9
             assert result.p_total == pytest.approx(result.p1 + result.p2, abs=1e-12)
 

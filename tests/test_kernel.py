@@ -96,7 +96,8 @@ def test_direct_rows_equal_the_scalar_pipeline(seed, t):
     for i, spec in enumerate(specs):
         result = run_direct(spec)
         assert abs(kernel.norm_sq(rows[i, 0]) - result.success_prob) <= TOL
-        branch = kernel.direct(*spec.batch[:3])[0, 0]
+        batch = spec.batch
+        branch = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])[0, 0]
         np.testing.assert_allclose(rows[i, 0], branch, atol=TOL)
     # Hadamard branches of the unit-norm encoded register sum to one.
     np.testing.assert_allclose(kernel.norm_sq(rows).sum(axis=1), 1.0, atol=TOL)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import kernel, nmr
@@ -147,12 +147,12 @@ def unitary(events, sys=SYS):
 
 
 def hamiltonian(sys):
-    """The diagonal two-spin Hamiltonian, from the engine's one energy formula."""
-    return np.diag(nmr._energies(sys))
+    """The diagonal two-spin Hamiltonian J A_z X_z, from the engine's spin tables."""
+    return np.diag(sys.j_coupling * (nmr._AZ * nmr._XZ))
 
 
 def delay_unitary(sys, t):
-    return np.diag(np.exp(-1j * nmr._energies(sys) * t))
+    return np.diag(np.exp(-1j * (sys.j_coupling * (nmr._AZ * nmr._XZ)) * t))
 
 
 def rf_events(spins=st.sampled_from(["A", "X", "both"])):
@@ -530,6 +530,30 @@ class TestArrayCompiler:
             solo = run_sequence(compile_sequence(alone, SYS), SYS, "iv")[0]
             assert np.max(np.abs(mats[t] - solo)) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(PHASES, PHASES), min_size=1, max_size=8))
+    @example([
+        (math.pi, 0.0), (0.0, math.pi),
+        (math.nextafter(math.pi, 4.0), 0.0), (math.nextafter(math.pi, 0.0), 0.0),
+        (0.0, math.nextafter(math.pi, 4.0)), (0.0, math.nextafter(math.pi, 0.0)),
+        (math.nextafter(2 * math.pi, 0.0), 0.0), (0.0, math.nextafter(2 * math.pi, 0.0)),
+        (0.0, 0.0), (-0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324),
+    ])
+    def test_z_composite_angle_is_the_remainder(self, gammas):
+        # gamma1 - gamma2 reduced into [-pi, pi] by math.remainder, bit for bit:
+        # |z| is the flip angle and its sign picks the y axis. A z of +-0.0 has
+        # no z-composite, so the sign of a zero is not visible.
+        weights = [(INV_SQRT2, INV_SQRT2)] * len(gammas)
+        angles = [[(0.9, 0.3, g1), (1.1, 0.2, g2)] for g1, g2 in gammas]
+        program = compile_sequence(spec_batch(weights, angles), SYS)
+        e = nmr._BLOCK_OF.index(3) + 1  # the composite's R_y(z)
+        z = [math.remainder(g1 - g2, 2 * math.pi) for g1, g2 in gammas]
+        on = program.emitted[:, e]
+        assert on.tolist() == [abs(r) >= 1e-12 for r in z]
+        assert program.flip_angle[on, e].tolist() == [abs(r) for r in z if abs(r) >= 1e-12]
+        axes = [math.pi / 2 if r > 0 else 3 * math.pi / 2 for r in z if abs(r) >= 1e-12]
+        assert program.axis_phase[on, e].tolist() == axes
+
     def test_table1_rows_round_trip_json(self):
         assert_round_trips(compile_sequence(table1_batch(), SYS))
 
@@ -550,7 +574,9 @@ class TestRunSequence:
     def test_checkpoint_iv_matches_preselection_state(self, dataset_id):
         spec = dataset(dataset_id).spec()
         rho = state(sequence(spec), "iv")
-        gate = StateVector((2, 2), kernel.direct(*spec.batch[:3]).reshape(-1))
+        batch = spec.batch
+        rows = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])
+        gate = StateVector((2, 2), rows.reshape(-1))
         assert fidelity(rho, pure_density(gate)) >= 1.0 - 1e-9
 
     def test_no_pulses_keeps_ground_state(self):
