@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, nmr
 from .datasets import TABLE1
-from .direct import outcomes, run_direct_batch, spec_batch
+from .direct import SpecBatch, outcomes, run_direct_batch, spec_batch
 from .errors import ArgumentError
 from .linalg import StateVector, bloch, fidelity_batch, pure_density_batch
 
@@ -104,7 +104,7 @@ def table1_csv(rows: Iterable[Table1Row]) -> str:
     for r in rows:
         ds = TABLE1[r.dataset_id - 1]
         values = (ds.psi1.theta, ds.psi1.phi, ds.psi2.theta, ds.psi2.phi, ds.weight_ratio,
-                  ds.gamma2, ds.reported_fidelity, r.sim_fidelity_gate, r.sim_fidelity_pulse,
+                  ds.psi2.gamma, ds.reported_fidelity, r.sim_fidelity_gate, r.sim_fidelity_pulse,
                   r.success_prob)
         cells = ["" if x is None else fmt9(x) for x in values]
         lines.append(",".join([str(r.dataset_id), *cells]))
@@ -227,8 +227,8 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     # Direct protocol: operational probability vs the weighted-sum norm.
     # uniform(0, high) is high * random() bit for bit: 0 + x rounds nothing.
     angles = rng.random((t, 2, 3)) * [math.pi, 2 * math.pi, 2 * math.pi]
-    theta, phi, gamma = np.moveaxis(angles, -1, 0)
-    direct = (w, bloch(theta, phi, gamma), np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
+    batch = SpecBatch(w, bloch(*np.moveaxis(angles, -1, 0)), angles)
+    direct = (w, batch.states, np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
     # Reference protocols on random states with comfortable overlaps.
     chi, states = _units(rng, (t, 2), (2 * t, 2))
     ref = (w, _redraw(rng, states.reshape(t, 2, 2), chi), chi)
@@ -271,8 +271,8 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     mu = kernel.closed_form_mu(*rows, np.concatenate([C[r:a], kernel.chi_perp(C[e:a])]))
     p3_mu, p1_mu, lon_mu, p2_mu, lon_perp_mu = _cut(mu, t, m, t, m, t)
 
-    sim = kernel.norm_sq(kernel.direct(w, direct[1], gamma)[:, 0])
-    closed = kernel.norm_sq(kernel.weighted_sum(w, bloch(theta, phi, 0 * gamma))) / 2
+    branches, targets = run_direct_batch(batch)
+    sim, closed = kernel.norm_sq(branches[:, 0]), kernel.norm_sq(targets) / 2
     p3 = kernel.norm_sq(kernel.three_qubit(*ref))
     c = kernel.overlap_c(*ref[1:])
     ratio = p2_sim[r - t :] / p3 / success_ratio(c[:, 1] / c[:, 0], np.abs(w[:, 1]) ** 2)

@@ -202,7 +202,8 @@ def _cmd_pulse(args):
     except ArgumentError as exc:
         # Name the Hz value typed: 2 pi J can overflow where J does not.
         raise ArgumentError(
-            f"the scalar coupling J (--j) must be finite and nonzero, got {args.j!r} Hz"
+            "the scalar coupling J (--j) must be nonzero with 2 pi J finite "
+            f"(|J| <= about 2.86e307 Hz), got {args.j!r} Hz"
         ) from exc
     if args.sequence is not None:
         program = nmr.PulseProgram.from_json(_load_json(args.sequence))

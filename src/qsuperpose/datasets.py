@@ -15,13 +15,12 @@ from .linalg import QubitParams
 
 @dataclass(frozen=True)
 class Dataset:
-    """One input-state pair with its weight ratio and declared phase."""
+    """One input-state pair, psi2 with its declared phase, and their weight ratio."""
 
     dataset_id: int
     psi1: QubitParams
     psi2: QubitParams
     weight_ratio: float
-    gamma2: float
     reported_fidelity: float
 
     def weights(self) -> tuple[float, float]:
@@ -30,48 +29,42 @@ class Dataset:
         return self.weight_ratio / norm, 1.0 / norm
 
     def angles(self) -> tuple[tuple[float, float, float], ...]:
-        """Bloch angles (theta, phi, gamma) of psi1 and psi2, gamma2 declared on psi2."""
-        return (
-            (self.psi1.theta, self.psi1.phi, self.psi1.gamma),
-            (self.psi2.theta, self.psi2.phi, self.gamma2),
-        )
+        """Bloch angles (theta, phi, gamma) of psi1 and psi2."""
+        return tuple((q.theta, q.phi, q.gamma) for q in (self.psi1, self.psi2))
 
     def spec(self) -> SuperpositionSpec:
-        return SuperpositionSpec(*self.weights(), *(QubitParams(*q) for q in self.angles()))
+        return SuperpositionSpec(*self.weights(), self.psi1, self.psi2)
 
 
 _PI = math.pi
 
 TABLE1: tuple[Dataset, ...] = (
-    Dataset(1, QubitParams(0.0, 0.0), QubitParams(_PI / 2, 0.0), 1.0, 0.0, 0.996),
-    Dataset(2, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI / 4), 1.0, 0.0, 0.995),
-    Dataset(3, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI / 2), 1.0, 0.0, 0.997),
-    Dataset(4, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI), 1.0, 0.0, 0.997),
-    Dataset(5, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 1.0, 0.0, 0.998),
+    Dataset(1, QubitParams(0.0, 0.0), QubitParams(_PI / 2, 0.0), 1.0, 0.996),
+    Dataset(2, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI / 4), 1.0, 0.995),
+    Dataset(3, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI / 2), 1.0, 0.997),
+    Dataset(4, QubitParams(0.0, 0.0), QubitParams(_PI / 2, _PI), 1.0, 0.997),
+    Dataset(5, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 1.0, 0.998),
     Dataset(
         6,
         QubitParams(2 * _PI / 3, _PI / 4),
         QubitParams(_PI / 3, 2 * _PI / 3),
         1.0,
-        0.0,
         0.974,
     ),
-    Dataset(7, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 2.0, 0.0, 0.999),
-    Dataset(8, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 3.0, 0.0, 0.999),
+    Dataset(7, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 2.0, 0.999),
+    Dataset(8, QubitParams(2 * _PI / 3, 0.0), QubitParams(_PI / 3, 0.0), 3.0, 0.999),
     Dataset(
         9,
         QubitParams(2 * _PI / 3, 0.0),
-        QubitParams(_PI / 3, 0.0),
+        QubitParams(_PI / 3, 0.0, 2 * _PI / 3),
         1.0,
-        2 * _PI / 3,
         0.999,
     ),
     Dataset(
         10,
         QubitParams(2 * _PI / 3, _PI / 4),
-        QubitParams(_PI / 3, 2 * _PI / 3),
+        QubitParams(_PI / 3, 2 * _PI / 3, 2 * _PI / 3),
         1.0,
-        2 * _PI / 3,
         0.981,
     ),
     Dataset(
@@ -79,7 +72,6 @@ TABLE1: tuple[Dataset, ...] = (
         QubitParams(0.0, 0.0),
         QubitParams(_PI - _PI / 18, 0.0),
         1.0,
-        0.0,
         0.988,
     ),
 )

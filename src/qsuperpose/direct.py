@@ -33,12 +33,10 @@ _KET0 = np.array([[1.0 + 0j, 0.0]])
 
 class SpecBatch(NamedTuple):
     """T validated, read-only problems as kernel arrays: weights (T, 2), the
-    states psi1, psi2 (T, 2, 2), the states with their declared phases stripped
-    (T, 2, 2), and the Bloch angles (theta, phi, gamma) of both states (T, 2, 3)."""
+    states psi1, psi2 (T, 2, 2) and their Bloch angles (theta, phi, gamma) (T, 2, 3)."""
 
     weights: np.ndarray
     states: np.ndarray
-    stripped: np.ndarray
     angles: np.ndarray
 
 
@@ -54,11 +52,9 @@ def spec_batch(weights, angles) -> SpecBatch:
             f"got {weights.shape} and {angles.shape}"
         )
     check_angles(angles)
-    # psi1, psi2, then psi1 and psi2 with their phases stripped.
-    pairs = np.concatenate([angles, angles * [1.0, 1.0, 0.0]], axis=1)
-    states = bloch(*pairs.transpose(2, 0, 1))
-    kernel.validate(weights, states[:, :2], _KET0, ref="0")
-    batch = SpecBatch(weights, states[:, :2], states[:, 2:], angles)
+    states = bloch(*angles.transpose(2, 0, 1))
+    kernel.validate(weights, states, _KET0, ref="0")
+    batch = SpecBatch(weights, states, angles)
     for arr in batch:
         arr.flags.writeable = False
     return batch
@@ -131,8 +127,9 @@ def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:
 def run_direct_batch(batch: SpecBatch) -> tuple[np.ndarray, np.ndarray]:
     """A spec batch through the kernel: the outcome rows (T, 2, 2) of encode,
     phase correction and Hadamard, and the targets a psi1 + b psi2 (T, 2)."""
-    rows = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])
-    return rows, kernel.weighted_sum(batch.weights, batch.stripped)
+    theta, phi, gamma = batch.angles.transpose(2, 0, 1)
+    rows = kernel.direct(batch.weights, batch.states, gamma)
+    return rows, kernel.weighted_sum(batch.weights, bloch(theta, phi, 0.0))
 
 
 def run_direct(spec: SuperpositionSpec) -> ProtocolResult:

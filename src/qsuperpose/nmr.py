@@ -37,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -324,11 +324,9 @@ def initial_state(epsilon: float = 1.0) -> np.ndarray:
     return mat
 
 
-def _propagators(
-    program: PulseProgram, sys: SpinSystem, cut: int
-) -> Iterator[Optional[np.ndarray]]:
-    """Yield the net unitary (T, 4, 4) of each gradient-free run of the
-    program's first ``cut`` events, and None at each gradient.
+def _propagators(program: PulseProgram, sys: SpinSystem, cut: int) -> list[np.ndarray]:
+    """The net unitary (T, 4, 4) of each gradient-free run of the program's
+    first ``cut`` events: a gradient ends one run and starts the next.
 
     Rotations of the two spins commute, so each spin's rotations multiply as
     2 x 2 matrices until the next delay or gradient; their Kronecker product
@@ -344,7 +342,7 @@ def _propagators(
     if not math.isfinite(longest * sys.j_coupling):
         raise ArgumentError(f"a delay of {longest!r} s overflows J t at J = {sys.j_hz:g} Hz")
     phases = iter(_delay_phases(sys, durations).swapaxes(0, 1))
-    u, pending = EYE4, {}
+    runs, u, pending = [], EYE4, {}
     # The closing None flushes the rotations after the last delay or gradient.
     for kind, spin in events + ((None, None),):
         if kind == "rf":
@@ -357,11 +355,10 @@ def _propagators(
             u = step if u is EYE4 else step @ u
         if kind == "delay":
             u = next(phases)[..., None] * u
-        elif kind == "gradient":
-            yield u
-            yield None
+        else:  # a gradient, or the end
+            runs.append(u)
             u = EYE4
-    yield u
+    return runs
 
 
 def run_sequence(
@@ -392,11 +389,10 @@ def run_sequence(
     if checkpoint not in program.cuts:
         raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
     cut = program.cuts[checkpoint]
-    mat = initial_state(epsilon)
-    for u in _propagators(program, sys, cut):
-        if u is None:
+    mat, runs = initial_state(epsilon), _propagators(program, sys, cut)
+    for k, u in enumerate(runs):
+        if k:  # the gradient between two runs
             mat = np.where(_COHERENCE_MASK, mat, 0.0)
-            continue
         u_dag = u.conj().swapaxes(-1, -2)
         residual = np.max(np.abs(u_dag @ u - EYE4))
         if residual > ATOL:
@@ -406,8 +402,7 @@ def run_sequence(
         mat = u @ mat @ u_dag
     if mat.ndim == 2:  # no event broadcast the start state over the rows
         mat = np.tile(mat, (len(program.emitted), 1, 1))
-    certified = program.events[:cut].count(_GRADIENT) < _CERTIFIED_RUNS
-    (check_states if certified else check_densities)(mat)
+    (check_states if len(runs) <= _CERTIFIED_RUNS else check_densities)(mat)
     return mat
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsuperpose import analysis, kernel
+from qsuperpose import analysis, direct, kernel
 from qsuperpose.analysis import (
     REGIME_THREE_QUBIT,
     REGIME_TIE,
@@ -23,7 +23,7 @@ from qsuperpose.analysis import (
     verify_probability_formulas,
 )
 from qsuperpose.datasets import TABLE1, dataset
-from qsuperpose.direct import run_direct
+from qsuperpose.direct import SuperpositionSpec, run_direct
 from qsuperpose.errors import ArgumentError
 from qsuperpose.linalg import (
     QubitParams,
@@ -382,6 +382,39 @@ class TestVerifyHarness:
             c = kernel.overlap_c(*pair.batch[1:])
             r_p = analysis.success_ratio(c[:, 1] / c[:, 0], np.abs(pair.batch[0][:, 1]) ** 2)
             return abs(p2 / p3 / r_p[0] - 1.0)
+
+        assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
+        monkeypatch.undo()
+        assert replay() <= 1e-12
+
+    def test_injected_direct_fault_names_its_trial_and_replays(self, monkeypatch):
+        true_run = direct.run_direct_batch
+        marked = []
+
+        def off_on_one_trial(batch):
+            # The first call holds every trial of the chunk: mark trial 3, then
+            # skew the branch wherever those inputs recur.
+            if not marked:
+                marked.extend((batch.weights[3].copy(), batch.angles[3].copy()))
+            hit = (batch.weights == marked[0]).all(1) & (batch.angles == marked[1]).all((1, 2))
+            rows, targets = true_run(batch)
+            return rows * np.where(hit, 1.0 + 1e-6, 1.0)[:, None, None], targets
+
+        # analysis runs the verify check, direct the scalar replay below.
+        for module in (analysis, direct):
+            monkeypatch.setattr(module, "run_direct_batch", off_on_one_trial)
+        report = verify_probability_formulas(trials=20, seed=3)
+        assert [(f["check"], f["trial"]) for f in report.failures] == [("direct_success", 3)]
+        failure = json.loads(json.dumps(report.failures[0]))
+        assert failure["deviation"] > analysis.FORMULA_TOL
+
+        spec = failure["spec"]
+        weights = [complex(re, im) for re, im in spec["weights"]]
+        psi1, psi2 = (QubitParams(*angles) for angles in spec["angles"])
+
+        def replay():
+            result = run_direct(SuperpositionSpec(*weights, psi1, psi2))
+            return abs(result.success_prob - result.norm_sq / 2.0)
 
         assert replay() == pytest.approx(failure["deviation"], abs=1e-12)
         monkeypatch.undo()

@@ -597,13 +597,16 @@ class TestPulse:
         assert "coupling J" in error["message"] and value in error["message"]
 
     def test_overflowing_coupling_names_the_typed_value(self, capsys):
-        # 2 pi J overflows to inf, but the message reports the Hz value typed.
-        code, out, err = run_cli(capsys, "pulse", "--dataset", "1", "--j", "1e308")
-        assert code == 1 and out == ""
-        error = json.loads(err)["error"]
-        assert error["type"] == "argument"
-        assert "coupling J" in error["message"] and "1e+308" in error["message"]
-        assert "inf" not in error["message"]
+        # J is finite and nonzero but 2 pi J overflows to inf: the message names
+        # that rule and reports the Hz value typed.
+        for value, shown in (("3e307", "3e+307"), ("1e308", "1e+308")):
+            code, out, err = run_cli(capsys, "pulse", "--dataset", "1", "--j", value)
+            assert code == 1 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "argument"
+            assert "coupling J" in error["message"] and f"got {shown} Hz" in error["message"]
+            assert "2 pi J finite" in error["message"] and "2.86e307 Hz" in error["message"]
+            assert "inf" not in error["message"]
 
     def test_fractional_checkpoint_cut(self, capsys, tmp_path):
         pulse = {"kind": "rf", "spin": "A", "flip_angle": 1.0, "axis_phase": 0.0}

@@ -3,6 +3,7 @@
 The stages after encoding are the kernel's (``kernel.phase_gate``,
 ``kernel.fourier_rows``, ``kernel.norm_sq``), applied to the encoded register
 as a (1, 2, 2) block whose row j is the ancilla-|j> branch."""
+import cmath
 import math
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from qsuperpose.errors import ArgumentError, DegenerateInputError, ZeroOverlapEr
 from qsuperpose.linalg import (
     QubitParams,
     StateVector,
+    bloch,
     make_qubit,
     unit_rows,
     unit_state,
@@ -81,6 +83,33 @@ SPECS = st.builds(
     st.floats(0.05, 1.5), st.floats(0.0, 2 * math.pi), QUBITS, QUBITS,
 )
 
+PHASES = st.floats(0.0, 2 * math.pi, exclude_max=True)
+# theta = 0 and b = 0 each drop a block of the compiled program, and so does
+# gamma1 = gamma2; theta <= 3.1 keeps |<0|psi>| >= 0.02.
+THETAS = st.one_of(st.just(0.0), st.floats(0.0, 3.1))
+GAMMAS = st.one_of(st.just(0.0), PHASES)
+
+
+@st.composite
+def spec_rows(draw):
+    """Unit weights (T, 2) and in-range Bloch angles (T, 2, 3)."""
+    weights, angles = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        delta = draw(st.one_of(st.just(0.0), st.floats(0.0, math.pi / 2)))
+        a, b = math.cos(delta), math.sin(delta)
+        weights.append((a * cmath.exp(1j * draw(PHASES)), b * cmath.exp(1j * draw(PHASES))))
+        gamma1 = draw(GAMMAS)
+        gamma2 = draw(st.one_of(st.just(gamma1), GAMMAS))
+        angles.append([(draw(THETAS), draw(PHASES), gamma1), (draw(THETAS), draw(PHASES), gamma2)])
+    return weights, angles
+
+
+def paired_states(angles):
+    """The states, then the states with their declared phases stripped, from one
+    bloch call over both (T, 4, 2): the construction SpecBatch once held both from."""
+    pairs = np.concatenate([angles, angles * [1.0, 1.0, 0.0]], axis=1)
+    return bloch(*pairs.transpose(2, 0, 1))
+
 
 class TestBatch:
     @settings(max_examples=60, deadline=None)
@@ -96,7 +125,8 @@ class TestBatch:
             result = run_direct(spec)
             batch = spec.batch
             branch = kernel.direct(batch.weights, batch.states, batch.angles[:, :, 2])[0, 0]
-            target = kernel.weighted_sum(batch.weights, batch.stripped)
+            stripped = [make_qubit(replace(q, gamma=0.0)).amps for q in (spec.psi1, spec.psi2)]
+            target = kernel.weighted_sum(batch.weights, np.array([stripped]))
             assert np.max(np.abs(rows[t, 0] - branch)) <= 1e-12
             assert np.max(np.abs(final[t] - result.final_state.amps)) <= 1e-12
             assert np.max(np.abs(goal[t] - unit_rows(target)[0])) <= 1e-12
@@ -142,6 +172,17 @@ class TestSpecBatch:
     def test_shapes_checked(self, weights, angles):
         with pytest.raises(ArgumentError, match="expected weights"):
             spec_batch(np.ones(weights), np.zeros(angles))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec_rows())
+    def test_states_and_targets_equal_the_paired_construction(self, rows):
+        # bloch is elementwise, and a zero phase multiplies by exactly 1 + 0j,
+        # so a call per set of angles gives the bits of the one paired call.
+        batch = spec_batch(*rows)
+        pairs = paired_states(batch.angles)
+        assert np.array_equal(batch.states, pairs[:, :2])
+        _, targets = run_direct_batch(batch)
+        assert np.array_equal(targets, kernel.weighted_sum(batch.weights, pairs[:, 2:]))
 
     def test_batch_owns_read_only_copies(self):
         weights = np.array([[1.0, 0.0]])

@@ -106,7 +106,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def gate_target(spec) -> DensityMatrix:
     """|t><t| of the gate pipeline's target t = a psi1 + b psi2, phases stripped."""
-    target = kernel.weighted_sum(spec.batch.weights, spec.batch.stripped)[0]
+    target = run_direct_batch(spec.batch)[1][0]
     return pure_density(StateVector((2,), target))
 
 
