@@ -3,12 +3,15 @@
 Everything here is deterministic: sweeps follow grid order, the
 verification harness derives every random draw from its seed, and CSV
 output uses a fixed 9-significant-digit format so repeated runs are
-bit-identical.
+bit-identical. A verification chunk draws every unit vector in one normal
+call (2-vectors, then 3-vectors), every angle in one uniform call, then
+redraws the d = 2, then the d = 3, states below OVERLAP_FLOOR in row order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -120,6 +123,10 @@ OVERLAP_FLOOR = 0.05
 VERIFY_CHUNK = 1024
 
 _HYBRID_SHAPES = ((2, 2), (3, 2), (2, 3), (3, 3))
+# uniform(low, high) is low + (high - low) * random(), bit for bit: the direct
+# angles on [0, pi) x [0, 2 pi)^2, the pair polar angles on [0.2, pi/2 - 0.2).
+_ANGLE_HIGH = np.array([math.pi, 2 * math.pi, 2 * math.pi])
+_POLAR_LOW, _POLAR_SPAN = 0.2, (math.pi / 2 - 0.2) - 0.2
 
 
 @dataclass
@@ -166,34 +173,16 @@ class VerifyReport:
         }
 
 
-def _units(rng: np.random.Generator, *shapes: tuple[int, int]) -> list[np.ndarray]:
-    """Random unit vectors, one (rows, d) array per shape (also the weights), from
-    one normal draw: the stream of drawing each shape's real parts, then its
-    imaginary parts, in turn."""
-    z, out = rng.normal(size=2 * sum(rows * d for rows, d in shapes)), []
-    for rows, d in shapes:
-        (re, im), z = z[: 2 * rows * d].reshape(2, rows, d), z[2 * rows * d :]
-        amps = re + 1j * im
-        # np.linalg.norm's formula, bit for bit.
-        out.append(amps / np.sqrt(np.add.reduce((amps.conj() * amps).real, 1, keepdims=True)))
-    return out
-
-
-def _redraw(rng: np.random.Generator, states: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Redraw the (T, n, d) states with |<chi|psi>| < OVERLAP_FLOOR until none is left."""
-    while (bad := np.abs(kernel.overlaps(states, chi)) < OVERLAP_FLOOR).any():
-        states[bad] = _units(rng, (int(bad.sum()), states.shape[2]))[0]
-    return states
-
-
-def _bloch_pair(rng: np.random.Generator, chi: np.ndarray, antipodal: bool) -> np.ndarray:
-    """(psi1, psi2) pairs (T, 2, 2) in a fixed geometry relative to chi: antipodal
-    pairs share the polar angle, pi apart in azimuth; longitudinal ones the azimuth."""
-    t = len(chi)
-    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(t, 1 if antipodal else 2))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(t, 1)) + [0, math.pi * antipodal]
-    coords = bloch(np.broadcast_to(2 * polar, (t, 2)), azimuth, np.zeros((t, 2)))
-    return coords @ np.concatenate([chi, kernel.chi_perp(chi)], axis=1).reshape(t, 2, 2)
+def _unit_block(rng: np.random.Generator, *groups: tuple[int, ...]) -> list[list[np.ndarray]]:
+    """Unit vectors from one normal draw: per (d, rows...) group in turn, one
+    (rows, d) array per row count. Each amplitude takes two consecutive values,
+    its real then its imaginary part."""
+    sizes = [d * sum(rows) for d, *rows in groups]
+    z = rng.normal(size=2 * sum(sizes)).view(complex)
+    amps = [block.reshape(-1, d) for (d, *_), block in zip(groups, _cut(z, *sizes))]
+    # np.linalg.norm's formula, bit for bit.
+    return [_cut(v / np.sqrt(np.add.reduce((v.conj() * v).real, 1, keepdims=True)), *rows)
+            for v, (_, *rows) in zip(amps, groups)]
 
 
 def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
@@ -208,7 +197,7 @@ def _spec(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, **extra):
 
 def _cut(a: np.ndarray, *sizes: int) -> list[np.ndarray]:
     """Consecutive slices of a, of the given lengths."""
-    return [a[end - n : end] for n, end in zip(sizes, np.cumsum(sizes).tolist())]
+    return [a[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
 
 
 def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
@@ -218,45 +207,56 @@ def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
 
 
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
-    """Draw every input of one batch of trials, run each kernel step once over
-    all the qubit-pair rows that need it, then record the checks in order.
-    One normal draw over consecutive unit vectors is the stream of a draw for
-    each, so grouping them changes no bit."""
+    """Draw every input of one batch of trials (the stream of the module
+    docstring), run each kernel step once over all the qubit-pair rows that
+    need it, then record the checks in order."""
     t, n_shapes = len(trials), len(_HYBRID_SHAPES)
-    (w,) = _units(rng, (t, 2))
-    # Direct protocol: operational probability vs the weighted-sum norm.
-    # uniform(0, high) is high * random() bit for bit: 0 + x rounds nothing.
-    angles = rng.random((t, 2, 3)) * [math.pi, 2 * math.pi, 2 * math.pi]
-    batch = SpecBatch(w, bloch(*np.moveaxis(angles, -1, 0)), angles)
-    direct = (w, batch.states, np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
-    # Reference protocols on random states with comfortable overlaps.
-    chi, states = _units(rng, (t, 2), (2 * t, 2))
-    ref = (w, _redraw(rng, states.reshape(t, 2, 2), chi), chi)
-    # Hybrid protocol, trial i on shape i mod 4: chi and states, their redraws,
-    # then the weights.
+    # Hybrid protocol: trial i on shape i mod 4.
     hyb_trials = [trials[(k - trials[0]) % n_shapes :: n_shapes] for k in range(n_shapes)]
-    hybrid = []
-    for rows, (n, d) in zip(map(len, hyb_trials), _HYBRID_SHAPES):
-        chi_d, states = _units(rng, (rows, d), (rows * n, d))
-        states = _redraw(rng, states.reshape(rows, n, d), chi_d)
-        hybrid.append((*_units(rng, (rows, n)), states, chi_d))
-    # Enhanced protocol, on the trials whose states also overlap chi^perp
-    # comfortably; then geometry-specific totals on constructed pairs.
-    pair = _redraw(rng, _units(rng, (2 * t, 2))[0].reshape(t, 2, 2), chi)
+    r0, r1, r2, r3 = map(len, hyb_trials)
+    # Unit vectors, 2-vectors then 3-vectors. Weights: w, lon | anti, then the
+    # hybrid shapes in order; chi: ref and enh, the hybrid shapes, lon | anti; the
+    # states held to the floor: ref, hybrid (2, 2), (3, 2), enh; (2, 3), (3, 3).
+    (w, w_la, w0, w2, chis, chi_la, low2), (w1, w3, chis3, low3) = _unit_block(
+        rng, (2, t, 2 * t, r0, r2, t + r0 + r1, 2 * t, 4 * t + 2 * r0 + 3 * r1),
+        (3, r1, r3, r2 + r3, 2 * r2 + 3 * r3))
+    (chi, chi0, chi1), (chi2, chi3) = _cut(chis, t, r0, r1), _cut(chis3, r2, r3)
+    # Angles: direct (theta, phi, gamma) per qubit; the polar angles of lon (two
+    # per pair) and anti (one per pair); their azimuths, anti's second state pi on.
+    u = rng.random(11 * t)
+    angles = u[: 6 * t].reshape(t, 2, 3) * _ANGLE_HIGH
+    polar = np.empty((2 * t, 2))
+    polar[:t], polar[t:] = u[6 * t : 8 * t].reshape(t, 2), u[8 * t : 9 * t, None]
+    phi = np.repeat(2 * math.pi * u[9 * t :, None], 2, 1)
+    phi[t:, 1] += math.pi
+    coords = bloch(2 * (_POLAR_LOW + _POLAR_SPAN * polar), phi, 0.0)[..., None]
+    pairs = coords[:, :, 0] * chi_la[:, None] + coords[:, :, 1] * kernel.chi_perp(chi_la)[:, None]
+    # The overlap floor: each floored state against its chi, conjugated.
+    conj = (np.repeat(np.concatenate([chis, chi]).conj(), np.repeat([2, 3, 2], [t + r0, r1, t]), 0),
+            np.repeat(chis3.conj(), np.repeat([2, 3], [r2, r3]), 0))
+    for states, c in zip((low2, low3), conj):
+        while len(bad := np.flatnonzero(abs(np.einsum("ij,ij->i", states, c)) < OVERLAP_FLOOR)):
+            states[bad] = _unit_block(rng, (states.shape[1], len(bad)))[0][0]
+    ref_states, s0, s1, pair = _cut(low2, 2 * t, 2 * r0, 3 * r1, 2 * t)
+    hybrid = [(wk, s.reshape(len(c), n, d), c) for (n, d), wk, s, c in zip(
+        _HYBRID_SHAPES, (w0, w1, w2, w3), (s0, s1, *_cut(low3, 2 * r2, 3 * r3)),
+        (chi0, chi1, chi2, chi3))]
+    # Direct protocol: operational probability vs the weighted-sum norm.
+    batch = SpecBatch(w, bloch(*angles.transpose(2, 0, 1)), angles)
+    direct = (w, batch.states, np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
+    # Reference protocols; the enhanced protocol on the trials whose states
+    # also overlap chi^perp comfortably, then geometry-specific totals.
+    ref, pair = (w, ref_states.reshape(t, 2, 2), chi), pair.reshape(t, 2, 2)
     ok = (np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR).all(1)
     enh, ran, m = (w[ok], pair[ok], chi[ok]), trials[ok], int(ok.sum())
-    (lon_chi,) = _units(rng, (t, 2))
-    lon_pair = _bloch_pair(rng, lon_chi, antipodal=False)
-    lon_w, anti_chi = _units(rng, (t, 2), (t, 2))
-    anti_pair = _bloch_pair(rng, anti_chi, antipodal=True)
-    lon, anti = (lon_w, lon_pair, lon_chi), (*_units(rng, (t, 2)), anti_pair, anti_chi)
+    lon, anti = (w_la[:t], pairs[:t], chi_la[:t]), (w_la[t:], pairs[t:], chi_la[t:])
 
     # One kernel pass per step over the qubit-pair rows, stacked once as
     # direct | hybrid (2, 2) | ref | enh | lon | anti, each step on a slice: mu
     # on ref | enh | lon, then enh | lon with chi^perp. The larger hybrid shapes
     # keep their own passes.
     W, S, C = (np.concatenate(x) for x in zip(direct, hybrid[0], ref, enh, lon, anti))
-    r = t + len(hyb_trials[0])
+    r = t + r0
     e, a = r + t, r + 2 * t + m
     kernel.validate(W, S, C)
     for group in hybrid[1:]:

@@ -36,8 +36,9 @@ class _CliArgumentError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # No option starts with "-<digit>": read "-0.6,0" as a value, not a flag.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # No option starts with "-<digit>", "-inf" or "-nan": read "-0.6,0" and
+        # "-inf,0" as values, not flags.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf(inity)?|nan)(,|$))", re.I)
 
     def error(self, message):
         raise _CliArgumentError(message)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import analysis, direct, kernel
@@ -26,6 +26,7 @@ from qsuperpose.datasets import TABLE1, dataset
 from qsuperpose.direct import SuperpositionSpec, run_direct
 from qsuperpose.errors import ArgumentError
 from qsuperpose.linalg import (
+    ATOL,
     QubitParams,
     StateVector,
     basis_state,
@@ -441,77 +442,153 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 def unit(rng, rows, d):
-    """One unit-vector array per draw: real parts, imaginary parts, norm."""
-    amps = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+    """One unit-vector array drawn alone: each amplitude's real, then imaginary part."""
+    x = rng.normal(size=(rows, d, 2))
+    amps = x[..., 0] + 1j * x[..., 1]
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def overlapping(rng, chi, n):
-    t, d = chi.shape
-    states = unit(rng, t * n, d).reshape(t, n, d)
-    while (bad := np.abs(kernel.overlaps(states, chi)) < analysis.OVERLAP_FLOOR).any():
-        states[bad] = unit(rng, int(bad.sum()), d)
-    return states
-
-
-def bloch_pairs(rng, rows, antipodal):
-    chi = unit(rng, rows, 2)
-    polar = rng.uniform(0.2, math.pi / 2 - 0.2, size=(rows, 1 if antipodal else 2))
-    azimuth = rng.uniform(0.0, 2.0 * math.pi, size=(rows, 1)) + [0, math.pi * antipodal]
-    coords = bloch(np.broadcast_to(2 * polar, (rows, 2)), azimuth, np.zeros((rows, 2)))
-    pair = coords @ np.stack([chi, kernel.chi_perp(chi)], axis=1)
-    return unit(rng, rows, 2), pair, chi
+def bloch_pair(chi, polar, azimuth, antipodal):
+    """psi_k = cos(theta_k / 2) chi + e^{i phi_k} sin(theta_k / 2) chi^perp, theta_k = 2 polar:
+    antipodal pairs share the polar angle, pi apart in azimuth; longitudinal ones the azimuth."""
+    t = len(chi)
+    coords = bloch(np.broadcast_to(2 * polar, (t, 2)), azimuth + [0, math.pi * antipodal],
+                   np.zeros((t, 2)))
+    return coords[..., :1] * chi[:, None] + coords[..., 1:] * kernel.chi_perp(chi)[:, None]
 
 
 def sequential_draws(rng, trials):
-    """One chunk's inputs drawn one array at a time, in the harness's order:
-    the qubit-pair groups (direct, hybrid (2, 2), ref, enh, lon, anti) and
-    the larger hybrid groups."""
+    """One chunk's inputs drawn one array at a time, in the documented order:
+    the 2-vectors (weights, chi, states), the 3-vectors, the angles, then the
+    overlap floor over the d = 2 states and then the d = 3 ones, in row order.
+    Returned as the chunk's kernel.validate arguments: the qubit-pair stack
+    (direct, hybrid (2, 2), ref, enh, lon, anti), then the larger hybrid groups."""
     t = len(trials)
-    w = unit(rng, t, 2)
+    r0, r1, r2, r3 = (int(np.sum(trials % 4 == k)) for k in range(4))
+    w, lon_w, anti_w, w0, w2 = (unit(rng, rows, 2) for rows in (t, t, t, r0, r2))
+    chi, chi0, chi1, lon_chi, anti_chi = (unit(rng, rows, 2) for rows in (t, r0, r1, t, t))
+    ref, s0, s1, pair = (unit(rng, rows * n, 2).reshape(rows, n, 2)
+                         for rows, n in ((t, 2), (r0, 2), (r1, 3), (t, 2)))
+    w1, w3, chi2, chi3 = (unit(rng, rows, 3) for rows in (r1, r3, r2, r3))
+    s2, s3 = (unit(rng, rows * n, 3).reshape(rows, n, 3) for rows, n in ((r2, 2), (r3, 3)))
     angles = rng.uniform(0.0, [math.pi, 2 * math.pi, 2 * math.pi], size=(t, 2, 3))
+    lon_polar, anti_polar = (rng.uniform(0.2, math.pi / 2 - 0.2, size=(t, k)) for k in (2, 1))
+    lon_azimuth, anti_azimuth = (rng.uniform(0.0, 2 * math.pi, size=(t, 1)) for _ in range(2))
+    for floored in ([(ref, chi), (s0, chi0), (s1, chi1), (pair, chi)], [(s2, chi2), (s3, chi3)]):
+        while True:
+            bad = [np.abs(kernel.overlaps(s, c)) < analysis.OVERLAP_FLOOR for s, c in floored]
+            if not any(mask.any() for mask in bad):
+                break
+            for (states, _), mask in zip(floored, bad):
+                states[mask] = unit(rng, int(mask.sum()), states.shape[2])
     direct = (w, bloch(*np.moveaxis(angles, -1, 0)), np.tile([1.0 + 0j, 0.0], (t, 1)))
-    chi = unit(rng, t, 2)
-    ref = (w, overlapping(rng, chi, 2), chi)
-    hybrid = []
-    for k, (n, d) in enumerate(analysis._HYBRID_SHAPES):
-        chi_d = unit(rng, int(np.sum(trials % 4 == k)), d)
-        states = overlapping(rng, chi_d, n)
-        hybrid.append((unit(rng, len(chi_d), n), states, chi_d))
-    pair = overlapping(rng, chi, 2)
     ok = np.all(np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= analysis.OVERLAP_FLOOR, 1)
-    lon, anti = [bloch_pairs(rng, t, antipodal) for antipodal in (False, True)]
-    pairs = (direct, hybrid[0], ref, (w[ok], pair[ok], chi[ok]), lon, anti)
+    lon = (lon_w, bloch_pair(lon_chi, lon_polar, lon_azimuth, False), lon_chi)
+    anti = (anti_w, bloch_pair(anti_chi, anti_polar, anti_azimuth, True), anti_chi)
+    hybrid = [(w0, s0, chi0), (w1, s1, chi1), (w2, s2, chi2), (w3, s3, chi3)]
+    pairs = (direct, hybrid[0], (w, ref, chi), (w[ok], pair[ok], chi[ok]), lon, anti)
     return [tuple(np.concatenate(x) for x in zip(*pairs)), *hybrid[1:]]
 
 
-SHAPES = st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4)), min_size=1, max_size=6)
+GROUPS = st.lists(st.tuples(st.integers(1, 4), st.lists(st.integers(0, 12), max_size=4)),
+                  min_size=1, max_size=4)
 
 
 @PROPERTY
-@given(SEEDS, SHAPES)
-def test_fused_draws_equal_one_draw_per_array(seed, shapes):
+@given(SEEDS, GROUPS)
+def test_fused_draws_equal_one_draw_per_array(seed, groups):
     fused_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    fused = analysis._units(fused_rng, *shapes)
-    for got, (rows, d) in zip(fused, shapes, strict=True):
-        assert np.array_equal(got, unit(rng, rows, d))
+    fused = analysis._unit_block(fused_rng, *((d, *rows) for d, rows in groups))
+    for arrays, (d, rows) in zip(fused, groups, strict=True):
+        for got, n in zip(arrays, rows, strict=True):
+            assert np.array_equal(got, unit(rng, n, d))
     assert fused_rng.normal() == rng.normal()  # the stream goes on at the same place
 
 
-@pytest.mark.parametrize("trials", [1, 3, 20, 1030])
-def test_chunk_inputs_equal_sequential_draws(monkeypatch, trials):
+def validated_chunks(monkeypatch, trials, seed):
+    """Run verify, and return each chunk's trials with its kernel.validate arguments."""
     seen = []
     true_validate = kernel.validate
     monkeypatch.setattr(kernel, "validate",
                         lambda *args: seen.append(args) or true_validate(*args))
-    assert verify_probability_formulas(trials=trials, seed=trials).ok
-    rng, expected = np.random.default_rng(trials), []
-    for start in range(0, trials, analysis.VERIFY_CHUNK):
-        chunk = np.arange(start, min(trials, start + analysis.VERIFY_CHUNK))
-        expected += sequential_draws(rng, chunk)
-    assert len(seen) == len(expected)
-    for got, want in zip(seen, expected):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    report = verify_probability_formulas(trials=trials, seed=seed)
+    starts = range(0, trials, analysis.VERIFY_CHUNK)
+    assert len(seen) == 4 * len(starts)
+    chunks = [np.arange(start, min(trials, start + analysis.VERIFY_CHUNK)) for start in starts]
+    return report, [(chunk, seen[4 * i : 4 * i + 4]) for i, chunk in enumerate(chunks)]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 20, 1030])
+def test_chunk_inputs_equal_sequential_draws(monkeypatch, trials):
+    report, chunks = validated_chunks(monkeypatch, trials, seed=trials)
+    assert report.ok
+    rng = np.random.default_rng(trials)
+    for chunk, seen in chunks:
+        for got, want in zip(seen, sequential_draws(rng, chunk), strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def floored_groups(chunk, validated):
+    """The (states, chi) groups the overlap floor applies to: hybrid (2, 2), ref
+    and enh rows of the qubit-pair stack, then the larger hybrid groups."""
+    (_, states, chi), *larger = validated
+    t, r0 = len(chunk), int(np.sum(chunk % 4 == 0))
+    m = len(states) - 4 * t - r0  # the enh rows
+    rows = slice(t, 2 * t + r0 + m)
+    return [(states[rows], chi[rows]), *((s, c) for _, s, c in larger)]
+
+
+def test_forced_redraws_meet_the_floor_and_repeat(monkeypatch):
+    # At a floor of 0.5 a quarter of the qubit states and 7/16 of the qutrit
+    # states fall below it on their first draw (|<chi|psi>|^2 < 1/4).
+    monkeypatch.setattr(analysis, "OVERLAP_FLOOR", 0.5)
+    blocks = []
+    true_block = analysis._unit_block
+    monkeypatch.setattr(analysis, "_unit_block",
+                        lambda *args: blocks.append(args[1:]) or true_block(*args))
+    report, chunks = validated_chunks(monkeypatch, trials=20, seed=6)
+    assert report.ok
+    # The chunk draw, then redraws of qubit states and of qutrit states.
+    assert {groups[0][0] for groups in blocks[1:]} == {2, 3}
+    for chunk, validated in chunks:
+        for states, chi in floored_groups(chunk, validated):
+            assert (np.abs(kernel.overlaps(states, chi)) >= 0.5).all()
+    again = verify_probability_formulas(trials=20, seed=6).to_json()
+    assert again == report.to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.one_of(st.integers(1, 40), st.sampled_from([1025, 2100])))
+@example(seed=0, trials=1)
+@example(seed=1, trials=2)
+@example(seed=2, trials=3)
+@example(seed=3, trials=2100)
+def test_drawn_inputs_are_units_meet_the_floor_and_cover_their_trials(seed, trials):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        covered = {}
+        true_record = analysis.VerifyReport.record_all
+
+        def record_all(report, checks):
+            checks = list(checks)
+            for name, rows, *_ in checks:
+                covered.setdefault(name, []).extend(rows.tolist())
+            return true_record(report, checks)
+
+        monkeypatch.setattr(analysis.VerifyReport, "record_all", record_all)
+        report, chunks = validated_chunks(monkeypatch, trials, seed)
+    assert report.ok
+    for chunk, validated in chunks:
+        for weights, states, chi in validated:
+            for vectors in (weights, states.reshape(-1, states.shape[2]), chi):
+                assert (np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= ATOL).all()
+        for states, chi in floored_groups(chunk, validated):
+            assert (np.abs(kernel.overlaps(states, chi)) >= analysis.OVERLAP_FLOOR).all()
+    every = list(range(trials))
+    for name in ALL_CHECKS - {"enhanced_p1", "enhanced_p2", "hybrid_eq8"}:
+        assert covered[name] == every, name
+    assert sorted(covered["hybrid_eq8"]) == every
+    ran = covered.get("enhanced_p1", [])
+    assert ran == sorted(set(ran)) and set(covered.get("enhanced_p2", [])) <= set(ran)
 
 
 def record_one(report, name, trials, deviation, spec):

@@ -848,6 +848,21 @@ class TestParsing:
         joined = [f"{flag}={value}" for flag, value in zip(argv[::2], argv[1::2])]
         assert run_cli(capsys, "run-direct", *joined) == (0, out, "")
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
+    def test_negative_non_finite_value_reaches_its_rule(self, capsys, value):
+        # "-inf" and "-nan" are values, not flags: the coupling rule and the
+        # weight rule answer with their own errors.
+        for argv, rule in (
+            (("pulse", "--dataset", "1", "--j", value),
+             "the scalar coupling J (--j) must be nonzero with 2 pi J finite"),
+            (("run-direct", "--psi1", "1,0", "--psi2", "2,0", "--a", f"{value},0", "--b", "1"),
+             "weights must have sum |a_k|^2 = 1"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "argument" and error["message"].startswith(rule)
+
     def test_broken_stdout_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()
         os.close(read_end)
