@@ -21,7 +21,8 @@ from .errors import ArgumentError, DegenerateInputError, ZeroOverlapError
 # Normalization / Hermiticity checks; the dense pipelines hold at most 4096
 # amplitudes, so double precision leaves ample headroom.
 ATOL = 1e-12
-# Eigenvalue floor tolerating roundoff from channel compositions.
+# Least eigenvalue a density matrix may have: DensityMatrix tests it by eigvalsh,
+# nmr.run_sequence proves it by a unitarity certificate.
 PSD_FLOOR = -1e-10
 # |<chi|psi>| below this counts as a zero overlap.
 EPS_OVERLAP = 1e-9
@@ -130,8 +131,9 @@ def unit_state(amps: np.ndarray) -> StateVector:
 
 
 def check_states(mats: np.ndarray) -> np.ndarray:
-    """Check matrices (T, d, d) whose positivity is already proven: finite,
-    Hermitian within ATOL, and traces in (ATOL, 1 + ATOL]; return the traces."""
+    """Check matrices (T, d, d) finite, Hermitian within ATOL, and of traces in
+    (ATOL, 1 + ATOL]; return the traces. Positivity is left to the caller: the
+    certificate of nmr.run_sequence, or the eigvalsh of a DensityMatrix build."""
     _check_finite(mats, "density matrix entries")
     if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0) > ATOL:
         raise ArgumentError("density matrix is not Hermitian within tolerance")
@@ -140,16 +142,6 @@ def check_states(mats: np.ndarray) -> np.ndarray:
         raise DegenerateInputError("density matrix has (numerically) zero trace")
     if np.any(tr > 1.0 + ATOL):
         raise ArgumentError(f"density matrix trace {tr[tr > 1.0 + ATOL][0]} exceeds 1")
-    return tr
-
-
-def check_densities(mats: np.ndarray) -> np.ndarray:
-    """Validate density matrices (T, d, d) at once: ``check_states``, then one
-    eigvalsh; return the traces. A bad row raises the error a DensityMatrix
-    built from it would."""
-    tr = check_states(mats)
-    if np.min(np.linalg.eigvalsh(mats), initial=0.0) < PSD_FLOOR:
-        raise ArgumentError("density matrix has a negative eigenvalue")
     return tr
 
 
@@ -167,7 +159,9 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise ArgumentError(f"matrix shape {mat.shape} does not match dims {dims}")
-        tr = float(check_densities(mat[None])[0])
+        tr = float(check_states(mat[None])[0])
+        if np.min(np.linalg.eigvalsh(mat)) < PSD_FLOOR:
+            raise ArgumentError("density matrix has a negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
@@ -280,8 +274,6 @@ def fidelity(rho_e: DensityMatrix, rho_t: DensityMatrix) -> float:
     """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2))."""
     if rho_e.dims != rho_t.dims:
         raise ArgumentError(f"dimension mismatch: {rho_e.dims} vs {rho_t.dims}")
-    if rho_e.trace <= ATOL or rho_t.trace <= ATOL:
-        raise DegenerateInputError("fidelity of a zero-trace state is undefined")
     return float(fidelity_batch(rho_e.mat[None], rho_t.mat[None])[0])
 
 

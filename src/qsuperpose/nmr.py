@@ -26,8 +26,9 @@ really has. ``run_sequence`` propagates the program to one checkpoint: each
 spin's rotations between two delays multiply as 2 x 2 matrices, the unitaries
 between gradients into one U rho U^dagger. Each such U is certified unitary
 within ATOL, which proves every state positive without an eigvalsh (see
-``run_sequence``), and one check covers the states' finiteness, Hermiticity
-and traces.
+``run_sequence``); a checkpoint after more runs than the proof covers is
+refused. ``check_states`` then checks the states' finiteness, Hermiticity and
+traces.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -43,7 +44,7 @@ import numpy as np
 
 from .direct import SpecBatch
 from .errors import ArgumentError, DegenerateInputError
-from .linalg import ATOL, DensityMatrix, check_densities, check_states, require_number
+from .linalg import ATOL, DensityMatrix, check_states, require_number
 
 EYE2 = np.eye(2, dtype=complex)
 EYE4 = np.eye(4, dtype=complex)
@@ -51,7 +52,7 @@ EYE4 = np.eye(4, dtype=complex)
 CHECKPOINT_LABELS = ("i", "ii", "iii", "iv", "v")
 
 # Gradient-separated runs whose rounding the unitarity certificate bounds
-# within PSD_FLOOR (see run_sequence).
+# within PSD_FLOOR (see run_sequence); a checkpoint after more is refused.
 _CERTIFIED_RUNS = 6000
 # Rotation angles below this compile to no pulse at all.
 _ANGLE_TOL = 1e-12
@@ -384,12 +385,17 @@ def run_sequence(
       pinching by nothing; eigvalsh's lower triangle is within 2 ATOL of it.
     * K gradient-separated runs thus end above -(K 1.5e-14 + 2e-12), inside
       PSD_FLOOR for K <= _CERTIFIED_RUNS. A compiled program has K <= 2; a
-      sequence file with more runs is checked by eigvalsh instead.
+      checkpoint after more runs is refused.
     """
     if checkpoint not in program.cuts:
         raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
-    cut = program.cuts[checkpoint]
-    mat, runs = initial_state(epsilon), _propagators(program, sys, cut)
+    runs = _propagators(program, sys, program.cuts[checkpoint])
+    if len(runs) > _CERTIFIED_RUNS:
+        raise ArgumentError(
+            f"checkpoint {checkpoint!r} comes after {len(runs)} gradient-separated runs; "
+            f"the unitarity certificate covers at most {_CERTIFIED_RUNS}"
+        )
+    mat = initial_state(epsilon)[None].repeat(len(program.emitted), axis=0)
     for k, u in enumerate(runs):
         if k:  # the gradient between two runs
             mat = np.where(_COHERENCE_MASK, mat, 0.0)
@@ -400,9 +406,7 @@ def run_sequence(
                 f"a pulse propagator is not unitary: max |U^dagger U - I| = {residual:.3g}"
             )
         mat = u @ mat @ u_dag
-    if mat.ndim == 2:  # no event broadcast the start state over the rows
-        mat = np.tile(mat, (len(program.emitted), 1, 1))
-    (check_states if len(runs) <= _CERTIFIED_RUNS else check_densities)(mat)
+    check_states(mat)
     return mat
 
 

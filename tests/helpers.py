@@ -16,3 +16,11 @@ def phase_equivalent(u: StateVector, v: StateVector, tol: float = 1e-9) -> bool:
     if nu < ATOL or nv < ATOL:
         raise DegenerateInputError("phase comparison of a zero state is undefined")
     return abs(np.vdot(u.amps, v.amps)) / (nu * nv) >= 1.0 - tol
+
+
+def runs_sequence(runs: int) -> dict:
+    """Sequence JSON of ``runs`` gradient-separated runs: (iv) is cut before
+    the last run, (v) after it."""
+    pulse = {"kind": "rf", "spin": "X", "flip_angle": 1.0, "axis_phase": 0.5}
+    events = [{"kind": "gradient"}, pulse] * (runs - 1)
+    return {"events": events, "checkpoints": {"iv": len(events) - 2, "v": len(events)}}

@@ -14,6 +14,8 @@ import pytest
 from qsuperpose import analysis, cli, linalg, nmr
 from qsuperpose.cli import main
 
+from helpers import runs_sequence
+
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
 # pipelines took a ReferenceSpec.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -546,7 +548,7 @@ class TestPulse:
     @pytest.mark.parametrize("checkpoint,checks", [("iv", 2), ("v", 1)])
     def test_each_state_checked_once(self, capsys, monkeypatch, checkpoint, checks):
         # run_sequence checks rho; only the normalized (iv) block is checked again
-        # (check_densities runs check_states, then its eigvalsh).
+        # (a DensityMatrix build runs check_states, then its eigvalsh).
         calls, check = [], linalg.check_states
 
         def counted(mats):
@@ -557,6 +559,17 @@ class TestPulse:
         monkeypatch.setattr(linalg, "check_states", counted)
         code, _, _ = run_cli(capsys, "pulse", "--dataset", "6", "--checkpoint", checkpoint)
         assert code == 0 and len(calls) == checks
+
+    def test_sequence_past_the_certified_runs_is_refused(self, capsys, tmp_path):
+        seq_path = tmp_path / "seq.json"
+        seq_path.write_text(json.dumps(runs_sequence(nmr._CERTIFIED_RUNS + 1)))
+        code, out, err = run_cli(capsys, "pulse", "--sequence", str(seq_path), "--checkpoint", "v")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "argument",
+            "message": f"checkpoint 'v' comes after {nmr._CERTIFIED_RUNS + 1} gradient-separated "
+            f"runs; the unitarity certificate covers at most {nmr._CERTIFIED_RUNS}",
+        }
 
     @pytest.mark.parametrize("value", ["-215", "1e-310"])
     def test_coupling_without_a_positive_finite_delay(self, capsys, value):

@@ -19,7 +19,6 @@ from qsuperpose.linalg import (
     QubitParams,
     StateVector,
     basis_state,
-    check_densities,
     check_states,
     fidelity,
     make_qubit,
@@ -296,14 +295,14 @@ def spoil(mat, fault):
 class TestBatchCheck:
     def test_traces_match_scalar(self, rng):
         mats = [random_density(rng, (3,)) for _ in range(4)]
-        traces = check_densities(np.stack([m.mat for m in mats]))
+        traces = check_states(np.stack([m.mat for m in mats]))
         assert traces.tolist() == [m.trace for m in mats]
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(1, 6),
         st.integers(2, 4),
-        st.sampled_from(["hermitian", "negative", "trace", "zero", "nan"]),
+        st.sampled_from(["hermitian", "trace", "zero", "nan"]),
         st.integers(0, 2**32 - 1),
     )
     def test_one_bad_row_fails_as_its_scalar_build(self, t, d, fault, seed):
@@ -315,7 +314,7 @@ class TestBatchCheck:
             with pytest.raises(ToolkitError) as scalar:
                 DensityMatrix((d,), mats[bad])
             with pytest.raises(ToolkitError) as batch:
-                check_densities(mats)
+                check_states(mats)
             assert type(batch.value) is type(scalar.value)
             assert str(batch.value) == str(scalar.value)
 
@@ -326,17 +325,19 @@ class TestBatchCheck:
         st.sampled_from(["hermitian", "negative", "trace", "zero", "nan"]),
         st.integers(0, 2**32 - 1),
     )
-    def test_check_states_is_check_densities_without_eigvalsh(self, t, d, fault, seed):
+    def test_density_matrix_is_check_states_then_eigvalsh(self, t, d, fault, seed):
         rng = np.random.default_rng(seed)
         mats = np.stack([random_density(rng, (d,)).mat for _ in range(t)])
-        assert check_states(mats).tolist() == check_densities(mats).tolist()
+        assert check_states(mats).tolist() == [DensityMatrix((d,), m).trace for m in mats]
         mats[-1] = spoil(mats[-1], fault)
-        if fault == "negative":
-            # Positivity is left to the caller's proof.
-            assert check_states(mats).tolist() == np.trace(mats, axis1=1, axis2=2).real.tolist()
-            return
         with pytest.raises(ToolkitError) as full:
-            check_densities(mats)
+            DensityMatrix((d,), mats[-1])
+        if fault == "negative":
+            # Positivity is left to the caller's proof; the eigvalsh refuses it.
+            assert check_states(mats).tolist() == np.trace(mats, axis1=1, axis2=2).real.tolist()
+            assert type(full.value) is ArgumentError
+            assert str(full.value) == "density matrix has a negative eigenvalue"
+            return
         with pytest.raises(ToolkitError) as states:
             check_states(mats)
         assert type(states.value) is type(full.value)

@@ -20,10 +20,11 @@ from qsuperpose.direct import (
 )
 from qsuperpose.errors import ArgumentError, DegenerateInputError
 from qsuperpose.linalg import (
+    ATOL,
+    PSD_FLOOR,
     DensityMatrix,
     QubitParams,
     StateVector,
-    check_densities,
     fidelity,
     fidelity_batch,
     pure_density,
@@ -43,6 +44,8 @@ from qsuperpose.nmr import (
     rotation_matrix,
     run_sequence,
 )
+
+from helpers import runs_sequence
 
 SYS = SpinSystem()
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -660,6 +663,27 @@ class TestRunSequence:
             for t, reference in enumerate(folds):
                 assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
+    def test_certified_states_are_positive(self, seq, sys, epsilon):
+        # What the certificate proves, checked here instead of at run time.
+        program = PulseProgram.from_json(seq)
+        for label in seq["checkpoints"]:
+            mat = run_sequence(program, sys, label, epsilon)[0]
+            assert np.max(np.abs(mat - mat.conj().T)) <= ATOL
+            assert np.min(np.linalg.eigvalsh(mat)) >= PSD_FLOOR
+
+    @pytest.mark.parametrize("events", [[], [{"kind": "gradient"}] * 2], ids=["empty", "gradients"])
+    def test_start_state_gets_fresh_rows(self, events):
+        # No rotation or delay gives the start state its row axis.
+        program = stack([{"events": events, "checkpoints": {"v": len(events)}}] * 3)
+        start = np.tile(initial_state(0.3), (3, 1, 1))
+        mats, again = (run_sequence(program, SYS, "v", 0.3) for _ in range(2))
+        assert mats.shape == (3, 4, 4) and mats.flags.writeable
+        assert np.array_equal(mats, start) and not np.shares_memory(mats, again)
+        mats[0] = 0.0
+        assert np.array_equal(again, start)
+
     def test_every_sequence_needs_the_checkpoint(self):
         # Gradients only: no rf pulse or delay gives the states a row axis.
         seq = {"events": [{"kind": "gradient"}], "checkpoints": {"ii": 1}}
@@ -701,8 +725,7 @@ class TestRunSequence:
         program = compile_sequence(table1_batch(), SYS)
         self.scale_one_rotation(monkeypatch, 0.9)
         monkeypatch.setattr(nmr, "ATOL", math.inf)
-        mats = run_sequence(program, SYS, "iv")
-        traces = check_densities(mats)
+        traces = [DensityMatrix((2, 2), m).trace for m in run_sequence(program, SYS, "iv")]
         assert traces[3] == pytest.approx(0.81, abs=1e-12)
 
     def test_certificate_replaces_eigvalsh(self, monkeypatch):
@@ -711,14 +734,22 @@ class TestRunSequence:
         program = compile_sequence(table1_batch(), SYS)
         for label in CHECKPOINT_LABELS:
             run_sequence(program, SYS, label, 0.3)
+        # Up to the runs whose rounding the certificate bounds.
+        program = PulseProgram.from_json(runs_sequence(nmr._CERTIFIED_RUNS))
+        assert run_sequence(program, SYS, "v").shape == (1, 4, 4)
         assert calls == []
-        # Past the runs whose rounding the certificate bounds, eigvalsh checks.
-        for runs, checked in ((nmr._CERTIFIED_RUNS, []), (nmr._CERTIFIED_RUNS + 1, [1])):
-            pulse = {"kind": "rf", "spin": "X", "flip_angle": 1.0, "axis_phase": 0.5}
-            events = [{"kind": "gradient"}, pulse] * (runs - 1)
-            seq = {"events": events, "checkpoints": {"v": len(events)}}
-            run_sequence(PulseProgram.from_json(seq), SYS, "v")
-            assert calls == checked
+
+    def test_refuses_past_the_certified_runs(self):
+        runs = nmr._CERTIFIED_RUNS + 1
+        program = PulseProgram.from_json(runs_sequence(runs))
+        with pytest.raises(ArgumentError) as refused:
+            run_sequence(program, SYS, "v")
+        assert str(refused.value) == (
+            f"checkpoint 'v' comes after {runs} gradient-separated runs; "
+            f"the unitarity certificate covers at most {nmr._CERTIFIED_RUNS}"
+        )
+        # The same file's checkpoint before its last run is still certified.
+        assert run_sequence(program, SYS, "iv").shape == (1, 4, 4)
 
 
 class TestAbsentBlocks:
