@@ -200,10 +200,11 @@ def _cut(a: np.ndarray, *sizes: int) -> list[np.ndarray]:
     return [a[end - n : end] for n, end in zip(sizes, accumulate(sizes))]
 
 
-def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
-    """Fourier post-selection probability, and its deviation from the closed form, Eq. 8."""
-    sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(weights, states, chi))[:, 0])
-    return sim, sim - kernel.closed_form_fourier(weights, states, chi)
+def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.ndarray):
+    """Fourier post-selection probability, and its deviation from the closed form,
+    Eq. 8; ``ip`` is <chi|Psi_k>."""
+    sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(weights, states, chi, ip))[:, 0])
+    return sim, sim - kernel.closed_form_fourier(weights, states, chi, ip)
 
 
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
@@ -258,13 +259,12 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     W, S, C = (np.concatenate(x) for x in zip(direct, hybrid[0], ref, enh, lon, anti))
     r = t + r0
     e, a = r + t, r + 2 * t + m
-    kernel.validate(W, S, C)
-    for group in hybrid[1:]:
-        kernel.validate(*group)
-    p2_sim, eq8 = _eq8_deviation(W[t:e], S[t:e], C[t:e])
+    # Each <chi|Psi_k> once: validation checks them, the steps read them.
+    ip = kernel.validate(W, S, C)
+    p2_sim, eq8 = _eq8_deviation(W[t:e], S[t:e], C[t:e], ip[t:e])
     *eq8_dev, p2_dev = _cut(eq8, r - t, t)
-    eq8_dev += [_eq8_deviation(*group)[1] for group in hybrid[1:]]
-    res = kernel.enhanced(W[e:], S[e:], C[e:])
+    eq8_dev += [_eq8_deviation(*group, kernel.validate(*group))[1] for group in hybrid[1:]]
+    res = kernel.enhanced(W[e:], S[e:], C[e:], ip[e:])
     p1, p2, g = res.p1[:m], res.p2[:m], res.geometry[:m] != kernel.CODE_ANTIPODAL
     _, lon_total, anti_total = _cut(res.p_total, m, t, t)
     rows = (np.concatenate([X[r:a], X[e:a]]) for X in (W, S))
@@ -273,10 +273,10 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
 
     branches, targets = run_direct_batch(batch)
     sim, closed = kernel.norm_sq(branches[:, 0]), kernel.norm_sq(targets) / 2
-    p3 = kernel.norm_sq(kernel.three_qubit(*ref))
-    c = kernel.overlap_c(*ref[1:])
+    p3 = kernel.norm_sq(kernel.three_qubit(*ref, ip[r:e]))
+    c = np.abs(ip[r:e]) ** 2
     ratio = p2_sim[r - t :] / p3 / success_ratio(c[:, 1] / c[:, 0], np.abs(w[:, 1]) ** 2)
-    anti_closed = kernel.norm_sq(kernel.target(*anti)) / 2.0
+    anti_closed = kernel.norm_sq(kernel.target(*anti, ip[a:])) / 2.0
     report.record_all([
         ("direct_success", trials, sim - closed, _spec(*direct, angles=angles)),
         ("p2_reduced", trials, p2_dev, _spec(*ref)),

@@ -6,9 +6,11 @@ input states (T, n, d), the reference chi (T, d). The scalar pipelines in
 these functions. ``analysis.verify_probability_formulas`` runs them over all
 its trials at once, and stacks the qubit-pair rows of every check that needs a
 step into one call of it. That is exact because every step is row-independent:
-a row's bits do not depend on the rows beside it. The steps trust their
-inputs: ``validate`` checks each batch once before it enters them
-(``reference.ReferenceSpec`` for a single instance).
+a row's bits do not depend on the rows beside it. ``enhanced`` stacks its
+chi and chi^perp sectors the same way. The steps trust their inputs:
+``validate`` checks each batch once before it enters them and returns the
+overlaps <chi|Psi_k> that the steps take as ``ip`` (``reference.ReferenceSpec``
+checks a single instance).
 """
 from __future__ import annotations
 
@@ -35,9 +37,11 @@ CODE_LONGITUDINAL, CODE_ANTIPODAL = 1, 2
 
 # e^{2 pi i q / 4} for q = 0..3, exact.
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
-# Input-independent constants by n: read-only F_n, and the leave-one-out mask.
+# Input-independent constants: read-only F_n and the leave-one-out mask by n,
+# and the cascade's read-only gather index by (n, d).
 _FOURIER: dict[int, np.ndarray] = {}
 _EYE: dict[int, np.ndarray] = {}
+_CASCADE: dict[tuple[int, int], np.ndarray] = {}
 
 
 def norm_sq(amps: np.ndarray) -> np.ndarray:
@@ -60,10 +64,11 @@ def branch_survives(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq(amps)) >= BRANCH_NORM_FLOOR
 
 
-def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> None:
+def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> np.ndarray:
     """Check a whole batch at once, with the bounds of the scalar API; a zero
     overlap names the reference ``ref``. NaN fails every comparison, so a
-    non-finite entry fails its norm check."""
+    non-finite entry fails its norm check. Returns the overlaps it checked,
+    <ref|Psi_k>: (T, n)."""
     _, n, d = states.shape
     if n * d**n > MAX_PIPELINE_DIM:
         raise ArgumentError(
@@ -76,7 +81,8 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi"
     bad = ~(np.abs(total - 1.0) <= ATOL)
     if bad.any():
         raise ArgumentError(f"weights must have sum |a_k|^2 = 1, got {total[bad][0]}")
-    require_overlaps(np.abs(overlaps(states, chi)), ref)
+    require_overlaps(np.abs(ip := overlaps(states, chi)), ref)
+    return ip
 
 
 def _leave_one_out(x: np.ndarray) -> np.ndarray:
@@ -102,12 +108,17 @@ def encode(anc: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def cascade(amps: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Swap qudit 1 with qudit k+1 on the ancilla-|k> branch (k >= 1)."""
-    a = amps.reshape((len(amps), n) + (d,) * n)
-    out = np.empty_like(a)
-    for k in range(n):
-        out[:, k] = np.swapaxes(a[:, k], 1, k + 1)
-    return out.reshape(amps.shape)
+    """Swap qudit 1 with qudit k+1 on the ancilla-|k> branch (k >= 1): one
+    gather through an index built once per (n, d)."""
+    if (perm := _CASCADE.get((n, d))) is None:
+        a = np.arange(n * d**n).reshape((n,) + (d,) * n)
+        perm = _CASCADE[n, d] = np.concatenate(
+            [np.swapaxes(a[k], 0, k).reshape(-1) for k in range(n)]
+        )
+        perm.flags.writeable = False
+    # take, not amps[:, perm]: its result is C-contiguous, as the projection's
+    # matmul needs for the same bits.
+    return np.take(amps, perm, axis=1)
 
 
 def project(
@@ -116,7 +127,10 @@ def project(
     """Project qudits 2..n onto chi: the (T, n, d) block and chi^(n-1); the
     projected state is block (x) chi^(n-1), with the block's norm^2."""
     t = len(chi)
-    aux = encode(np.ones((t, 1)), chi[:, None, :].repeat(n - 1, axis=1))
+    # Repeated outer products of chi; n = 1 gives the empty product.
+    aux = chi if n > 1 else np.ones((t, 1))
+    for _ in range(n - 2):
+        aux = (aux[:, :, None] * chi[:, None, :]).reshape(t, aux.shape[1] * d)
     block = amps.reshape(t, n * d, d ** (n - 1)) @ aux.conj()[:, :, None]
     return block.reshape(t, n, d), aux
 
@@ -145,7 +159,9 @@ def fourier(n: int) -> np.ndarray:
 
 
 def fourier_rows(block: np.ndarray) -> np.ndarray:
-    """F_n (the Hadamard at n = 2) on the ancilla: row j is outcome |j>."""
+    """F_n (the Hadamard at n = 2) on the ancilla: row j is outcome |j>. One
+    product per trial: a single GEMM over all the trials' columns rounds the
+    rows j >= 1 differently from n = 3 on."""
     return fourier(block.shape[1]) @ block
 
 
@@ -166,18 +182,18 @@ def direct(weights: np.ndarray, states: np.ndarray, gammas: np.ndarray) -> np.nd
     return fourier_rows(phase_gate(encode_branches(weights, states), gammas))
 
 
-def reduced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.ndarray:
+def reduced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
     """Primed-weight cascade block (T, n, d) of the reduced and hybrid schemes:
     its norm^2 is the chi-projection probability, its ``fourier_rows`` the
-    outcome branches."""
-    anc = primed(weights, overlap_c(states, chi))
+    outcome branches. ``ip`` is <chi|Psi_k> when the caller already has it."""
+    anc = primed(weights, np.abs(overlaps(states, chi) if ip is None else ip) ** 2)
     return cascade_block(anc / np.sqrt(norm_sq(anc))[:, None], states, chi)
 
 
-def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.ndarray:
+def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
     """The prior scheme's branch (T, d): plain weights, cascade, chi, then the
-    ancilla onto mu = sum_k sqrt(c_k)|k> / sqrt(sum c)."""
-    c = overlap_c(states, chi)
+    ancilla onto mu = sum_k sqrt(c_k)|k> / sqrt(sum c); ``ip`` as in ``reduced``."""
+    c = np.abs(overlaps(states, chi) if ip is None else ip) ** 2
     mu = np.sqrt(c) / np.sqrt(np.sum(c, axis=1, keepdims=True))
     return (mu[:, None, :] @ cascade_block(weights, states, chi))[:, 0]
 
@@ -222,33 +238,33 @@ class Harvest(NamedTuple):
     p_total: np.ndarray
 
 
-def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray) -> Harvest:
+def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> Harvest:
     """Cascade, the sector-controlled rotation, and the dual harvest.
 
     The reference qubit's {chi, chi^perp} sector picks the ancilla rotation
     U_chi(c2, c1) or U_chi_perp(c2', c1'), so that U|0> = (|0>/sqrt(c2) +
     |1>/sqrt(c1))/N. The chi^perp outcome adds to P(1) when both sector
     states agree up to a phase: in the ancilla-|0> row for longitudinal
-    pairs, in the ancilla-|1> row for transverse antipodal pairs.
+    pairs, in the ancilla-|1> row for transverse antipodal pairs. Both sectors
+    run as one stack of rows, [chi; chi^perp]; ``ip`` as in ``reduced``.
     """
-    chip = chi_perp(chi)
-    ip, ipp = overlaps(states, chi), overlaps(states, chip)
+    t, chip = len(chi), chi_perp(chi)
+    ip, ipp = overlaps(states, chi) if ip is None else ip, overlaps(states, chip)
     magp = np.abs(ipp)
     require_overlaps(magp, "chi_perp")
-    c, cp = np.abs(ip) ** 2, magp**2
-    rows = u_chi(c[:, 1], c[:, 0]) @ cascade_block(weights, states, chi)
-    rows_perp = u_chi(cp[:, 1], cp[:, 0]) @ cascade_block(weights, states, chip)
-    w, p1 = rows[:, 0], norm_sq(rows[:, 0])
-
-    def agrees(v: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * norm_sq(v))
-        return branch_survives(v) & (fid >= 1.0 - GEOMETRY_TOL)
-
+    c = np.concatenate([np.abs(ip) ** 2, magp**2])
+    both = u_chi(c[:, 1], c[:, 0]) @ cascade_block(
+        *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
+    rows, rows_perp = both[:t], both[t:]
+    p1, nsq = norm_sq(rows[:, 0]), norm_sq(rows_perp)
+    # Whether each chi^perp row agrees with the chi outcome up to a phase: (T, 2).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
+    agrees = branch_survives(rows_perp) & (fid >= 1.0 - GEOMETRY_TOL)
     geom = geometry(ip, ipp)
-    antipodal = (geom == CODE_ANTIPODAL) & agrees(rows_perp[:, 1])
-    coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees(rows_perp[:, 0]))
-    p2 = norm_sq(np.where(antipodal[:, None], rows_perp[:, 1], rows_perp[:, 0]))
+    antipodal = (geom == CODE_ANTIPODAL) & agrees[:, 1]
+    coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees[:, 0])
+    p2 = np.where(antipodal, nsq[:, 1], nsq[:, 0])
     p_total = np.where(coherent, p1 + p2, p1)
     return Harvest(rows, rows_perp, geom, coherent, p1, p2, p_total)
 
@@ -268,9 +284,10 @@ def target(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) ->
     return weighted_sum(weights * _leave_one_out(ip / np.abs(ip)), states)
 
 
-def closed_form_fourier(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
-    """Eq. 8, prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n; P2 at n = 2."""
-    ip = overlaps(states, chi)
+def closed_form_fourier(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None):
+    """Eq. 8, prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n; P2 at n = 2.
+    ``ip`` as in ``target``."""
+    ip = overlaps(states, chi) if ip is None else ip
     c = np.abs(ip) ** 2
     weight_term = np.add.reduce(np.abs(weights) ** 2 * c, axis=1)
     nsq = norm_sq(target(weights, states, chi, ip))

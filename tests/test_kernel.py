@@ -313,3 +313,122 @@ def test_enhanced_accepts_what_the_spec_accepts():
     p3 = run_three_qubit(spec).success_prob
     assert p3 == pytest.approx(1.6788e-10, rel=1e-4)
     assert abs(run_enhanced(spec).p1 - p3) <= 1e-12
+
+
+# --- Fewer calls, same bits: each rewritten step against the form it replaced --
+
+# The hybrid shapes that verify draws, and the dense-pipeline cap's extremes.
+CAP_SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 45), (3, 11), (4, 5), (5, 3), (8, 2)]
+BATCH_SIZES = [0, 1, 2, 17]
+SAME_BITS = settings(max_examples=4, deadline=None)
+
+
+def cascade_by_swaps(amps, n, d):
+    a = amps.reshape((len(amps), n) + (d,) * n)
+    out = np.empty_like(a)
+    for k in range(n):
+        out[:, k] = np.swapaxes(a[:, k], 1, k + 1)
+    return out.reshape(amps.shape)
+
+
+def project_by_encode(amps, chi, n, d):
+    t = len(chi)
+    aux = kernel.encode(np.ones((t, 1)), chi[:, None, :].repeat(n - 1, axis=1))
+    block = amps.reshape(t, n * d, d ** (n - 1)) @ aux.conj()[:, :, None]
+    return block.reshape(t, n, d), aux
+
+
+def enhanced_per_sector(weights, states, chi):
+    """The harvest with one cascade and one rotation per sector."""
+
+    def block(ref):
+        amps = cascade_by_swaps(kernel.encode(weights, states), 2, 2)
+        return project_by_encode(amps, ref, 2, 2)[0]
+
+    chip = kernel.chi_perp(chi)
+    ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, chip)
+    c, cp = np.abs(ip) ** 2, np.abs(ipp) ** 2
+    rows = kernel.u_chi(c[:, 1], c[:, 0]) @ block(chi)
+    rows_perp = kernel.u_chi(cp[:, 1], cp[:, 0]) @ block(chip)
+    w, p1 = rows[:, 0], kernel.norm_sq(rows[:, 0])
+
+    def agrees(v):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * kernel.norm_sq(v))
+        return kernel.branch_survives(v) & (fid >= 1.0 - kernel.GEOMETRY_TOL)
+
+    geom = kernel.geometry(ip, ipp)
+    antipodal = (geom == kernel.CODE_ANTIPODAL) & agrees(rows_perp[:, 1])
+    coherent = antipodal | ((geom == kernel.CODE_LONGITUDINAL) & agrees(rows_perp[:, 0]))
+    p2 = kernel.norm_sq(np.where(antipodal[:, None], rows_perp[:, 1], rows_perp[:, 0]))
+    p_total = np.where(coherent, p1 + p2, p1)
+    return kernel.Harvest(rows, rows_perp, geom, coherent, p1, p2, p_total)
+
+
+def amplitudes(seed, t, n, d):
+    """Random (unnormalized) register amplitudes (T, n d^n) and a unit chi (T, d)."""
+    rng = np.random.default_rng(seed)
+    return unit(rng, (t, n * d**n)) * 3.0, unit(rng, (t, d))
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@pytest.mark.parametrize("shape", CAP_SHAPES)
+@SAME_BITS
+@given(seed=SEEDS)
+def test_cascade_and_projection_keep_their_bits(shape, t, seed):
+    n, d = shape
+    amps, chi = amplitudes(seed, t, n, d)
+    swapped, by_swaps = kernel.cascade(amps, n, d), cascade_by_swaps(amps, n, d)
+    assert np.array_equal(swapped, by_swaps)
+    # The projection's matmul rounds a strided register differently.
+    assert swapped.flags.c_contiguous
+    for got, want in zip(kernel.project(swapped, chi, n, d),
+                         project_by_encode(by_swaps, chi, n, d)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@pytest.mark.parametrize("d", [2, 3, 45])
+def test_projection_of_one_qudit_is_the_empty_product(t, d):
+    amps, chi = amplitudes(t, t, 1, d)
+    for got, want in zip(kernel.project(amps, chi, 1, d), project_by_encode(amps, chi, 1, d)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(kernel.project(amps, chi, 1, d)[1], np.ones((t, 1)))
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@pytest.mark.parametrize("shape", CAP_SHAPES)
+@SAME_BITS
+@given(seed=SEEDS)
+def test_fourier_rows_is_one_row_at_a_time(shape, t, seed):
+    """Each row of a batch is that row's own product, bit for bit. One GEMM
+    over the batch's columns fails this from n = 3 on."""
+    n, d = shape
+    block = unit(np.random.default_rng(seed), (t, n, d))
+    rows = kernel.fourier_rows(block)
+    assert rows.shape == (t, n, d)
+    for i in range(t):
+        assert np.array_equal(rows[i], kernel.fourier_rows(block[i : i + 1])[0])
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@PROPERTY
+@given(seed=SEEDS, kind=KINDS)
+def test_enhanced_keeps_every_field_of_the_per_sector_harvest(t, seed, kind):
+    weights, states, chi = pair_batch(seed, t, kind)
+    assume(has_perp_overlaps(states, chi))
+    want = enhanced_per_sector(weights, states, chi)
+    ip = kernel.overlaps(states, chi)
+    for got in (kernel.enhanced(weights, states, chi), kernel.enhanced(weights, states, chi, ip)):
+        for field, a, b in zip(kernel.Harvest._fields, got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@pytest.mark.parametrize("shape", CAP_SHAPES)
+@SAME_BITS
+@given(seed=SEEDS)
+def test_validate_returns_the_overlaps_it_checked(shape, t, seed):
+    n, d = shape
+    batch = draw(seed, t, n, d, floor=1e-3)
+    assert np.array_equal(kernel.validate(*batch), kernel.overlaps(*batch[1:]))
