@@ -18,9 +18,9 @@ import numpy as np
 
 from . import kernel, nmr
 from .datasets import TABLE1
-from .direct import SpecBatch, outcomes, run_direct_batch, spec_batch
+from .direct import SpecBatch, _clamp_fidelity, run_direct_batch, spec_batch
 from .errors import ArgumentError
-from .linalg import StateVector, bloch, fidelity_batch, pure_density_batch
+from .linalg import StateVector, bloch, fidelity_batch, pure_density_batch, unit_rows
 
 TIE_TOL = 1e-12
 
@@ -77,24 +77,29 @@ class Table1Row(NamedTuple):
 
 def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
     """Run the gate and/or pulse pipeline over all eleven datasets at once: one
-    validated spec batch through the kernel and one compiled pulse program."""
+    validated spec batch through the kernel and one compiled pulse program, and
+    one fidelity pass over the gate's final states and the pulse's (iv) blocks."""
     if mode not in ("gate", "pulse", "both"):
         raise ArgumentError(f"mode must be gate, pulse or both, got {mode!r}")
+    t = len(TABLE1)
     batch = spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
     rows, targets = run_direct_batch(batch)
-    _, goal, gate_fid = outcomes(rows[:, 0], targets)
-    success, gate_fid = kernel.norm_sq(rows[:, 0]), gate_fid.tolist()
-    pulse_fid = [None] * len(TABLE1)
+    success = kernel.norm_sq(rows[:, 0])
+    pure = pure_density_batch(unit_rows(np.concatenate([rows[:, 0], targets])))
+    states, goal = pure[:t], pure[t:]
     if mode != "gate":
         sys = nmr.SpinSystem()
         program = nmr.compile_sequence(batch, sys)
         blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, sys, "iv"))
-        pulse_fid = fidelity_batch(blocks, pure_density_batch(goal)).tolist()
-        if mode == "pulse":
-            gate_fid, success = [None] * len(TABLE1), norms
+        states, goal = np.concatenate([states, blocks]), np.concatenate([goal, goal])
+    fid = fidelity_batch(states, goal)
+    gate_fid = _clamp_fidelity(fid[:t]).tolist()
+    pulse_fid = [None] * t if mode == "gate" else fid[t:].tolist()
+    if mode == "pulse":
+        gate_fid, success = [None] * t, norms
     return [
-        Table1Row(ds.dataset_id, gate, pulse, float(p))
-        for ds, gate, pulse, p in zip(TABLE1, gate_fid, pulse_fid, success)
+        Table1Row(ds.dataset_id, gate, pulse, p)
+        for ds, gate, pulse, p in zip(TABLE1, gate_fid, pulse_fid, success.tolist())
     ]
 
 
@@ -109,7 +114,7 @@ def table1_csv(rows: Iterable[Table1Row]) -> str:
         values = (ds.psi1.theta, ds.psi1.phi, ds.psi2.theta, ds.psi2.phi, ds.weight_ratio,
                   ds.psi2.gamma, ds.reported_fidelity, r.sim_fidelity_gate, r.sim_fidelity_pulse,
                   r.success_prob)
-        cells = ["" if x is None else fmt9(x) for x in values]
+        cells = ["" if x is None else f"{x:.9g}" for x in values]
         lines.append(",".join([str(r.dataset_id), *cells]))
     return "\n".join(lines) + "\n"
 

@@ -77,15 +77,20 @@ class SuperpositionSpec:
         object.__setattr__(self, "batch", batch)
 
 
+def _clamp_fidelity(fid: np.ndarray) -> np.ndarray:
+    """Fidelities clamped into [0, 1]; one more than ATOL outside it raises."""
+    if not ((-ATOL <= fid) & (fid <= 1.0 + ATOL)).all():
+        raise ArgumentError("fidelity out of range")
+    return fid.clip(0.0, 1.0)
+
+
 def outcomes(branch: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     """Post-selected branches (T, d) and their targets, normalized, and the
     fidelities between them, clamped into [0, 1]. A vanished row, or a fidelity
     more than ATOL outside [0, 1], raises."""
     final, goal = unit_rows(branch), unit_rows(target)
     fid = fidelity_batch(pure_density_batch(final), pure_density_batch(goal))
-    if not np.all((-ATOL <= fid) & (fid <= 1.0 + ATOL)):
-        raise ArgumentError("fidelity out of range")
-    return final, goal, np.clip(fid, 0.0, 1.0)
+    return final, goal, _clamp_fidelity(fid)
 
 
 class ProtocolResult(NamedTuple):

@@ -26,6 +26,8 @@ ATOL = 1e-12
 PSD_FLOOR = -1e-10
 # |<chi|psi>| below this counts as a zero overlap.
 EPS_OVERLAP = 1e-9
+# Exclusive upper bounds of the Bloch angles (theta, phi, gamma): theta <= pi.
+_ANGLE_BOUND = np.array([math.nextafter(math.pi, math.inf), 2.0 * math.pi, 2.0 * math.pi])
 
 
 def zero_overlap(mag: np.ndarray) -> np.ndarray:
@@ -66,7 +68,7 @@ def require_number(value, what: str):
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr.view(float)).all():
         raise ArgumentError(f"{what} contains NaN or Inf")
 
 
@@ -120,7 +122,7 @@ def unit_rows(amps: np.ndarray) -> np.ndarray:
     """Rows (T, d) scaled to unit norm; a (numerically) zero row raises. The
     norms are summed as np.vdot sums them."""
     n = np.sqrt((amps.conj()[:, None, :] @ amps[:, :, None])[:, 0, 0].real)
-    if np.any(n < ATOL):
+    if (n < ATOL).any():
         raise DegenerateInputError("cannot normalize a (numerically) zero state")
     return amps / n[:, None]
 
@@ -135,12 +137,12 @@ def check_states(mats: np.ndarray) -> np.ndarray:
     (ATOL, 1 + ATOL]; return the traces. Positivity is left to the caller: the
     certificate of nmr.run_sequence, or the eigvalsh of a DensityMatrix build."""
     _check_finite(mats, "density matrix entries")
-    if np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)), initial=0.0) > ATOL:
+    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max(initial=0.0) > ATOL:
         raise ArgumentError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    if np.any(tr <= ATOL):
+    tr = mats.trace(axis1=-2, axis2=-1).real
+    if (tr <= ATOL).any():
         raise DegenerateInputError("density matrix has (numerically) zero trace")
-    if np.any(tr > 1.0 + ATOL):
+    if (tr > 1.0 + ATOL).any():
         raise ArgumentError(f"density matrix trace {tr[tr > 1.0 + ATOL][0]} exceeds 1")
     return tr
 
@@ -178,16 +180,14 @@ def density_json(dims: Sequence[int], mat: np.ndarray) -> dict:
 
 def check_angles(angles: np.ndarray) -> None:
     """Raise at the first Bloch triple (..., 3) = (theta, phi, gamma) outside
-    theta in [0, pi], phi and gamma in [0, 2pi); NaN lies outside every range."""
-    theta, phi, gamma = (angles[..., k] for k in range(3))
-    for name, x, inside in (
-        ("theta", theta, (0.0 <= theta) & (theta <= math.pi)),
-        ("phi", phi, (0.0 <= phi) & (phi < 2.0 * math.pi)),
-        ("gamma", gamma, (0.0 <= gamma) & (gamma < 2.0 * math.pi)),
-    ):
-        if not inside.all():
-            shown = "[0, pi]" if name == "theta" else "[0, 2pi)"
-            raise ArgumentError(f"{name} must lie in {shown}, got {float(x[~inside][0])}")
+    theta in [0, pi], phi and gamma in [0, 2pi); NaN lies outside every range.
+    theta is checked over every triple first, then phi, then gamma."""
+    inside = (0.0 <= angles) & (angles < _ANGLE_BOUND)
+    if not inside.all():
+        k = int(np.argmin(inside.reshape(-1, 3).all(axis=0)))
+        shown = "[0, pi]" if k == 0 else "[0, 2pi)"
+        bad = float(angles[..., k][~inside[..., k]][0])
+        raise ArgumentError(f"{('theta', 'phi', 'gamma')[k]} must lie in {shown}, got {bad}")
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,9 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 def fidelity_batch(rho_e: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
     """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2)) over (T, d, d) stacks."""
-    ee, tt, et = (np.trace(a @ b, axis1=1, axis2=2).real for a, b in
-                  ((rho_e, rho_e), (rho_t, rho_t), (rho_e, rho_t)))
+    # One stacked product, still one matrix product per row: each keeps its bits.
+    prod = np.concatenate([rho_e, rho_t, rho_e]) @ np.concatenate([rho_e, rho_t, rho_t])
+    ee, tt, et = prod.trace(axis1=1, axis2=2).real.reshape(3, len(rho_e))
     return et / np.sqrt(ee * tt)
 
 

@@ -20,15 +20,16 @@ phase.
 
 ``compile_sequence`` compiles a spec batch to one ``PulseProgram`` on the
 fixed 21-event template, with (T, E) arrays of flip angles, axis phases and
-delays. A block that a spec skips keeps its events with flip angle 0 and
-duration 0, both exact identities, and ``emitted`` marks the events each row
-really has. ``run_sequence`` propagates the program to one checkpoint: each
-spin's rotations between two delays multiply as 2 x 2 matrices, the unitaries
-between gradients into one U rho U^dagger. Each such U is certified unitary
-within ATOL, which proves every state positive without an eigvalsh (see
-``run_sequence``); a checkpoint after more runs than the proof covers is
-refused. ``check_states`` then checks the states' finiteness, Hermiticity and
-traces.
+delays: a copy of the read-only values no input sets, with each row's own
+values written over it. A block that a spec skips keeps its events with flip
+angle 0 and duration 0, both exact identities, and ``emitted`` marks the
+events each row really has. ``run_sequence`` propagates the program to one
+checkpoint: each spin's rotations between two delays multiply as 2 x 2
+matrices, the unitaries between gradients into one U rho U^dagger. Each such U
+is certified unitary within ATOL, which proves every state positive without an
+eigvalsh (see ``run_sequence``); a checkpoint after more runs than the proof
+covers is refused. ``check_states`` then checks the states' finiteness,
+Hermiticity and traces.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -193,7 +194,7 @@ def rotation_matrix(flip_angle, axis_phase) -> np.ndarray:
     """exp(-i flip_angle (cos(axis) sigma_x + sin(axis) sigma_y) / 2), elementwise."""
     c, s = np.cos(flip_angle / 2.0), -1j * np.sin(flip_angle / 2.0)
     tilt = np.cos(axis_phase) + 1j * np.sin(axis_phase)
-    r = np.empty(np.broadcast_shapes(np.shape(s), np.shape(tilt)) + (2, 2), complex)
+    r = np.empty(np.broadcast(s, tilt).shape + (2, 2), complex)
     r[..., 0, 0] = r[..., 1, 1] = c
     r[..., 0, 1], r[..., 1, 0] = s * tilt.conj(), s * tilt
     return r
@@ -244,25 +245,26 @@ _ENDS = list(accumulate(len(block) for block in _BLOCKS))
 _CUTS = {label: _ENDS[last] for label, last in zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6))}
 
 
-def _controlled_rotation(theta, axis, conj_axis, tau) -> list[tuple]:
-    """(flip angle, axis phase, duration) of each event that rotates the system
-    qubit by theta iff the ancilla is in the control state.
-
-    Half-angle pulse, 1/(2J) delay, conjugate-axis half-angle (axes pi/2
-    apart as in the sequence diagram), then a spin-echo refocusing block that
-    cancels the leftover conditional z-rotation.
-    """
-    echo, delay, half = (math.pi, 0.0, 0.0), (0.0, 0.0, tau), theta / 2
-    pulses = [(half, axis % _TWO_PI, 0.0), (half, conj_axis % _TWO_PI, 0.0)]
-    return [pulses[0], delay, pulses[1], echo, delay, echo]
-
-
-def _composite_z(angle) -> list[tuple]:
-    """R_z(angle), angle in [-pi, pi], as the x-y-x composite
-    R_x(pi/2) R_y(angle) R_x(-pi/2)."""
-    y_axis = np.where(angle > 0, math.pi / 2, 3 * math.pi / 2)
-    quarter = math.pi / 2
-    return [(quarter, math.pi, 0.0), (np.abs(angle), y_axis, 0.0), (quarter, 0.0, 0.0)]
+# The (flip angle, axis phase, duration) rows (3, E) of every event where no
+# input sets them, read only: the echoes' pi pulses, the composites' quarter
+# turns, the pseudo-Hadamard and the compensating R_z(pi) (R_y(pi) about pi/2).
+# compile_sequence writes the rest of each row's program over its copy: 2 delta,
+# the half-angle pulses, the tau delays, R_y(|z|) and their axes.
+_ZERO, _ECHO = (0.0, 0.0, 0.0), (math.pi, 0.0, 0.0)
+_QUARTER_IN, _QUARTER_OUT = (math.pi / 2, math.pi, 0.0), (math.pi / 2, 0.0, 0.0)
+_TEMPLATE = np.array([
+    _ZERO, *(_ZERO, _ZERO, _ZERO, _ECHO, _ZERO, _ECHO) * 2, _QUARTER_IN, _ZERO, _QUARTER_OUT,
+    (math.pi / 2, 3 * math.pi / 2, 0.0), _QUARTER_IN, (math.pi, math.pi / 2, 0.0), _QUARTER_OUT,
+    _ZERO,
+]).T
+_TEMPLATE.flags.writeable = False
+# The encoding's half-angle pulses (psi1's two, then psi2's), its tau delays,
+# and the z-composite's R_y(|z|).
+_HALVES = np.flatnonzero([event == _RF_X for event in _EVENTS])
+_TAUS = np.flatnonzero([event == _DELAY for event in _EVENTS])
+_R_Y = _ENDS[2] + 1
+# Each event's column of the block tests: blocks 4-6 share the last, always met.
+_BLOCK_TEST = np.minimum(_BLOCK_OF, 4)
 
 
 def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
@@ -273,6 +275,12 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     pulse program always prepares (cos d)|0> + e^{i(g2-g1)}(sin d)|1> on
     the ancilla and corrects the relative phase in the superposition
     block, exactly as the gate-level pipeline does.
+
+    Each encoding rotates the system qubit by theta iff the ancilla is in its
+    control state: half-angle pulse, 1/(2J) delay, half-angle pulse about an
+    axis pi/2 away (as in the sequence diagram), then a spin-echo block that
+    cancels the leftover conditional z-rotation. R_z(z), z in [-pi, pi], is the
+    x-y-x composite R_x(pi/2) R_y(z) R_x(-pi/2).
     """
     theta, phi, gamma = batch.angles.transpose(2, 0, 1)
     mag = np.abs(batch.weights)
@@ -289,27 +297,22 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     # z lies in (-2 pi, 2 pi), so its remainder mod 2 pi takes one exact subtraction.
     z = gamma[:, 0] - gamma[:, 1]
     z = np.where(np.abs(z) > math.pi, z - np.copysign(_TWO_PI, z), z)
-    axis = phi + math.pi / 2
-    # psi1 is rotated on ancilla |0>, psi2 on ancilla |1>.
-    conj_axis = axis + [math.pi / 2, -math.pi / 2]
+    # psi1 is rotated on ancilla |0>, psi2 on ancilla |1>: the second pulse's
+    # axis lies pi/2 past the first's for psi1, pi/2 short of it for psi2.
+    axes = (phi + math.pi / 2)[:, :, None] + [[0.0, math.pi / 2], [0.0, -math.pi / 2]]
 
+    flip, axis_phase, duration = _TEMPLATE[:, None].repeat(len(delta), axis=1)
     # Initial block: 2 delta rotation, axis offset by the relative phase.
-    columns = [(2 * delta, (math.pi / 2 + rel) % _TWO_PI, 0.0)]
-    # Encoding block: one controlled rotation per input state.
-    for k in range(2):
-        columns += _controlled_rotation(theta[:, k], axis[:, k], conj_axis[:, k], tau)
-    # Superposition block: phase correction, pseudo-Hadamard, compensation.
-    columns += _composite_z(z)
-    columns += [(math.pi / 2, 3 * math.pi / 2, 0.0)]
-    columns += _composite_z(math.remainder(math.pi, _TWO_PI))
-    # Readout gradient for the normalization measurement.
-    columns += [(0.0, 0.0, 0.0)]
-    flip, axis_phase, duration = np.empty((3, len(delta), len(_EVENTS)))
-    for e, (f, p, d) in enumerate(columns):
-        flip[:, e], axis_phase[:, e], duration[:, e] = f, p, d
+    flip[:, 0], axis_phase[:, 0] = 2 * delta, (math.pi / 2 + rel) % _TWO_PI
+    flip[:, _HALVES] = (theta / 2).repeat(2, axis=1)
+    axis_phase[:, _HALVES] = (axes % _TWO_PI).reshape(-1, 4)
+    duration[:, _TAUS] = tau
+    flip[:, _R_Y], axis_phase[:, _R_Y] = np.abs(z), np.where(z > 0, math.pi / 2, 3 * math.pi / 2)
 
-    tests = np.abs(np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)) >= _ANGLE_TOL
-    emitted = np.concatenate([tests, np.ones((len(tests), 3), bool)], axis=1)[:, _BLOCK_OF]
+    # The block tests (2 delta, theta1, theta2, z nonzero), and inf for blocks 4-6.
+    tests = np.full((len(delta), 5), math.inf)
+    tests[:, 0], tests[:, 1:3], tests[:, 3] = delta, theta, z
+    emitted = (np.abs(tests) >= _ANGLE_TOL)[:, _BLOCK_TEST]
     # R(0, phi) is exactly 1, and so are a zero delay's phases.
     skipped = ~emitted
     flip[skipped] = duration[skipped] = 0.0
@@ -320,7 +323,7 @@ def initial_state(epsilon: float = 1.0) -> np.ndarray:
     """Pseudo-pure |00><00| blended with identity: (1-eps) I/4 + eps |00><00|, (4, 4)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ArgumentError(f"purity epsilon must lie in [0, 1], got {epsilon}")
-    mat = (1.0 - epsilon) * np.eye(4, dtype=complex) / 4.0
+    mat = (1.0 - epsilon) * EYE4 / 4.0
     mat[0, 0] += epsilon
     return mat
 
@@ -338,7 +341,7 @@ def _propagators(program: PulseProgram, sys: SpinSystem, cut: int) -> list[np.nd
     angles = program.flip_angle[:, rf], program.axis_phase[:, rf]
     rotations = iter(rotation_matrix(*angles).swapaxes(0, 1))
     durations = program.duration[:, delays]
-    longest = float(np.max(np.abs(durations), initial=0.0))
+    longest = float(np.abs(durations).max(initial=0.0))
     # A J t past the float range would warn and turn every phase to NaN.
     if not math.isfinite(longest * sys.j_coupling):
         raise ArgumentError(f"a delay of {longest!r} s overflows J t at J = {sys.j_hz:g} Hz")
@@ -400,7 +403,7 @@ def run_sequence(
         if k:  # the gradient between two runs
             mat = np.where(_COHERENCE_MASK, mat, 0.0)
         u_dag = u.conj().swapaxes(-1, -2)
-        residual = np.max(np.abs(u_dag @ u - EYE4))
+        residual = np.abs(u_dag @ u - EYE4).max()
         if residual > ATOL:
             raise ArgumentError(
                 f"a pulse propagator is not unitary: max |U^dagger U - I| = {residual:.3g}"
@@ -414,7 +417,7 @@ def partial_tomography(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized {|00>, |01>} blocks of states (T, 4, 4), and their traces: the
     success probabilities."""
     block = mats[:, :2, :2]
-    norm = np.trace(block, axis1=1, axis2=2).real
-    if np.any(norm < 1e-12):
+    norm = block.trace(axis1=1, axis2=2).real
+    if (norm < 1e-12).any():
         raise DegenerateInputError("the ancilla-|0> block has vanishing population")
     return block / norm[:, None, None], norm

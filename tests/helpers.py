@@ -18,6 +18,14 @@ def phase_equivalent(u: StateVector, v: StateVector, tol: float = 1e-9) -> bool:
     return abs(np.vdot(u.amps, v.amps)) / (nu * nv) >= 1.0 - tol
 
 
+def three_products(rho_e, rho_t):
+    """fidelity_batch as three separate stacked products, its form before the
+    one stacked product, kept as its reference."""
+    ee, tt, et = (np.trace(a @ b, axis1=1, axis2=2).real for a, b in
+                  ((rho_e, rho_e), (rho_t, rho_t), (rho_e, rho_t)))
+    return et / np.sqrt(ee * tt)
+
+
 def runs_sequence(runs: int) -> dict:
     """Sequence JSON of ``runs`` gradient-separated runs: (iv) is cut before
     the last run, (v) after it."""

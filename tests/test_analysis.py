@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsuperpose import analysis, direct, kernel
+from qsuperpose import analysis, direct, kernel, nmr
 from qsuperpose.analysis import (
     REGIME_THREE_QUBIT,
     REGIME_TIE,
@@ -33,6 +33,8 @@ from qsuperpose.linalg import (
     bloch,
     make_qubit,
     overlap_decompose,
+    pure_density_batch,
+    unit_rows,
 )
 from qsuperpose.reference import (
     ReferenceSpec,
@@ -42,7 +44,7 @@ from qsuperpose.reference import (
     run_two_qubit_reduced,
 )
 
-from helpers import phase_equivalent
+from helpers import phase_equivalent, three_products
 
 GOLDEN_TABLE1 = Path(__file__).resolve().parents[1] / "bench" / "golden_table1.csv"
 
@@ -184,6 +186,31 @@ def test_array_sweep_equals_the_per_point_loop(r_c_values, b_sq_values):
     assert list(zip(*columns)) == sweep_per_point(r_c_values, b_sq_values)
 
 
+def table1_by_separate_passes(mode):
+    """reproduce_table1 as it was before its one fidelity pass, kept as its
+    reference: the gate outcomes (branches and targets normalized apart, the
+    fidelity range-checked and clipped), then a second fidelity pass for the
+    pulse blocks; each fidelity as three separate stacked products."""
+    batch = direct.spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
+    rows, targets = direct.run_direct_batch(batch)
+    final, goal = unit_rows(rows[:, 0]), unit_rows(targets)
+    gate_fid = three_products(pure_density_batch(final), pure_density_batch(goal))
+    assert np.all((-ATOL <= gate_fid) & (gate_fid <= 1.0 + ATOL))
+    success, gate_fid = kernel.norm_sq(rows[:, 0]), np.clip(gate_fid, 0.0, 1.0).tolist()
+    pulse_fid = [None] * len(TABLE1)
+    if mode != "gate":
+        sys = nmr.SpinSystem()
+        program = nmr.compile_sequence(batch, sys)
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, sys, "iv"))
+        pulse_fid = three_products(blocks, pure_density_batch(goal)).tolist()
+        if mode == "pulse":
+            gate_fid, success = [None] * len(TABLE1), norms
+    return [
+        analysis.Table1Row(ds.dataset_id, gate, pulse, float(p))
+        for ds, gate, pulse, p in zip(TABLE1, gate_fid, pulse_fid, success)
+    ]
+
+
 class TestReproduceTable1:
     def test_gate_mode(self):
         rows = reproduce_table1("gate")
@@ -227,6 +254,30 @@ class TestReproduceTable1:
                 fields[blank] = ""
             expected.append(",".join(fields))
         assert table1_csv(reproduce_table1(mode)) == "".join(expected)
+
+    @pytest.mark.parametrize("mode", ["gate", "pulse", "both"])
+    def test_same_values_as_separate_passes(self, mode):
+        # One unit_rows and one fidelity_batch pass give every field of the
+        # separate gate and pulse passes.
+        rows = reproduce_table1(mode)
+        assert [type(row.success_prob) for row in rows] == [float] * len(TABLE1)
+        assert rows == table1_by_separate_passes(mode)
+
+    def test_gate_fidelities_keep_the_outcomes_rule(self, monkeypatch):
+        # Within ATOL past 1 the gate fidelity is clipped and the pulse one is
+        # not; further out the gate half raises in every mode, as outcomes does.
+        def shifted(shift):
+            return lambda a, b: fidelity_batch(a, b) + shift
+
+        fidelity_batch = analysis.fidelity_batch
+        monkeypatch.setattr(analysis, "fidelity_batch", shifted(ATOL / 2))
+        rows = reproduce_table1("both")
+        assert [row.sim_fidelity_gate for row in rows] == [1.0] * len(TABLE1)
+        assert min(row.sim_fidelity_pulse for row in rows) > 1.0
+        monkeypatch.setattr(analysis, "fidelity_batch", shifted(2 * ATOL))
+        for mode in ("gate", "pulse", "both"):
+            with pytest.raises(ArgumentError, match="^fidelity out of range$"):
+                reproduce_table1(mode)
 
     def test_batched_gate_rows_match_run_direct(self):
         for row, ds in zip(reproduce_table1("gate"), TABLE1):

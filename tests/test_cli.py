@@ -19,6 +19,10 @@ from helpers import runs_sequence
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
 # pipelines took a ReferenceSpec.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+# SHA-256 of `pulse --dataset k --checkpoint c --epsilon e` stdout, keyed "k c e",
+# for datasets 1-11, checkpoints (i)-(v) and epsilon 1 and 0.3; recorded before
+# compile_sequence took its read-only template.
+PULSE_DIGESTS = json.loads((Path(__file__).parent / "golden_pulse.json").read_text())
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 HALF = f"{INV_SQRT2:.17g}"
 
@@ -841,6 +845,20 @@ def test_pinned_stdout(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_pulse_stdout_digests(capsys, k):
+    digests = {}
+    for c in nmr.CHECKPOINT_LABELS:
+        for e in ("1", "0.3"):
+            code, out, err = run_cli(
+                capsys, "pulse", "--dataset", str(k), "--checkpoint", c, "--epsilon", e
+            )
+            assert code == 0 and err == ""
+            digests[f"{k} {c} {e}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert len(PULSE_DIGESTS) == 110
+    assert digests == {key: v for key, v in PULSE_DIGESTS.items() if key.split()[0] == str(k)}
 
 
 class TestParsing:

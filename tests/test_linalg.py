@@ -19,8 +19,10 @@ from qsuperpose.linalg import (
     QubitParams,
     StateVector,
     basis_state,
+    check_angles,
     check_states,
     fidelity,
+    fidelity_batch,
     make_qubit,
     overlap_decompose,
     partial_trace,
@@ -29,7 +31,7 @@ from qsuperpose.linalg import (
     unit_state,
 )
 
-from helpers import phase_equivalent
+from helpers import phase_equivalent, three_products
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -184,6 +186,33 @@ class TestFidelity:
         with pytest.raises(ArgumentError):
             fidelity(random_density(rng, (2,)), random_density(rng, (2, 2)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 17]), st.sampled_from([2, 4]), st.integers(0, 2**32 - 1))
+    def test_batch_same_bits_as_three_products(self, t, d, seed):
+        rng = np.random.default_rng(seed)
+        rho_e, rho_t = psd_stack(rng, t, d), psd_stack(rng, t, d)
+        got, want = fidelity_batch(rho_e, rho_t), three_products(rho_e, rho_t)
+        assert got.shape == (t,) and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(2,), (2, 2)]), st.integers(0, 2**32 - 1))
+    def test_scalar_same_bits_as_three_products(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_density(rng, dims), random_density(rng, dims)
+        assert fidelity(a, b) == float(three_products(a.mat[None], b.mat[None])[0])
+
+
+def psd_stack(rng, t, d):
+    """t random unit-trace PSD matrices (t, d, d), each of a random rank."""
+    mats = np.empty((t, d, d), complex)
+    for k in range(t):
+        a = rng.normal(size=(d, rng.integers(1, d + 1))) * (1 + 0j)
+        a += 1j * rng.normal(size=a.shape)
+        mats[k] = a @ a.conj().T
+        mats[k] /= np.trace(mats[k]).real
+    return mats
+
 
 def random_pure_amps(rng, d):
     amps = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -290,6 +319,82 @@ def spoil(mat, fault):
     if fault == "zero":
         return mat * 0.0
     return np.where(np.eye(len(mat)) == 1, np.nan, mat)
+
+
+def per_component_check(angles):
+    """check_angles as one scan per component, its form before the one range
+    comparison, kept as its reference."""
+    theta, phi, gamma = (angles[..., k] for k in range(3))
+    for name, x, inside in (
+        ("theta", theta, (0.0 <= theta) & (theta <= math.pi)),
+        ("phi", phi, (0.0 <= phi) & (phi < 2.0 * math.pi)),
+        ("gamma", gamma, (0.0 <= gamma) & (gamma < 2.0 * math.pi)),
+    ):
+        if not inside.all():
+            shown = "[0, pi]" if name == "theta" else "[0, 2pi)"
+            raise ArgumentError(f"{name} must lie in {shown}, got {float(x[~inside][0])}")
+
+
+ABOVE_PI = math.nextafter(math.pi, 4.0)
+ANGLE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, math.pi, ABOVE_PI, 2 * math.pi, math.nextafter(2 * math.pi, 0.0),
+     -1e-300, -1.0, 7.0, math.nan, math.inf, -math.inf]
+)
+
+
+class TestCheckAngles:
+    GOOD = np.array([[[1.0, 2.0, 3.0], [0.5, 0.0, 6.0]]] * 3)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    @pytest.mark.parametrize("k,value,message", [
+        (0, -0.5, "theta must lie in [0, pi], got -0.5"),
+        (0, ABOVE_PI, f"theta must lie in [0, pi], got {ABOVE_PI}"),
+        (0, math.nan, "theta must lie in [0, pi], got nan"),
+        (1, 2 * math.pi, f"phi must lie in [0, 2pi), got {2 * math.pi}"),
+        (1, -1e-300, "phi must lie in [0, 2pi), got -1e-300"),
+        (1, math.nan, "phi must lie in [0, 2pi), got nan"),
+        (2, 2 * math.pi, f"gamma must lie in [0, 2pi), got {2 * math.pi}"),
+        (2, -2.0, "gamma must lie in [0, 2pi), got -2.0"),
+        (2, math.nan, "gamma must lie in [0, 2pi), got nan"),
+    ])
+    def test_each_bad_position(self, row, k, value, message):
+        for qubit in (0, 1):
+            angles = self.GOOD.copy()
+            angles[row, qubit, k] = value
+            with pytest.raises(ArgumentError) as caught:
+                check_angles(angles)
+            assert str(caught.value) == message
+            with pytest.raises(ArgumentError, match=re.escape(message)):
+                per_component_check(angles)
+
+    def test_theta_anywhere_before_phi_and_gamma(self):
+        angles = self.GOOD.copy()
+        angles[0, 0, 1], angles[0, 0, 2], angles[-1, -1, 0] = -1.0, -2.0, 4.0
+        with pytest.raises(ArgumentError, match=r"^theta must lie in \[0, pi\], got 4.0$"):
+            check_angles(angles)
+        angles[-1, -1, 0] = 1.0
+        with pytest.raises(ArgumentError, match=r"^phi must lie in \[0, 2pi\), got -1.0$"):
+            check_angles(angles)
+
+    def test_edges_accepted(self):
+        check_angles(np.array([[0.0, -0.0, math.nextafter(2 * math.pi, 0.0)], [math.pi, 0, 0]]))
+        check_angles(np.empty((0, 2, 3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda t: st.lists(ANGLE_VALUES, min_size=6 * t, max_size=6 * t)
+    ))
+    def test_same_message_as_per_component_scan(self, values):
+        angles = np.array(values).reshape(-1, 2, 3)
+        for arr in (angles, angles[0, 0]):
+            try:
+                per_component_check(arr)
+            except ArgumentError as exc:
+                with pytest.raises(ArgumentError) as caught:
+                    check_angles(arr)
+                assert str(caught.value) == str(exc)
+            else:
+                check_angles(arr)
 
 
 class TestBatchCheck:

@@ -566,6 +566,112 @@ class TestArrayCompiler:
         assert_round_trips(compile_sequence(spec_batch(*rows), sys))
 
 
+def column_fill(batch, sys):
+    """The per-call column fill that compile_sequence used before its read-only
+    template, kept as its reference: every event's (flip angle, axis phase,
+    duration) column built and written in every call. Returns the program's
+    emitted mask and its three (T, E) arrays."""
+    two_pi = 2.0 * math.pi
+    theta, phi, gamma = batch.angles.transpose(2, 0, 1)
+    mag = np.abs(batch.weights)
+    delta = np.arctan2(mag[:, 1], mag[:, 0])
+    g = gamma + np.where(mag > 0, np.angle(batch.weights), 0.0)
+    rel = g[:, 1] - g[:, 0]
+    tau = 1.0 / (2.0 * sys.j_hz)
+    z = gamma[:, 0] - gamma[:, 1]
+    z = np.where(np.abs(z) > math.pi, z - np.copysign(two_pi, z), z)
+    axis = phi + math.pi / 2
+    conj_axis = axis + [math.pi / 2, -math.pi / 2]
+
+    def controlled_rotation(theta, axis, conj_axis):
+        echo, delay, half = (math.pi, 0.0, 0.0), (0.0, 0.0, tau), theta / 2
+        pulses = [(half, axis % two_pi, 0.0), (half, conj_axis % two_pi, 0.0)]
+        return [pulses[0], delay, pulses[1], echo, delay, echo]
+
+    def composite_z(angle):
+        y_axis = np.where(angle > 0, math.pi / 2, 3 * math.pi / 2)
+        quarter = math.pi / 2
+        return [(quarter, math.pi, 0.0), (np.abs(angle), y_axis, 0.0), (quarter, 0.0, 0.0)]
+
+    columns = [(2 * delta, (math.pi / 2 + rel) % two_pi, 0.0)]
+    for k in range(2):
+        columns += controlled_rotation(theta[:, k], axis[:, k], conj_axis[:, k])
+    columns += composite_z(z)
+    columns += [(math.pi / 2, 3 * math.pi / 2, 0.0)]
+    columns += composite_z(math.remainder(math.pi, two_pi))
+    columns += [(0.0, 0.0, 0.0)]
+    flip, axis_phase, duration = np.empty((3, len(delta), len(nmr._EVENTS)))
+    for e, (f, p, d) in enumerate(columns):
+        flip[:, e], axis_phase[:, e], duration[:, e] = f, p, d
+    tests = np.abs(np.stack([delta, theta[:, 0], theta[:, 1], z], axis=1)) >= 1e-12
+    emitted = np.concatenate([tests, np.ones((len(tests), 3), bool)], axis=1)[:, nmr._BLOCK_OF]
+    skipped = ~emitted
+    flip[skipped] = duration[skipped] = 0.0
+    return emitted, flip, axis_phase, duration
+
+
+@st.composite
+def gamma_pairs(draw):
+    """(gamma1, gamma2): equal (no z-composite), any, or |gamma1 - gamma2| within
+    an ulp of pi, where the remainder's sign and the R_y axis turn over."""
+    kind = draw(st.sampled_from(["equal", "any", "near_pi"]))
+    if kind != "near_pi":
+        gamma1 = draw(PHASES)
+        return gamma1, gamma1 if kind == "equal" else draw(PHASES)
+    low = draw(st.floats(0.0, math.pi - 1e-6))
+    high = low + math.pi
+    high = draw(st.sampled_from([math.nextafter(high, 0.0), high, math.nextafter(high, 7.0)]))
+    return (low, high) if draw(st.booleans()) else (high, low)
+
+
+@st.composite
+def compile_rows(draw):
+    """Weights (T, 2) and Bloch angles (T, 2, 3) with skipped blocks (delta = 0,
+    theta_k = 0, z = 0) and |z| near pi."""
+    weights, angles = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        delta = draw(st.one_of(st.just(0.0), st.floats(0.05, math.pi / 2)))
+        a, b = math.cos(delta), math.sin(delta)
+        weights.append((a * cmath.exp(1j * draw(PHASES)), b * cmath.exp(1j * draw(PHASES))))
+        gamma1, gamma2 = draw(gamma_pairs())
+        angles.append([(draw(THETAS), draw(PHASES), gamma1), (draw(THETAS), draw(PHASES), gamma2)])
+    return weights, angles
+
+
+class TestTemplateCompiler:
+    """compile_sequence writes only the row-dependent columns over a read-only
+    template; every field keeps the bits of the per-call column fill."""
+
+    def assert_same_bits(self, batch, sys):
+        program = compile_sequence(batch, sys)
+        assert program.events == nmr._EVENTS and program.cuts == nmr._CUTS
+        for key, want in zip(ARRAY_FIELDS, column_fill(batch, sys)):
+            got = getattr(program, key)
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
+            assert np.array_equal(np.signbit(got), np.signbit(want)), key
+
+    def test_table1_same_bits(self):
+        self.assert_same_bits(table1_batch(), SYS)
+
+    def test_all_block_codes_same_bits(self):
+        self.assert_same_bits(spec_batch(*all_block_codes()), SYS)
+
+    @settings(max_examples=150, deadline=None)
+    @given(compile_rows(), SPIN_SYSTEMS)
+    def test_batch_same_bits(self, rows, sys):
+        self.assert_same_bits(spec_batch(*rows), sys)
+
+    def test_template_is_read_only(self):
+        assert nmr._TEMPLATE.shape == (3, len(nmr._EVENTS))
+        assert not nmr._TEMPLATE.flags.writeable
+        with pytest.raises(ValueError):
+            nmr._TEMPLATE[0, 0] = 1.0
+        # A compiled program's arrays are its own, not the template.
+        program = compile_sequence(table1_batch(), SYS)
+        program.flip_angle[:] = 7.0
+        assert not np.any(nmr._TEMPLATE == 7.0)
+
+
 class TestRunSequence:
     @pytest.mark.parametrize("dataset_id", [1, 4, 6, 9])
     def test_checkpoint_ii_matches_encoded_state(self, dataset_id):
