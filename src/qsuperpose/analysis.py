@@ -20,7 +20,8 @@ from . import kernel, nmr
 from .datasets import TABLE1
 from .direct import SpecBatch, _clamp_fidelity, run_direct_batch, spec_batch
 from .errors import ArgumentError
-from .linalg import StateVector, bloch, fidelity_batch, pure_density_batch, unit_rows
+from .linalg import (StateVector, bloch, fidelity_batch, pure_density_batch, require_overlaps,
+                     unit_rows)
 
 TIE_TOL = 1e-12
 
@@ -209,7 +210,7 @@ def _eq8_deviation(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip:
     """Fourier post-selection probability, and its deviation from the closed form,
     Eq. 8; ``ip`` is <chi|Psi_k>."""
     sim = kernel.norm_sq(kernel.fourier_rows(kernel.reduced(weights, states, chi, ip))[:, 0])
-    return sim, sim - kernel.closed_form_fourier(weights, states, chi, ip)
+    return sim, sim - kernel.closed_form_fourier(weights, states, ip)
 
 
 def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyReport):
@@ -236,7 +237,8 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     phi = np.repeat(2 * math.pi * u[9 * t :, None], 2, 1)
     phi[t:, 1] += math.pi
     coords = bloch(2 * (_POLAR_LOW + _POLAR_SPAN * polar), phi, 0.0)[..., None]
-    pairs = coords[:, :, 0] * chi_la[:, None] + coords[:, :, 1] * kernel.chi_perp(chi_la)[:, None]
+    perp = kernel.chi_perp(np.concatenate([chi, chi_la]))
+    pairs = coords[:, :, 0] * chi_la[:, None] + coords[:, :, 1] * perp[t:, None]
     # The overlap floor: each floored state against its chi, conjugated.
     conj = (np.repeat(np.concatenate([chis, chi]).conj(), np.repeat([2, 3, 2], [t + r0, r1, t]), 0),
             np.repeat(chis3.conj(), np.repeat([2, 3], [r2, r3]), 0))
@@ -250,11 +252,14 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     # Direct protocol: operational probability vs the weighted-sum norm.
     batch = SpecBatch(w, bloch(*angles.transpose(2, 0, 1)), angles)
     direct = (w, batch.states, np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
-    # Reference protocols; the enhanced protocol on the trials whose states
-    # also overlap chi^perp comfortably, then geometry-specific totals.
+    # Reference protocols; the enhanced protocol on the trials whose states also
+    # overlap chi^perp comfortably, then geometry-specific totals. <chi^perp|Psi_k>
+    # is formed once over pair | lon | anti, and checked on the harvested rows.
     ref, pair = (w, ref_states.reshape(t, 2, 2), chi), pair.reshape(t, 2, 2)
-    ok = (np.abs(kernel.overlaps(pair, kernel.chi_perp(chi))) >= OVERLAP_FLOOR).all(1)
+    ipp = kernel.overlaps(np.concatenate([pair, pairs]), perp)
+    ok = (np.abs(ipp[:t]) >= OVERLAP_FLOOR).all(1)
     enh, ran, m = (w[ok], pair[ok], chi[ok]), trials[ok], int(ok.sum())
+    require_overlaps(np.abs(ipp := np.concatenate([ipp[:t][ok], ipp[t:]])), "chi_perp")
     lon, anti = (w_la[:t], pairs[:t], chi_la[:t]), (w_la[t:], pairs[t:], chi_la[t:])
 
     # One kernel pass per step over the qubit-pair rows, stacked once as
@@ -269,11 +274,11 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     p2_sim, eq8 = _eq8_deviation(W[t:e], S[t:e], C[t:e], ip[t:e])
     *eq8_dev, p2_dev = _cut(eq8, r - t, t)
     eq8_dev += [_eq8_deviation(*group, kernel.validate(*group))[1] for group in hybrid[1:]]
-    res = kernel.enhanced(W[e:], S[e:], C[e:], ip[e:])
+    res = kernel.enhanced(W[e:], S[e:], C[e:], ip[e:], ipp)
     p1, p2, g = res.p1[:m], res.p2[:m], res.geometry[:m] != kernel.CODE_ANTIPODAL
     _, lon_total, anti_total = _cut(res.p_total, m, t, t)
     rows = (np.concatenate([X[r:a], X[e:a]]) for X in (W, S))
-    mu = kernel.closed_form_mu(*rows, np.concatenate([C[r:a], kernel.chi_perp(C[e:a])]))
+    mu = kernel.closed_form_mu(*rows, np.concatenate([ip[r:a], ipp[: a - e]]))
     p3_mu, p1_mu, lon_mu, p2_mu, lon_perp_mu = _cut(mu, t, m, t, m, t)
 
     branches, targets = run_direct_batch(batch)
@@ -281,7 +286,7 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     p3 = kernel.norm_sq(kernel.three_qubit(*ref, ip[r:e]))
     c = np.abs(ip[r:e]) ** 2
     ratio = p2_sim[r - t :] / p3 / success_ratio(c[:, 1] / c[:, 0], np.abs(w[:, 1]) ** 2)
-    anti_closed = kernel.norm_sq(kernel.target(*anti, ip[a:])) / 2.0
+    anti_closed = kernel.norm_sq(kernel.target(*anti[:2], ip[a:])) / 2.0
     report.record_all([
         ("direct_success", trials, sim - closed, _spec(*direct, angles=angles)),
         ("p2_reduced", trials, p2_dev, _spec(*ref)),

@@ -77,22 +77,22 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
 def closed_form_p2(spec: ReferenceSpec) -> float:
     """P(2) as harvested: P3's expression in the chi^perp sector, but ||target||^2 / 2
     - P3 for transverse antipodal pairs (the ancilla-|1> row). P(1): closed_form_p3."""
-    weights, states, chi = pair_batch(spec)
+    weights, states, chi, ip = pair_batch(spec)
     if spec.d != 2:
         raise ArgumentError("chi must be a single qubit state")
-    chip = kernel.chi_perp(chi)
-    ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, chip)
-    require_overlaps(np.abs(ipp), "chi_perp")
+    require_overlaps(np.abs(ipp := kernel.overlaps(states, kernel.chi_perp(chi))), "chi_perp")
     if kernel.geometry(ip, ipp)[0] != kernel.CODE_ANTIPODAL:
-        return float(kernel.closed_form_mu(weights, states, chip)[0])
-    p3 = kernel.closed_form_mu(weights, states, chi)[0]
-    return float(kernel.norm_sq(kernel.target(weights, states, chi, ip))[0] / 2 - p3)
+        return float(kernel.closed_form_mu(weights, states, ipp)[0])
+    p3 = kernel.closed_form_mu(weights, states, ip)[0]
+    return float(kernel.norm_sq(kernel.target(weights, states, ip))[0] / 2 - p3)
 
 
 def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     """Controlled-SWAP, sector-controlled U, ancilla-|0> projection, harvest."""
     chip = chi_perp(spec.chi).amps
-    h = kernel.enhanced(*pair_batch(spec))
+    batch = pair_batch(spec)
+    require_overlaps(np.abs(ipp := kernel.overlaps(batch[1], chip[None])), "chi_perp")
+    h = kernel.enhanced(*batch, ipp)
     w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.

@@ -40,7 +40,8 @@ class HybridResult(NamedTuple):
 
 def closed_form_hybrid(spec: ReferenceSpec) -> float:
     """Success probability prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n."""
-    return float(kernel.closed_form_fourier(*spec.batch)[0])
+    weights, states, _, ip = spec.batch
+    return float(kernel.closed_form_fourier(weights, states, ip)[0])
 
 
 def run_hybrid(spec: ReferenceSpec) -> HybridResult:
@@ -49,6 +50,7 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
         raise ArgumentError("the hybrid protocol needs at least two states")
     # The chi-projected block is the sub-normalized encoded qunit-qudit
     # state; its norm^2 is the reference-projection probability.
+    weights, states, _, ip = spec.batch
     block = kernel.reduced(*spec.batch)[0]
     p_ref = float(np.vdot(block, block).real)
     rows = kernel.fourier_rows(block[None])[0] / math.sqrt(p_ref)
@@ -59,5 +61,5 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
         branches=tuple(StateVector((spec.d,), row) for row in rows),
         success_prob=p_ref * float(np.vdot(rows[0], rows[0]).real),
         final_state=unit_state(rows[0]),
-        target_state=unit_state(kernel.target(*spec.batch)[0]),
+        target_state=unit_state(kernel.target(weights, states, ip)[0]),
     )

@@ -7,10 +7,10 @@ these functions. ``analysis.verify_probability_formulas`` runs them over all
 its trials at once, and stacks the qubit-pair rows of every check that needs a
 step into one call of it. That is exact because every step is row-independent:
 a row's bits do not depend on the rows beside it. ``enhanced`` stacks its
-chi and chi^perp sectors the same way. The steps trust their inputs:
-``validate`` checks each batch once before it enters them and returns the
-overlaps <chi|Psi_k> that the steps take as ``ip`` (``reference.ReferenceSpec``
-checks a single instance).
+chi and chi^perp sectors the same way. The steps trust their inputs: callers
+form and check the overlaps, <chi|Psi_k> as ``ip`` (``validate`` returns it,
+``reference.ReferenceSpec`` keeps it in its batch) and, for the enhanced
+harvest, <chi^perp|Psi_k> as ``ipp``; the steps only read them.
 """
 from __future__ import annotations
 
@@ -52,11 +52,6 @@ def norm_sq(amps: np.ndarray) -> np.ndarray:
 def overlaps(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """<chi|Psi_k> for every trial and state: (T, n)."""
     return (states @ chi.conj()[:, :, None])[..., 0]
-
-
-def overlap_c(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """c_k = |<chi|Psi_k>|^2: (T, n)."""
-    return np.abs(overlaps(states, chi)) ** 2
 
 
 def branch_survives(amps: np.ndarray) -> np.ndarray:
@@ -182,18 +177,20 @@ def direct(weights: np.ndarray, states: np.ndarray, gammas: np.ndarray) -> np.nd
     return fourier_rows(phase_gate(encode_branches(weights, states), gammas))
 
 
-def reduced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
+def reduced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray,
+            ip: np.ndarray) -> np.ndarray:
     """Primed-weight cascade block (T, n, d) of the reduced and hybrid schemes:
     its norm^2 is the chi-projection probability, its ``fourier_rows`` the
-    outcome branches. ``ip`` is <chi|Psi_k> when the caller already has it."""
-    anc = primed(weights, np.abs(overlaps(states, chi) if ip is None else ip) ** 2)
+    outcome branches."""
+    anc = primed(weights, np.abs(ip) ** 2)
     return cascade_block(anc / np.sqrt(norm_sq(anc))[:, None], states, chi)
 
 
-def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
+def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray,
+                ip: np.ndarray) -> np.ndarray:
     """The prior scheme's branch (T, d): plain weights, cascade, chi, then the
-    ancilla onto mu = sum_k sqrt(c_k)|k> / sqrt(sum c); ``ip`` as in ``reduced``."""
-    c = np.abs(overlaps(states, chi) if ip is None else ip) ** 2
+    ancilla onto mu = sum_k sqrt(c_k)|k> / sqrt(sum c)."""
+    c = np.abs(ip) ** 2
     mu = np.sqrt(c) / np.sqrt(np.sum(c, axis=1, keepdims=True))
     return (mu[:, None, :] @ cascade_block(weights, states, chi))[:, 0]
 
@@ -238,7 +235,8 @@ class Harvest(NamedTuple):
     p_total: np.ndarray
 
 
-def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> Harvest:
+def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.ndarray,
+             ipp: np.ndarray) -> Harvest:
     """Cascade, the sector-controlled rotation, and the dual harvest.
 
     The reference qubit's {chi, chi^perp} sector picks the ancilla rotation
@@ -246,13 +244,10 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) 
     |1>/sqrt(c1))/N. The chi^perp outcome adds to P(1) when both sector
     states agree up to a phase: in the ancilla-|0> row for longitudinal
     pairs, in the ancilla-|1> row for transverse antipodal pairs. Both sectors
-    run as one stack of rows, [chi; chi^perp]; ``ip`` as in ``reduced``.
+    run as one stack of rows, [chi; chi^perp]; ``ipp`` is <chi^perp|Psi_k>.
     """
     t, chip = len(chi), chi_perp(chi)
-    ip, ipp = overlaps(states, chi) if ip is None else ip, overlaps(states, chip)
-    magp = np.abs(ipp)
-    require_overlaps(magp, "chi_perp")
-    c = np.concatenate([np.abs(ip) ** 2, magp**2])
+    c = np.concatenate([np.abs(ip) ** 2, np.abs(ipp) ** 2])
     both = u_chi(c[:, 1], c[:, 0]) @ cascade_block(
         *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
     rows, rows_perp = both[:t], both[t:]
@@ -260,7 +255,7 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) 
     # Whether each chi^perp row agrees with the chi outcome up to a phase: (T, 2).
     with np.errstate(divide="ignore", invalid="ignore"):
         fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
-    agrees = branch_survives(rows_perp) & (fid >= 1.0 - GEOMETRY_TOL)
+    agrees = (np.sqrt(nsq) >= BRANCH_NORM_FLOOR) & (fid >= 1.0 - GEOMETRY_TOL)
     geom = geometry(ip, ipp)
     antipodal = (geom == CODE_ANTIPODAL) & agrees[:, 1]
     coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees[:, 0])
@@ -277,26 +272,22 @@ def weighted_sum(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     return (weights[:, None, :] @ states)[:, 0]
 
 
-def target(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None) -> np.ndarray:
-    """sum_k a_k (prod_{j != k} kappa_j) Psi_k, unnormalized: (T, d); ``ip`` is
-    <chi|Psi_k> when the caller already has it."""
-    ip = overlaps(states, chi) if ip is None else ip
+def target(weights: np.ndarray, states: np.ndarray, ip: np.ndarray) -> np.ndarray:
+    """sum_k a_k (prod_{j != k} kappa_j) Psi_k with kappa_j = ip_j / |ip_j|,
+    unnormalized: (T, d)."""
     return weighted_sum(weights * _leave_one_out(ip / np.abs(ip)), states)
 
 
-def closed_form_fourier(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip=None):
-    """Eq. 8, prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n; P2 at n = 2.
-    ``ip`` as in ``target``."""
-    ip = overlaps(states, chi) if ip is None else ip
+def closed_form_fourier(weights: np.ndarray, states: np.ndarray, ip: np.ndarray):
+    """Eq. 8, prod(c_j) / sum(|a_j|^2 c_j) * ||target||^2 / n; P2 at n = 2."""
     c = np.abs(ip) ** 2
     weight_term = np.add.reduce(np.abs(weights) ** 2 * c, axis=1)
-    nsq = norm_sq(target(weights, states, chi, ip))
+    nsq = norm_sq(target(weights, states, ip))
     return np.multiply.reduce(c, axis=1) / weight_term * nsq / states.shape[1]
 
 
-def closed_form_mu(weights: np.ndarray, states: np.ndarray, chi: np.ndarray):
+def closed_form_mu(weights: np.ndarray, states: np.ndarray, ip: np.ndarray):
     """P3 = c1 c2 ||target||^2 / (c1 + c2); also the enhanced P(1), and with
-    chi^perp in place of chi the enhanced P(2)."""
-    ip = overlaps(states, chi)
-    c, nsq = np.abs(ip) ** 2, norm_sq(target(weights, states, chi, ip))
+    <chi^perp|Psi_k> in place of ip the enhanced P(2)."""
+    c, nsq = np.abs(ip) ** 2, norm_sq(target(weights, states, ip))
     return np.multiply.reduce(c, axis=1) / np.add.reduce(c, axis=1) * nsq

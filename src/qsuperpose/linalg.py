@@ -212,7 +212,7 @@ class OverlapInfo(NamedTuple):
 def bloch(theta, phi, gamma) -> np.ndarray:
     """e^{i gamma}(cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>), elementwise: (..., 2)."""
     amps = np.empty(np.shape(theta) + (2,), complex)
-    amps[..., 0], amps[..., 1] = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
+    amps[..., 0], amps[..., 1] = np.cos(half := theta / 2), np.exp(1j * phi) * np.sin(half)
     return np.exp(1j * gamma)[..., None] * amps
 
 

@@ -40,8 +40,8 @@ class ReferenceSpec:
     weights: tuple[complex, ...]
     states: tuple[StateVector, ...]
     chi: StateVector
-    # The spec as a validated, read-only T = 1 kernel batch: weights, states, chi.
-    batch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # The validated, read-only T = 1 kernel batch: weights, states, chi, <chi|Psi_k>.
+    batch: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
@@ -54,13 +54,13 @@ class ReferenceSpec:
             raise ArgumentError(f"all states must be single {self.d}-level systems")
         amps = np.array([[s.amps for s in self.states]])
         batch = (np.array([self.weights]), amps, self.chi.amps[None])
-        kernel.validate(*batch)
+        batch += (kernel.validate(*batch),)
         for arr in batch:
             arr.flags.writeable = False
         object.__setattr__(self, "batch", batch)
 
 
-def pair_batch(spec: ReferenceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_batch(spec: ReferenceSpec) -> tuple[np.ndarray, ...]:
     """The batch of a two-state spec; the pair pipelines take no other."""
     if spec.n != 2:
         raise ArgumentError(f"this protocol superposes two states, got n = {spec.n}")
@@ -69,8 +69,8 @@ def pair_batch(spec: ReferenceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def build_initial(spec: ReferenceSpec) -> StateVector:
     """(1/N) sum_k a_k' |k>_n  tensored with Psi_1 ... Psi_n."""
-    weights, states, chi = spec.batch
-    anc = kernel.primed(weights, kernel.overlap_c(states, chi))
+    weights, states, _, ip = spec.batch
+    anc = kernel.primed(weights, np.abs(ip) ** 2)
     amps = kernel.encode(anc / np.sqrt(kernel.norm_sq(anc))[:, None], states)[0]
     return StateVector((spec.n,) + (spec.d,) * spec.n, amps, normalized=True)
 
@@ -105,22 +105,24 @@ def project_onto_reference(
 def kappa_weighted_sum(spec: ReferenceSpec) -> StateVector:
     """sum_k a_k (prod_{j != k} kappa_j) |Psi_k>, the (unnormalized) protocol
     target; a kappa_2 |psi1> + b kappa_1 |psi2> for a pair."""
-    return StateVector((spec.d,), kernel.target(*spec.batch)[0])
+    weights, states, _, ip = spec.batch
+    return StateVector((spec.d,), kernel.target(weights, states, ip)[0])
 
 
 def closed_form_p3(spec: ReferenceSpec) -> float:
     """P3 = c1 c2 ||a kappa2 psi1 + b kappa1 psi2||^2 / (c1 + c2)."""
-    return float(kernel.closed_form_mu(*pair_batch(spec))[0])
+    weights, states, _, ip = pair_batch(spec)
+    return float(kernel.closed_form_mu(weights, states, ip)[0])
 
 
 def run_three_qubit(spec: ReferenceSpec) -> ProtocolResult:
     """The prior three-qubit protocol: plain weights plus the mu-projection."""
-    batch = pair_batch(spec)
-    return ProtocolResult.of(kernel.three_qubit(*batch)[0], kernel.target(*batch)[0])
+    weights, states, _, ip = batch = pair_batch(spec)
+    return ProtocolResult.of(kernel.three_qubit(*batch)[0], kernel.target(weights, states, ip)[0])
 
 
 def run_two_qubit_reduced(spec: ReferenceSpec) -> ProtocolResult:
     """The reduced protocol: primed weights, one chi-projection, Hadamard."""
-    batch = pair_batch(spec)
+    weights, states, _, ip = batch = pair_batch(spec)
     branch = kernel.fourier_rows(kernel.reduced(*batch))[0, 0]
-    return ProtocolResult.of(branch, kernel.target(*batch)[0])
+    return ProtocolResult.of(branch, kernel.target(weights, states, ip)[0])

@@ -372,14 +372,14 @@ class TestVerifyHarness:
         true_mu = kernel.closed_form_mu
         marked = []
 
-        def off_on_one_trial(weights, states, chi):
+        def off_on_one_trial(weights, states, ip):
             # The first call is the P3 check over the whole chunk: mark its
             # trial 3, then skew the closed form wherever those inputs recur.
             if not marked:
-                marked.extend((weights[3].copy(), states[3].copy(), chi[3].copy()))
+                marked.extend((weights[3].copy(), states[3].copy(), ip[3].copy()))
             w, s, c = marked
-            hit = (weights == w).all(1) & (states == s).all((1, 2)) & (chi == c).all(1)
-            return true_mu(weights, states, chi) + 1e-6 * hit
+            hit = (weights == w).all(1) & (states == s).all((1, 2)) & (ip == c).all(1)
+            return true_mu(weights, states, ip) + 1e-6 * hit
 
         monkeypatch.setattr(kernel, "closed_form_mu", off_on_one_trial)
         report = verify_probability_formulas(trials=20, seed=3)
@@ -431,7 +431,7 @@ class TestVerifyHarness:
             pair = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
             p2 = run_two_qubit_reduced(pair).success_prob
             p3 = run_three_qubit(pair).success_prob
-            c = kernel.overlap_c(*pair.batch[1:])
+            c = np.abs(pair.batch[3]) ** 2
             r_p = analysis.success_ratio(c[:, 1] / c[:, 0], np.abs(pair.batch[0][:, 1]) ** 2)
             return abs(p2 / p3 / r_p[0] - 1.0)
 

@@ -46,8 +46,9 @@ def pair(a, b, psi1, psi2, chi):
 def harvest(spec) -> DensityMatrix:
     """The combined harvest from the kernel rows: the ancilla-|0> rows of both
     reference sectors joined with their reference qubit, which is traced out."""
-    weights, states, chi = spec.batch
-    h = kernel.enhanced(weights, states, chi)
+    weights, states, chi, ip = spec.batch
+    ipp = kernel.overlaps(states, kernel.chi_perp(chi))
+    h = kernel.enhanced(weights, states, chi, ip, ipp)
     chip = chi_perp(spec.chi).amps
     joint = np.outer(h.rows[0, 0], chi[0]) + np.outer(h.rows_perp[0, 0], chip)
     joint = unit_state(joint.reshape(2, 2))

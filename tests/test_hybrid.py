@@ -230,8 +230,8 @@ class TestInvariants:
         for n, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
             spec = random_spec(rng, n, d)
             result = run_hybrid(spec)
-            weights, states, chi = spec.batch
-            primed = kernel.primed(weights, kernel.overlap_c(states, chi))
+            weights, _, _, ip = spec.batch
+            primed = kernel.primed(weights, np.abs(ip) ** 2)
             lhs = result.success_prob * n * kernel.norm_sq(primed)[0]
             rhs = kappa_weighted_sum(spec).norm_sq
             assert lhs == pytest.approx(rhs, abs=1e-9)

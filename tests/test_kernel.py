@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import kernel
-from qsuperpose.analysis import success_ratio
+from qsuperpose.analysis import success_ratio, verify_probability_formulas
 from qsuperpose.direct import SuperpositionSpec, run_direct
-from qsuperpose.enhanced import run_enhanced
+from qsuperpose.enhanced import closed_form_p2, run_enhanced
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
-from qsuperpose.hybrid import run_hybrid
+from qsuperpose.hybrid import closed_form_hybrid, run_hybrid
 from qsuperpose.linalg import (
     EPS_OVERLAP,
     QubitParams,
@@ -23,8 +23,16 @@ from qsuperpose.linalg import (
     basis_state,
     make_qubit,
     overlap_decompose,
+    require_overlaps,
 )
-from qsuperpose.reference import ReferenceSpec, run_three_qubit, run_two_qubit_reduced
+from qsuperpose.reference import (
+    ReferenceSpec,
+    build_initial,
+    closed_form_p3,
+    kappa_weighted_sum,
+    run_three_qubit,
+    run_two_qubit_reduced,
+)
 
 TOL = 1e-12
 SEEDS = st.integers(0, 2**32 - 1)
@@ -39,15 +47,15 @@ def unit(rng, shape):
 
 
 def draw(seed, t, n, d, floor=0.05):
-    """t rows of (weights, states, chi) with every |<chi|psi>| >= floor."""
+    """t rows of (weights, states, chi, ip) with every |<chi|psi>| >= floor; ip
+    is <chi|Psi_k> as validation returns it."""
     rng = np.random.default_rng(seed)
     chi = unit(rng, (t, d))
     states = unit(rng, (t, n, d))
     while (bad := np.abs(kernel.overlaps(states, chi)) < floor).any():
         states[bad] = unit(rng, (int(bad.sum()), d))
     weights = unit(rng, (t, n))
-    kernel.validate(weights, states, chi)
-    return weights, states, chi
+    return weights, states, chi, kernel.validate(weights, states, chi)
 
 
 def scalar(weights, states, chi):
@@ -60,17 +68,22 @@ def scalar(weights, states, chi):
     )
 
 
-def fourier_p(weights, states, chi):
-    block = kernel.reduced(weights, states, chi)
+def fourier_p(weights, states, chi, ip):
+    block = kernel.reduced(weights, states, chi, ip)
     return kernel.norm_sq(kernel.fourier_rows(block)[:, 0])
 
 
-def probabilities(weights, states, chi):
+def perp_overlaps(states, chi):
+    """<chi^perp|Psi_k>, the enhanced harvest's ipp."""
+    return kernel.overlaps(states, kernel.chi_perp(chi))
+
+
+def probabilities(weights, states, chi, ip):
     """Every gate-level success probability of a qubit-pair batch, by name."""
-    harvest = kernel.enhanced(weights, states, chi)
+    harvest = kernel.enhanced(weights, states, chi, ip, perp_overlaps(states, chi))
     return {
-        "p2": fourier_p(weights, states, chi),
-        "p3": kernel.norm_sq(kernel.three_qubit(weights, states, chi)),
+        "p2": fourier_p(weights, states, chi, ip),
+        "p3": kernel.norm_sq(kernel.three_qubit(weights, states, chi, ip)),
         "p1": harvest.p1,
         "p_perp": harvest.p2,
         "p_total": harvest.p_total,
@@ -78,7 +91,7 @@ def probabilities(weights, states, chi):
 
 
 def has_perp_overlaps(states, chi, floor=1e-3):
-    return bool(np.all(np.abs(kernel.overlaps(states, kernel.chi_perp(chi))) >= floor))
+    return bool(np.all(np.abs(perp_overlaps(states, chi)) >= floor))
 
 
 @PROPERTY
@@ -107,10 +120,10 @@ def test_direct_rows_equal_the_scalar_pipeline(seed, t):
 @given(SEEDS, ROWS)
 def test_pair_rows_equal_the_scalar_pipelines(seed, t):
     batch = draw(seed, t, 2, 2)
-    assume(has_perp_overlaps(*batch[1:]))
+    assume(has_perp_overlaps(*batch[1:3]))
     probs = probabilities(*batch)
     for i in range(t):
-        weights, states, chi = scalar(*(x[i] for x in batch))
+        weights, states, chi = scalar(*(x[i] for x in batch[:3]))
         spec = ReferenceSpec(n=2, d=2, weights=weights, states=states, chi=chi)
         reduced = run_two_qubit_reduced(spec)
         three = run_three_qubit(spec)
@@ -129,7 +142,7 @@ def test_hybrid_rows_equal_the_scalar_pipeline(seed, t, shape):
     batch = draw(seed, t, n, d)
     probs = fourier_p(*batch)
     for i in range(t):
-        weights, states, chi = scalar(*(x[i] for x in batch))
+        weights, states, chi = scalar(*(x[i] for x in batch[:3]))
         spec = ReferenceSpec(n=n, d=d, weights=weights, states=states, chi=chi)
         assert abs(probs[i] - run_hybrid(spec).success_prob) <= TOL
 
@@ -148,7 +161,7 @@ def test_probabilities_lie_in_the_unit_interval(seed, t, shape):
     batch = draw(seed, t, *shape)
     values = [fourier_p(*batch), kernel.norm_sq(kernel.three_qubit(*batch))]
     pair = draw(seed, t, 2, 2)
-    if has_perp_overlaps(*pair[1:]):
+    if has_perp_overlaps(*pair[1:3]):
         values += probabilities(*pair).values()
     for p in values:
         assert np.all((p >= 0.0) & (p <= 1.0 + TOL))
@@ -157,14 +170,15 @@ def test_probabilities_lie_in_the_unit_interval(seed, t, shape):
 @PROPERTY
 @given(SEEDS, ROWS, st.integers(0, 2), st.floats(0.0, 2 * math.pi))
 def test_global_phase_on_any_input_leaves_every_probability(seed, t, which, phase):
-    weights, states, chi = batch = draw(seed, t, 2, 2)
+    weights, states, chi, _ = batch = draw(seed, t, 2, 2)
     assume(has_perp_overlaps(states, chi))
     states, chi = states.copy(), chi.copy()
     if which < 2:
         states[:, which] *= np.exp(1j * phase)
     else:
         chi *= np.exp(1j * phase)
-    base, shifted = probabilities(*batch), probabilities(weights, states, chi)
+    shifted = probabilities(weights, states, chi, kernel.validate(weights, states, chi))
+    base = probabilities(*batch)
     for name in base:
         np.testing.assert_allclose(shifted[name], base[name], atol=TOL, err_msg=name)
 
@@ -172,19 +186,19 @@ def test_global_phase_on_any_input_leaves_every_probability(seed, t, which, phas
 @PROPERTY
 @given(SEEDS, ROWS)
 def test_p2_over_p3_is_the_success_ratio(seed, t):
-    weights, states, chi = draw(seed, t, 2, 2, floor=0.2)
-    p2 = fourier_p(weights, states, chi)
-    p3 = kernel.norm_sq(kernel.three_qubit(weights, states, chi))
-    c = kernel.overlap_c(states, chi)
+    weights, states, chi, ip = batch = draw(seed, t, 2, 2, floor=0.2)
+    p2 = fourier_p(*batch)
+    p3 = kernel.norm_sq(kernel.three_qubit(*batch))
+    c = np.abs(ip) ** 2
     for i in range(t):
         ratio = success_ratio(c[i, 1] / c[i, 0], abs(weights[i, 1]) ** 2)
         assert p2[i] / p3[i] == pytest.approx(ratio, rel=1e-9)
 
 
 def pair_batch(seed, t, kind):
-    """t qubit-pair rows; a longitudinal or antipodal kind rebuilds each pair
-    in that geometry about its chi."""
-    weights, states, chi = draw(seed, t, 2, 2)
+    """t qubit-pair rows as ``draw`` gives them; a longitudinal or antipodal
+    kind rebuilds each pair in that geometry about its chi."""
+    weights, states, chi, ip = draw(seed, t, 2, 2)
     if kind != kernel.GEOMETRY_GENERIC:
         rng = np.random.default_rng(seed + 1)
         antipodal = kind == kernel.GEOMETRY_TRANSVERSE_ANTIPODAL
@@ -195,20 +209,24 @@ def pair_batch(seed, t, kind):
         perp = np.sin(polar) * np.exp(1j * azimuth)
         states = (np.cos(polar)[..., None] * chi[:, None, :]
                   + perp[..., None] * kernel.chi_perp(chi)[:, None, :])
-    return weights, states, chi
+        ip = kernel.validate(weights, states, chi)
+    return weights, states, chi, ip
 
 
+# Each step of (weights, states, chi, ip, ipp), ipp = <chi^perp|Psi_k>.
 ROW_STEPS = {
-    "reduced+fourier_rows": lambda w, s, c: kernel.fourier_rows(kernel.reduced(w, s, c)),
-    "three_qubit": kernel.three_qubit,
-    "closed_form_fourier": kernel.closed_form_fourier,
-    "closed_form_mu": kernel.closed_form_mu,
-    "closed_form_mu(chi_perp)": lambda w, s, c: kernel.closed_form_mu(
-        w, s, kernel.chi_perp(c)
+    "overlaps": lambda w, s, c, ip, ipp: kernel.overlaps(s, c),
+    "overlaps(chi_perp)": lambda w, s, c, ip, ipp: perp_overlaps(s, c),
+    "reduced+fourier_rows": lambda w, s, c, ip, ipp: kernel.fourier_rows(
+        kernel.reduced(w, s, c, ip)
     ),
-    "target": kernel.target,
+    "three_qubit": lambda w, s, c, ip, ipp: kernel.three_qubit(w, s, c, ip),
+    "closed_form_fourier": lambda w, s, c, ip, ipp: kernel.closed_form_fourier(w, s, ip),
+    "closed_form_mu": lambda w, s, c, ip, ipp: kernel.closed_form_mu(w, s, ip),
+    "closed_form_mu(chi_perp)": lambda w, s, c, ip, ipp: kernel.closed_form_mu(w, s, ipp),
+    "target": lambda w, s, c, ip, ipp: kernel.target(w, s, ip),
     **{
-        f"enhanced.{field}": lambda w, s, c, f=field: getattr(kernel.enhanced(w, s, c), f)
+        f"enhanced.{field}": lambda *batch, f=field: getattr(kernel.enhanced(*batch), f)
         for field in kernel.Harvest._fields
     },
 }
@@ -225,7 +243,8 @@ def test_kernel_steps_are_row_independent(seed_a, seed_b, ta, tb, kind_a, kind_b
     """Each row of a step over concat(A, B) is bit for bit that row of the step
     over A or over B alone, so stacking check families cannot move a result."""
     a, b = pair_batch(seed_a, ta, kind_a), pair_batch(seed_b, tb, kind_b)
-    assume(has_perp_overlaps(*a[1:]) and has_perp_overlaps(*b[1:]))
+    assume(has_perp_overlaps(*a[1:3]) and has_perp_overlaps(*b[1:3]))
+    a, b = (x + (perp_overlaps(*x[1:3]),) for x in (a, b))
     both = [np.concatenate(x) for x in zip(a, b)]
     for name, step in ROW_STEPS.items():
         joint = step(*both)
@@ -234,16 +253,16 @@ def test_kernel_steps_are_row_independent(seed_a, seed_b, ta, tb, kind_a, kind_b
 
 
 def test_closed_forms_match_the_kernel_on_a_batch(rng):
-    weights, states, chi = draw(int(rng.integers(2**32)), 64, 2, 2, floor=0.2)
-    closed = kernel.closed_form_fourier(weights, states, chi)
-    np.testing.assert_allclose(fourier_p(weights, states, chi), closed, atol=1e-12)
-    closed = kernel.closed_form_mu(weights, states, chi)
-    p3 = kernel.norm_sq(kernel.three_qubit(weights, states, chi))
+    weights, states, chi, ip = batch = draw(int(rng.integers(2**32)), 64, 2, 2, floor=0.2)
+    closed = kernel.closed_form_fourier(weights, states, ip)
+    np.testing.assert_allclose(fourier_p(*batch), closed, atol=1e-12)
+    closed = kernel.closed_form_mu(weights, states, ip)
+    p3 = kernel.norm_sq(kernel.three_qubit(*batch))
     np.testing.assert_allclose(p3, closed, atol=1e-12)
 
 
 def test_validation_rejects_a_bad_row_anywhere_in_the_batch():
-    weights, states, chi = draw(5, 8, 2, 2)
+    weights, states, chi, _ = draw(5, 8, 2, 2)
     bad = weights.copy()
     bad[6] *= 1.5
     with pytest.raises(ArgumentError, match="sum"):
@@ -415,13 +434,48 @@ def test_fourier_rows_is_one_row_at_a_time(shape, t, seed):
 @PROPERTY
 @given(seed=SEEDS, kind=KINDS)
 def test_enhanced_keeps_every_field_of_the_per_sector_harvest(t, seed, kind):
-    weights, states, chi = pair_batch(seed, t, kind)
+    weights, states, chi, ip = pair_batch(seed, t, kind)
     assume(has_perp_overlaps(states, chi))
     want = enhanced_per_sector(weights, states, chi)
-    ip = kernel.overlaps(states, chi)
-    for got in (kernel.enhanced(weights, states, chi), kernel.enhanced(weights, states, chi, ip)):
-        for field, a, b in zip(kernel.Harvest._fields, got, want):
-            assert a.shape == b.shape and np.array_equal(a, b), field
+    got = kernel.enhanced(weights, states, chi, ip, perp_overlaps(states, chi))
+    for field, a, b in zip(kernel.Harvest._fields, got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), field
+
+
+def enhanced_forming_ipp(weights, states, chi, ip):
+    """The harvest in its form before it took ipp: it formed and checked
+    <chi^perp|Psi_k> itself, and took the chi^perp rows' norms twice."""
+    t, chip = len(chi), kernel.chi_perp(chi)
+    ipp = kernel.overlaps(states, chip)
+    magp = np.abs(ipp)
+    require_overlaps(magp, "chi_perp")
+    c = np.concatenate([np.abs(ip) ** 2, magp**2])
+    both = kernel.u_chi(c[:, 1], c[:, 0]) @ kernel.cascade_block(
+        *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
+    rows, rows_perp = both[:t], both[t:]
+    p1, nsq = kernel.norm_sq(rows[:, 0]), kernel.norm_sq(rows_perp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
+    agrees = kernel.branch_survives(rows_perp) & (fid >= 1.0 - kernel.GEOMETRY_TOL)
+    geom = kernel.geometry(ip, ipp)
+    antipodal = (geom == kernel.CODE_ANTIPODAL) & agrees[:, 1]
+    coherent = antipodal | ((geom == kernel.CODE_LONGITUDINAL) & agrees[:, 0])
+    p2 = np.where(antipodal, nsq[:, 1], nsq[:, 0])
+    p_total = np.where(coherent, p1 + p2, p1)
+    return kernel.Harvest(rows, rows_perp, geom, coherent, p1, p2, p_total)
+
+
+@pytest.mark.parametrize("t", BATCH_SIZES)
+@PROPERTY
+@given(seed=SEEDS, kind=KINDS)
+def test_enhanced_keeps_the_bits_of_forming_ipp_itself(t, seed, kind):
+    """Every field, the survival of the chi^perp rows included, as when the step
+    formed <chi^perp|Psi_k> and the rows' norms itself."""
+    _, states, chi, _ = batch = pair_batch(seed, t, kind)
+    assume(has_perp_overlaps(states, chi))
+    got = kernel.enhanced(*batch, perp_overlaps(states, chi))
+    for field, a, b in zip(kernel.Harvest._fields, got, enhanced_forming_ipp(*batch)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 @pytest.mark.parametrize("t", BATCH_SIZES)
@@ -430,5 +484,42 @@ def test_enhanced_keeps_every_field_of_the_per_sector_harvest(t, seed, kind):
 @given(seed=SEEDS)
 def test_validate_returns_the_overlaps_it_checked(shape, t, seed):
     n, d = shape
-    batch = draw(seed, t, n, d, floor=1e-3)
-    assert np.array_equal(kernel.validate(*batch), kernel.overlaps(*batch[1:]))
+    weights, states, chi, _ = draw(seed, t, n, d, floor=1e-3)
+    assert np.array_equal(kernel.validate(weights, states, chi), kernel.overlaps(states, chi))
+
+
+# --- Overlaps once: a validated problem carries <chi|Psi_k> ----------------------
+
+
+def test_overlaps_are_formed_once_per_problem(monkeypatch):
+    """Building a spec forms <chi|Psi_k> once; the pipelines and closed forms
+    read it from the spec's batch. Only the enhanced harvest and its P(2) form
+    <chi^perp|Psi_k>, once each; a verify chunk forms one batch per validated
+    group and one <chi^perp|Psi_k> pass."""
+    calls = []
+    true_overlaps = kernel.overlaps
+
+    def counted(*args):
+        calls.append(args)
+        return true_overlaps(*args)
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    monkeypatch.setattr(kernel, "overlaps", counted)
+    psi = StateVector((2,), [0.6, 0.8j], normalized=True)
+    specs = []
+    states = (psi, PLUS)
+    assert count(lambda: specs.append(ReferenceSpec(2, 2, (0.6, 0.8), states, KET0))) == 1
+    spec = specs[0]
+    steps = (run_three_qubit, run_two_qubit_reduced, run_hybrid, closed_form_hybrid,
+             closed_form_p3, kappa_weighted_sum, build_initial, run_enhanced, closed_form_p2)
+    counts = {step.__name__: count(lambda step=step: step(spec)) for step in steps}
+    assert counts == {
+        "run_three_qubit": 0, "run_two_qubit_reduced": 0, "run_hybrid": 0,
+        "closed_form_hybrid": 0, "closed_form_p3": 0, "kappa_weighted_sum": 0,
+        "build_initial": 0, "run_enhanced": 1, "closed_form_p2": 1,
+    }
+    assert count(lambda: verify_probability_formulas(trials=20, seed=0)) == 5

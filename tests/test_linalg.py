@@ -19,6 +19,7 @@ from qsuperpose.linalg import (
     QubitParams,
     StateVector,
     basis_state,
+    bloch,
     check_angles,
     check_states,
     fidelity,
@@ -489,3 +490,31 @@ class TestDeterminism:
         first = partial_trace(pure_density(sv), [0]).mat
         second = partial_trace(pure_density(sv), [0]).mat
         np.testing.assert_array_equal(first, second)
+
+
+def bloch_halving_twice(theta, phi, gamma):
+    """bloch with theta halved once per amplitude, its form before one halving,
+    kept as its reference."""
+    amps = np.empty(np.shape(theta) + (2,), complex)
+    amps[..., 0], amps[..., 1] = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
+    return np.exp(1j * gamma)[..., None] * amps
+
+
+# The poles theta = 0 and pi, and gamma = 0 (a declared phase that is absent).
+THETAS = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+TWO_PI = st.floats(0.0, 2 * math.pi, exclude_max=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(THETAS, TWO_PI, st.one_of(st.just(0.0), TWO_PI)), max_size=12),
+       st.booleans())
+def test_bloch_keeps_the_bits_of_halving_twice(triples, scalar_gamma):
+    """Every amplitude, and its sign bits, as before; scalar inputs as make_qubit
+    passes them, and arrays as spec_batch and verify pass them."""
+    for one in triples:
+        assert bloch(*one).tobytes() == bloch_halving_twice(*one).tobytes()
+    theta, phi, gamma = np.array(triples, dtype=float).reshape(-1, 3).T
+    if scalar_gamma:
+        gamma = 0.0
+    got, want = bloch(theta, phi, gamma), bloch_halving_twice(theta, phi, gamma)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
