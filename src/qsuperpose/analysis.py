@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernel, nmr
 from .datasets import TABLE1
-from .direct import SpecBatch, _clamp_fidelity, run_direct_batch, spec_batch
+from .direct import _KET0, SpecBatch, _clamp_fidelity, run_direct_batch, spec_batch
 from .errors import ArgumentError
 from .linalg import (StateVector, bloch, fidelity_batch, pure_density_batch, require_overlaps,
                      unit_rows)
@@ -89,9 +89,8 @@ def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
     pure = pure_density_batch(unit_rows(np.concatenate([rows[:, 0], targets])))
     states, goal = pure[:t], pure[t:]
     if mode != "gate":
-        sys = nmr.SpinSystem()
-        program = nmr.compile_sequence(batch, sys)
-        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, sys, "iv"))
+        program = nmr.compile_sequence(batch, nmr.SpinSystem())
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, "iv"))
         states, goal = np.concatenate([states, blocks]), np.concatenate([goal, goal])
     fid = fidelity_batch(states, goal)
     gate_fid = _clamp_fidelity(fid[:t]).tolist()
@@ -251,7 +250,7 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
         (chi0, chi1, chi2, chi3))]
     # Direct protocol: operational probability vs the weighted-sum norm.
     batch = SpecBatch(w, bloch(*angles.transpose(2, 0, 1)), angles)
-    direct = (w, batch.states, np.repeat([[1.0 + 0j, 0.0]], t, axis=0))
+    direct = (w, batch.states, np.repeat(_KET0, t, axis=0))
     # Reference protocols; the enhanced protocol on the trials whose states also
     # overlap chi^perp comfortably, then geometry-specific totals. <chi^perp|Psi_k>
     # is formed once over pair | lon | anti, and checked on the harvested rows.

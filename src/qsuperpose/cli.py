@@ -207,10 +207,10 @@ def _cmd_pulse(args):
             f"(|J| <= about 2.86e307 Hz), got {args.j!r} Hz"
         ) from exc
     if args.sequence is not None:
-        program = nmr.PulseProgram.from_json(_load_json(args.sequence))
+        program = nmr.PulseProgram.from_json(_load_json(args.sequence), sys_params)
     else:
         program = nmr.compile_sequence(dataset(args.dataset).spec().batch, sys_params)
-    rho = nmr.run_sequence(program, sys_params, args.checkpoint, epsilon=args.epsilon)
+    rho = nmr.run_sequence(program, args.checkpoint, epsilon=args.epsilon)
     payload = {
         "dataset": args.dataset,
         "checkpoint": args.checkpoint,

@@ -71,6 +71,8 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
         raise ArgumentError("geometry needs three single-qubit states")
     states, chi = np.array([[psi1.amps, psi2.amps]]), chi.amps[None]
     ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, kernel.chi_perp(chi))
+    require_overlaps(np.abs(ip))
+    require_overlaps(np.abs(ipp), "chi_perp")
     return kernel.GEOMETRIES[kernel.geometry(ip, ipp)[0]]
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import ATOL, require_overlaps, zero_overlap
+from .linalg import ATOL, require_overlaps
 
 # Dense pipelines build n * d^n amplitudes; cap keeps them desk-sized.
 MAX_PIPELINE_DIM = 4096
@@ -208,19 +208,17 @@ def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 def geometry(ip: np.ndarray, ipp: np.ndarray) -> np.ndarray:
-    """Each qubit pair's geometry relative to the chi axis, from its overlaps
-    <chi|Psi_j> and <chi^perp|Psi_j>: (T,) codes into GEOMETRIES."""
-    mag, magp = np.abs(ip), np.abs(ipp)
-    zero = np.any(zero_overlap(mag) | zero_overlap(magp), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # e^{i phi_j}: azimuth of Psi_j around the chi axis.
-        az = ipp / magp * (ip / mag).conj()
+    """Each qubit pair's geometry relative to the chi axis, from its checked
+    overlaps <chi|Psi_j> and <chi^perp|Psi_j>: (T,) codes into GEOMETRIES."""
+    mag = np.abs(ip)
+    # e^{i phi_j}: azimuth of Psi_j around the chi axis.
+    az = ipp / np.abs(ipp) * (ip / mag).conj()
     c = mag**2
     longitudinal = np.abs(az[:, 0] - az[:, 1]) <= GEOMETRY_TOL
     antipodal = (np.abs(c[:, 0] - c[:, 1]) <= GEOMETRY_TOL) & (
         np.abs(az[:, 0] + az[:, 1]) <= GEOMETRY_TOL
     )
-    return ~zero * np.where(longitudinal, CODE_LONGITUDINAL, CODE_ANTIPODAL * antipodal)
+    return np.where(longitudinal, CODE_LONGITUDINAL, CODE_ANTIPODAL * antipodal)
 
 
 class Harvest(NamedTuple):

@@ -29,7 +29,7 @@ matrices, the unitaries between gradients into one U rho U^dagger. Each such U
 is certified unitary within ATOL, which proves every state positive without an
 eigvalsh (see ``run_sequence``); a checkpoint after more runs than the proof
 covers is refused. ``check_states`` then checks the states' finiteness,
-Hermiticity and traces.
+Hermiticity and traces. A program runs at the spin system it was built for.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -93,12 +93,14 @@ class SpinSystem:
 class PulseProgram(NamedTuple):
     """Compiled programs of T specs on one event list: row k is spec k's program.
 
-    ``events`` holds each event's (kind, spin) and ``cuts`` the number of events
-    applied at each checkpoint label. The (T, E) bool ``emitted`` marks the
-    events row k really has; the others are identities (flip angle and duration
-    0). The (T, E) arrays hold each event's flip angle, axis phase and duration,
-    0 where its kind has none."""
+    ``system`` is the spin system the program runs at, the one it was built
+    for. ``events`` holds each event's (kind, spin) and ``cuts`` the number of
+    events applied at each checkpoint label. The (T, E) bool ``emitted`` marks
+    the events row k really has; the others are identities (flip angle and
+    duration 0). The (T, E) arrays hold each event's flip angle, axis phase and
+    duration, 0 where its kind has none."""
 
+    system: SpinSystem
     events: tuple[tuple[str, Optional[str]], ...]
     cuts: dict[str, int]
     emitted: np.ndarray
@@ -121,8 +123,8 @@ class PulseProgram(NamedTuple):
         return {"events": events, "checkpoints": {c: ends[cut] for c, cut in self.cuts.items()}}
 
     @staticmethod
-    def from_json(obj: dict) -> "PulseProgram":
-        """A pulse sequence file, checked, as a one-row program."""
+    def from_json(obj: dict, sys: SpinSystem) -> "PulseProgram":
+        """A pulse sequence file, checked, as a one-row program of spin system sys."""
         try:
             events = [_event_from_json(e) for e in obj["events"]]
             cuts = {str(k): v for k, v in obj["checkpoints"].items()}
@@ -141,7 +143,7 @@ class PulseProgram(NamedTuple):
             raise ArgumentError("checkpoint cuts must be non-decreasing")
         arrays = [np.array([[e.get(key, 0.0) for e in events]], float) for key in _VALUE_FIELDS]
         skeleton = tuple([(e["kind"], e.get("spin")) for e in events])
-        return PulseProgram(skeleton, cuts, np.ones((1, len(events)), bool), *arrays)
+        return PulseProgram(sys, skeleton, cuts, np.ones((1, len(events)), bool), *arrays)
 
 
 def _event_from_json(obj: dict) -> dict:
@@ -316,7 +318,7 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     # R(0, phi) is exactly 1, and so are a zero delay's phases.
     skipped = ~emitted
     flip[skipped] = duration[skipped] = 0.0
-    return PulseProgram(_EVENTS, dict(_CUTS), emitted, flip, axis_phase, duration)
+    return PulseProgram(sys, _EVENTS, dict(_CUTS), emitted, flip, axis_phase, duration)
 
 
 def initial_state(epsilon: float = 1.0) -> np.ndarray:
@@ -328,14 +330,14 @@ def initial_state(epsilon: float = 1.0) -> np.ndarray:
     return mat
 
 
-def _propagators(program: PulseProgram, sys: SpinSystem, cut: int) -> list[np.ndarray]:
+def _propagators(program: PulseProgram, cut: int) -> list[np.ndarray]:
     """The net unitary (T, 4, 4) of each gradient-free run of the program's
     first ``cut`` events: a gradient ends one run and starts the next.
 
     Rotations of the two spins commute, so each spin's rotations multiply as
     2 x 2 matrices until the next delay or gradient; their Kronecker product
     then joins the run."""
-    events = program.events[:cut]
+    events, sys = program.events[:cut], program.system
     rf = [k for k, (kind, _) in enumerate(events) if kind == "rf"]
     delays = [k for k, (kind, _) in enumerate(events) if kind == "delay"]
     angles = program.flip_angle[:, rf], program.axis_phase[:, rf]
@@ -365,11 +367,10 @@ def _propagators(program: PulseProgram, sys: SpinSystem, cut: int) -> list[np.nd
     return runs
 
 
-def run_sequence(
-    program: PulseProgram, sys: SpinSystem, checkpoint: str, epsilon: float = 1.0
-) -> np.ndarray:
-    """States (T, 4, 4) at ``checkpoint``, row k from row k of the program. The
-    events after the checkpoint are not simulated.
+def run_sequence(program: PulseProgram, checkpoint: str, epsilon: float = 1.0) -> np.ndarray:
+    """States (T, 4, 4) at ``checkpoint``, row k from row k of the program, at
+    the program's own spin system. The events after the checkpoint are not
+    simulated.
 
     Each net propagator U is certified, max |U^dagger U - I| <= ATOL, in place
     of an eigvalsh on the states; their finiteness, Hermiticity and traces are
@@ -392,7 +393,7 @@ def run_sequence(
     """
     if checkpoint not in program.cuts:
         raise ArgumentError(f"the sequence has no checkpoint {checkpoint!r}")
-    runs = _propagators(program, sys, program.cuts[checkpoint])
+    runs = _propagators(program, program.cuts[checkpoint])
     if len(runs) > _CERTIFIED_RUNS:
         raise ArgumentError(
             f"checkpoint {checkpoint!r} comes after {len(runs)} gradient-separated runs; "
@@ -404,7 +405,7 @@ def run_sequence(
             mat = np.where(_COHERENCE_MASK, mat, 0.0)
         u_dag = u.conj().swapaxes(-1, -2)
         residual = np.abs(u_dag @ u - EYE4).max()
-        if residual > ATOL:
+        if not residual <= ATOL:  # NaN fails too
             raise ArgumentError(
                 f"a pulse propagator is not unitary: max |U^dagger U - I| = {residual:.3g}"
             )

@@ -50,7 +50,7 @@ def principal_state(rho: DensityMatrix) -> StateVector:
 
 
 def pulse_final(dataset_id: int) -> tuple[StateVector, float]:
-    mats = run_sequence(compile_sequence(dataset(dataset_id).spec().batch, SYS), SYS, "iv")
+    mats = run_sequence(compile_sequence(dataset(dataset_id).spec().batch, SYS), "iv")
     blocks, norms = partial_tomography(mats)
     return principal_state(DensityMatrix((2,), blocks[0])), float(norms[0])
 

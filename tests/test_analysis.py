@@ -199,9 +199,8 @@ def table1_by_separate_passes(mode):
     success, gate_fid = kernel.norm_sq(rows[:, 0]), np.clip(gate_fid, 0.0, 1.0).tolist()
     pulse_fid = [None] * len(TABLE1)
     if mode != "gate":
-        sys = nmr.SpinSystem()
-        program = nmr.compile_sequence(batch, sys)
-        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, sys, "iv"))
+        program = nmr.compile_sequence(batch, nmr.SpinSystem())
+        blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, "iv"))
         pulse_fid = three_products(blocks, pure_density_batch(goal)).tolist()
         if mode == "pulse":
             gate_fid, success = [None] * len(TABLE1), norms

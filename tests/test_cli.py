@@ -23,6 +23,9 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 # for datasets 1-11, checkpoints (i)-(v) and epsilon 1 and 0.3; recorded before
 # compile_sequence took its read-only template.
 PULSE_DIGESTS = json.loads((Path(__file__).parent / "golden_pulse.json").read_text())
+# SHA-256 of `verify --trials t --seed s` stdout, keyed "t s", for trials
+# 1, 2, 3, 7, 20, 1030 and 2100 (two and three chunks) and seeds 0-5.
+VERIFY_DIGESTS = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 HALF = f"{INV_SQRT2:.17g}"
 
@@ -859,6 +862,16 @@ def test_pulse_stdout_digests(capsys, k):
             digests[f"{k} {c} {e}"] = hashlib.sha256(out.encode()).hexdigest()
     assert len(PULSE_DIGESTS) == 110
     assert digests == {key: v for key, v in PULSE_DIGESTS.items() if key.split()[0] == str(k)}
+
+
+def test_verify_stdout_digests(capsys):
+    digests = {}
+    for t in (1, 2, 3, 7, 20, 1030, 2100):
+        for seed in range(6):
+            code, out, err = run_cli(capsys, "verify", "--trials", str(t), "--seed", str(seed))
+            assert code == 0 and err == ""
+            digests[f"{t} {seed}"] = hashlib.sha256(out.encode()).hexdigest()
+    assert len(VERIFY_DIGESTS) == 42 and digests == VERIFY_DIGESTS
 
 
 class TestParsing:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qsuperpose import kernel
 from qsuperpose.analysis import success_ratio, verify_probability_formulas
 from qsuperpose.direct import SuperpositionSpec, run_direct
-from qsuperpose.enhanced import closed_form_p2, run_enhanced
+from qsuperpose.enhanced import closed_form_p2, geometry_classify, run_enhanced
 from qsuperpose.errors import ArgumentError, ZeroOverlapError
 from qsuperpose.hybrid import closed_form_hybrid, run_hybrid
 from qsuperpose.linalg import (
@@ -296,8 +296,9 @@ def rejection(call):
 @given(st.floats(-11.0, -7.0), st.integers(0, 1), st.sampled_from(["chi", "chi_perp"]))
 def test_one_zero_overlap_rule(exponent, k, ref):
     """State k overlaps ref (chi = |0>, so chi_perp = |1>) with magnitude m,
-    log-uniform in [1e-11, 1e-7]: the spec, overlap_decompose and run_enhanced
-    all reject it exactly when m < 1e-9, naming state k and the reference."""
+    log-uniform in [1e-11, 1e-7]: the spec, overlap_decompose, run_enhanced and
+    geometry_classify all reject it exactly when m < 1e-9, naming state k and
+    the reference."""
     m = 10.0**exponent
     near, far = (KET0, KET1) if ref == "chi" else (KET1, KET0)
     small = StateVector((2,), m * near.amps + math.sqrt(1.0 - m * m) * far.amps)
@@ -309,6 +310,7 @@ def test_one_zero_overlap_rule(exponent, k, ref):
     found = {
         "overlap_decompose": rejection(lambda: overlap_decompose(small, near)),
         "run_enhanced": rejection(lambda: run_enhanced(spec())),
+        "geometry_classify": rejection(lambda: geometry_classify(*states, KET0)),
     }
     if ref == "chi":
         found["ReferenceSpec"] = rejection(spec)
@@ -317,9 +319,10 @@ def test_one_zero_overlap_rule(exponent, k, ref):
         if message is not None:
             assert f"= {m:.3e} is below 1e-09" in message, name
     if found["run_enhanced"] is not None:
-        assert found["run_enhanced"].startswith(
-            f"psi{k + 1} has a zero overlap with the reference {ref}:"
-        )
+        for name in ("run_enhanced", "geometry_classify"):
+            assert found[name].startswith(
+                f"psi{k + 1} has a zero overlap with the reference {ref}:"
+            ), name
     elif ref == "chi":
         p3 = run_three_qubit(spec()).success_prob
         assert abs(run_enhanced(spec()).p1 - p3) <= TOL

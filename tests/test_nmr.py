@@ -29,6 +29,7 @@ from qsuperpose.linalg import (
     fidelity_batch,
     pure_density,
     pure_density_batch,
+    unit_rows,
 )
 from qsuperpose.nmr import (
     CHECKPOINT_LABELS,
@@ -81,24 +82,24 @@ def row_sequences(program) -> list[dict]:
     return [program.to_json(t) for t in range(len(program.emitted))]
 
 
-def stack(seqs) -> PulseProgram:
-    """Sequence JSON objects of one skeleton and cuts as one program; row t is
-    seqs[t]."""
-    programs = [PulseProgram.from_json(seq) for seq in seqs]
+def stack(seqs, sys=SYS) -> PulseProgram:
+    """Sequence JSON objects of one skeleton and cuts as one program of spin
+    system sys; row t is seqs[t]."""
+    programs = [PulseProgram.from_json(seq, sys) for seq in seqs]
     first = programs[0]
     assert all(p.events == first.events and p.cuts == first.cuts for p in programs)
     arrays = {key: np.concatenate([getattr(p, key) for p in programs]) for key in ARRAY_FIELDS}
     return first._replace(**arrays)
 
 
-def state(program, label, sys=SYS, epsilon=1.0) -> DensityMatrix:
+def state(program, label, epsilon=1.0) -> DensityMatrix:
     """A one-row program's state at one checkpoint, as a DensityMatrix."""
-    return DensityMatrix((2, 2), run_sequence(program, sys, label, epsilon)[0])
+    return DensityMatrix((2, 2), run_sequence(program, label, epsilon)[0])
 
 
 def readout(spec) -> tuple[DensityMatrix, float]:
     """Partial tomography of a spec's compiled program at (iv)."""
-    mats = run_sequence(compile_sequence(spec.batch, SYS), SYS, "iv")
+    mats = run_sequence(compile_sequence(spec.batch, SYS), "iv")
     blocks, norms = partial_tomography(mats)
     return DensityMatrix((2,), blocks[0]), float(norms[0])
 
@@ -134,9 +135,9 @@ def fold(seq, sys, epsilon):
     return states
 
 
-def parse(events, checkpoints=None) -> PulseProgram:
-    """Event dicts and cuts, read as a sequence file."""
-    return PulseProgram.from_json({"events": events, "checkpoints": checkpoints or {}})
+def parse(events, checkpoints=None, sys=SYS) -> PulseProgram:
+    """Event dicts and cuts, read as a sequence file of spin system sys."""
+    return PulseProgram.from_json({"events": events, "checkpoints": checkpoints or {}}, sys)
 
 
 def rf(**fields) -> dict:
@@ -145,7 +146,7 @@ def rf(**fields) -> dict:
 
 def unitary(events, sys=SYS):
     """Net unitary of gradient-free event dicts: the engine's one propagator."""
-    (u,) = nmr._propagators(parse(events), sys, len(events))
+    (u,) = nmr._propagators(parse(events, sys=sys), len(events))
     return u.reshape(4, 4)
 
 
@@ -443,7 +444,7 @@ def assert_round_trips(program):
     reads back as the row's emitted events, bitwise the same values."""
     for k, emitted in enumerate(program.emitted):
         seq = program.to_json(k)
-        back = PulseProgram.from_json(json.loads(json.dumps(seq)))
+        back = PulseProgram.from_json(json.loads(json.dumps(seq)), program.system)
         assert back.to_json() == seq
         assert back.events == tuple(e for e, on in zip(program.events, emitted) if on)
         assert back.emitted.all() and back.emitted.shape == (1, emitted.sum())
@@ -524,13 +525,13 @@ class TestArrayCompiler:
         success = kernel.norm_sq(branches[:, 0])
         assume(np.all(success >= 1e-6))
         _, goal, _ = outcomes(branches[:, 0], targets)
-        mats = run_sequence(compile_sequence(batch, SYS), SYS, "iv")
+        mats = run_sequence(compile_sequence(batch, SYS), "iv")
         blocks, norms = partial_tomography(mats)
         assert np.max(np.abs(norms - success)) <= 1e-9
         assert np.min(fidelity_batch(blocks, pure_density_batch(goal))) >= 1.0 - 1e-9
         for t in range(len(mats)):
             alone = spec_batch(batch.weights[t : t + 1], batch.angles[t : t + 1])
-            solo = run_sequence(compile_sequence(alone, SYS), SYS, "iv")[0]
+            solo = run_sequence(compile_sequence(alone, SYS), "iv")[0]
             assert np.max(np.abs(mats[t] - solo)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -694,7 +695,7 @@ class TestRunSequence:
             cuts = {label: len(events) for label in ("i", "ii", "iii", "iv", "v")}
             seq = {"events": events, "checkpoints": cuts}
             for label in ("i", "ii", "iii", "iv", "v"):
-                states = run_sequence(stack([seq] * 2), SYS, label)
+                states = run_sequence(stack([seq] * 2), label)
                 np.testing.assert_allclose(states, [ground().mat] * 2, atol=1e-14)
 
     def test_checkpoint_v_is_crushed_iv(self):
@@ -707,7 +708,7 @@ class TestRunSequence:
         seq = sequence(dataset(5).spec())
         eps = 0.9
         for label in ("ii", "iv"):
-            mixed = run_sequence(seq, SYS, label, epsilon=eps)[0]
+            mixed = run_sequence(seq, label, epsilon=eps)[0]
             blended = eps * state(seq, label).mat + (1 - eps) * np.eye(4) / 4.0
             np.testing.assert_allclose(mixed, blended, atol=1e-12)
 
@@ -722,21 +723,21 @@ class TestRunSequence:
         reference = fold(row_sequences(program)[0], SYS, epsilon)
         assert list(reference) == list(CHECKPOINT_LABELS)
         for label, rho in reference.items():
-            mat = run_sequence(program, SYS, label, epsilon)[0]
+            mat = run_sequence(program, label, epsilon)[0]
             assert np.max(np.abs(mat - rho.mat)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_propagators_match_event_fold(self, seq, sys, epsilon):
         reference = fold(seq, sys, epsilon)
-        program = PulseProgram.from_json(seq)
+        program = PulseProgram.from_json(seq, sys)
         assert sorted(reference) == sorted(seq["checkpoints"])
         for label in CHECKPOINT_LABELS:
             if label not in seq["checkpoints"]:
                 with pytest.raises(ArgumentError, match=f"no checkpoint '{label}'"):
-                    run_sequence(program, sys, label, epsilon)
+                    run_sequence(program, label, epsilon)
                 continue
-            mats = run_sequence(program, sys, label, epsilon)
+            mats = run_sequence(program, label, epsilon)
             assert mats.shape == (1, 4, 4)
             assert np.max(np.abs(mats[0] - reference[label].mat)) <= 1e-12
 
@@ -747,15 +748,15 @@ class TestRunSequence:
         # equals its own run and the event fold.
         groups: dict = {}
         for seq in seqs:
-            program = PulseProgram.from_json(seq)
+            program = PulseProgram.from_json(seq, sys)
             groups.setdefault((program.events, tuple(program.cuts.items())), []).append(seq)
         for group in groups.values():
             folds = [fold(seq, sys, epsilon) for seq in group]
             for label in group[0]["checkpoints"]:
-                batch = run_sequence(stack(group), sys, label, epsilon)
+                batch = run_sequence(stack(group, sys), label, epsilon)
                 assert batch.shape == (len(group), 4, 4)
                 for t, seq in enumerate(group):
-                    alone = run_sequence(stack([seq]), sys, label, epsilon)[0]
+                    alone = run_sequence(stack([seq], sys), label, epsilon)[0]
                     assert np.max(np.abs(batch[t] - alone)) <= 1e-12
                     assert np.max(np.abs(batch[t] - folds[t][label].mat)) <= 1e-12
 
@@ -765,7 +766,7 @@ class TestRunSequence:
         assert sorted(program.emitted.sum(axis=1).tolist()) == [12] * 5 + [18] * 4 + [21] * 2
         folds = [fold(seq, SYS, epsilon) for seq in row_sequences(program)]
         for label in CHECKPOINT_LABELS:
-            batch = run_sequence(program, SYS, label, epsilon)
+            batch = run_sequence(program, label, epsilon)
             for t, reference in enumerate(folds):
                 assert np.max(np.abs(batch[t] - reference[label].mat)) <= 1e-12
 
@@ -773,9 +774,9 @@ class TestRunSequence:
     @given(sequences(), SPIN_SYSTEMS, st.floats(0.0, 1.0))
     def test_certified_states_are_positive(self, seq, sys, epsilon):
         # What the certificate proves, checked here instead of at run time.
-        program = PulseProgram.from_json(seq)
+        program = PulseProgram.from_json(seq, sys)
         for label in seq["checkpoints"]:
-            mat = run_sequence(program, sys, label, epsilon)[0]
+            mat = run_sequence(program, label, epsilon)[0]
             assert np.max(np.abs(mat - mat.conj().T)) <= ATOL
             assert np.min(np.linalg.eigvalsh(mat)) >= PSD_FLOOR
 
@@ -784,7 +785,7 @@ class TestRunSequence:
         # No rotation or delay gives the start state its row axis.
         program = stack([{"events": events, "checkpoints": {"v": len(events)}}] * 3)
         start = np.tile(initial_state(0.3), (3, 1, 1))
-        mats, again = (run_sequence(program, SYS, "v", 0.3) for _ in range(2))
+        mats, again = (run_sequence(program, "v", 0.3) for _ in range(2))
         assert mats.shape == (3, 4, 4) and mats.flags.writeable
         assert np.array_equal(mats, start) and not np.shares_memory(mats, again)
         mats[0] = 0.0
@@ -793,9 +794,9 @@ class TestRunSequence:
     def test_every_sequence_needs_the_checkpoint(self):
         # Gradients only: no rf pulse or delay gives the states a row axis.
         seq = {"events": [{"kind": "gradient"}], "checkpoints": {"ii": 1}}
-        assert run_sequence(stack([seq] * 2), SYS, "ii").shape == (2, 4, 4)
+        assert run_sequence(stack([seq] * 2), "ii").shape == (2, 4, 4)
         with pytest.raises(ArgumentError, match="the sequence has no checkpoint 'i'"):
-            run_sequence(stack([seq] * 2), SYS, "i")
+            run_sequence(stack([seq] * 2), "i")
 
     def test_batch_validates_its_states(self, monkeypatch):
         # A defect in the propagation is caught by the propagators' certificate.
@@ -803,7 +804,15 @@ class TestRunSequence:
         phases = nmr._delay_phases
         monkeypatch.setattr(nmr, "_delay_phases", lambda sys, t: 1.1 * phases(sys, t))
         with pytest.raises(ArgumentError, match="propagator is not unitary"):
-            run_sequence(program, SYS, "iv")
+            run_sequence(program, "iv")
+
+    def test_certificate_refuses_nan(self):
+        # NaN fails every comparison, the certificate's too.
+        program = sequence(dataset(6).spec())
+        axis_phase = program.axis_phase.copy()
+        axis_phase[0, 0] = math.nan
+        with pytest.raises(ArgumentError, match="a pulse propagator is not unitary"):
+            run_sequence(program._replace(axis_phase=axis_phase), "iv")
 
     @staticmethod
     def scale_one_rotation(monkeypatch, scale, row=3):
@@ -823,7 +832,7 @@ class TestRunSequence:
         program = compile_sequence(table1_batch(), SYS)
         self.scale_one_rotation(monkeypatch, scale)
         with pytest.raises(ArgumentError, match="propagator is not unitary"):
-            run_sequence(program, SYS, label)
+            run_sequence(program, label)
 
     def test_certificate_sees_what_eigvalsh_does_not(self, monkeypatch):
         # Shrinking a rotation keeps the state positive; only its trace, 0.81
@@ -831,7 +840,7 @@ class TestRunSequence:
         program = compile_sequence(table1_batch(), SYS)
         self.scale_one_rotation(monkeypatch, 0.9)
         monkeypatch.setattr(nmr, "ATOL", math.inf)
-        traces = [DensityMatrix((2, 2), m).trace for m in run_sequence(program, SYS, "iv")]
+        traces = [DensityMatrix((2, 2), m).trace for m in run_sequence(program, "iv")]
         assert traces[3] == pytest.approx(0.81, abs=1e-12)
 
     def test_certificate_replaces_eigvalsh(self, monkeypatch):
@@ -839,23 +848,23 @@ class TestRunSequence:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
         program = compile_sequence(table1_batch(), SYS)
         for label in CHECKPOINT_LABELS:
-            run_sequence(program, SYS, label, 0.3)
+            run_sequence(program, label, 0.3)
         # Up to the runs whose rounding the certificate bounds.
-        program = PulseProgram.from_json(runs_sequence(nmr._CERTIFIED_RUNS))
-        assert run_sequence(program, SYS, "v").shape == (1, 4, 4)
+        program = PulseProgram.from_json(runs_sequence(nmr._CERTIFIED_RUNS), SYS)
+        assert run_sequence(program, "v").shape == (1, 4, 4)
         assert calls == []
 
     def test_refuses_past_the_certified_runs(self):
         runs = nmr._CERTIFIED_RUNS + 1
-        program = PulseProgram.from_json(runs_sequence(runs))
+        program = PulseProgram.from_json(runs_sequence(runs), SYS)
         with pytest.raises(ArgumentError) as refused:
-            run_sequence(program, SYS, "v")
+            run_sequence(program, "v")
         assert str(refused.value) == (
             f"checkpoint 'v' comes after {runs} gradient-separated runs; "
             f"the unitarity certificate covers at most {nmr._CERTIFIED_RUNS}"
         )
         # The same file's checkpoint before its last run is still certified.
-        assert run_sequence(program, SYS, "iv").shape == (1, 4, 4)
+        assert run_sequence(program, "iv").shape == (1, 4, 4)
 
 
 class TestAbsentBlocks:
@@ -864,12 +873,12 @@ class TestAbsentBlocks:
 
     def assert_rows_run_as_their_json(self, batch, epsilons):
         program = compile_sequence(batch, SYS)
-        solo = [PulseProgram.from_json(program.to_json(k)) for k in range(len(program.emitted))]
+        solo = [PulseProgram.from_json(seq, SYS) for seq in row_sequences(program)]
         for epsilon in epsilons:
             for label in CHECKPOINT_LABELS:
-                mats = run_sequence(program, SYS, label, epsilon)
+                mats = run_sequence(program, label, epsilon)
                 for k, alone in enumerate(solo):
-                    gap = np.abs(mats[k] - run_sequence(alone, SYS, label, epsilon)[0])
+                    gap = np.abs(mats[k] - run_sequence(alone, label, epsilon)[0])
                     assert np.max(gap) <= 1e-15, (k, label, epsilon)
 
     def test_table1_rows_run_as_their_json(self):
@@ -925,7 +934,7 @@ class TestPartialTomography:
         assert fidelity(qubit, gate_target(spec)) >= 1.0 - 1e-9
 
     def test_batch_rows_match_scalar(self):
-        mats = run_sequence(compile_sequence(table1_batch(), SYS), SYS, "iv")
+        mats = run_sequence(compile_sequence(table1_batch(), SYS), "iv")
         blocks, norms = partial_tomography(mats)
         for t in range(len(TABLE1)):
             block, norm = partial_tomography(mats[t : t + 1])
@@ -952,6 +961,23 @@ class TestGatePulseEquivalence:
         qubit, norm = readout(ds.spec())
         assert fidelity(qubit, pure_density(gate.final_state)) >= 1.0 - 1e-6
         assert abs(norm - gate.success_prob) <= 1e-6
+
+    def test_program_runs_at_the_coupling_it_was_built_for(self):
+        # Compiled at J = 200 Hz, its 1/(2J) delays meet that J with no J passed
+        # to run_sequence; a row read back at the same J runs the same.
+        sys = SpinSystem(2.0 * math.pi * 200.0)
+        program = compile_sequence(table1_batch(), sys)
+        assert program.system is sys
+        mats = run_sequence(program, "iv")
+        blocks, norms = partial_tomography(mats)
+        rows, targets = run_direct_batch(table1_batch())
+        goal = pure_density_batch(unit_rows(targets))
+        assert fidelity_batch(blocks, goal).min() >= 1.0 - 1e-6
+        np.testing.assert_allclose(norms, kernel.norm_sq(rows[:, 0]), rtol=0, atol=1e-6)
+        for k, seq in enumerate(row_sequences(program)):
+            back = PulseProgram.from_json(seq, sys)
+            assert back.system is sys
+            assert np.max(np.abs(run_sequence(back, "iv")[0] - mats[k])) <= 1e-15
 
 
 class TestPulseIdentities:
@@ -1042,11 +1068,11 @@ class TestEventValidation:
     )
     def test_malformed_json(self, obj, message):
         with pytest.raises(ArgumentError, match=message):
-            PulseProgram.from_json(obj)
+            PulseProgram.from_json(obj, SYS)
 
     def test_json_round_trip(self):
         program = sequence(dataset(9).spec())
-        back = PulseProgram.from_json(program.to_json())
+        back = PulseProgram.from_json(program.to_json(), SYS)
         assert back.cuts == program.cuts and back.events == program.events
         for key in VALUE_FIELDS:
             np.testing.assert_array_equal(getattr(back, key), getattr(program, key))
