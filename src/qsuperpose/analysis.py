@@ -76,7 +76,7 @@ class Table1Row(NamedTuple):
     success_prob: float
 
 
-def reproduce_table1(mode: str = "gate") -> list[Table1Row]:
+def reproduce_table1(mode: str) -> list[Table1Row]:
     """Run the gate and/or pulse pipeline over all eleven datasets at once: one
     validated spec batch through the kernel and one compiled pulse program, and
     one fidelity pass over the gate's final states and the pulse's (iv) blocks."""

@@ -71,9 +71,9 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
         raise ArgumentError("geometry needs three single-qubit states")
     states, chi = np.array([[psi1.amps, psi2.amps]]), chi.amps[None]
     ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, kernel.chi_perp(chi))
-    require_overlaps(np.abs(ip))
-    require_overlaps(np.abs(ipp), "chi_perp")
-    return kernel.GEOMETRIES[kernel.geometry(ip, ipp)[0]]
+    require_overlaps(mag := np.abs(ip))
+    require_overlaps(magp := np.abs(ipp), "chi_perp")
+    return kernel.GEOMETRIES[kernel.geometry(ip, ipp, mag, magp)[0]]
 
 
 def closed_form_p2(spec: ReferenceSpec) -> float:
@@ -82,8 +82,9 @@ def closed_form_p2(spec: ReferenceSpec) -> float:
     weights, states, chi, ip = pair_batch(spec)
     if spec.d != 2:
         raise ArgumentError("chi must be a single qubit state")
-    require_overlaps(np.abs(ipp := kernel.overlaps(states, kernel.chi_perp(chi))), "chi_perp")
-    if kernel.geometry(ip, ipp)[0] != kernel.CODE_ANTIPODAL:
+    ipp = kernel.overlaps(states, kernel.chi_perp(chi))
+    require_overlaps(magp := np.abs(ipp), "chi_perp")
+    if kernel.geometry(ip, ipp, np.abs(ip), magp)[0] != kernel.CODE_ANTIPODAL:
         return float(kernel.closed_form_mu(weights, states, ipp)[0])
     p3 = kernel.closed_form_mu(weights, states, ip)[0]
     return float(kernel.norm_sq(kernel.target(weights, states, ip))[0] / 2 - p3)

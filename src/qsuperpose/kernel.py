@@ -207,12 +207,11 @@ def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return u / np.sqrt((c1 + c2) / (c1 * c2))[:, None, None]
 
 
-def geometry(ip: np.ndarray, ipp: np.ndarray) -> np.ndarray:
-    """Each qubit pair's geometry relative to the chi axis, from its checked
-    overlaps <chi|Psi_j> and <chi^perp|Psi_j>: (T,) codes into GEOMETRIES."""
-    mag = np.abs(ip)
+def geometry(ip: np.ndarray, ipp: np.ndarray, mag: np.ndarray, magp: np.ndarray) -> np.ndarray:
+    """Each qubit pair's geometry relative to the chi axis, from its checked overlaps
+    <chi|Psi_j>, <chi^perp|Psi_j> and their magnitudes: (T,) codes into GEOMETRIES."""
     # e^{i phi_j}: azimuth of Psi_j around the chi axis.
-    az = ipp / np.abs(ipp) * (ip / mag).conj()
+    az = ipp / magp * (ip / mag).conj()
     c = mag**2
     longitudinal = np.abs(az[:, 0] - az[:, 1]) <= GEOMETRY_TOL
     antipodal = (np.abs(c[:, 0] - c[:, 1]) <= GEOMETRY_TOL) & (
@@ -245,7 +244,8 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     run as one stack of rows, [chi; chi^perp]; ``ipp`` is <chi^perp|Psi_k>.
     """
     t, chip = len(chi), chi_perp(chi)
-    c = np.concatenate([np.abs(ip) ** 2, np.abs(ipp) ** 2])
+    mag, magp = np.abs(ip), np.abs(ipp)
+    c = np.concatenate([mag**2, magp**2])
     both = u_chi(c[:, 1], c[:, 0]) @ cascade_block(
         *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
     rows, rows_perp = both[:t], both[t:]
@@ -254,7 +254,7 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
     agrees = (np.sqrt(nsq) >= BRANCH_NORM_FLOOR) & (fid >= 1.0 - GEOMETRY_TOL)
-    geom = geometry(ip, ipp)
+    geom = geometry(ip, ipp, mag, magp)
     antipodal = (geom == CODE_ANTIPODAL) & agrees[:, 1]
     coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees[:, 0])
     p2 = np.where(antipodal, nsq[:, 1], nsq[:, 0])

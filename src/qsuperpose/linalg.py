@@ -30,15 +30,11 @@ EPS_OVERLAP = 1e-9
 _ANGLE_BOUND = np.array([math.nextafter(math.pi, math.inf), 2.0 * math.pi, 2.0 * math.pi])
 
 
-def zero_overlap(mag: np.ndarray) -> np.ndarray:
-    """The zero-overlap rule: True where a magnitude |<ref|psi>| < EPS_OVERLAP."""
-    return mag < EPS_OVERLAP
-
-
 def require_overlaps(mag: np.ndarray, ref: str = "chi") -> None:
-    """Raise ZeroOverlapError at the first zero |<ref|psi_k>|, k on the last axis."""
+    """The zero-overlap rule: raise ZeroOverlapError at the first magnitude
+    |<ref|psi_k>| < EPS_OVERLAP, k on the last axis."""
     mag = np.asarray(mag)
-    if (zero := zero_overlap(mag)).any():
+    if (zero := mag < EPS_OVERLAP).any():
         zero = np.argwhere(zero)
         k = zero[0][-1] + 1 if mag.shape[-1] > 1 else ""
         raise ZeroOverlapError(

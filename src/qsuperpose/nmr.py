@@ -9,7 +9,7 @@ with J in angular units (hbar = 1). Pulses are hard
 (instantaneous, J off while they run) rotations
 R_n(theta) = exp(-i theta n.sigma / 2) about an axis in the xy plane;
 ``axis_phase`` is measured from +x. z-rotations are compiled as x-y-x
-composites. The sequence has three blocks (initial, encoding,
+composites. The sequence has three stages (initial, encoding,
 superposition) followed by the readout gradient, with checkpoints
 (i)-(v) recorded as cut positions between events.
 
@@ -18,18 +18,19 @@ half-angle construction plus a spin-echo refocusing block, so each
 controlled rotation nets the exact gate-level operation up to a global
 phase.
 
-``compile_sequence`` compiles a spec batch to one ``PulseProgram`` on the
-fixed 21-event template, with (T, E) arrays of flip angles, axis phases and
-delays: a copy of the read-only values no input sets, with each row's own
-values written over it. A block that a spec skips keeps its events with flip
-angle 0 and duration 0, both exact identities, and ``emitted`` marks the
-events each row really has. ``run_sequence`` propagates the program to one
-checkpoint: each spin's rotations between two delays multiply as 2 x 2
-matrices, the unitaries between gradients into one U rho U^dagger. Each such U
-is certified unitary within ATOL, which proves every state positive without an
-eigvalsh (see ``run_sequence``); a checkpoint after more runs than the proof
-covers is refused. ``check_states`` then checks the states' finiteness,
-Hermiticity and traces. A program runs at the spin system it was built for.
+The fixed 21-event program is one read-only table, ``_PROGRAM``: each event's
+block, kind, spin and the angles no input sets. ``compile_sequence`` compiles
+a spec batch to one ``PulseProgram`` whose (T, E) flip angles, axis phases and
+delays copy the table's values, each row's own written over them. A block that
+a spec skips keeps its events with flip angle 0 and duration 0, both exact
+identities, and ``emitted`` marks the events each row really has.
+``run_sequence`` propagates the program to one checkpoint: each spin's
+rotations between two delays multiply as 2 x 2 matrices, the unitaries between
+gradients into one U rho U^dagger. Each such U is certified unitary within
+ATOL, which proves every state positive without an eigvalsh (see
+``run_sequence``); a checkpoint after more runs than the proof covers is
+refused. ``check_states`` then checks the states' finiteness, Hermiticity and
+traces. A program runs at the spin system it was built for.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -232,39 +233,36 @@ def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix((2, 2), np.where(_COHERENCE_MASK, rho.mat, 0.0))
 
 
-# Every event a spec can compile to, block by block, as (kind, spin). Blocks 0-3
-# are emitted only where their test holds (2 delta, theta1, theta2 and the
-# gamma1 - gamma2 z-composite nonzero), blocks 4-6 always.
-_RF_A, _RF_X = ("rf", "A"), ("rf", "X")
-_DELAY, _GRADIENT = ("delay", None), ("gradient", None)
-_ECHOED = (_RF_X, _DELAY, _RF_X, _RF_A, _DELAY, _RF_A)
-_COMPOSITE = (_RF_A,) * 3
-_BLOCKS = ((_RF_A,), _ECHOED, _ECHOED, _COMPOSITE, (_RF_A,), _COMPOSITE, (_GRADIENT,))
-_BLOCK_OF = [b for b, block in enumerate(_BLOCKS) for _ in block]
-_EVENTS = tuple([event for block in _BLOCKS for event in block])
+# The fixed program, one row per event in order: (block, kind, spin, flip angle,
+# axis phase), the angles that no input sets. Blocks: 0 the 2 delta rotation, 1
+# and 2 psi1's and psi2's echoed encodings (theta/2, tau, theta/2, then the echo),
+# 3 the x-y-x z-composite, 4 the pseudo-Hadamard, 5 the R_z(pi) composite (R_y(pi)
+# about pi/2), 6 the gradient. Blocks 0-3 are emitted only where their test holds
+# (2 delta, theta1, theta2 and z nonzero), blocks 4-6 always.
+_PROGRAM = (
+    (0, "rf", "A", 0.0, 0.0),
+    *((b, kind, spin, flip, 0.0) for b in (1, 2) for kind, spin, flip in (
+        ("rf", "X", 0.0), ("delay", None, 0.0), ("rf", "X", 0.0),
+        ("rf", "A", math.pi), ("delay", None, 0.0), ("rf", "A", math.pi))),
+    (3, "rf", "A", math.pi / 2, math.pi), (3, "rf", "A", 0.0, 0.0),
+    (3, "rf", "A", math.pi / 2, 0.0),
+    (4, "rf", "A", math.pi / 2, 3 * math.pi / 2),
+    (5, "rf", "A", math.pi / 2, math.pi), (5, "rf", "A", math.pi, math.pi / 2),
+    (5, "rf", "A", math.pi / 2, 0.0),
+    (6, "gradient", None, 0.0, 0.0),
+)
+_BLOCK_OF = [row[0] for row in _PROGRAM]
+_EVENTS = tuple([row[1:3] for row in _PROGRAM])
 # Checkpoints (i)-(v) fall after blocks 0, 2, 3, 5 and 6.
-_ENDS = list(accumulate(len(block) for block in _BLOCKS))
-_CUTS = {label: _ENDS[last] for label, last in zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6))}
-
-
-# The (flip angle, axis phase, duration) rows (3, E) of every event where no
-# input sets them, read only: the echoes' pi pulses, the composites' quarter
-# turns, the pseudo-Hadamard and the compensating R_z(pi) (R_y(pi) about pi/2).
-# compile_sequence writes the rest of each row's program over its copy: 2 delta,
-# the half-angle pulses, the tau delays, R_y(|z|) and their axes.
-_ZERO, _ECHO = (0.0, 0.0, 0.0), (math.pi, 0.0, 0.0)
-_QUARTER_IN, _QUARTER_OUT = (math.pi / 2, math.pi, 0.0), (math.pi / 2, 0.0, 0.0)
-_TEMPLATE = np.array([
-    _ZERO, *(_ZERO, _ZERO, _ZERO, _ECHO, _ZERO, _ECHO) * 2, _QUARTER_IN, _ZERO, _QUARTER_OUT,
-    (math.pi / 2, 3 * math.pi / 2, 0.0), _QUARTER_IN, (math.pi, math.pi / 2, 0.0), _QUARTER_OUT,
-    _ZERO,
-]).T
+_CUTS = {label: sum(b <= last for b in _BLOCK_OF)
+         for label, last in zip(CHECKPOINT_LABELS, (0, 2, 3, 5, 6))}
+# The (flip angle, axis phase, duration) rows (3, E), read only, and the columns
+# compile_sequence writes over its copy besides 2 delta: theta/2, tau and R_y(|z|).
+_TEMPLATE = np.array([(flip, phase, 0.0) for *_, flip, phase in _PROGRAM]).T
 _TEMPLATE.flags.writeable = False
-# The encoding's half-angle pulses (psi1's two, then psi2's), its tau delays,
-# and the z-composite's R_y(|z|).
-_HALVES = np.flatnonzero([event == _RF_X for event in _EVENTS])
-_TAUS = np.flatnonzero([event == _DELAY for event in _EVENTS])
-_R_Y = _ENDS[2] + 1
+_HALVES = np.flatnonzero([event == ("rf", "X") for event in _EVENTS])
+_TAUS = np.flatnonzero([kind == "delay" for kind, _ in _EVENTS])
+_R_Y = _BLOCK_OF.index(3) + 1
 # Each event's column of the block tests: blocks 4-6 share the last, always met.
 _BLOCK_TEST = np.minimum(_BLOCK_OF, 4)
 
@@ -321,7 +319,7 @@ def compile_sequence(batch: SpecBatch, sys: SpinSystem) -> PulseProgram:
     return PulseProgram(sys, _EVENTS, dict(_CUTS), emitted, flip, axis_phase, duration)
 
 
-def initial_state(epsilon: float = 1.0) -> np.ndarray:
+def initial_state(epsilon: float) -> np.ndarray:
     """Pseudo-pure |00><00| blended with identity: (1-eps) I/4 + eps |00><00|, (4, 4)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ArgumentError(f"purity epsilon must lie in [0, 1], got {epsilon}")

@@ -1,6 +1,7 @@
-"""Every function, class and method the package defines is referenced outside
-the tests: in ``src/``, in the README's Python block or in a benchmark file.
-A name only the tests use belongs in the tests."""
+"""Every function, class and method the package defines, and every name a
+module assigns, is referenced outside the tests: in ``src/``, in the README's
+Python block or in a benchmark file. A name only the tests use belongs in the
+tests."""
 import ast
 import re
 from pathlib import Path
@@ -24,12 +25,25 @@ def definitions():
                         yield f"{path.stem}.{node.name}.{item.name}", item.name
 
 
+def assignments():
+    """(qualified name, name) of each name a module of the package assigns at
+    module level."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield f"{path.stem}.{name.id}", name.id
+
+
 def references(tree: ast.AST, strings: bool = False) -> set[str]:
     """The names a tree loads or reads as an attribute, and with ``strings``
     its string constants that are identifiers (the tracer's layer names)."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -54,13 +68,23 @@ def referenced_names() -> set[str]:
     return used
 
 
+def unreferenced(defined: dict[str, str]) -> list[str]:
+    used = referenced_names()
+    return [
+        qualified for qualified, name in defined.items()
+        if name not in used and not name.startswith("__") and qualified not in EXEMPT
+    ]
+
+
 def test_every_definition_is_referenced_outside_the_tests():
     defined = dict(definitions())
     # The walk reaches functions, classes and methods.
     assert {"linalg.StateVector", "nmr.run_sequence", "nmr.PulseProgram.from_json"} <= set(defined)
-    used = referenced_names()
-    unused = [
-        qualified for qualified, name in defined.items()
-        if name not in used and not name.startswith("__") and qualified not in EXEMPT
-    ]
-    assert unused == []
+    assert unreferenced(defined) == []
+
+
+def test_every_module_level_name_is_read_outside_the_tests():
+    assigned = dict(assignments())
+    # The walk reaches plain, annotated and unpacked assignments.
+    assert {"linalg.EPS_OVERLAP", "kernel._FOURIER", "kernel.CODE_ANTIPODAL"} <= set(assigned)
+    assert unreferenced(assigned) == []

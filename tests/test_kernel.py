@@ -379,7 +379,7 @@ def enhanced_per_sector(weights, states, chi):
             fid = np.abs(np.sum(w.conj() * v, axis=1)) / np.sqrt(p1 * kernel.norm_sq(v))
         return kernel.branch_survives(v) & (fid >= 1.0 - kernel.GEOMETRY_TOL)
 
-    geom = kernel.geometry(ip, ipp)
+    geom = kernel.geometry(ip, ipp, np.abs(ip), np.abs(ipp))
     antipodal = (geom == kernel.CODE_ANTIPODAL) & agrees(rows_perp[:, 1])
     coherent = antipodal | ((geom == kernel.CODE_LONGITUDINAL) & agrees(rows_perp[:, 0]))
     p2 = kernel.norm_sq(np.where(antipodal[:, None], rows_perp[:, 1], rows_perp[:, 0]))
@@ -460,7 +460,7 @@ def enhanced_forming_ipp(weights, states, chi, ip):
     with np.errstate(divide="ignore", invalid="ignore"):
         fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
     agrees = kernel.branch_survives(rows_perp) & (fid >= 1.0 - kernel.GEOMETRY_TOL)
-    geom = kernel.geometry(ip, ipp)
+    geom = kernel.geometry(ip, ipp, np.abs(ip), np.abs(ipp))
     antipodal = (geom == kernel.CODE_ANTIPODAL) & agrees[:, 1]
     coherent = antipodal | ((geom == kernel.CODE_LONGITUDINAL) & agrees[:, 0])
     p2 = np.where(antipodal, nsq[:, 1], nsq[:, 0])

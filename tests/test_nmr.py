@@ -511,7 +511,7 @@ class TestArrayCompiler:
         for code, emitted in enumerate(program.emitted):
             present = [bool(code >> bit & 1) for bit in range(4)] + [True] * 3
             assert emitted.tolist() == [present[b] for b in nmr._BLOCK_OF]
-            kept = [len(block) for block, on in zip(nmr._BLOCKS, present) if on]
+            kept = [nmr._BLOCK_OF.count(b) for b, on in enumerate(present) if on]
             assert len(program.to_json(code)["events"]) == sum(kept)
         self.check_against_event_list(specs_of((weights, angles)), program)
 
@@ -661,6 +661,25 @@ class TestTemplateCompiler:
     @given(compile_rows(), SPIN_SYSTEMS)
     def test_batch_same_bits(self, rows, sys):
         self.assert_same_bits(spec_batch(*rows), sys)
+
+    def test_table_places_the_written_columns(self):
+        # The X pulses are exactly the four half-angle pulses, psi1's two in
+        # block 1 and then psi2's two in block 2; the delays are exactly the
+        # four tau, two in each; R_y(|z|) is block 3's middle event; blocks 4-6
+        # are gated by the always-true test.
+        events, block_of = nmr._EVENTS, np.array(nmr._BLOCK_OF)
+        x_pulses = [e for e, event in enumerate(events) if event == ("rf", "X")]
+        delays = [e for e, (kind, _) in enumerate(events) if kind == "delay"]
+        assert nmr._HALVES.tolist() == x_pulses and block_of[x_pulses].tolist() == [1, 1, 2, 2]
+        assert nmr._TAUS.tolist() == delays and block_of[delays].tolist() == [1, 1, 2, 2]
+        for b in (1, 2):
+            block = np.flatnonzero(block_of == b)
+            assert [events[e] for e in block[[0, 2]]] == [("rf", "X")] * 2
+        composite = np.flatnonzero(block_of == 3).tolist()
+        assert len(composite) == 3 and nmr._R_Y == composite[1]
+        gated = block_of < 4
+        assert np.array_equal(nmr._BLOCK_TEST[gated], block_of[gated])
+        assert set(nmr._BLOCK_TEST[~gated].tolist()) == {4}
 
     def test_template_is_read_only(self):
         assert nmr._TEMPLATE.shape == (3, len(nmr._EVENTS))
