@@ -18,10 +18,10 @@ import numpy as np
 
 from . import kernel, nmr
 from .datasets import TABLE1
-from .direct import _KET0, SpecBatch, _clamp_fidelity, run_direct_batch, spec_batch
+from .direct import KET0, SpecBatch, run_direct_batch, spec_batch
 from .errors import ArgumentError
-from .linalg import (StateVector, bloch, fidelity_batch, pure_density_batch, require_overlaps,
-                     unit_rows)
+from .linalg import (StateVector, bloch, clamp_fidelity, fidelity_batch, pure_density_batch,
+                     require_overlaps, unit_rows)
 
 TIE_TOL = 1e-12
 
@@ -93,7 +93,7 @@ def reproduce_table1(mode: str) -> list[Table1Row]:
         blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, "iv"))
         states, goal = np.concatenate([states, blocks]), np.concatenate([goal, goal])
     fid = fidelity_batch(states, goal)
-    gate_fid = _clamp_fidelity(fid[:t]).tolist()
+    gate_fid = clamp_fidelity(fid[:t]).tolist()
     pulse_fid = [None] * t if mode == "gate" else fid[t:].tolist()
     if mode == "pulse":
         gate_fid, success = [None] * t, norms
@@ -250,7 +250,7 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
         (chi0, chi1, chi2, chi3))]
     # Direct protocol: operational probability vs the weighted-sum norm.
     batch = SpecBatch(w, bloch(*angles.transpose(2, 0, 1)), angles)
-    direct = (w, batch.states, np.repeat(_KET0, t, axis=0))
+    direct = (w, batch.states, np.repeat(KET0, t, axis=0))
     # Reference protocols; the enhanced protocol on the trials whose states also
     # overlap chi^perp comfortably, then geometry-specific totals. <chi^perp|Psi_k>
     # is formed once over pair | lon | anti, and checked on the harvested rows.
@@ -269,10 +269,10 @@ def _verify_chunk(rng: np.random.Generator, trials: np.ndarray, report: VerifyRe
     r = t + r0
     e, a = r + t, r + 2 * t + m
     # Each <chi|Psi_k> once: validation checks them, the steps read them.
-    ip = kernel.validate(W, S, C)
+    W, S, C, ip = kernel.validate(W, S, C)
     p2_sim, eq8 = _eq8_deviation(W[t:e], S[t:e], C[t:e], ip[t:e])
     *eq8_dev, p2_dev = _cut(eq8, r - t, t)
-    eq8_dev += [_eq8_deviation(*group, kernel.validate(*group))[1] for group in hybrid[1:]]
+    eq8_dev += [_eq8_deviation(*kernel.validate(*group))[1] for group in hybrid[1:]]
     res = kernel.enhanced(W[e:], S[e:], C[e:], ip[e:], ipp)
     p1, p2, g = res.p1[:m], res.p2[:m], res.geometry[:m] != kernel.CODE_ANTIPODAL
     _, lon_total, anti_total = _cut(res.p_total, m, t, t)

@@ -15,11 +15,11 @@ import numpy as np
 from . import kernel
 from .errors import ArgumentError
 from .linalg import (
-    ATOL,
     QubitParams,
     StateVector,
     bloch,
     check_angles,
+    clamp_fidelity,
     fidelity_batch,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     pure_density_batch,
@@ -28,7 +28,7 @@ from .linalg import (
 
 
 # The basis the declared phases refer to: each input must overlap it.
-_KET0 = np.array([[1.0 + 0j, 0.0]])
+KET0 = np.array([[1.0 + 0j, 0.0]])
 
 
 class SpecBatch(NamedTuple):
@@ -52,12 +52,9 @@ def spec_batch(weights, angles) -> SpecBatch:
             f"got {weights.shape} and {angles.shape}"
         )
     check_angles(angles)
-    states = bloch(*angles.transpose(2, 0, 1))
-    kernel.validate(weights, states, _KET0, ref="0")
-    batch = SpecBatch(weights, states, angles)
-    for arr in batch:
-        arr.flags.writeable = False
-    return batch
+    batch = kernel.validate(weights, bloch(*angles.transpose(2, 0, 1)), KET0, ref="0")
+    angles.flags.writeable = False
+    return SpecBatch(*batch[:2], angles)
 
 
 @dataclass(frozen=True)
@@ -77,20 +74,13 @@ class SuperpositionSpec:
         object.__setattr__(self, "batch", batch)
 
 
-def _clamp_fidelity(fid: np.ndarray) -> np.ndarray:
-    """Fidelities clamped into [0, 1]; one more than ATOL outside it raises."""
-    if not ((-ATOL <= fid) & (fid <= 1.0 + ATOL)).all():
-        raise ArgumentError("fidelity out of range")
-    return fid.clip(0.0, 1.0)
-
-
 def outcomes(branch: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     """Post-selected branches (T, d) and their targets, normalized, and the
     fidelities between them, clamped into [0, 1]. A vanished row, or a fidelity
     more than ATOL outside [0, 1], raises."""
     final, goal = unit_rows(branch), unit_rows(target)
     fid = fidelity_batch(pure_density_batch(final), pure_density_batch(goal))
-    return final, goal, _clamp_fidelity(fid)
+    return final, goal, clamp_fidelity(fid)
 
 
 class ProtocolResult(NamedTuple):

@@ -7,14 +7,15 @@ these functions. ``analysis.verify_probability_formulas`` runs them over all
 its trials at once, and stacks the qubit-pair rows of every check that needs a
 step into one call of it. That is exact because every step is row-independent:
 a row's bits do not depend on the rows beside it. ``enhanced`` stacks its
-chi and chi^perp sectors the same way. The steps trust their inputs: callers
-form and check the overlaps, <chi|Psi_k> as ``ip`` (``validate`` returns it,
-``reference.ReferenceSpec`` keeps it in its batch) and, for the enhanced
-harvest, <chi^perp|Psi_k> as ``ipp``; the steps only read them.
+chi and chi^perp sectors the same way. The steps trust their inputs, and only
+read them: ``validate`` returns the read-only batch it checked, with <chi|Psi_k>
+as ``ip``; callers of the enhanced harvest check <chi^perp|Psi_k> as ``ipp``.
+F_n, the leave-one-out mask and the cascade's gather index are cached per shape.
 """
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +36,11 @@ GEOMETRY_TOL = 1e-9
 GEOMETRIES = (GEOMETRY_GENERIC, GEOMETRY_LONGITUDINAL, GEOMETRY_TRANSVERSE_ANTIPODAL)
 CODE_LONGITUDINAL, CODE_ANTIPODAL = 1, 2
 
-# e^{2 pi i q / 4} for q = 0..3, exact.
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
-# Input-independent constants: read-only F_n and the leave-one-out mask by n,
-# and the cascade's read-only gather index by (n, d).
-_FOURIER: dict[int, np.ndarray] = {}
-_EYE: dict[int, np.ndarray] = {}
-_CASCADE: dict[tuple[int, int], np.ndarray] = {}
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only."""
+    arr.flags.writeable = False
+    return arr
 
 
 def norm_sq(amps: np.ndarray) -> np.ndarray:
@@ -59,11 +58,11 @@ def branch_survives(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq(amps)) >= BRANCH_NORM_FLOOR
 
 
-def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> np.ndarray:
+def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> tuple:
     """Check a whole batch at once, with the bounds of the scalar API; a zero
     overlap names the reference ``ref``. NaN fails every comparison, so a
-    non-finite entry fails its norm check. Returns the overlaps it checked,
-    <ref|Psi_k>: (T, n)."""
+    non-finite entry fails its norm check. Returns the checked batch, read-only:
+    views of weights, states and chi, and the overlaps <ref|Psi_k> (T, n)."""
     _, n, d = states.shape
     if n * d**n > MAX_PIPELINE_DIM:
         raise ArgumentError(
@@ -77,15 +76,18 @@ def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi"
     if bad.any():
         raise ArgumentError(f"weights must have sum |a_k|^2 = 1, got {total[bad][0]}")
     require_overlaps(np.abs(ip := overlaps(states, chi)), ref)
-    return ip
+    return tuple(_frozen(x.view()) for x in (weights, states, chi, ip))
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    """The leave-one-out mask: the (n, n) boolean identity."""
+    return _frozen(np.eye(n, dtype=bool))
 
 
 def _leave_one_out(x: np.ndarray) -> np.ndarray:
     """prod_{j != k} x_j for every k: (T, n)."""
-    n = x.shape[1]
-    if (eye := _EYE.get(n)) is None:
-        eye = _EYE[n] = np.eye(n, dtype=bool)
-    return np.multiply.reduce(np.where(eye, 1.0, x[:, None, :]), axis=2)
+    return np.multiply.reduce(np.where(_eye(x.shape[1]), 1.0, x[:, None, :]), axis=2)
 
 
 def primed(weights: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -102,18 +104,19 @@ def encode(anc: np.ndarray, states: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
+def _cascade_index(n: int, d: int) -> np.ndarray:
+    """The cascade as a gather index into the n d^n amplitudes."""
+    a = np.arange(n * d**n).reshape((n,) + (d,) * n)
+    return _frozen(np.concatenate([np.swapaxes(a[k], 0, k).reshape(-1) for k in range(n)]))
+
+
 def cascade(amps: np.ndarray, n: int, d: int) -> np.ndarray:
     """Swap qudit 1 with qudit k+1 on the ancilla-|k> branch (k >= 1): one
     gather through an index built once per (n, d)."""
-    if (perm := _CASCADE.get((n, d))) is None:
-        a = np.arange(n * d**n).reshape((n,) + (d,) * n)
-        perm = _CASCADE[n, d] = np.concatenate(
-            [np.swapaxes(a[k], 0, k).reshape(-1) for k in range(n)]
-        )
-        perm.flags.writeable = False
     # take, not amps[:, perm]: its result is C-contiguous, as the projection's
     # matmul needs for the same bits.
-    return np.take(amps, perm, axis=1)
+    return np.take(amps, _cascade_index(n, d), axis=1)
 
 
 def project(
@@ -136,21 +139,19 @@ def cascade_block(anc: np.ndarray, states: np.ndarray, chi: np.ndarray) -> np.nd
     return project(cascade(encode(anc, states), n, d), chi, n, d)[0]
 
 
+@cache
 def fourier(n: int) -> np.ndarray:
     """F[j][k] = f^{jk} / sqrt(n) with f = e^{2 pi i / n}.
 
     Powers of f at quarter turns are exactly 1, i, -1, -i, so fourier(2)
     is the Hadamard bit for bit. Built once per n, and read-only."""
-    if n not in _FOURIER:
-        if n < 1:
-            raise ArgumentError(f"Fourier dimension must be positive, got {n}")
-        roots = np.exp(2j * math.pi * np.arange(n) / n)
-        for q in range(4):
-            if q * n % 4 == 0:
-                roots[q * n // 4] = _QUARTER_TURNS[q]
-        _FOURIER[n] = roots[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n)
-        _FOURIER[n].flags.writeable = False
-    return _FOURIER[n]
+    if n < 1:
+        raise ArgumentError(f"Fourier dimension must be positive, got {n}")
+    roots = np.exp(2j * math.pi * np.arange(n) / n)
+    for q in range(4):
+        if q * n % 4 == 0:
+            roots[q * n // 4] = (1, 1j, -1, -1j)[q]
+    return _frozen(roots[np.outer(np.arange(n), np.arange(n)) % n] / math.sqrt(n))
 
 
 def fourier_rows(block: np.ndarray) -> np.ndarray:
@@ -246,8 +247,11 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     t, chip = len(chi), chi_perp(chi)
     mag, magp = np.abs(ip), np.abs(ipp)
     c = np.concatenate([mag**2, magp**2])
-    both = u_chi(c[:, 1], c[:, 0]) @ cascade_block(
+    block = cascade_block(
         *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
+    # u_chi is real and the block C-contiguous (fresh from the projection's matmul):
+    # one real product over the block's real and imaginary parts, same bits.
+    both = (u_chi(c[:, 1], c[:, 0]) @ block.view(float)).view(complex)
     rows, rows_perp = both[:t], both[t:]
     p1, nsq = norm_sq(rows[:, 0]), norm_sq(rows_perp)
     # Whether each chi^perp row agrees with the chi outcome up to a phase: (T, 2).

@@ -267,6 +267,13 @@ def fidelity_batch(rho_e: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
     return et / np.sqrt(ee * tt)
 
 
+def clamp_fidelity(fid: np.ndarray) -> np.ndarray:
+    """Fidelities clamped into [0, 1]; one more than ATOL outside it raises."""
+    if not ((-ATOL <= fid) & (fid <= 1.0 + ATOL)).all():
+        raise ArgumentError("fidelity out of range")
+    return fid.clip(0.0, 1.0)
+
+
 def fidelity(rho_e: DensityMatrix, rho_t: DensityMatrix) -> float:
     """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2))."""
     if rho_e.dims != rho_t.dims:

@@ -53,10 +53,7 @@ class ReferenceSpec:
         if any(s.dims != (self.d,) for s in self.states) or self.chi.dims != (self.d,):
             raise ArgumentError(f"all states must be single {self.d}-level systems")
         amps = np.array([[s.amps for s in self.states]])
-        batch = (np.array([self.weights]), amps, self.chi.amps[None])
-        batch += (kernel.validate(*batch),)
-        for arr in batch:
-            arr.flags.writeable = False
+        batch = kernel.validate(np.array([self.weights]), amps, self.chi.amps[None])
         object.__setattr__(self, "batch", batch)
 
 

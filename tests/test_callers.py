@@ -86,5 +86,24 @@ def test_every_definition_is_referenced_outside_the_tests():
 def test_every_module_level_name_is_read_outside_the_tests():
     assigned = dict(assignments())
     # The walk reaches plain, annotated and unpacked assignments.
-    assert {"linalg.EPS_OVERLAP", "kernel._FOURIER", "kernel.CODE_ANTIPODAL"} <= set(assigned)
+    assert {"linalg.EPS_OVERLAP", "datasets.TABLE1", "kernel.CODE_ANTIPODAL"} <= set(assigned)
     assert unreferenced(assigned) == []
+
+
+def private_reach_ins():
+    """(module, name) of each underscore name that a module of the package
+    imports from another, or reads as an attribute of another."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                names = [node.attr]
+            else:
+                continue
+            yield from ((path.stem, name) for name in names if name.startswith("_"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert list(private_reach_ins()) == []

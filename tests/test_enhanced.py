@@ -95,6 +95,11 @@ class TestUChi:
         np.testing.assert_allclose(u_chi(0.75, 0.25)[0], expected, atol=1e-12)
         np.testing.assert_allclose(u_chi(0.4, 0.4)[0], HADAMARD, atol=1e-12)
 
+    def test_real(self, rng):
+        # kernel.enhanced multiplies it as a real matrix on the block's float view.
+        c1, c2 = rng.uniform(0.01, 1.0, size=(5, 2)).T
+        assert u_chi(c1, c2).dtype == np.float64
+
     def test_unitarity_random(self, rng):
         c1, c2 = rng.uniform(0.01, 1.0, size=(100, 2)).T
         u = u_chi(c1, c2)

@@ -64,9 +64,15 @@ class TestFourier:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_built_once_read_only_and_exact(self, n):
         f = fourier(n)
+        # F_n, the leave-one-out mask and the cascade's gather index: one
+        # read-only object per key.
+        for build, key in ((kernel.fourier, (n,)), (kernel._eye, (n,)),
+                           (kernel._cascade_index, (n, 2)), (kernel._cascade_index, (n, 3))):
+            arr = build(*key)
+            assert build(*key) is arr
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
         assert kernel.fourier(n) is f
-        with pytest.raises(ValueError):
-            f[0, 0] = 0.0
         # Bit for bit the construction from the roots of unity, quarter turns exact.
         roots = np.exp(2j * math.pi * np.arange(n) / n)
         for q in range(4):

@@ -47,15 +47,15 @@ def unit(rng, shape):
 
 
 def draw(seed, t, n, d, floor=0.05):
-    """t rows of (weights, states, chi, ip) with every |<chi|psi>| >= floor; ip
-    is <chi|Psi_k> as validation returns it."""
+    """t rows of (weights, states, chi, ip) with every |<chi|psi>| >= floor: the
+    read-only batch that validation returns, ip being <chi|Psi_k>."""
     rng = np.random.default_rng(seed)
     chi = unit(rng, (t, d))
     states = unit(rng, (t, n, d))
     while (bad := np.abs(kernel.overlaps(states, chi)) < floor).any():
         states[bad] = unit(rng, (int(bad.sum()), d))
     weights = unit(rng, (t, n))
-    return weights, states, chi, kernel.validate(weights, states, chi)
+    return kernel.validate(weights, states, chi)
 
 
 def scalar(weights, states, chi):
@@ -177,7 +177,7 @@ def test_global_phase_on_any_input_leaves_every_probability(seed, t, which, phas
         states[:, which] *= np.exp(1j * phase)
     else:
         chi *= np.exp(1j * phase)
-    shifted = probabilities(weights, states, chi, kernel.validate(weights, states, chi))
+    shifted = probabilities(weights, states, chi, kernel.validate(weights, states, chi)[3])
     base = probabilities(*batch)
     for name in base:
         np.testing.assert_allclose(shifted[name], base[name], atol=TOL, err_msg=name)
@@ -209,7 +209,7 @@ def pair_batch(seed, t, kind):
         perp = np.sin(polar) * np.exp(1j * azimuth)
         states = (np.cos(polar)[..., None] * chi[:, None, :]
                   + perp[..., None] * kernel.chi_perp(chi)[:, None, :])
-        ip = kernel.validate(weights, states, chi)
+        ip = kernel.validate(weights, states, chi)[3]
     return weights, states, chi, ip
 
 
@@ -433,7 +433,8 @@ def test_fourier_rows_is_one_row_at_a_time(shape, t, seed):
         assert np.array_equal(rows[i], kernel.fourier_rows(block[i : i + 1])[0])
 
 
-@pytest.mark.parametrize("t", BATCH_SIZES)
+# T = 1000 as well: the real sector product must keep its bits at verify's row counts.
+@pytest.mark.parametrize("t", BATCH_SIZES + [1000])
 @PROPERTY
 @given(seed=SEEDS, kind=KINDS)
 def test_enhanced_keeps_every_field_of_the_per_sector_harvest(t, seed, kind):
@@ -486,9 +487,20 @@ def test_enhanced_keeps_the_bits_of_forming_ipp_itself(t, seed, kind):
 @SAME_BITS
 @given(seed=SEEDS)
 def test_validate_returns_the_overlaps_it_checked(shape, t, seed):
+    """The inputs' bytes and the overlaps of ``kernel.overlaps``, all read-only."""
     n, d = shape
-    weights, states, chi, _ = draw(seed, t, n, d, floor=1e-3)
-    assert np.array_equal(kernel.validate(weights, states, chi), kernel.overlaps(states, chi))
+    batch = draw(seed, t, n, d, floor=1e-3)
+    inputs = [x.copy() for x in batch[:3]]
+    got = kernel.validate(*inputs)
+    assert len(got) == 4
+    want = [*inputs, kernel.overlaps(*inputs[1:])]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    # The caller's own arrays stay writable.
+    assert all(x.flags.writeable for x in inputs)
 
 
 # --- Overlaps once: a validated problem carries <chi|Psi_k> ----------------------
