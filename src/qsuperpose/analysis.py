@@ -114,7 +114,7 @@ def table1_csv(rows: Iterable[Table1Row]) -> str:
         values = (ds.psi1.theta, ds.psi1.phi, ds.psi2.theta, ds.psi2.phi, ds.weight_ratio,
                   ds.psi2.gamma, ds.reported_fidelity, r.sim_fidelity_gate, r.sim_fidelity_pulse,
                   r.success_prob)
-        cells = ["" if x is None else f"{x:.9g}" for x in values]
+        cells = ["" if x is None else fmt9(x) for x in values]
         lines.append(",".join([str(r.dataset_id), *cells]))
     return "\n".join(lines) + "\n"
 

@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     src.add_argument("--dataset", type=int, help="built-in dataset 1..11")
     src.add_argument("--sequence", help="JSON file with a pulse sequence to run")
     p.add_argument("--checkpoint", default="iv", choices=nmr.CHECKPOINT_LABELS)
-    p.add_argument("--j", type=float, default=215.0, help="scalar coupling in Hz")
+    p.add_argument("--j", type=float, default=nmr.SpinSystem().j_hz, help="scalar coupling in Hz")
     p.add_argument("--epsilon", type=float, default=1.0, help="pseudo-pure purity")
     p.set_defaults(func=_cmd_pulse)
 

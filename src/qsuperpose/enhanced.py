@@ -35,8 +35,6 @@ from .reference import ReferenceSpec, pair_batch
 
 def chi_perp(chi: StateVector) -> StateVector:
     """Canonical orthogonal companion: alpha|0> + beta|1> -> -beta*|0> + alpha*|1>."""
-    if chi.dims != (2,):
-        raise ArgumentError("chi must be a single qubit state")
     return StateVector((2,), kernel.chi_perp(chi.amps[None])[0], normalized=True)
 
 
@@ -80,8 +78,6 @@ def closed_form_p2(spec: ReferenceSpec) -> float:
     """P(2) as harvested: P3's expression in the chi^perp sector, but ||target||^2 / 2
     - P3 for transverse antipodal pairs (the ancilla-|1> row). P(1): closed_form_p3."""
     weights, states, chi, ip = pair_batch(spec)
-    if spec.d != 2:
-        raise ArgumentError("chi must be a single qubit state")
     ipp = kernel.overlaps(states, kernel.chi_perp(chi))
     require_overlaps(magp := np.abs(ipp), "chi_perp")
     if kernel.geometry(ip, ipp, np.abs(ip), magp)[0] != kernel.CODE_ANTIPODAL:

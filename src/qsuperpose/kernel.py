@@ -193,11 +193,13 @@ def three_qubit(weights: np.ndarray, states: np.ndarray, chi: np.ndarray,
     ancilla onto mu = sum_k sqrt(c_k)|k> / sqrt(sum c)."""
     c = np.abs(ip) ** 2
     mu = np.sqrt(c) / np.sqrt(np.sum(c, axis=1, keepdims=True))
-    return (mu[:, None, :] @ cascade_block(weights, states, chi))[:, 0]
+    return weighted_sum(mu, cascade_block(weights, states, chi))
 
 
 def chi_perp(chi: np.ndarray) -> np.ndarray:
     """Canonical orthogonal qubit: alpha|0> + beta|1> -> -beta*|0> + alpha*|1>."""
+    if chi.shape[1] != 2:
+        raise ArgumentError("chi must be a single qubit state")
     return np.concatenate([-chi[:, 1:].conj(), chi[:, :1].conj()], axis=1)
 
 

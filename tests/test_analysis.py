@@ -2,7 +2,6 @@
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +43,8 @@ from qsuperpose.reference import (
     run_two_qubit_reduced,
 )
 
-from helpers import phase_equivalent, three_products
+from helpers import TABLE1_MODES, golden_table1, phase_equivalent, three_products
 
-GOLDEN_TABLE1 = Path(__file__).resolve().parents[1] / "bench" / "golden_table1.csv"
 
 # Gate-level success probabilities for all 11 datasets, frozen from the
 # ||a psi1 + b psi2||^2 / 2 oracle.
@@ -241,18 +239,9 @@ class TestReproduceTable1:
         with pytest.raises(ArgumentError):
             reproduce_table1("experimental")
 
-    @pytest.mark.parametrize("mode,blank", [("both", None), ("gate", 9), ("pulse", 8)])
+    @pytest.mark.parametrize("mode,blank", TABLE1_MODES)
     def test_csv_matches_golden(self, mode, blank):
-        # The benchmark's golden CSV; a mode without one pipeline leaves that
-        # fidelity column empty.
-        lines = GOLDEN_TABLE1.read_text(encoding="utf-8").splitlines(keepends=True)
-        expected = lines[:1]
-        for line in lines[1:]:
-            fields = line.split(",")
-            if blank is not None:
-                fields[blank] = ""
-            expected.append(",".join(fields))
-        assert table1_csv(reproduce_table1(mode)) == "".join(expected)
+        assert table1_csv(reproduce_table1(mode)) == golden_table1(blank)
 
     @pytest.mark.parametrize("mode", ["gate", "pulse", "both"])
     def test_same_values_as_separate_passes(self, mode):

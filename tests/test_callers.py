@@ -107,3 +107,24 @@ def private_reach_ins():
 
 def test_no_module_reaches_into_another_modules_private_names():
     assert list(private_reach_ins()) == []
+
+
+def raised_messages():
+    """(message source, module:line) of each raise whose message is a string
+    literal or an f-string. A re-raise of ``str(exc)`` states no rule of its own."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                if isinstance(message, (ast.Constant, ast.JoinedStr)):
+                    yield ast.unparse(message), f"{path.stem}:{node.lineno}"
+
+
+def test_each_error_message_is_raised_from_one_place():
+    sites: dict[str, list[str]] = {}
+    for message, site in raised_messages():
+        sites.setdefault(message, []).append(site)
+    # The walk reaches plain and formatted messages.
+    assert "'chi must be a single qubit state'" in sites
+    assert any(m.startswith("f") and "seed must be a non-negative" in m for m in sites)
+    assert {m: s for m, s in sites.items() if len(s) > 1} == {}

@@ -14,7 +14,7 @@ import pytest
 from qsuperpose import analysis, cli, linalg, nmr
 from qsuperpose.cli import main
 
-from helpers import runs_sequence
+from helpers import TABLE1_MODES, golden_table1, runs_sequence
 
 # Exact stdout of reference, enhanced and qudit runs, recorded before these
 # pipelines took a ReferenceSpec.
@@ -527,22 +527,45 @@ class TestPulse:
         assert json.loads(err)["error"]["type"] == "argument"
 
     def test_sequence_round_trip(self, capsys, tmp_path):
-        # The emitted sequence JSON can be fed back in and replayed.
-        code, out, _ = run_cli(capsys, "pulse", "--dataset", "5")
+        # Every dataset's emitted sequence JSON can be fed back in: it replays to
+        # the same state and is echoed as read. Dataset 1 skips the theta1
+        # encoding and z-composite blocks, so its JSON holds only the events the
+        # compiled program marks as emitted.
+        seq_path = tmp_path / "seq.json"
+        for k in range(1, 12):
+            for checkpoint in ("iv", "v"):
+                code, out, _ = run_cli(
+                    capsys, "pulse", "--dataset", str(k), "--checkpoint", checkpoint)
+                assert code == 0
+                first = json.loads(out)
+                seq_path.write_text(json.dumps(first["sequence"]))
+                code, out, _ = run_cli(
+                    capsys, "pulse", "--sequence", str(seq_path), "--checkpoint", checkpoint)
+                assert code == 0
+                replayed = json.loads(out)
+                # No dataset was given, so the payload names none.
+                assert first["dataset"] == k and "dataset" not in replayed
+                if checkpoint == "iv":
+                    assert replayed["normalization"] == pytest.approx(
+                        first["normalization"], abs=1e-12
+                    )
+                assert replayed["rho"] == first["rho"]
+                assert replayed["sequence"] == json.loads(seq_path.read_text())
+
+    def test_sequence_replays_at_the_coupling_it_was_compiled_at(self, capsys, tmp_path):
+        # A loaded program runs at the J it is loaded with: dataset 6 compiled at
+        # J = 200 Hz and its echoed sequence replayed at 200 Hz agree, and at the
+        # default 215 Hz they do not.
+        argv = ("--checkpoint", "v", "--j", "200")
+        code, out, _ = run_cli(capsys, "pulse", "--dataset", "6", *argv)
         assert code == 0
         first = json.loads(out)
         seq_path = tmp_path / "seq.json"
         seq_path.write_text(json.dumps(first["sequence"]))
-        code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path))
-        assert code == 0
-        replayed = json.loads(out)
-        # No dataset was given, so the payload names none.
-        assert first["dataset"] == 5 and "dataset" not in replayed
-        assert replayed["normalization"] == pytest.approx(
-            first["normalization"], abs=1e-12
-        )
-        assert replayed["rho"] == first["rho"]
-        assert replayed["sequence"] == first["sequence"]
+        code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path), *argv)
+        assert code == 0 and json.loads(out)["rho"] == first["rho"]
+        code, out, _ = run_cli(capsys, "pulse", "--sequence", str(seq_path), *argv[:2])
+        assert code == 0 and json.loads(out)["rho"] != first["rho"]
 
     def test_integer_numbers_echoed_as_floats(self, capsys, tmp_path):
         pulse = {"kind": "rf", "spin": "A", "flip_angle": 1, "axis_phase": 0}
@@ -809,6 +832,12 @@ class TestTable1:
         row1 = lines[1].split(",")
         assert float(row1[-1]) == pytest.approx(0.853553391, abs=1e-9)
 
+    @pytest.mark.parametrize("mode,blank", TABLE1_MODES)
+    def test_out_file_matches_golden(self, capsys, tmp_path, mode, blank):
+        out_path = tmp_path / "table1.csv"
+        assert run_cli(capsys, "table1", "--mode", mode, "--out", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == golden_table1(blank).encode()
+
 
 class TestVerify:
     def test_small_run(self, capsys):
@@ -895,17 +924,17 @@ class TestParsing:
     @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
     def test_negative_non_finite_value_reaches_its_rule(self, capsys, value):
         # "-inf" and "-nan" are values, not flags: the coupling rule and the
-        # weight rule answer with their own errors.
-        for argv, rule in (
+        # weight rule answer with their own errors, each naming the value read.
+        for argv, message in (
             (("pulse", "--dataset", "1", "--j", value),
-             "the scalar coupling J (--j) must be nonzero with 2 pi J finite"),
+             "the scalar coupling J (--j) must be nonzero with 2 pi J finite "
+             f"(|J| <= about 2.86e307 Hz), got {float(value)!r} Hz"),
             (("run-direct", "--psi1", "1,0", "--psi2", "2,0", "--a", f"{value},0", "--b", "1"),
-             "weights must have sum |a_k|^2 = 1"),
+             f"weights must have sum |a_k|^2 = 1, got {abs(float(value))!r}"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 1 and out == ""
-            error = json.loads(err)["error"]
-            assert error["type"] == "argument" and error["message"].startswith(rule)
+            assert json.loads(err)["error"] == {"type": "argument", "message": message}
 
     def test_broken_stdout_pipe_exits_quietly(self):
         read_end, write_end = os.pipe()

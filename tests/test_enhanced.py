@@ -125,6 +125,13 @@ class TestChiPerp:
             assert abs(np.vdot(chi.amps, perp.amps)) <= 1e-14
             assert perp.norm_sq == pytest.approx(1.0, abs=1e-14)
 
+    def test_any_two_amplitude_state_is_a_qubit(self):
+        # The qubit rule reads the amplitude count: dims (1, 2) holds one qubit.
+        chi = StateVector((1, 2), np.array([0.6, 0.8j]), normalized=True)
+        perp = chi_perp(chi)
+        assert perp.dims == (2,)
+        assert np.array_equal(perp.amps, [0.8j, 0.6])
+
 
 class TestGeometryClassify:
     def test_dataset5_longitudinal(self):
@@ -289,5 +296,22 @@ class TestSpecShape:
             n=2, d=3, weights=(INV_SQRT2, INV_SQRT2), states=(qutrit, qutrit),
             chi=basis_state(3, 0),
         )
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError) as exc:
             pipeline(spec)
+        assert str(exc.value) == "chi must be a single qubit state"
+
+    def test_qubit_and_pair_rules_keep_their_order(self):
+        # Three qutrits break both rules: run_enhanced builds chi_perp before it
+        # takes the pair, closed_form_p2 takes the pair first.
+        qutrit = StateVector((3,), np.ones(3) / math.sqrt(3), normalized=True)
+        spec = ReferenceSpec(
+            n=3, d=3, weights=tuple([1 / math.sqrt(3)] * 3), states=(qutrit,) * 3,
+            chi=basis_state(3, 0),
+        )
+        for pipeline, message in (
+            (run_enhanced, "chi must be a single qubit state"),
+            (closed_form_p2, "this protocol superposes two states, got n = 3"),
+        ):
+            with pytest.raises(ArgumentError) as exc:
+                pipeline(spec)
+            assert str(exc.value) == message

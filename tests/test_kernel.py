@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from qsuperpose import kernel
@@ -277,6 +277,19 @@ def test_validation_rejects_a_bad_row_anywhere_in_the_batch():
         kernel.validate(weights, states, bad)
 
 
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_chi_perp_is_defined_for_qubits_only(d):
+    # Swapping two amplitudes of a qutrit chi = (0.6, 0.8i, 0) would give a
+    # vector whose overlap with chi is 0.48i, not zero.
+    chi = np.zeros((2, d), complex)
+    chi[:, 0] = 1.0
+    if d > 1:
+        chi[1, :2] = 0.6, 0.8j
+    with pytest.raises(ArgumentError) as exc:
+        kernel.chi_perp(chi)
+    assert str(exc.value) == "chi must be a single qubit state"
+
+
 # --- The zero-overlap rule: |<ref|psi_k>| < EPS_OVERLAP, decided in one place --
 
 KET0, KET1 = basis_state(2, 0), basis_state(2, 1)
@@ -342,7 +355,10 @@ def test_enhanced_accepts_what_the_spec_accepts():
 # The hybrid shapes that verify draws, and the dense-pipeline cap's extremes.
 CAP_SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 45), (3, 11), (4, 5), (5, 3), (8, 2)]
 BATCH_SIZES = [0, 1, 2, 17]
-SAME_BITS = settings(max_examples=4, deadline=None)
+# No shrink phase: a failing example is reported as drawn, at once, rather
+# than after minutes of shrinking each failing parametrization's seed.
+SAME_BITS = settings(max_examples=4, deadline=None,
+                     phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def cascade_by_swaps(amps, n, d):

@@ -2,7 +2,6 @@
 show, and every qsuperpose line of its shell block exits 0."""
 import json
 import math
-import os
 import re
 import shlex
 import subprocess
@@ -46,13 +45,13 @@ def test_fresh_import_loads_every_pipeline_module():
         "print(json.dumps(sorted(sys.modules)))\n"
         f"{readme_import}\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # The child imports the package the tests import: the installed one, or
+    # the one PYTHONPATH names.
     result = subprocess.run(
         [sys.executable, "-c", program],
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
     loaded = set(json.loads(result.stdout))
