@@ -21,6 +21,7 @@ from .linalg import (
     check_angles,
     clamp_fidelity,
     fidelity_batch,
+    norm_sq,
     overlap_decompose,  # noqa: F401  (bound here for the benchmark's tracer tests)
     pure_density_batch,
     unit_rows,
@@ -98,8 +99,8 @@ class ProtocolResult(NamedTuple):
         final, _, fid = outcomes(branch[None], target[None])
         return ProtocolResult(
             StateVector(branch.shape, final[0], normalized=True),
-            float(np.vdot(branch, branch).real),
-            float(np.vdot(target, target).real),
+            float(norm_sq(branch)),
+            float(norm_sq(target)),
             float(fid[0]),
         )
 

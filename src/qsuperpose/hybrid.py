@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import kernel
 from .errors import ArgumentError, DegenerateInputError
 from .kernel import fourier  # noqa: F401  (bound here for the benchmark's tracer)
-from .linalg import StateVector, unit_state
+from .linalg import StateVector, norm_sq, unit_state
 from .reference import ReferenceSpec
 
 
@@ -52,14 +50,14 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
     # state; its norm^2 is the reference-projection probability.
     weights, states, _, ip = spec.batch
     block = kernel.reduced(*spec.batch)[0]
-    p_ref = float(np.vdot(block, block).real)
+    p_ref = float(norm_sq(block.reshape(-1)))
     rows = kernel.fourier_rows(block[None])[0] / math.sqrt(p_ref)
     if not kernel.branch_survives(rows[0]):
         raise DegenerateInputError("the outcome-0 Fourier branch vanished")
     return HybridResult(
         encoded_state=unit_state(block),
         branches=tuple(StateVector((spec.d,), row) for row in rows),
-        success_prob=p_ref * float(np.vdot(rows[0], rows[0]).real),
+        success_prob=p_ref * float(norm_sq(rows[0])),
         final_state=unit_state(rows[0]),
         target_state=unit_state(kernel.target(weights, states, ip)[0]),
     )

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ArgumentError
-from .linalg import ATOL, require_overlaps
+from .linalg import ATOL, norm_sq, require_overlaps
 
 # Dense pipelines build n * d^n amplitudes; cap keeps them desk-sized.
 MAX_PIPELINE_DIM = 4096
@@ -41,11 +41,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """arr, made read-only."""
     arr.flags.writeable = False
     return arr
-
-
-def norm_sq(amps: np.ndarray) -> np.ndarray:
-    """Squared norm over the last axis."""
-    return np.einsum("...i,...i->...", amps.conj(), amps).real
 
 
 def overlaps(states: np.ndarray, chi: np.ndarray) -> np.ndarray:

@@ -63,6 +63,11 @@ def require_number(value, what: str):
     return value
 
 
+def norm_sq(amps: np.ndarray) -> np.ndarray:
+    """Squared norm over the last axis."""
+    return np.einsum("...i,...i->...", amps.conj(), amps).real
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr.view(float)).all():
         raise ArgumentError(f"{what} contains NaN or Inf")
@@ -84,7 +89,7 @@ class StateVector:
             raise ArgumentError(
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
-        if self.normalized and abs(np.vdot(amps, amps).real - 1.0) > ATOL:
+        if self.normalized and abs(norm_sq(amps) - 1.0) > ATOL:
             raise ArgumentError("state flagged normalized but has unit-norm defect")
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -92,7 +97,7 @@ class StateVector:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        return float(norm_sq(self.amps))
 
     def to_json(self) -> dict:
         return {
@@ -110,14 +115,13 @@ class StateVector:
             amps = np.array([complex(re, im) for re, im in pairs])
         except (KeyError, TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed state JSON: {exc}") from exc
-        normed = abs(float(np.vdot(amps, amps).real) - 1.0) <= ATOL
+        normed = abs(float(norm_sq(amps)) - 1.0) <= ATOL
         return StateVector(dims, amps, normalized=normed)
 
 
 def unit_rows(amps: np.ndarray) -> np.ndarray:
-    """Rows (T, d) scaled to unit norm; a (numerically) zero row raises. The
-    norms are summed as np.vdot sums them."""
-    n = np.sqrt((amps.conj()[:, None, :] @ amps[:, :, None])[:, 0, 0].real)
+    """Rows (T, d) scaled to unit norm; a (numerically) zero row raises."""
+    n = np.sqrt(norm_sq(amps))
     if (n < ATOL).any():
         raise DegenerateInputError("cannot normalize a (numerically) zero state")
     return amps / n[:, None]
@@ -260,10 +264,10 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def fidelity_batch(rho_e: np.ndarray, rho_t: np.ndarray) -> np.ndarray:
-    """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2)) over (T, d, d) stacks."""
-    # One stacked product, still one matrix product per row: each keeps its bits.
-    prod = np.concatenate([rho_e, rho_t, rho_e]) @ np.concatenate([rho_e, rho_t, rho_t])
-    ee, tt, et = prod.trace(axis1=1, axis2=2).real.reshape(3, len(rho_e))
+    """Tr(rho_e rho_t) / sqrt(Tr(rho_e^2) Tr(rho_t^2)) over (T, d, d) stacks,
+    each Tr(AB) the elementwise sum of A_ij B_ji, so no bit depends on the BLAS kernel."""
+    ee, tt, et = (np.einsum("tij,tji->t", a, b).real
+                  for a, b in ((rho_e, rho_e), (rho_t, rho_t), (rho_e, rho_t)))
     return et / np.sqrt(ee * tt)
 
 

@@ -30,6 +30,7 @@ from qsuperpose.linalg import (
     StateVector,
     basis_state,
     bloch,
+    fidelity_batch,
     make_qubit,
     overlap_decompose,
     pure_density_batch,
@@ -43,7 +44,7 @@ from qsuperpose.reference import (
     run_two_qubit_reduced,
 )
 
-from helpers import TABLE1_MODES, golden_table1, phase_equivalent, three_products
+from helpers import TABLE1_MODES, golden_table1, phase_equivalent
 
 
 # Gate-level success probabilities for all 11 datasets, frozen from the
@@ -188,18 +189,18 @@ def table1_by_separate_passes(mode):
     """reproduce_table1 as it was before its one fidelity pass, kept as its
     reference: the gate outcomes (branches and targets normalized apart, the
     fidelity range-checked and clipped), then a second fidelity pass for the
-    pulse blocks; each fidelity as three separate stacked products."""
+    pulse blocks; each pass's fidelity from its own fidelity_batch call."""
     batch = direct.spec_batch([ds.weights() for ds in TABLE1], [ds.angles() for ds in TABLE1])
     rows, targets = direct.run_direct_batch(batch)
     final, goal = unit_rows(rows[:, 0]), unit_rows(targets)
-    gate_fid = three_products(pure_density_batch(final), pure_density_batch(goal))
+    gate_fid = fidelity_batch(pure_density_batch(final), pure_density_batch(goal))
     assert np.all((-ATOL <= gate_fid) & (gate_fid <= 1.0 + ATOL))
     success, gate_fid = kernel.norm_sq(rows[:, 0]), np.clip(gate_fid, 0.0, 1.0).tolist()
     pulse_fid = [None] * len(TABLE1)
     if mode != "gate":
         program = nmr.compile_sequence(batch, nmr.SpinSystem())
         blocks, norms = nmr.partial_tomography(nmr.run_sequence(program, "iv"))
-        pulse_fid = three_products(blocks, pure_density_batch(goal)).tolist()
+        pulse_fid = fidelity_batch(blocks, pure_density_batch(goal)).tolist()
         if mode == "pulse":
             gate_fid, success = [None] * len(TABLE1), norms
     return [
@@ -257,7 +258,6 @@ class TestReproduceTable1:
         def shifted(shift):
             return lambda a, b: fidelity_batch(a, b) + shift
 
-        fidelity_batch = analysis.fidelity_batch
         monkeypatch.setattr(analysis, "fidelity_batch", shifted(ATOL / 2))
         rows = reproduce_table1("both")
         assert [row.sim_fidelity_gate for row in rows] == [1.0] * len(TABLE1)

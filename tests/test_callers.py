@@ -128,3 +128,20 @@ def test_each_error_message_is_raised_from_one_place():
     assert "'chi must be a single qubit state'" in sites
     assert any(m.startswith("f") and "seed must be a non-negative" in m for m in sites)
     assert {m: s for m, s in sites.items() if len(s) > 1} == {}
+
+
+def self_vdots():
+    """module:line of each np.vdot call in the package whose two arguments are
+    the same expression: a squared norm, which is ``linalg.norm_sq``'s job."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.vdot"
+                    and len(node.args) == 2
+                    and ast.dump(node.args[0]) == ast.dump(node.args[1])):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_each_squared_norm_is_norm_sq():
+    assert list(self_vdots()) == []
+    functions = [q for q, name in definitions() if name == "norm_sq" and q.count(".") == 1]
+    assert functions == ["linalg.norm_sq"]

