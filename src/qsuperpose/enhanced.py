@@ -104,5 +104,5 @@ def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     return EnhancedResult(
         unit_state(w_chi), unit_state(w_perp) if kernel.branch_survives(w_perp) else None,
         float(h.p1[0]), float(h.p2[0]), float(h.p_total[0]), bool(h.coherent[0]),
-        kernel.GEOMETRIES[h.geometry[0]], float(np.trace(rho @ rho).real),
+        kernel.GEOMETRIES[h.geometry[0]], float(np.einsum("ij,ji->", rho, rho).real),
     )

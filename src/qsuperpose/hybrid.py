@@ -3,7 +3,13 @@
 The encoded qunit-qudit state (kappa phases supplied by the reference
 projections) is Fourier-transformed on the ancilla; outcome |0>_n
 carries the desired superposition. For n = 2 the Fourier gate is the
-Hadamard and the pipeline reduces to the two-qubit scheme.
+Hadamard and the pipeline is the reduced two-qubit scheme: ``run_hybrid``
+reads the outcome row ``reference.run_two_qubit_reduced`` reads, so it gives
+that scheme's success probability and final state bit for bit and refuses
+the same inputs: those whose raw outcome-0 row has a norm below 1e-12. From
+n = 3 on that raw row shrinks as the (n-1)th power of the overlaps
+<chi|psi_k>, with no loss of relative accuracy, so the vanishing test and the
+final state read the outcome-0 row of the normalized encoded state instead.
 """
 from __future__ import annotations
 
@@ -47,17 +53,23 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
     if spec.n < 2:
         raise ArgumentError("the hybrid protocol needs at least two states")
     # The chi-projected block is the sub-normalized encoded qunit-qudit
-    # state; its norm^2 is the reference-projection probability.
+    # state; its norm^2 is the reference-projection probability. The success
+    # probability is read from the raw outcome-0 row, as verify reads it.
     weights, states, _, ip = spec.batch
     block = kernel.reduced(*spec.batch)[0]
     p_ref = float(norm_sq(block.reshape(-1)))
-    rows = kernel.fourier_rows(block[None])[0] / math.sqrt(p_ref)
-    if not kernel.branch_survives(rows[0]):
+    raw = kernel.fourier_rows(block[None])[0]
+    rows = raw / math.sqrt(p_ref)
+    # At n = 2 this is run_two_qubit_reduced's circuit: test and normalize the
+    # row it reads. From n = 3 on p_ref falls as the (n-1)th power of the
+    # overlaps, so a valid raw row can lie below the floor: use the rescaled one.
+    out = raw[0] if spec.n == 2 else rows[0]
+    if not kernel.branch_survives(out):
         raise DegenerateInputError("the outcome-0 Fourier branch vanished")
     return HybridResult(
         encoded_state=unit_state(block),
         branches=tuple(StateVector((spec.d,), row) for row in rows),
-        success_prob=p_ref * float(norm_sq(rows[0])),
-        final_state=unit_state(rows[0]),
+        success_prob=float(norm_sq(raw[0])),
+        final_state=unit_state(out),
         target_state=unit_state(kernel.target(weights, states, ip)[0]),
     )

@@ -145,3 +145,24 @@ def test_each_squared_norm_is_norm_sq():
     assert list(self_vdots()) == []
     functions = [q for q, name in definitions() if name == "norm_sq" and q.count(".") == 1]
     assert functions == ["linalg.norm_sq"]
+
+
+def traced_products():
+    """module:line of each trace the package takes of a ``@`` product, as
+    ``np.trace(a @ b)`` or ``(a @ b).trace()``: a Tr(AB) is the elementwise sum
+    of A_ij B_ji, as ``linalg.fidelity_batch`` forms it, not a BLAS product."""
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if ((ast.unparse(node.func) == "np.trace" and node.args and is_product(node.args[0]))
+                    or (isinstance(node.func, ast.Attribute) and node.func.attr == "trace"
+                        and is_product(node.func.value))):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_each_trace_of_a_product_is_an_elementwise_sum():
+    assert list(traced_products()) == []

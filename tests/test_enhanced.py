@@ -217,7 +217,7 @@ class TestRunEnhanced:
             assert result.geometry == GEOMETRY_LONGITUDINAL
             assert result.harvest_purity >= 1.0 - 1e-9
             state = harvest(spec)
-            assert np.trace(state.mat @ state.mat).real == result.harvest_purity
+            assert np.einsum("ij,ji->", state.mat, state.mat).real == result.harvest_purity
             target = unit_state(kappa_weighted_sum(spec).amps)
             assert fidelity(state, pure_density(target)) >= 1.0 - 1e-9
             assert result.p_total == pytest.approx(result.p1 + result.p2, abs=1e-12)

@@ -1,13 +1,17 @@
 """Hybrid qunit-qudit protocol: Fourier ancilla and qudit superposition."""
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsuperpose import kernel
+from qsuperpose import analysis, kernel
+from qsuperpose.cli import main
 from qsuperpose.errors import ArgumentError
 from qsuperpose.hybrid import closed_form_hybrid, fourier, run_hybrid
-from qsuperpose.linalg import StateVector, basis_state, unit_state
+from qsuperpose.linalg import QubitParams, StateVector, basis_state, make_qubit, unit_state
 from qsuperpose.reference import ReferenceSpec, kappa_weighted_sum, run_two_qubit_reduced
 
 from helpers import phase_equivalent
@@ -84,17 +88,67 @@ class TestFourier:
 
 
 class TestRunHybrid:
-    def test_reduces_to_two_qubit(self, rng):
-        for _ in range(20):
-            spec = random_spec(rng, 2, 2)
-            hybrid = run_hybrid(spec)
-            reduced = run_two_qubit_reduced(spec)
-            assert hybrid.success_prob == pytest.approx(
-                reduced.success_prob, abs=1e-12
-            )
-            assert phase_equivalent(
-                hybrid.final_state, reduced.final_state, 1e-12
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reduces_to_two_qubit(self, seed):
+        # At n = 2 the two schemes are one circuit, read from one outcome row.
+        spec = random_spec(np.random.default_rng(seed), 2, 2)
+        hybrid = run_hybrid(spec)
+        reduced = run_two_qubit_reduced(spec)
+        assert hybrid.success_prob == reduced.success_prob
+        assert hybrid.final_state.amps.tobytes() == reduced.final_state.amps.tobytes()
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_prints_what_verify_checks(self, rng, n, d):
+        # verify's hybrid_eq8 check runs one pass over a validated batch of many
+        # trials of a shape; each trial's row is the number qudit prints for it.
+        specs = [random_spec(rng, n, d) for _ in range(10)]
+        batch = (np.concatenate(x) for x in zip(*(s.batch[:3] for s in specs)))
+        sim, _ = analysis._eq8_deviation(*kernel.validate(*batch))
+        assert [run_hybrid(s).success_prob for s in specs] == sim.tolist()
+
+    def test_refuses_where_the_reduced_scheme_refuses(self, capsys, tmp_path):
+        # psi1 = psi2 with <0|psi> = 2e-9 and a + b = 1e-7: the outcome-0 row has
+        # norm about 1.4e-16, below BRANCH_NORM_FLOOR, though that row scaled by
+        # 1/sqrt(p_ref), as the printed branches are, is not.
+        theta = math.pi - 4e-9
+        psi = make_qubit(QubitParams(theta, 0.0))
+        states = tmp_path / "states.json"
+        states.write_text(json.dumps([psi.to_json()] * 2))
+        a, b = "0.70710683", "-0.70710673"
+        for argv in (
+            ["run-reference", "--mode", "reduced", "--psi1", f"{theta!r},0",
+             "--psi2", f"{theta!r},0", "--a", a, "--b", b],
+            ["qudit", "--n", "2", "--d", "2", "--states", str(states),
+             "--weights", f"{a},{b}", "--chi-index", "0"],
+        ):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"]["type"] == "degenerate-input"
+
+    @pytest.mark.parametrize("n,eps,printed", [(3, 1.05e-6, True), (5, 1e-3, True), (3, 1e-7, False)])
+    def test_small_overlaps_from_three_states(self, capsys, tmp_path, n, eps, printed):
+        # Every <0|psi_k> = eps, so p_ref = eps^(2(n-1)). The first two have a raw
+        # outcome-0 norm below 1e-12 (about 0.93e-12 and 0.57e-12) yet are held
+        # to the rescaled row, and print; P matches Eq. 8 to 1e-9. At eps = 1e-7
+        # the encoded block's own norm, 1e-14, is below the floor: it is refused.
+        s = math.sqrt(1 - eps * eps)
+        states = [StateVector((2,), np.array([eps, s * np.exp(1j * (0.7 * k + 0.3))]))
+                  for k in range(n)]
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps([psi.to_json() for psi in states]))
+        w = repr(1 / math.sqrt(n))
+        argv = ["qudit", "--n", str(n), "--d", "2", "--states", str(path),
+                "--weights", ",".join([w] * n), "--chi-index", "0"]
+        assert main(argv) == (0 if printed else 1)
+        out, err = capsys.readouterr()
+        if not printed:
+            assert out == "" and json.loads(err)["error"]["type"] == "degenerate-input"
+            return
+        spec = ReferenceSpec(n=n, d=2, weights=(1 / math.sqrt(n),) * n,
+                             states=tuple(states), chi=basis_state(2, 0))
+        p = json.loads(out)["success_prob"]
+        assert p < 1e-24 and p == pytest.approx(closed_form_hybrid(spec), rel=1e-9)
 
     def test_all_states_equal_reference(self):
         chi = basis_state(2, 0)
