@@ -5,11 +5,12 @@ projections) is Fourier-transformed on the ancilla; outcome |0>_n
 carries the desired superposition. For n = 2 the Fourier gate is the
 Hadamard and the pipeline is the reduced two-qubit scheme: ``run_hybrid``
 reads the outcome row ``reference.run_two_qubit_reduced`` reads, so it gives
-that scheme's success probability and final state bit for bit and refuses
-the same inputs: those whose raw outcome-0 row has a norm below 1e-12. From
-n = 3 on that raw row shrinks as the (n-1)th power of the overlaps
-<chi|psi_k>, with no loss of relative accuracy, so the vanishing test and the
-final state read the outcome-0 row of the normalized encoded state instead.
+that scheme's success probability and final state bit for bit and refuses,
+with the same message, the same inputs: those whose raw outcome-0 row has a
+norm below 1e-12. From n = 3 on that raw row shrinks as the (n-1)th power of
+the overlaps <chi|psi_k>, with no loss of relative accuracy, so the vanishing
+test and the final state read the outcome-0 row of the normalized encoded
+state instead.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from . import kernel
-from .errors import ArgumentError, DegenerateInputError
+from .errors import ArgumentError
 from .kernel import fourier  # noqa: F401  (bound here for the benchmark's tracer)
 from .linalg import StateVector, norm_sq, unit_state
 from .reference import ReferenceSpec
@@ -60,12 +61,11 @@ def run_hybrid(spec: ReferenceSpec) -> HybridResult:
     p_ref = float(norm_sq(block.reshape(-1)))
     raw = kernel.fourier_rows(block[None])[0]
     rows = raw / math.sqrt(p_ref)
-    # At n = 2 this is run_two_qubit_reduced's circuit: test and normalize the
-    # row it reads. From n = 3 on p_ref falls as the (n-1)th power of the
-    # overlaps, so a valid raw row can lie below the floor: use the rescaled one.
+    # At n = 2 this is run_two_qubit_reduced's circuit: normalize the row it
+    # reads, refusing it below the same floor. From n = 3 on p_ref falls as the
+    # (n-1)th power of the overlaps, so a valid raw row can lie below the
+    # floor: use the rescaled one.
     out = raw[0] if spec.n == 2 else rows[0]
-    if not kernel.branch_survives(out):
-        raise DegenerateInputError("the outcome-0 Fourier branch vanished")
     return HybridResult(
         encoded_state=unit_state(block),
         branches=tuple(StateVector((spec.d,), row) for row in rows),

@@ -11,6 +11,7 @@ chi and chi^perp sectors the same way. The steps trust their inputs, and only
 read them: ``validate`` returns the read-only batch it checked, with <chi|Psi_k>
 as ``ip``; callers of the enhanced harvest check <chi^perp|Psi_k> as ``ipp``.
 F_n, the leave-one-out mask and the cascade's gather index are cached per shape.
+Every contraction is a two-operand ``np.einsum``, run by numpy's loops, not BLAS.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def overlaps(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """<chi|Psi_k> for every trial and state: (T, n)."""
-    return (states @ chi.conj()[:, :, None])[..., 0]
+    return np.einsum("tnd,td->tn", states, chi.conj())
 
 
 def branch_survives(amps: np.ndarray) -> np.ndarray:
@@ -109,8 +110,6 @@ def _cascade_index(n: int, d: int) -> np.ndarray:
 def cascade(amps: np.ndarray, n: int, d: int) -> np.ndarray:
     """Swap qudit 1 with qudit k+1 on the ancilla-|k> branch (k >= 1): one
     gather through an index built once per (n, d)."""
-    # take, not amps[:, perm]: its result is C-contiguous, as the projection's
-    # matmul needs for the same bits.
     return np.take(amps, _cascade_index(n, d), axis=1)
 
 
@@ -124,7 +123,7 @@ def project(
     aux = chi if n > 1 else np.ones((t, 1))
     for _ in range(n - 2):
         aux = (aux[:, :, None] * chi[:, None, :]).reshape(t, aux.shape[1] * d)
-    block = amps.reshape(t, n * d, d ** (n - 1)) @ aux.conj()[:, :, None]
+    block = np.einsum("tij,tj->ti", amps.reshape(t, n * d, d ** (n - 1)), aux.conj())
     return block.reshape(t, n, d), aux
 
 
@@ -150,10 +149,8 @@ def fourier(n: int) -> np.ndarray:
 
 
 def fourier_rows(block: np.ndarray) -> np.ndarray:
-    """F_n (the Hadamard at n = 2) on the ancilla: row j is outcome |j>. One
-    product per trial: a single GEMM over all the trials' columns rounds the
-    rows j >= 1 differently from n = 3 on."""
-    return fourier(block.shape[1]) @ block
+    """F_n (the Hadamard at n = 2) on the ancilla: row j is outcome |j>."""
+    return np.einsum("jk,tkd->tjd", fourier(block.shape[1]), block)
 
 
 def encode_branches(anc: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -246,9 +243,7 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     c = np.concatenate([mag**2, magp**2])
     block = cascade_block(
         *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
-    # u_chi is real and the block C-contiguous (fresh from the projection's matmul):
-    # one real product over the block's real and imaginary parts, same bits.
-    both = (u_chi(c[:, 1], c[:, 0]) @ block.view(float)).view(complex)
+    both = np.einsum("tij,tjd->tid", u_chi(c[:, 1], c[:, 0]), block)
     rows, rows_perp = both[:t], both[t:]
     p1, nsq = norm_sq(rows[:, 0]), norm_sq(rows_perp)
     # Whether each chi^perp row agrees with the chi outcome up to a phase: (T, 2).
@@ -268,7 +263,7 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
 
 def weighted_sum(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     """sum_k a_k Psi_k: (T, d)."""
-    return (weights[:, None, :] @ states)[:, 0]
+    return np.einsum("tk,tkd->td", weights, states)
 
 
 def target(weights: np.ndarray, states: np.ndarray, ip: np.ndarray) -> np.ndarray:

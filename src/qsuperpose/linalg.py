@@ -289,7 +289,7 @@ def overlap_decompose(psi: StateVector, chi: StateVector) -> OverlapInfo:
     """Split <chi|psi> into squared magnitude c and unit phase kappa."""
     if psi.dims != chi.dims:
         raise ArgumentError(f"dimension mismatch: {psi.dims} vs {chi.dims}")
-    ip = complex(np.vdot(chi.amps, psi.amps))
+    ip = complex(np.einsum("i,i->", chi.amps.conj(), psi.amps))
     mag = abs(ip)
     require_overlaps([mag])
     return OverlapInfo(c=mag * mag, kappa=ip / mag)

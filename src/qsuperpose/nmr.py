@@ -26,11 +26,12 @@ a spec skips keeps its events with flip angle 0 and duration 0, both exact
 identities, and ``emitted`` marks the events each row really has.
 ``run_sequence`` propagates the program to one checkpoint: each spin's
 rotations between two delays multiply as 2 x 2 matrices, the unitaries between
-gradients into one U rho U^dagger. Each such U is certified unitary within
-ATOL, which proves every state positive without an eigvalsh (see
-``run_sequence``); a checkpoint after more runs than the proof covers is
-refused. ``check_states`` then checks the states' finiteness, Hermiticity and
-traces. A program runs at the spin system it was built for.
+gradients into one U rho U^dagger, every product the einsum ``_PRODUCT``. Each
+such U is certified unitary within ATOL, which proves every state positive
+without an eigvalsh (see ``run_sequence``); a checkpoint after more runs than
+the proof covers is refused. ``check_states`` then checks the states'
+finiteness, Hermiticity and traces. A program runs at the spin system it was
+built for.
 ``PulseProgram.to_json`` writes one row's emitted events as sequence JSON and
 ``PulseProgram.from_json`` checks a sequence file into a one-row program.
 """
@@ -65,6 +66,9 @@ _AZ = np.array([0.5, 0.5, -0.5, -0.5])
 _XZ = np.array([0.5, -0.5, 0.5, -0.5])
 # The gradient keeps the elements of zero total coherence order.
 _COHERENCE_MASK = np.equal.outer(_AZ + _XZ, _AZ + _XZ)
+
+# The one matrix product: a two-operand einsum runs in numpy's loops, not BLAS.
+_PRODUCT = "...ij,...jk->...ik"
 
 # The fields each event kind carries in sequence JSON.
 _EVENT_FIELDS = {"rf": ("spin", "flip_angle", "axis_phase"), "delay": ("duration",)}
@@ -224,7 +228,8 @@ def rf_pulse(
     """Instantaneous rotation of the addressed spin(s)."""
     _require_two_spin(rho)
     u = pulse_unitary(spin, flip_angle, axis_phase)
-    return DensityMatrix((2, 2), u @ rho.mat @ u.conj().swapaxes(-1, -2))
+    mat = np.einsum(_PRODUCT, u, rho.mat)
+    return DensityMatrix((2, 2), np.einsum(_PRODUCT, mat, u.conj().swapaxes(-1, -2)))
 
 
 def gradient_crush(rho: DensityMatrix) -> DensityMatrix:
@@ -352,11 +357,11 @@ def _propagators(program: PulseProgram, cut: int) -> list[np.ndarray]:
         if kind == "rf":
             r = next(rotations)
             for s in ("A", "X") if spin == "both" else (spin,):
-                pending[s] = r @ pending[s] if s in pending else r
+                pending[s] = np.einsum(_PRODUCT, r, pending[s]) if s in pending else r
             continue
         if pending:
             step = _kron(pending.pop("A", EYE2), pending.pop("X", EYE2))
-            u = step if u is EYE4 else step @ u
+            u = step if u is EYE4 else np.einsum(_PRODUCT, step, u)
         if kind == "delay":
             u = next(phases)[..., None] * u
         else:  # a gradient, or the end
@@ -402,12 +407,12 @@ def run_sequence(program: PulseProgram, checkpoint: str, epsilon: float = 1.0) -
         if k:  # the gradient between two runs
             mat = np.where(_COHERENCE_MASK, mat, 0.0)
         u_dag = u.conj().swapaxes(-1, -2)
-        residual = np.abs(u_dag @ u - EYE4).max()
+        residual = np.abs(np.einsum(_PRODUCT, u_dag, u) - EYE4).max()
         if not residual <= ATOL:  # NaN fails too
             raise ArgumentError(
                 f"a pulse propagator is not unitary: max |U^dagger U - I| = {residual:.3g}"
             )
-        mat = u @ mat @ u_dag
+        mat = np.einsum(_PRODUCT, np.einsum(_PRODUCT, u, mat), u_dag)
     check_states(mat)
     return mat
 

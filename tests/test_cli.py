@@ -22,12 +22,10 @@ from qsuperpose.cli import main
 
 from helpers import TABLE1_MODES, golden_table1, runs_sequence
 
-# Exact stdout of reference, enhanced and qudit runs, recorded before these
-# pipelines took a ReferenceSpec.
+# Exact stdout of reference, enhanced, qudit, pulse and verify runs.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 # SHA-256 of `pulse --dataset k --checkpoint c --epsilon e` stdout, keyed "k c e",
-# for datasets 1-11, checkpoints (i)-(v) and epsilon 1 and 0.3; recorded before
-# compile_sequence took its read-only template.
+# for datasets 1-11, checkpoints (i)-(v) and epsilon 1 and 0.3.
 PULSE_DIGESTS = json.loads((Path(__file__).parent / "golden_pulse.json").read_text())
 # SHA-256 of `verify --trials t --seed s` stdout, keyed "t s", for trials
 # 1, 2, 3, 7, 20, 1030 and 2100 (two and three chunks) and seeds 0-5.

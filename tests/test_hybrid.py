@@ -109,13 +109,15 @@ class TestRunHybrid:
 
     def test_refuses_where_the_reduced_scheme_refuses(self, capsys, tmp_path):
         # psi1 = psi2 with <0|psi> = 2e-9 and a + b = 1e-7: the outcome-0 row has
-        # norm about 1.4e-16, below BRANCH_NORM_FLOOR, though that row scaled by
-        # 1/sqrt(p_ref), as the printed branches are, is not.
+        # norm about 1.4e-16, below the floor of its normalization, though that
+        # row scaled by 1/sqrt(p_ref), as the printed branches are, is not. Both
+        # commands refuse it with one message.
         theta = math.pi - 4e-9
         psi = make_qubit(QubitParams(theta, 0.0))
         states = tmp_path / "states.json"
         states.write_text(json.dumps([psi.to_json()] * 2))
         a, b = "0.70710683", "-0.70710673"
+        errors = []
         for argv in (
             ["run-reference", "--mode", "reduced", "--psi1", f"{theta!r},0",
              "--psi2", f"{theta!r},0", "--a", a, "--b", b],
@@ -125,6 +127,8 @@ class TestRunHybrid:
             assert main(argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and json.loads(err)["error"]["type"] == "degenerate-input"
+            errors.append(err)
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("n,eps,printed", [(3, 1.05e-6, True), (5, 1e-3, True), (3, 1e-7, False)])
     def test_small_overlaps_from_three_states(self, capsys, tmp_path, n, eps, printed):
