@@ -138,7 +138,7 @@ def _add_state_flags(parser: _Parser, chi: bool = True) -> None:
 
 def _result_output(result, args) -> str | dict:
     """A protocol result as CSV text with --csv, else as its JSON object."""
-    payload = result.to_json()
+    payload = linalg.result_json(result)
     if not args.csv:
         return payload
     header = ["success_prob", "norm_sq", "fidelity"]
@@ -180,13 +180,14 @@ def _cmd_qudit(args):
     # Amplitudes typed to a few digits are rescaled as the weight flags are.
     *states, chi = (StateVector(s.dims, _unit_weights(s.amps)) for s in (*states, chi))
     spec = reference.ReferenceSpec(n=args.n, d=args.d, weights=weights, states=states, chi=chi)
-    return hybrid.run_hybrid(spec).to_json(), 0
+    return linalg.result_json(hybrid.run_hybrid(spec)), 0
 
 
 def _cmd_enhanced(args):
     spec = _reference_spec_from_args(args)
     result = enhanced.run_enhanced(spec)
-    payload = result.to_json()
+    payload = linalg.result_json(result)
+    del payload["harvest_purity"]  # reported under --geometry-report only
     if args.geometry_report:
         payload["geometry_report"] = {
             "geometry": result.geometry,

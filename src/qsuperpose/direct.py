@@ -91,7 +91,7 @@ class ProtocolResult(NamedTuple):
     final_state: StateVector
     success_prob: float
     norm_sq: float
-    fidelity_to_target: float
+    fidelity: float
 
     @staticmethod
     def of(branch: np.ndarray, target: np.ndarray) -> "ProtocolResult":
@@ -103,14 +103,6 @@ class ProtocolResult(NamedTuple):
             float(norm_sq(target)),
             float(fid[0]),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "final_state": self.final_state.to_json(),
-            "success_prob": self.success_prob,
-            "norm_sq": self.norm_sq,
-            "fidelity": self.fidelity_to_target,
-        }
 
 
 def encode_two_qubit(spec: SuperpositionSpec) -> StateVector:

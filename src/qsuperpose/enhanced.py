@@ -51,17 +51,6 @@ class EnhancedResult(NamedTuple):
     geometry: str
     harvest_purity: float
 
-    def to_json(self) -> dict:
-        return {
-            "branch_chi": self.branch_chi.to_json(),
-            "branch_chi_perp": self.branch_chi_perp and self.branch_chi_perp.to_json(),
-            "p1": self.p1,
-            "p2": self.p2,
-            "p_total": self.p_total,
-            "coherent": self.coherent,
-            "geometry": self.geometry,
-        }
-
 
 def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) -> str:
     """longitudinal, transverse_antipodal, or generic relative to the chi axis."""
@@ -70,8 +59,7 @@ def geometry_classify(psi1: StateVector, psi2: StateVector, chi: StateVector) ->
     states, chi = np.array([[psi1.amps, psi2.amps]]), chi.amps[None]
     ip, ipp = kernel.overlaps(states, chi), kernel.overlaps(states, kernel.chi_perp(chi))
     require_overlaps(mag := np.abs(ip))
-    require_overlaps(magp := np.abs(ipp), "chi_perp")
-    return kernel.GEOMETRIES[kernel.geometry(ip, ipp, mag, magp)[0]]
+    return kernel.GEOMETRIES[kernel.geometry(ip, ipp, mag, np.abs(ipp))[0]]
 
 
 def closed_form_p2(spec: ReferenceSpec) -> float:
@@ -79,8 +67,7 @@ def closed_form_p2(spec: ReferenceSpec) -> float:
     - P3 for transverse antipodal pairs (the ancilla-|1> row). P(1): closed_form_p3."""
     weights, states, chi, ip = pair_batch(spec)
     ipp = kernel.overlaps(states, kernel.chi_perp(chi))
-    require_overlaps(magp := np.abs(ipp), "chi_perp")
-    if kernel.geometry(ip, ipp, np.abs(ip), magp)[0] != kernel.CODE_ANTIPODAL:
+    if kernel.geometry(ip, ipp, np.abs(ip), np.abs(ipp))[0] != kernel.CODE_ANTIPODAL:
         return float(kernel.closed_form_mu(weights, states, ipp)[0])
     p3 = kernel.closed_form_mu(weights, states, ip)[0]
     return float(kernel.norm_sq(kernel.target(weights, states, ip))[0] / 2 - p3)
@@ -90,8 +77,7 @@ def run_enhanced(spec: ReferenceSpec) -> EnhancedResult:
     """Controlled-SWAP, sector-controlled U, ancilla-|0> projection, harvest."""
     chip = chi_perp(spec.chi).amps
     batch = pair_batch(spec)
-    require_overlaps(np.abs(ipp := kernel.overlaps(batch[1], chip[None])), "chi_perp")
-    h = kernel.enhanced(*batch, ipp)
+    h = kernel.enhanced(*batch, kernel.overlaps(batch[1], chip[None]))
     w_chi, w_perp = h.rows[0, 0], h.rows_perp[0, 0]
     # Combined harvest: project the ancilla onto |0> only, keep system and
     # reference qubits, trace the reference. Pure for longitudinal pairs.

@@ -7,10 +7,10 @@ Hadamard and the pipeline is the reduced two-qubit scheme: ``run_hybrid``
 reads the outcome row ``reference.run_two_qubit_reduced`` reads, so it gives
 that scheme's success probability and final state bit for bit and refuses,
 with the same message, the same inputs: those whose raw outcome-0 row has a
-norm below 1e-12. From n = 3 on that raw row shrinks as the (n-1)th power of
-the overlaps <chi|psi_k>, with no loss of relative accuracy, so the vanishing
-test and the final state read the outcome-0 row of the normalized encoded
-state instead.
+norm below ATOL, unit_rows' floor. From n = 3 on that raw row shrinks as the
+(n-1)th power of the overlaps <chi|psi_k>, with no loss of relative accuracy,
+so the vanishing test and the final state read the outcome-0 row of the
+normalized encoded state instead.
 """
 from __future__ import annotations
 
@@ -32,15 +32,6 @@ class HybridResult(NamedTuple):
     success_prob: float
     final_state: StateVector
     target_state: StateVector
-
-    def to_json(self) -> dict:
-        return {
-            "encoded_state": self.encoded_state.to_json(),
-            "branches": [b.to_json() for b in self.branches],
-            "success_prob": self.success_prob,
-            "final_state": self.final_state.to_json(),
-            "target_state": self.target_state.to_json(),
-        }
 
 
 def closed_form_hybrid(spec: ReferenceSpec) -> float:

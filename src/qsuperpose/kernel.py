@@ -9,7 +9,8 @@ step into one call of it. That is exact because every step is row-independent:
 a row's bits do not depend on the rows beside it. ``enhanced`` stacks its
 chi and chi^perp sectors the same way. The steps trust their inputs, and only
 read them: ``validate`` returns the read-only batch it checked, with <chi|Psi_k>
-as ``ip``; callers of the enhanced harvest check <chi^perp|Psi_k> as ``ipp``.
+as ``ip``. The enhanced harvest takes <chi^perp|Psi_k> as ``ipp``, and
+``geometry``, which it calls first, checks it.
 F_n, the leave-one-out mask and the cascade's gather index are cached per shape.
 Every contraction is a two-operand ``np.einsum``, run by numpy's loops, not BLAS.
 """
@@ -26,8 +27,6 @@ from .linalg import ATOL, norm_sq, require_overlaps
 
 # Dense pipelines build n * d^n amplitudes; cap keeps them desk-sized.
 MAX_PIPELINE_DIM = 4096
-# Branch norms below this leave a branch undefined.
-BRANCH_NORM_FLOOR = 1e-12
 
 GEOMETRY_LONGITUDINAL = "longitudinal"
 GEOMETRY_TRANSVERSE_ANTIPODAL = "transverse_antipodal"
@@ -50,8 +49,8 @@ def overlaps(states: np.ndarray, chi: np.ndarray) -> np.ndarray:
 
 
 def branch_survives(amps: np.ndarray) -> np.ndarray:
-    """False where a branch (last axis) has vanished: norm below BRANCH_NORM_FLOOR."""
-    return np.sqrt(norm_sq(amps)) >= BRANCH_NORM_FLOOR
+    """False where a branch (last axis) has vanished: norm below ATOL, as unit_rows refuses."""
+    return np.sqrt(norm_sq(amps)) >= ATOL
 
 
 def validate(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ref="chi") -> tuple:
@@ -203,8 +202,10 @@ def u_chi(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 def geometry(ip: np.ndarray, ipp: np.ndarray, mag: np.ndarray, magp: np.ndarray) -> np.ndarray:
-    """Each qubit pair's geometry relative to the chi axis, from its checked overlaps
-    <chi|Psi_j>, <chi^perp|Psi_j> and their magnitudes: (T,) codes into GEOMETRIES."""
+    """Each qubit pair's geometry relative to the chi axis, from its overlaps
+    <chi|Psi_j> (checked), <chi^perp|Psi_j> and their magnitudes: (T,) codes into
+    GEOMETRIES. A zero <chi^perp|Psi_j> raises ZeroOverlapError naming chi_perp."""
+    require_overlaps(magp, "chi_perp")
     # e^{i phi_j}: azimuth of Psi_j around the chi axis.
     az = ipp / magp * (ip / mag).conj()
     c = mag**2
@@ -240,6 +241,8 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     """
     t, chip = len(chi), chi_perp(chi)
     mag, magp = np.abs(ip), np.abs(ipp)
+    # First, so a zero <chi^perp|Psi_k> raises before u_chi divides by it.
+    geom = geometry(ip, ipp, mag, magp)
     c = np.concatenate([mag**2, magp**2])
     block = cascade_block(
         *(np.concatenate([x, x]) for x in (weights, states)), np.concatenate([chi, chip]))
@@ -249,8 +252,7 @@ def enhanced(weights: np.ndarray, states: np.ndarray, chi: np.ndarray, ip: np.nd
     # Whether each chi^perp row agrees with the chi outcome up to a phase: (T, 2).
     with np.errstate(divide="ignore", invalid="ignore"):
         fid = np.abs(np.sum(rows[:, :1].conj() * rows_perp, axis=2)) / np.sqrt(p1[:, None] * nsq)
-    agrees = (np.sqrt(nsq) >= BRANCH_NORM_FLOOR) & (fid >= 1.0 - GEOMETRY_TOL)
-    geom = geometry(ip, ipp, mag, magp)
+    agrees = branch_survives(rows_perp) & (fid >= 1.0 - GEOMETRY_TOL)
     antipodal = (geom == CODE_ANTIPODAL) & agrees[:, 1]
     coherent = antipodal | ((geom == CODE_LONGITUDINAL) & agrees[:, 0])
     p2 = np.where(antipodal, nsq[:, 1], nsq[:, 0])

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ArgumentError, DegenerateInputError, ZeroOverlapError
 
-# Normalization / Hermiticity checks; the dense pipelines hold at most 4096
-# amplitudes, so double precision leaves ample headroom.
+# Normalization / Hermiticity checks, and the one vanished-row floor (norm or trace);
+# the dense pipelines hold at most 4096 amplitudes, so double precision has headroom.
 ATOL = 1e-12
 # Least eigenvalue a density matrix may have: DensityMatrix tests it by eigvalsh,
 # nmr.run_sequence proves it by a unitarity certificate.
@@ -117,6 +117,18 @@ class StateVector:
             raise ArgumentError(f"malformed state JSON: {exc}") from exc
         normed = abs(float(norm_sq(amps)) - 1.0) <= ATOL
         return StateVector(dims, amps, normalized=normed)
+
+
+def result_json(result: NamedTuple) -> dict:
+    """A protocol result as JSON: one key per field, in field order. A state is its
+    state JSON, a tuple of states a list of them; None and numbers stay as they are."""
+
+    def value(v):
+        if isinstance(v, StateVector):
+            return v.to_json()
+        return [value(x) for x in v] if isinstance(v, tuple) else v
+
+    return {name: value(v) for name, v in zip(result._fields, result)}
 
 
 def unit_rows(amps: np.ndarray) -> np.ndarray:

@@ -422,6 +422,6 @@ def partial_tomography(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     success probabilities."""
     block = mats[:, :2, :2]
     norm = block.trace(axis1=1, axis2=2).real
-    if (norm < 1e-12).any():
+    if (norm < ATOL).any():
         raise DegenerateInputError("the ancilla-|0> block has vanishing population")
     return block / norm[:, None, None], norm

@@ -174,7 +174,7 @@ def test_criterion_8_small_overlap_robustness():
     result = run_direct(dataset(11).spec())
     overlap = math.sin(math.pi / 36.0)
     assert abs(overlap - 0.08715574274765817) <= 1e-12
-    assert result.fidelity_to_target >= 1.0 - 1e-9
+    assert result.fidelity >= 1.0 - 1e-9
     print(f"PASS criterion 8: dataset 11 (overlap {overlap:.4f}) fidelity >= 1-1e-9")
 
 

@@ -271,7 +271,7 @@ class TestReproduceTable1:
         for row, ds in zip(reproduce_table1("gate"), TABLE1):
             result = run_direct(ds.spec())
             assert abs(row.success_prob - result.success_prob) <= 1e-12
-            assert abs(row.sim_fidelity_gate - result.fidelity_to_target) <= 1e-12
+            assert abs(row.sim_fidelity_gate - result.fidelity) <= 1e-12
 
 
 ALL_CHECKS = {

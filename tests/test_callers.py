@@ -135,6 +135,14 @@ def test_each_squared_norm_is_norm_sq():
     assert functions == ["linalg.norm_sq"]
 
 
+def test_only_the_value_types_write_their_own_json():
+    """A protocol result is written by linalg.result_json, one key per field, so
+    no result NamedTuple restates its field names in a to_json of its own."""
+    writers = {q for q, name in definitions() if name == "to_json"}
+    assert writers == {"linalg.StateVector.to_json", "linalg.DensityMatrix.to_json",
+                       "nmr.PulseProgram.to_json", "analysis.VerifyReport.to_json"}
+
+
 # numpy functions and ndarray methods that contract through BLAS.
 BLAS_PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot"}
 

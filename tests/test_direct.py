@@ -131,7 +131,7 @@ class TestBatch:
             assert np.max(np.abs(final[t] - result.final_state.amps)) <= 1e-12
             assert np.max(np.abs(goal[t] - unit_rows(target)[0])) <= 1e-12
             assert abs(success[t] - result.success_prob) <= 1e-12
-            assert abs(fid[t] - result.fidelity_to_target) <= 1e-12
+            assert abs(fid[t] - result.fidelity) <= 1e-12
 
     def test_vanished_branch_raises(self):
         # a psi1 + b psi2 = 0: the post-selected branch of row 1 vanishes.
@@ -303,11 +303,11 @@ class TestRunDirect:
     @pytest.mark.parametrize("dataset_id", range(1, 12))
     def test_table_fidelities(self, dataset_id):
         result = run_direct(dataset(dataset_id).spec())
-        assert result.fidelity_to_target >= 1.0 - 1e-9
+        assert result.fidelity >= 1.0 - 1e-9
 
     def test_dataset11_small_overlap(self):
         result = run_direct(dataset(11).spec())
-        assert result.fidelity_to_target >= 1.0 - 1e-9
+        assert result.fidelity >= 1.0 - 1e-9
         assert result.success_prob == pytest.approx(0.5435778713738288, abs=1e-12)
 
     def test_dataset4_success_is_sum_branch(self):

@@ -552,3 +552,75 @@ def test_overlaps_are_formed_once_per_problem(monkeypatch):
         "build_initial": 0, "run_enhanced": 1, "closed_form_p2": 1,
     }
     assert count(lambda: verify_probability_formulas(trials=20, seed=0)) == 5
+
+
+# --- Metamorphic relations of Eq. 8: one unitary on every input, input phases --
+
+EQ8_SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3)]
+
+
+def haar_unitary(rng, d):
+    """A Haar-random d x d unitary: the QR of a complex Gaussian, R's phases put in Q."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def outcome_zero(batch, rows_of=kernel.fourier_rows):
+    """Eq. 8's P (T,) and the normalized outcome-0 rows (T, d) of a validated batch."""
+    row = rows_of(kernel.reduced(*batch))[:, 0]
+    p = kernel.norm_sq(row)
+    return p, row / np.sqrt(p)[:, None]
+
+
+def infidelity(u, v):
+    """1 - |<u|v>|^2 of unit rows (T, d)."""
+    return 1.0 - np.abs(np.einsum("td,td->t", u.conj(), v)) ** 2
+
+
+def covariance_defects(seed, t, n, d, rows_of=kernel.fourier_rows):
+    """Psi_k -> U Psi_k and chi -> U chi, one Haar-random U per row: the relative
+    change of P, and the infidelity of the new outcome-0 row to U times the old."""
+    weights, states, chi, _ = batch = draw(seed, t, n, d)
+    rng = np.random.default_rng([seed, 1])
+    u = np.array([haar_unitary(rng, d) for _ in range(t)])
+    moved = kernel.validate(
+        weights, np.einsum("tij,tkj->tki", u, states), np.einsum("tij,tj->ti", u, chi))
+    (p, row), (p_u, row_u) = outcome_zero(batch, rows_of), outcome_zero(moved, rows_of)
+    return np.abs(p_u - p) / p, infidelity(np.einsum("tij,tj->ti", u, row), row_u)
+
+
+@PROPERTY
+@given(seed=SEEDS, t=ROWS, shape=st.sampled_from(EQ8_SHAPES))
+def test_eq8_is_covariant_under_one_unitary_on_every_input(seed, t, shape):
+    """P stays, and the outcome-0 row turns with the inputs."""
+    rel_p, infid = covariance_defects(seed, t, *shape)
+    assert rel_p.max() <= 1e-9
+    assert infid.max() <= 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS, t=ROWS, shape=st.sampled_from(EQ8_SHAPES))
+def test_eq8_output_is_blind_to_the_input_phases(seed, t, shape):
+    """Psi_k -> e^{i alpha_k} Psi_k keeps P and the outcome-0 row up to one global phase."""
+    n, d = shape
+    weights, states, chi, _ = batch = draw(seed, t, n, d)
+    alpha = np.random.default_rng([seed, 2]).uniform(0.0, 2 * math.pi, (t, n))
+    rephased = kernel.validate(weights, np.exp(1j * alpha)[:, :, None] * states, chi)
+    (p, row), (p_a, row_a) = outcome_zero(batch), outcome_zero(rephased)
+    assert (np.abs(p_a - p) / p).max() <= 1e-9
+    assert infidelity(row, row_a).max() <= 1e-9
+
+
+@pytest.mark.parametrize("shape", EQ8_SHAPES)
+def test_covariance_catches_a_norm_keeping_phase_fault(shape):
+    """A Fourier step that multiplies amplitude j of each output row by e^{i theta_j}
+    keeps every norm, so P cannot see it; the covariance relation fails on every row."""
+    theta = np.array([0.0, 2.1, 4.4])
+
+    def faulty(block):
+        rows = kernel.fourier_rows(block)
+        return rows * np.exp(1j * theta[: rows.shape[2]])
+
+    rel_p, infid = covariance_defects(3, 20, *shape, rows_of=faulty)
+    assert rel_p.max() <= 1e-9
+    assert (infid > 1e-9).all() and infid.max() > 0.1

@@ -1,6 +1,7 @@
 """Core linear-algebra layer: states, operators, traces, overlaps."""
 import math
 import re
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from qsuperpose.linalg import (
     overlap_decompose,
     partial_trace,
     pure_density,
+    result_json,
     tensor,
     unit_state,
 )
@@ -479,6 +481,22 @@ class TestJsonRoundTrip:
         state = {"dims": dims, "amps": [[1.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(ArgumentError, match=re.escape(repr(dims))):
             StateVector.from_json(state)
+
+
+def test_result_json_writes_each_field_in_order():
+    class Result(NamedTuple):
+        state: StateVector
+        branches: tuple
+        missing: Optional[StateVector]
+        p: float
+        coherent: bool
+        geometry: str
+
+    ket = basis_state(2, 1)
+    got = result_json(Result(ket, (ket, ket), None, 0.25, True, "generic"))
+    assert list(got) == list(Result._fields)
+    assert got == {"state": ket.to_json(), "branches": [ket.to_json()] * 2, "missing": None,
+                   "p": 0.25, "coherent": True, "geometry": "generic"}
 
 
 class TestNormalize:

@@ -225,7 +225,7 @@ class TestRunThreeQubit:
     def test_dataset5(self):
         result = run_three_qubit(pair(INV_SQRT2, INV_SQRT2, PSI1_D5, PSI2_D5, CHI0))
         assert result.success_prob == pytest.approx(0.34987976320958236, abs=1e-9)
-        assert result.fidelity_to_target >= 1.0 - 1e-12
+        assert result.fidelity >= 1.0 - 1e-12
 
     def test_orthogonal_equatorial(self):
         psi1 = make_qubit(QubitParams(math.pi / 2, 0.0))
@@ -279,8 +279,8 @@ class TestInvariants:
             assert abs(two.success_prob - closed_form_hybrid(spec)) <= 1e-9
             assert abs(three.success_prob - closed_form_p3(spec)) <= 1e-9
             assert phase_equivalent(two.final_state, three.final_state, 1e-9)
-            assert two.fidelity_to_target >= 1.0 - 1e-9
-            assert three.fidelity_to_target >= 1.0 - 1e-9
+            assert two.fidelity >= 1.0 - 1e-9
+            assert three.fidelity >= 1.0 - 1e-9
 
     def test_kappa_cancels_input_phases(self, rng):
         for _ in range(25):
